@@ -2,8 +2,10 @@
 """Benchmark the JIT kernels against their pure-numpy fallbacks.
 
 Times the two hot paths (field table construction and the partition scan)
-on both backends and prints a small table.  Use --quick to shrink the scan
-workload; results double as a parity check.
+on both backends and prints a small table.  Without numba (or with
+SCHEME_FORGE_PURE_NUMPY=1) only the numpy fallbacks are timed and the numba
+column reads n/a.  Use --quick to shrink the scan workload; with both
+backends, results double as a parity check.
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -28,7 +30,7 @@ def _time(fn, repeat=3):
     return best, out
 
 
-def bench_antilog(p, f):
+def bench_antilog(p, f, jit_on):
     q = p ** f
     field = build_field(p, f)  # also provides the modulus
     mlow = np.asarray(field.modulus[:-1], dtype=np.int64)
@@ -40,13 +42,15 @@ def bench_antilog(p, f):
     def fallback():
         return _kernels.antilog_table_numpy(p, f, q, list(mlow))
 
-    t_jit, a = _time(jit)
     t_np, b = _time(fallback)
+    if not jit_on:
+        return None, t_np
+    t_jit, a = _time(jit)
     assert np.array_equal(a, b), "backend mismatch in antilog tables"
     return t_jit, t_np
 
 
-def bench_search(p, dmax, limit_prefixes):
+def bench_search(p, dmax, limit_prefixes, jit_on):
     N = 2 * (p + 1)
     t0, ts, tn = trace_partition(p)
     sden = np.zeros(N, dtype=np.int64)
@@ -76,10 +80,11 @@ def bench_search(p, dmax, limit_prefixes):
         nsurv = sum(len(s) for s in surv)
         return total, nsurv
 
-    if _kernels.use_numba():
-        run(False)  # warm the JIT outside the timed region
-    t_jit, r_jit = _time(lambda: run(False), repeat=1)
     t_np, r_np = _time(lambda: run(True), repeat=1)
+    if not jit_on:
+        return None, t_np
+    run(False)  # warm the JIT outside the timed region
+    t_jit, r_jit = _time(lambda: run(False), repeat=1)
     assert r_jit == r_np, "backend mismatch in search results"
     return t_jit, t_np
 
@@ -89,26 +94,29 @@ def main():
     ap.add_argument("--quick", action="store_true")
     args = ap.parse_args()
 
-    if not _kernels.HAS_NUMBA:
-        print("numba unavailable: only the numpy fallback can run")
-        return
+    jit_on = _kernels.use_numba()
+    if not jit_on:
+        print("numba unavailable or disabled: timing the numpy fallback only")
 
     rows = []
     for (p, f) in [(3, 10), (11, 5), (5, 7)]:
-        t_jit, t_np = bench_antilog(p, f)
+        t_jit, t_np = bench_antilog(p, f, jit_on)
         rows.append((f"antilog F_{p}^{f} (q={p ** f})", t_jit, t_np))
 
     scan_prefixes = 8 if args.quick else 40
-    t_jit, t_np = bench_search(3, 4, 10_000)
+    t_jit, t_np = bench_search(3, 4, 10_000, jit_on)
     rows.append(("scan p=3 (full, 2796 leaves)", t_jit, t_np))
-    t_jit, t_np = bench_search(7, 4, scan_prefixes)
+    t_jit, t_np = bench_search(7, 4, scan_prefixes, jit_on)
     rows.append((f"scan p=7 ({scan_prefixes} prefixes)", t_jit, t_np))
 
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}")
     for name, t_jit, t_np in rows:
-        print(f"{name:<{width}}  {t_jit * 1e3:>8.2f}ms  {t_np * 1e3:>8.2f}ms  "
-              f"{t_np / t_jit:>7.1f}x")
+        if t_jit is None:
+            jit_col, speedup = "n/a", "n/a"
+        else:
+            jit_col, speedup = f"{t_jit * 1e3:.2f}ms", f"{t_np / t_jit:.1f}x"
+        print(f"{name:<{width}}  {jit_col:>10}  {t_np * 1e3:>8.2f}ms  {speedup:>8}")
 
 
 if __name__ == "__main__":

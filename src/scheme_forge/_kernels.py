@@ -21,7 +21,7 @@ try:
     from numba import njit
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional `jit` extra
     HAS_NUMBA = False
 
     def njit(*args, **kwargs):  # type: ignore

@@ -261,6 +261,9 @@ def _build_from_modulus(p: int, f: int, mlow: list[int], cap: int) -> FieldSpec:
         tr += (tmp % p) * basis_tr[i]
         tmp = tmp // p
     trace = (tr % p).astype(np.int32)
+    # build_field hands one cached FieldSpec to every caller
+    for table in (antilog, log, trace):
+        table.setflags(write=False)
 
     gamma = tuple(x + [0] * (f - len(x))) if f > 1 else (x[0],)
     return FieldSpec(p=p, f=f, q=q,

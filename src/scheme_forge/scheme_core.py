@@ -5,7 +5,10 @@ induced relations are unions of cyclotomic classes (plus the implicit {0}).
 The partition is an association scheme iff the additive characters, grouped
 by their exact value vector on the relations, fall into exactly d classes
 besides the principal one; values live in Z[xi_p], so signatures are
-integer coefficient rows and the verdict is exact.
+integer coefficient rows and the verdict is exact.  Intersection numbers,
+and Krein parameters as the intersection numbers of the dual partition,
+follow from the same rows by the translation-scheme identity, with exact
+divisibility checks in place of any element-level count.
 """
 
 from __future__ import annotations
@@ -271,66 +274,55 @@ def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition,
 
 # --- intersection numbers -------------------------------------------------------
 
-def _relation_labels(sys: CyclotomicSystem, partition: IndexPartition) -> np.ndarray:
-    """rel[code]: 0 for the zero element, 1..d for the relation of the code."""
-    N, q = sys.N, sys.field.q
-    class_to_part = np.empty(N, dtype=np.int64)
-    for k, part in enumerate(partition.parts):
-        for i in part:
-            class_to_part[i] = k + 1
-    rel = np.zeros(q, dtype=np.int16)
-    exps = np.arange(q - 1, dtype=np.int64)
-    rel[sys.field.antilog_table] = class_to_part[exps % N]
-    return rel
-
-
 def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition,
-                         spot_checks: int = 3, _verified: bool = False):
+                         _verified: bool = False):
     """Intersection matrices B_0..B_d, B_i[k][j] = p_{ij}^k.
 
-    p_{ij}^k is counted from one representative z of R_k; the verdict
-    guarantees well-definedness, but extra representatives are spot-checked.
+    Computed from the signature rows alone, by the translation-scheme
+    identity (Bannai-Ito 1984; Brouwer-Cohen-Neumaier 1989, 2.2): with
+    sigma_a(i) = psi(gamma^a R_i) and sigma_a(0) = 1,
+
+        q k_k p_{ij}^k = k_i k_j k_k + M sum_a sigma_a(i) sigma_a(j) conj sigma_a(k),
+
+    where conj sigma_a(k) = sigma_{a+c}(k) for -1 in C_c, i.e. x -> x^{-1}
+    on Z[x]/(x^p - 1).  The sum is an integer S, evaluated exactly in
+    Z[x]/(x^p - 1) through Tr(alpha) = p alpha_0 - alpha(1):
+    (p-1) S = sum_a [p (sigma sigma conj sigma)_0 - sigma(1)^3].  The
+    divisions by p - 1 and by q k_k must both be exact, else NotAScheme.
     """
     if not _verified and not is_scheme(sys, partition):
         raise NotAScheme("intersection numbers of a non-scheme")
-    d = partition.d
-    N, q = sys.N, sys.field.q
-    rel = _relation_labels(sys, partition)
-    codes = np.arange(1, q, dtype=np.int64)
-    rel_x = rel[1:].astype(np.int64)
+    d, N, M = partition.d, sys.N, sys.M
+    p, q = sys.field.p, sys.field.q
     K = d + 1
-
-    rng = np.random.default_rng(0xC0FFEE)
-
-    def row_counts(z):
-        rel_zx = rel[sys.field.sub_vec(int(z), codes)].astype(np.int64)
-        cnt = np.bincount(rel_x * K + rel_zx, minlength=K * K).reshape(K, K)
-        cnt[0, rel[int(z)]] += 1  # x = 0 contributes (R_0, relation of z)
-        return cnt
-
-    # per_k[k][i][j] = p_{ij}^k
-    per_k = np.zeros((K, K, K), dtype=np.int64)
-    per_k[0, 0, 0] = 1
-    c = sys.minus_one_class()
-    for i in range(d):
-        per_k[0, i + 1, negation_image_index(sys, partition, i) + 1] = \
-            sys.M * len(partition.parts[i])
-    for k in range(1, K):
-        part = partition.parts[k - 1]
-        base = row_counts(sys.field.antilog_table[part[0]])
-        per_k[k] = base
-        m = sys.M * len(part)
-        picks = rng.choice(m, size=min(spot_checks, m - 1) if m > 1 else 0,
-                           replace=False) if m > 1 else []
-        exps = [part[jj % len(part)] + N * (jj // len(part)) for jj in
-                (int(t) for t in picks)]
-        for e in exps:
-            if int(sys.field.antilog_table[e]) == int(sys.field.antilog_table[part[0]]):
-                continue
-            if not np.array_equal(row_counts(sys.field.antilog_table[e]), base):
-                raise NotAScheme(
-                    "intersection numbers differ across representatives")
-    return [per_k[:, i, :].copy() for i in range(K)]
+    rows = _signature_rows(sys, partition).reshape(N, d, p - 1)
+    # sigma_a(i) as a length-p vector in Z[x]/(x^p - 1); R_0 = {0} gives 1
+    sig = np.zeros((N, K, p), dtype=np.int64)
+    sig[:, 0, 0] = 1
+    sig[:, 1:, :p - 1] = rows
+    k = [1] + [M * len(part) for part in partition.parts]
+    # with B = max |coefficient|, each a adds at most 2 p^3 B^3 to |acc|;
+    # the numerator adds k_i k_j k_k to M acc / (p - 1)
+    acc_bound = 2 * N * p ** 3 * int(np.abs(sig).max()) ** 3
+    int64_ok = max(acc_bound, max(k) ** 3 + M * acc_bound // (p - 1)) < 2 ** 63
+    dtype = np.int64 if int64_ok else object
+    sig = sig.astype(dtype)
+    k = np.array(k, dtype=dtype)
+    shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
+    acc = np.zeros((K, K, K), dtype=dtype)
+    for u in sig:
+        # conv[i, j, m] = (u_i u_j)_m; (u_i u_j conj u_k)_0 = sum_m conv[i, j, m] u_k[m]
+        conv = np.tensordot(u, u[:, shift], axes=([1], [1]))
+        s = u.sum(axis=1)
+        acc += p * (conv @ u.T) - s[:, None, None] * s[None, :, None] * s
+    if (acc % (p - 1)).any():
+        raise NotAScheme("character sum over the relations is not rational")
+    numer = k[:, None, None] * k[None, :, None] * k + M * (acc // (p - 1))
+    if (numer % (q * k)).any():
+        raise NotAScheme("intersection numbers are not integers")
+    counts = numer // (q * k)
+    # counts[i, j, k] = p_{ij}^k
+    return [counts[i].T.astype(np.int64) for i in range(K)]
 
 
 # --- Krein parameters --------------------------------------------------------

@@ -109,3 +109,10 @@ def test_helpers():
     assert is_prime(2) and is_prime(499) and not is_prime(1) and not is_prime(91)
     assert prime_factors(242) == [2, 11]
     assert prime_factors(50652) == [2, 3, 7, 67]
+
+
+def test_shared_tables_are_read_only(f9):
+    assert build_field(3, 2) is f9
+    for table in (f9.antilog_table, f9.log_table, f9.trace_table):
+        with pytest.raises(ValueError):
+            table[0] = table[0]

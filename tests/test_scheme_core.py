@@ -6,10 +6,11 @@ from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (MalformedPartition, NotAScheme,
                                  PartitionInvalid, TooLargeForOracle)
 from scheme_forge.finite_field import build_field
-from scheme_forge.scheme_core import (IndexPartition, brute_force_verify,
-                                      check_fusion, dual_partition,
-                                      eigenmatrices, intersection_numbers,
-                                      is_primitive, is_scheme, is_symmetric,
+from scheme_forge.scheme_core import (ORACLE_CAP, IndexPartition,
+                                      brute_force_verify, check_fusion,
+                                      dual_partition, eigenmatrices,
+                                      intersection_numbers, is_primitive,
+                                      is_scheme, is_symmetric,
                                       krein_parameters, symmetrize,
                                       verify_scheme)
 
@@ -98,6 +99,55 @@ def test_intersection_numbers_requires_scheme(f9):
     bad = IndexPartition.from_sets(8, [[0, 1, 2], [3, 4], [5, 6, 7]])
     with pytest.raises(NotAScheme):
         intersection_numbers(sys8, bad)
+    # the exact divisibility checks reject it even past the verdict
+    with pytest.raises(NotAScheme):
+        intersection_numbers(sys8, bad, _verified=True)
+
+
+def element_intersection_numbers(field, sys, partition):
+    """Reference B_i[k][j] = #{x in R_i : z - x in R_j}, counted for every z in R_k."""
+    assert field.q <= ORACLE_CAP
+    rels = partition_to_relations(field, sys, partition)
+    K = len(rels)
+    rel = np.empty(field.q, dtype=np.int64)
+    for i, r in enumerate(rels):
+        rel[r] = i
+    codes = np.arange(field.q, dtype=np.int64)
+    B = np.zeros((K, K, K), dtype=np.int64)
+    for k, r in enumerate(rels):
+        rows = [np.bincount(rel * K + rel[field.sub_vec(int(z), codes)],
+                            minlength=K * K).reshape(K, K) for z in r]
+        assert all(np.array_equal(row, rows[0]) for row in rows)
+        B[:, k, :] = rows[0]
+    return list(B)
+
+
+@pytest.mark.parametrize("p,f,N,H", [
+    (13, 1, 2, 2),    # Paley
+    (13, 1, 1, 1),
+    (3, 5, 22, 22),
+    (3, 5, 22, 2),
+    (3, 5, 22, 11),
+    (2, 4, 3, 3),     # p = 2: Z[xi_2] = Z
+    (2, 4, 5, 5),
+    (3, 2, 8, 8),
+    (7, 2, 16, 16),
+])
+def test_intersection_and_krein_match_element_count(p, f, N, H):
+    """Cosets of the index-H subgroup of Z_N (H = N: all singletons)."""
+    field = build_field(p, f)
+    sys_n = build_cyclotomy(field, N)
+    part = IndexPartition.from_sets(
+        N, [[(i + H * j) % N for j in range(N // H)] for i in range(H)])
+    for got, want in zip(intersection_numbers(sys_n, part),
+                         element_intersection_numbers(field, sys_n, part),
+                         strict=True):
+        assert np.array_equal(got, want)
+    dual = dual_partition(sys_n, part)
+    for got, want in zip(krein_parameters(sys_n, part),
+                         element_intersection_numbers(field, sys_n, dual),
+                         strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_eigenmatrices_structure(f243):

@@ -2,10 +2,12 @@
 """Benchmark the JIT kernels against their pure-numpy fallbacks.
 
 Times the two hot paths (field table construction and the partition scan)
-on both backends and prints a small table.  Without numba (or with
-SCHEME_FORGE_PURE_NUMPY=1) only the numpy fallbacks are timed and the numba
-column reads n/a.  Use --quick to shrink the scan workload; with both
-backends, results double as a parity check.
+on both backends and prints a small table; scan rows also give the numpy
+kernel's rate in leaves/s, single-threaded, building its suffix tables
+included.  Every scan row covers the full prefix set.  Without numba (or
+with SCHEME_FORGE_PURE_NUMPY=1) only the numpy fallbacks are timed and the
+numba column reads n/a.  --quick drops the four-class p = 7 scan (1.8e8
+leaves); with both backends, results double as a parity check.
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -50,7 +52,7 @@ def bench_antilog(p, f, jit_on):
     return t_jit, t_np
 
 
-def bench_search(p, dmax, limit_prefixes, jit_on):
+def bench_search(p, dmax, jit_on):
     N = 2 * (p + 1)
     t0, ts, tn = trace_partition(p)
     sden = np.zeros(N, dtype=np.int64)
@@ -59,7 +61,7 @@ def bench_search(p, dmax, limit_prefixes, jit_on):
     for i in tn:
         sden[i] = -1
     depth = 4 if N <= 8 else 7
-    prefixes = _kernels.search_prefixes(N, dmax, depth)[:limit_prefixes]
+    prefixes = _kernels.search_prefixes(N, dmax, depth)
 
     def run(force_numpy):
         counts = np.zeros(dmax + 2, dtype=np.int64)
@@ -82,11 +84,11 @@ def bench_search(p, dmax, limit_prefixes, jit_on):
 
     t_np, r_np = _time(lambda: run(True), repeat=1)
     if not jit_on:
-        return None, t_np
+        return None, t_np, r_np[0]
     run(False)  # warm the JIT outside the timed region
     t_jit, r_jit = _time(lambda: run(False), repeat=1)
     assert r_jit == r_np, "backend mismatch in search results"
-    return t_jit, t_np
+    return t_jit, t_np, r_np[0]
 
 
 def main():
@@ -101,22 +103,25 @@ def main():
     rows = []
     for (p, f) in [(3, 10), (11, 5), (5, 7)]:
         t_jit, t_np = bench_antilog(p, f, jit_on)
-        rows.append((f"antilog F_{p}^{f} (q={p ** f})", t_jit, t_np))
+        rows.append((f"antilog F_{p}^{f} (q={p ** f})", t_jit, t_np, None))
 
-    scan_prefixes = 8 if args.quick else 40
-    t_jit, t_np = bench_search(3, 4, 10_000, jit_on)
-    rows.append(("scan p=3 (full, 2796 leaves)", t_jit, t_np))
-    t_jit, t_np = bench_search(7, 4, scan_prefixes, jit_on)
-    rows.append((f"scan p=7 ({scan_prefixes} prefixes)", t_jit, t_np))
+    scans = [(3, 4), (7, 3)] if args.quick else [(3, 4), (7, 3), (7, 4)]
+    for p, dmax in scans:
+        t_jit, t_np, leaves = bench_search(p, dmax, jit_on)
+        rows.append((f"scan p={p} d<={dmax} ({leaves} leaves)", t_jit, t_np,
+                     leaves / t_np))
 
     width = max(len(r[0]) for r in rows)
-    print(f"{'kernel':<{width}}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}")
-    for name, t_jit, t_np in rows:
+    print(f"{'kernel':<{width}}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}"
+          f"  {'numpy leaves/s':>14}")
+    for name, t_jit, t_np, rate in rows:
         if t_jit is None:
             jit_col, speedup = "n/a", "n/a"
         else:
             jit_col, speedup = f"{t_jit * 1e3:.2f}ms", f"{t_np / t_jit:.1f}x"
-        print(f"{name:<{width}}  {jit_col:>10}  {t_np * 1e3:>8.2f}ms  {speedup:>8}")
+        rate_col = "" if rate is None else f"{rate:.3g}"
+        print(f"{name:<{width}}  {jit_col:>10}  {t_np * 1e3:>8.2f}ms  "
+              f"{speedup:>8}  {rate_col:>14}")
 
 
 if __name__ == "__main__":

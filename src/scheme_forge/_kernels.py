@@ -14,8 +14,13 @@ two flavours against each other.
 from __future__ import annotations
 
 import os
+import threading
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import BudgetExceeded
 
 try:
     from numba import njit
@@ -224,55 +229,106 @@ def _search_chunk_jit(prefix, N, dmin, dmax, half, j1s, j2s, sden2, p,
     return n_surv, overflow
 
 
-def _expand_suffix_numpy(prefix, N, dmax, batch_rows):
-    """Yield (rows, blocks) batches of all completions of ``prefix``."""
-    rows = prefix[None, :].astype(np.int8)
-    for _ in range(N - prefix.shape[0]):
-        top = rows.max(axis=1)
-        allowed = np.minimum(top.astype(np.int64) + 1, dmax - 1) + 1
-        total = int(allowed.sum())
-        reps = np.repeat(np.arange(rows.shape[0]), allowed)
-        base = np.repeat(np.cumsum(allowed) - allowed, allowed)
-        newcol = (np.arange(total) - base).astype(np.int8)
-        rows = np.concatenate([rows[reps], newcol[:, None]], axis=1)
-    # batch to bound the one-hot memory downstream
-    for lo in range(0, rows.shape[0], batch_rows):
-        chunk = rows[lo:lo + batch_rows]
-        yield chunk, chunk.max(axis=1).astype(np.int64) + 1
+# numpy flavour.  With B = _SIG_BASE and W[l] = B^(dmax-1-l), the packed code
+# of character c is linear in the per-position weights W[a_j]:
+#
+#     code[c] = p * sum_l W[l] + sum_j W[a_j] * ST[j, c],
+#     ST[j, c] = sden[(j + c) % N] + 1024 * ([j == j1s[c]] + [j == j2s[c]])
+#
+# (labels a part does not use contribute the constant field p).  The sum over
+# j splits into a prefix vector over j < P and a suffix part over j >= P.  The
+# completions of a prefix depend only on its top label, so their labels, block
+# counts and suffix codes are tabulated once per (N, P, dmax, top, ST[P:]),
+# cached read-only and shared by every prefix and thread.  A chunk adds its
+# prefix vector to the table and counts distinct codes per row.
+#
+# int64 is exact: each per-label field lies in [0, 4096) for p < 512, so every
+# code is below 4096^dmax <= 2^48; |ST| <= 2049, so every partial sum of the
+# split is below N * 2^12 * 4096^(dmax-1) <= 2^53 in absolute value.
+
+SCAN_TABLE_BUDGET = 1 << 30  # bytes of one suffix table plus a chunk's arrays
+_TABLE_LOCK = threading.Lock()
+
+
+def completion_count(length, dmax, top):
+    """Number of restricted-growth completions of ``length`` labels after a
+    prefix whose largest label is ``top``."""
+    ways = [0] * dmax
+    ways[top] = 1
+    for _ in range(length):
+        nxt = [0] * dmax
+        for m, w in enumerate(ways):
+            nxt[m] += (m + 1) * w
+            if m + 1 < dmax:
+                nxt[m + 1] += w
+        ways = nxt
+    return sum(ways)
+
+
+class _SuffixTable(NamedTuple):
+    labels: np.ndarray  # (R, N - P) int8 suffix labels, odometer order
+    blocks: np.ndarray  # (R,) block count of prefix + suffix
+    leaves: np.ndarray  # bincount of blocks
+    codes: np.ndarray   # (N, R) suffix part of the packed codes
+
+
+@lru_cache(maxsize=32)
+def _suffix_table(N, P, dmax, top, st_suffix):
+    st = np.frombuffer(st_suffix, dtype=np.int64).reshape(N - P, N)
+    labels = np.zeros((1, 0), dtype=np.int8)
+    mx = np.array([top], dtype=np.int8)
+    for _ in range(N - P):
+        allowed = np.minimum(mx + 1, dmax - 1) + 1
+        reps = np.repeat(np.arange(mx.shape[0]), allowed)
+        new = (np.arange(reps.shape[0]) -
+               np.repeat(np.cumsum(allowed) - allowed, allowed)).astype(np.int8)
+        labels = np.concatenate([labels[reps], new[:, None]], axis=1)
+        mx = np.maximum(mx[reps], new)
+    blocks = mx.astype(np.int64) + 1
+    weights = _SIG_BASE ** np.arange(dmax - 1, -1, -1, dtype=np.int64)
+    table = _SuffixTable(labels, blocks,
+                         np.bincount(blocks, minlength=dmax + 1),
+                         st.T @ weights[labels].T)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def _search_chunk_numpy(prefix, N, dmin, dmax, half, j1s, j2s, sden, p,
-                        require_nonsym, counts, batch_rows=65536):
-    shift = (np.arange(N)[:, None] + np.arange(N)[None, :]) % N
-    S = sden[shift]  # S[c, j] = sden[(j + c) % N]
-    survivors = []
-    for rows, blocks in _expand_suffix_numpy(prefix, N, dmax, batch_rows):
-        counts += np.bincount(blocks, minlength=counts.shape[0])
-        mask = (blocks >= dmin) & (blocks <= dmax)
-        if require_nonsym:
-            mask &= (rows != rows[:, (np.arange(N) + half) % N]).any(axis=1)
-        if not mask.any():
-            continue
-        A = rows[mask]
-        blk = blocks[mask]
-        onehot = (A[:, :, None] == np.arange(dmax, dtype=np.int8)[None, None, :])
-        dd = np.einsum('cj,rjl->rcl', S, onehot, dtype=np.int64)
-        l1 = A[:, j1s]  # (R, N) labels at the two zero-trace positions
-        l2 = A[:, j2s]
-        c0 = ((l1[:, :, None] == np.arange(dmax, dtype=np.int8)) +
-              (l2[:, :, None] == np.arange(dmax, dtype=np.int8))).astype(np.int64)
-        field = c0 * 1024 + dd + p
-        # unused high labels contribute a constant field, harmless to distinctness
-        pows = _SIG_BASE ** np.arange(dmax - 1, -1, -1, dtype=np.int64)
-        codes = field @ pows
-        codes.sort(axis=1)
-        ndist = 1 + (np.diff(codes, axis=1) != 0).sum(axis=1)
-        hit = ndist == blk
-        if hit.any():
-            survivors.append(A[hit].copy())
-    if survivors:
-        return np.concatenate(survivors, axis=0)
-    return np.zeros((0, N), dtype=np.int8)
+                        require_nonsym, counts):
+    P = prefix.shape[0]
+    top = int(prefix.max())
+    rows = completion_count(N - P, dmax, top)
+    need = rows * (8 * (N + dmax + 2) + N)
+    if need > SCAN_TABLE_BUDGET:
+        raise BudgetExceeded(
+            f"suffix table of {rows} rows needs ~{need >> 20} MiB, over the "
+            f"{SCAN_TABLE_BUDGET >> 20} MiB budget of the numpy scan")
+    j = np.arange(N)
+    st = (sden[(j[:, None] + j[None, :]) % N] +
+          1024 * ((j[:, None] == j1s[None, :]).astype(np.int64) +
+                  (j[:, None] == j2s[None, :])))
+    with _TABLE_LOCK:
+        tab = _suffix_table(N, P, dmax, top, st[P:].tobytes())
+    counts[:tab.leaves.shape[0]] += tab.leaves
+    weights = _SIG_BASE ** np.arange(dmax - 1, -1, -1, dtype=np.int64)
+    base = p * weights.sum() + weights[prefix] @ st[:P]
+    # a row whose first dmax + 1 codes are pairwise distinct has more distinct
+    # codes than blocks; only the rest are sorted and counted
+    head = tab.codes[:dmax + 1] + base[:dmax + 1, None]
+    clash = np.full(rows, N <= dmax)
+    for c in range(1, head.shape[0]):
+        clash |= (head[:c] == head[c]).any(axis=0)
+    cand = np.flatnonzero(clash & (tab.blocks >= dmin))
+    codes = tab.codes[:, cand].T + base
+    codes.sort(axis=1)
+    ndist = 1 + (codes[:, 1:] != codes[:, :-1]).sum(axis=1)
+    hit = cand[ndist == tab.blocks[cand]]
+    found = np.concatenate(
+        [np.broadcast_to(prefix, (hit.shape[0], P)), tab.labels[hit]], axis=1)
+    if require_nonsym:
+        found = found[(found != found[:, (j + half) % N]).any(axis=1)]
+    return found
 
 
 def search_chunk(prefix, N, dmin, dmax, half, t0_positions, sden, p,

@@ -134,9 +134,13 @@ def cmd_search(args) -> int:
         require_primitive=not args.allow_symmetric,
         long_run=args.long_run)
 
-    def progress(done, total, checked):
-        print(f"progress: {done}/{total} chunks, checked={checked}",
-              file=sys.stderr, flush=True)
+    def progress(s):
+        rate = s.leaves / s.elapsed_s if s.elapsed_s > 0 else 0.0
+        eta = (s.leaves_total - s.leaves) / rate if rate > 0 else 0.0
+        print(f"progress: {s.chunks_done}/{s.chunks_total} chunks, "
+              f"checked={s.checked}, leaves={s.leaves}/{s.leaves_total}, "
+              f"{rate:.3g} leaves/s, ETA {eta:.1f} s, "
+              f"survivors={s.survivors}", file=sys.stderr, flush=True)
 
     result = search.exhaustive_nonexistence(cfg, progress=progress)
     _emit({"command": "search-nonexistence", "p": args.p,

@@ -3,15 +3,18 @@
 For a prime p = 3 (mod 4) the candidate translation schemes on F_{p^2} with
 few classes are unions of cyclotomic classes of order N = 2(p+1) (the
 nonzero squares of Z_p act as multipliers), so nonexistence is settled by
-scanning all partitions of Z_N into 3 or 4 parts.  The scan runs on a
-compiled kernel; every survivor is re-verified through the exact CycInt
-path and the primitivity filter before being reported.
+scanning all partitions of Z_N into 3 or 4 parts.  The scan runs on the
+kernel ``_kernels.search_chunk`` picks (numba when installed, numpy
+otherwise), one label prefix per chunk on a thread pool; every survivor is
+re-verified through the exact CycInt path and the primitivity filter before
+being reported.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +156,18 @@ class SearchConfig:
 
 
 @dataclass
+class ScanProgress:
+    """What the scan has done so far, handed to the progress callback."""
+    chunks_done: int
+    chunks_total: int
+    leaves: int          # partitions visited, any block count
+    leaves_total: int
+    checked: int         # partitions with 3..max_classes blocks
+    survivors: int       # kernel survivors awaiting the exact recheck
+    elapsed_s: float
+
+
+@dataclass
 class SearchResult:
     candidates_checked: int
     counts_by_classes: list[int]
@@ -194,6 +209,9 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
 
     depth = 4 if N <= 8 else 7 if N <= 16 else 9
     prefixes = _kernels.search_prefixes(N, cfg.max_classes, depth)
+    leaves_total = sum(_kernels.completion_count(N - depth, cfg.max_classes,
+                                                 int(pre.max()))
+                       for pre in prefixes)
     counts = np.zeros(cfg.max_classes + 2, dtype=np.int64)
     raw = []
 
@@ -205,15 +223,20 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
         return local, surv
 
     workers = _thread_budget()
-    done = 0
+    done = n_surv = 0
+    start = time.perf_counter()
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         for local, surv in pool.map(run_chunk, prefixes):
             counts += local
             if len(surv):
                 raw.append(surv)
+                n_surv += len(surv)
             done += 1
             if progress and (done % 64 == 0 or done == len(prefixes)):
-                progress(done, len(prefixes), int(counts[3:cfg.max_classes + 1].sum()))
+                progress(ScanProgress(
+                    done, len(prefixes), int(counts.sum()), leaves_total,
+                    int(counts[3:cfg.max_classes + 1].sum()), n_surv,
+                    time.perf_counter() - start))
 
     checked = int(counts[3:cfg.max_classes + 1].sum())
 
@@ -267,7 +290,8 @@ def ts_character_values(p: int):
 
 
 __all__ = [
-    "GroupRingElem", "SearchConfig", "SearchResult", "gr_mul", "gr_involution",
-    "trace_partition", "ts_identity_check", "exhaustive_nonexistence",
-    "enumeration_counts", "ts_character_values", "character_sum",
+    "GroupRingElem", "ScanProgress", "SearchConfig", "SearchResult", "gr_mul",
+    "gr_involution", "trace_partition", "ts_identity_check",
+    "exhaustive_nonexistence", "enumeration_counts", "ts_character_values",
+    "character_sum",
 ]

@@ -80,13 +80,18 @@ def test_parse_errors():
         jsonio.parse_partition("0,1||2,3", 4)
 
 
-def test_search_cli_json(tmp_path):
+def test_search_cli_json(tmp_path, capsys):
     out = tmp_path / "s.json"
     code = main(["search-nonexistence", "--p", "3", "--output", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["checked"] == 2667
     assert doc["found"] == []
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("progress: 15/15 chunks, checked=2667, "
+                           "leaves=2795/2795, ")
+    # 12 nonsymmetric kernel survivors, all imprimitive
+    assert last.endswith("leaves/s, ETA 0.0 s, survivors=12")
 
 
 def test_search_cli_sanity_mode(tmp_path):

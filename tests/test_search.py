@@ -118,6 +118,17 @@ def test_p3_sanity_mode_finds_schemes():
                {frozenset(x) for x in lines} for p in result.schemes_found)
 
 
+def test_progress_reports_leaves_and_survivors():
+    seen = []
+    cfg = SearchConfig(p=3, require_nonsymmetric=False, require_primitive=False)
+    result = exhaustive_nonexistence(cfg, progress=seen.append)
+    last = seen[-1]
+    assert last.chunks_done == last.chunks_total
+    assert last.leaves == last.leaves_total == sum(result.counts_by_classes)
+    assert last.checked == result.candidates_checked
+    assert last.survivors >= len(result.schemes_found) >= 1
+
+
 def test_p3_max_classes_3():
     result = exhaustive_nonexistence(SearchConfig(p=3, max_classes=3))
     assert result.candidates_checked == 966

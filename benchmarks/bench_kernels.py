@@ -2,9 +2,10 @@
 """Benchmark the JIT kernels against their pure-numpy fallbacks.
 
 Times the two hot paths (field table construction and the partition scan)
-on both backends and prints a small table; scan rows also give the numpy
-kernel's rate in leaves/s, single-threaded, building its suffix tables
-included.  Every scan row covers the full prefix set.  Without numba (or
+on both backends and prints a small table, with the numpy rate of each row:
+elements/s (q - 1 per field) for the antilog tables and for the trace
+m-sequence that Gauss periods read instead (numpy only), leaves/s for the
+scan, single-threaded, building its suffix tables included.  Every scan row covers the full prefix set.  Without numba (or
 with SCHEME_FORGE_PURE_NUMPY=1) only the numpy fallbacks are timed and the
 numba column reads n/a.  --quick drops the four-class p = 7 scan (1.8e8
 leaves); with both backends, results double as a parity check.
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from scheme_forge import _kernels
-from scheme_forge.finite_field import build_field
+from scheme_forge.finite_field import FieldSpec, build_field
 from scheme_forge.search import trace_partition
 
 
@@ -50,6 +51,14 @@ def bench_antilog(p, f, jit_on):
     t_jit, a = _time(jit)
     assert np.array_equal(a, b), "backend mismatch in antilog tables"
     return t_jit, t_np
+
+
+def bench_trace_sequence(p, f):
+    field = build_field(p, f)
+    build = FieldSpec.trace_sequence.func  # uncached: a fresh build per call
+    t_np, seq = _time(lambda: build(field))
+    assert np.array_equal(seq, field.trace_sequence)
+    return t_np
 
 
 def bench_search(p, dmax, jit_on):
@@ -101,9 +110,14 @@ def main():
         print("numba unavailable or disabled: timing the numpy fallback only")
 
     rows = []
-    for (p, f) in [(3, 10), (11, 5), (5, 7)]:
+    for (p, f) in [(3, 10), (11, 5), (5, 7), (5, 9), (11, 6)]:
         t_jit, t_np = bench_antilog(p, f, jit_on)
-        rows.append((f"antilog F_{p}^{f} (q={p ** f})", t_jit, t_np, None))
+        rows.append((f"antilog F_{p}^{f} (q={p ** f})", t_jit, t_np,
+                     (p ** f - 1) / t_np))
+    for (p, f) in [(5, 9), (11, 6)]:
+        t_np = bench_trace_sequence(p, f)
+        rows.append((f"trace sequence F_{p}^{f} (q={p ** f})", None, t_np,
+                     (p ** f - 1) / t_np))
 
     scans = [(3, 4), (7, 3)] if args.quick else [(3, 4), (7, 3), (7, 4)]
     for p, dmax in scans:
@@ -113,13 +127,13 @@ def main():
 
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}"
-          f"  {'numpy leaves/s':>14}")
+          f"  {'numpy rate/s':>14}")
     for name, t_jit, t_np, rate in rows:
         if t_jit is None:
             jit_col, speedup = "n/a", "n/a"
         else:
             jit_col, speedup = f"{t_jit * 1e3:.2f}ms", f"{t_np / t_jit:.1f}x"
-        rate_col = "" if rate is None else f"{rate:.3g}"
+        rate_col = f"{rate:.3g}"
         print(f"{name:<{width}}  {jit_col:>10}  {t_np * 1e3:>8.2f}ms  "
               f"{speedup:>8}  {rate_col:>14}")
 

@@ -1,10 +1,12 @@
 """Hot numeric kernels, JIT-compiled with pure-numpy fallbacks.
 
-Two loops dominate runtime in this package: filling the discrete-log table
-of F_{p^f} (sequential multiply-by-x recurrence, O(q f)) and the exhaustive
-scan over set partitions of Z_N (~1.8e8 leaves at N = 16).  Both exist in a
-numba ``@njit`` flavour and a vectorised numpy flavour; dispatch is decided
-per call by :func:`use_numba`.
+Two loops live here: filling the antilog table of F_{p^f} (sequential
+multiply-by-x recurrence, O(q f)), which only the element-level operations
+of ``FieldSpec`` build, on first use (Gauss periods read the trace
+m-sequence instead), and the exhaustive scan over set partitions of Z_N
+(~1.8e8 leaves at N = 16), which dominates runtime.  Both exist in a numba
+``@njit`` flavour and a vectorised numpy flavour; dispatch is decided per
+call by :func:`use_numba`.
 
 Set ``SCHEME_FORGE_PURE_NUMPY=1`` to force the numpy paths (e.g. on a host
 without a working numba install); ``benchmarks/bench_kernels.py`` times the

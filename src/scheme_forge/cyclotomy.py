@@ -1,9 +1,10 @@
 """Cyclotomic classes C_i of order N and their exact Gauss periods.
 
-One O(q) pass over the log/trace tables tallies, for each class index i and
-each t in F_p, how many x in C_i have tr(x) = t; the period eta_i is then
-the reduction of sum_t count[i][t] xi_p^t in Z[xi_p].  All character sums
-over unions of classes are exact linear combinations of the periods.
+One O(q) pass over the trace m-sequence s_e = tr(gamma^e) tallies, for each
+class index i and each t in F_p, how many x in C_i have tr(x) = t (C_i holds
+gamma^e for e = i mod N); the period eta_i is then the reduction of
+sum_t count[i][t] xi_p^t in Z[xi_p].  All character sums over unions of
+classes are exact linear combinations of the periods.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ def build_cyclotomy(field: FieldSpec, N: int) -> CyclotomicSystem:
         raise NotADivisor(f"N = {N} does not divide q-1 = {q - 1}")
     M = (q - 1) // N
 
-    exps = np.arange(q - 1, dtype=np.int64)
-    traces = field.trace_table[field.antilog_table].astype(np.int64)
-    counts = np.bincount((exps % N) * p + traces, minlength=N * p).reshape(N, p)
+    # row m of the reshape holds exponents m*N .. m*N + N-1, one per class
+    keys = field.trace_sequence.reshape(M, N) + p * np.arange(N, dtype=np.int64)
+    counts = np.bincount(keys.ravel(), minlength=N * p).reshape(N, p)
 
     pm = np.empty((N, p - 1), dtype=np.int64)
     pm[:] = counts[:, : p - 1]

@@ -1,17 +1,22 @@
-"""Concrete models of F_{p^f} with full log / antilog / trace tables.
+"""Concrete models of F_{p^f}: the trace m-sequence, and lazy element tables.
 
 Elements are encoded as integers in [0, q): the base-p digit string of the
 code is the coefficient vector (constant term first) of the residue modulo
 the chosen primitive polynomial.  The generator gamma is always the residue
 of the indeterminate x, so discrete logs are defined relative to the
 lexicographically least primitive modulus (or the seed-th one).
+
+Every Gauss period reads only s_e = tr(gamma^e), a linear recurring sequence
+whose characteristic polynomial is the modulus, so building a field makes no
+q-sized table.  The log, antilog and trace tables are built on first use by
+the element-level operations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,21 +125,80 @@ def _x_is_primitive(mlow, f, p, q, q1_factors):
 
 @dataclass
 class FieldSpec:
-    """Immutable model of F_{p^f}; share freely, never mutate the tables."""
+    """Immutable model of F_{p^f}; share freely, never mutate the tables.
+
+    The q-sized tables are cached properties, built on first use.
+    """
 
     p: int
     f: int
     q: int
     modulus: tuple[int, ...]      # monic, constant term first, length f+1
     gamma_poly: tuple[int, ...]   # coefficients of gamma, length f
-    antilog_table: np.ndarray     # exponent -> element code, length q-1
-    log_table: np.ndarray         # element code -> exponent, log[0] = -1
-    trace_table: np.ndarray       # element code -> tr(x) in [0, p)
+    basis_trace: tuple[int, ...]  # tr(x^i) for i < f
     _places: np.ndarray = dataclass_field(repr=False, default=None)
 
     def __post_init__(self):
         if self._places is None:
             self._places = self.p ** np.arange(self.f, dtype=np.int64)
+
+    # --- sequences and tables, read-only and built once ---------------------
+
+    @cached_property
+    def trace_sequence(self) -> np.ndarray:
+        """s_e = tr(gamma^e) for e = 0..q-2 (int64).
+
+        Seeded with tr(x^i), i < f.  If x^k = sum_i c_i x^i mod the modulus,
+        then s_{e+k} = sum_i c_i s_{e+i}: with s known on [0, n), taking
+        k = n extends it to [0, 2n - f + 1), f multiply-adds per doubling.
+        Each sum stays below f p^2 <= 2^52 under the default cap.
+        """
+        p, f, n_total = self.p, self.f, self.q - 1
+        mlow = list(self.modulus[:-1])
+        s = np.empty(n_total, dtype=np.int64)
+        s[:f] = self.basis_trace
+        n = f
+        while n < n_total:
+            take = min(n - f + 1, n_total - n)
+            coeffs = _poly_pow_mod(self.gamma_poly, n, mlow, f, p)
+            out = s[n:n + take]
+            out[:] = 0
+            for i, c in enumerate(coeffs):
+                if c:
+                    out += c * s[i:i + take]
+            out %= p
+            n += take
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def antilog_table(self) -> np.ndarray:
+        """Exponent -> element code, length q-1 (int32)."""
+        table = np.asarray(_kernels.antilog_table(
+            self.p, self.f, self.q, list(self.modulus[:-1])), dtype=np.int32)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def log_table(self) -> np.ndarray:
+        """Element code -> exponent, log[0] = -1 (int32)."""
+        table = np.full(self.q, -1, dtype=np.int32)
+        table[self.antilog_table] = np.arange(self.q - 1, dtype=np.int32)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def trace_table(self) -> np.ndarray:
+        """Element code -> tr(x) in [0, p) (int32)."""
+        # trace is F_p-linear: tr(code) = sum_i digit_i * tr(x^i)
+        tr = np.zeros(self.q, dtype=np.int64)
+        tmp = np.arange(self.q, dtype=np.int64)
+        for i in range(self.f):
+            tr += (tmp % self.p) * self.basis_trace[i]
+            tmp = tmp // self.p
+        table = (tr % self.p).astype(np.int32)
+        table.setflags(write=False)
+        return table
 
     # --- element operations -------------------------------------------------
 
@@ -237,11 +301,6 @@ def _build_from_modulus(p: int, f: int, mlow: list[int], cap: int) -> FieldSpec:
     if not _x_is_primitive(mlow, f, p, q, q1_factors):
         raise InvalidElement("modulus is not primitive")
 
-    antilog = np.asarray(_kernels.antilog_table(p, f, q, mlow), dtype=np.int32)
-    log = np.full(q, -1, dtype=np.int32)
-    log[antilog] = np.arange(q - 1, dtype=np.int32)
-
-    # trace is F_p-linear: tr(code) = sum_i digit_i * tr(x^i)
     basis_tr = []
     x = ([0, 1] + [0] * (f - 2))[:f] if f > 1 else [(-mlow[0]) % p]
     for i in range(f):
@@ -254,51 +313,29 @@ def _build_from_modulus(p: int, f: int, mlow: list[int], cap: int) -> FieldSpec:
             raise InvalidElement("trace of basis element not in the prime field")
         basis_tr.append(acc[0])
 
-    codes = np.arange(q, dtype=np.int64)
-    tr = np.zeros(q, dtype=np.int64)
-    tmp = codes
-    for i in range(f):
-        tr += (tmp % p) * basis_tr[i]
-        tmp = tmp // p
-    trace = (tr % p).astype(np.int32)
-    # build_field hands one cached FieldSpec to every caller
-    for table in (antilog, log, trace):
-        table.setflags(write=False)
-
     gamma = tuple(x + [0] * (f - len(x))) if f > 1 else (x[0],)
     return FieldSpec(p=p, f=f, q=q,
                      modulus=tuple(mlow) + (1,),
                      gamma_poly=gamma,
-                     antilog_table=antilog,
-                     log_table=log,
-                     trace_table=trace)
-
-
-def _primitive_constant_terms(p: int, f: int) -> set[int]:
-    """Constant terms a primitive degree-f polynomial can have.
-
-    The product of the roots of a primitive polynomial is the norm of a
-    generator, a primitive root of F_p, so c_0 = (-1)^f * (primitive root).
-    Pruning on this cuts the lexicographic scan by orders of magnitude.
-    """
-    p1_factors = prime_factors(p - 1)
-    roots = {g for g in range(1, p)
-             if all(pow(g, (p - 1) // r, p) != 1 for r in p1_factors)}
-    if p == 2:
-        roots = {1}
-    sign = 1 if f % 2 == 0 else -1
-    return {(sign * g) % p for g in roots}
+                     basis_trace=tuple(basis_tr))
 
 
 @lru_cache(maxsize=32)
 def _build_field_cached(p: int, f: int, seed: int | None, cap: int) -> FieldSpec:
     q = p ** f
     q1_factors = prime_factors(q - 1)
-    good_c0 = _primitive_constant_terms(p, f)
+    p1_factors = prime_factors(p - 1)
+    sign = 1 if f % 2 == 0 else -1
     want = 0 if seed is None else int(seed)
     found = 0
     # lexicographic on (c_0, ..., c_{f-1}): c_0 is the most significant digit
-    for c0 in sorted(good_c0):
+    for c0 in range(1, p):
+        # the product of the roots of a primitive polynomial is the norm of a
+        # generator, a primitive root of F_p, so c_0 = (-1)^f * (primitive
+        # root); each c_0 is tested only when the scan reaches it
+        g = (sign * c0) % p
+        if any(pow(g, (p - 1) // r, p) == 1 for r in p1_factors):
+            continue
         for rest in range(p ** (f - 1)):
             digs = []
             r = rest

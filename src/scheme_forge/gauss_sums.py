@@ -41,7 +41,7 @@ class MultChar:
 
 def _psi_values(field: FieldSpec) -> np.ndarray:
     """psi(gamma^a) for a = 0..q-2."""
-    tr = field.trace_table[field.antilog_table].astype(np.float64)
+    tr = field.trace_sequence.astype(np.float64)
     return np.exp(2j * np.pi * tr / field.p)
 
 

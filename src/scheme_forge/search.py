@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -111,7 +112,7 @@ def trace_partition(p: int):
     N = 2 * (p + 1)
     t0, ts, tn = [], [], []
     for i in range(N):
-        status = _square_status(field.trace(int(field.antilog_table[i])), p)
+        status = _square_status(int(field.trace_sequence[i]), p)
         (t0 if status == 0 else ts if status == 1 else tn).append(i)
     if len(t0) != 2 or len(ts) != p or len(tn) != p:
         raise PreconditionViolated("trace partition has unexpected sizes")
@@ -215,28 +216,45 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
     counts = np.zeros(cfg.max_classes + 2, dtype=np.int64)
     raw = []
 
+    failed = threading.Event()
+
     def run_chunk(prefix):
+        # after a chunk raised, the scan ends in that error: a chunk a worker
+        # starts later returns None without running the kernel
+        if failed.is_set():
+            return None
         local = np.zeros(cfg.max_classes + 2, dtype=np.int64)
-        surv = _kernels.search_chunk(prefix, N, 3, cfg.max_classes, half,
-                                     (t0[0], t0[1]), sden, p,
-                                     cfg.require_nonsymmetric, local)
+        try:
+            surv = _kernels.search_chunk(prefix, N, 3, cfg.max_classes, half,
+                                         (t0[0], t0[1]), sden, p,
+                                         cfg.require_nonsymmetric, local)
+        except BaseException:
+            failed.set()
+            raise
         return local, surv
 
     workers = _thread_budget()
     done = n_surv = 0
     start = time.perf_counter()
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        for local, surv in pool.map(run_chunk, prefixes):
-            counts += local
-            if len(surv):
-                raw.append(surv)
-                n_surv += len(surv)
-            done += 1
-            if progress and (done % 64 == 0 or done == len(prefixes)):
-                progress(ScanProgress(
-                    done, len(prefixes), int(counts.sum()), leaves_total,
-                    int(counts[3:cfg.max_classes + 1].sum()), n_surv,
-                    time.perf_counter() - start))
+        try:
+            for result in pool.map(run_chunk, prefixes):
+                if result is None:  # skipped; pool.map raises the error later
+                    continue
+                local, surv = result
+                counts += local
+                if len(surv):
+                    raw.append(surv)
+                    n_surv += len(surv)
+                done += 1
+                if progress and (done % 64 == 0 or done == len(prefixes)):
+                    progress(ScanProgress(
+                        done, len(prefixes), int(counts.sum()), leaves_total,
+                        int(counts[3:cfg.max_classes + 1].sum()), n_surv,
+                        time.perf_counter() - start))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
     checked = int(counts[3:cfg.max_classes + 1].sum())
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (DegreeZero, FieldTooLarge, InvalidElement,
                                  NotCoprime, NotPrime, ZeroElement)
 from scheme_forge.finite_field import (FieldSpec, build_field, is_prime,
                                        multiplicative_order, prime_factors)
+from scheme_forge.gauss_sums import gauss_sums_all
+from scheme_forge.scheme_core import IndexPartition, verify_scheme
 
 
 @pytest.mark.parametrize("p,f,q", [(37, 3, 50653), (3, 5, 243), (11, 3, 1331)])
@@ -111,8 +114,45 @@ def test_helpers():
     assert prime_factors(50652) == [2, 3, 7, 67]
 
 
-def test_shared_tables_are_read_only(f9):
-    assert build_field(3, 2) is f9
-    for table in (f9.antilog_table, f9.log_table, f9.trace_table):
+def test_shared_tables_are_read_only():
+    field = build_field(3, 2)
+    assert build_field(3, 2) is field
+    for table in (field.antilog_table, field.log_table, field.trace_table,
+                  field.trace_sequence):
         with pytest.raises(ValueError):
             table[0] = table[0]
+
+
+@pytest.mark.parametrize("p,f,modulus", [
+    (5, 9, (2, 0, 0, 0, 0, 0, 0, 2, 4, 1)),
+    (11, 6, (2, 0, 0, 0, 7, 3, 1)),
+    (37, 3, (2, 0, 3, 1)),
+    (2, 4, (1, 0, 0, 1, 1)),
+    (3, 5, (1, 0, 0, 0, 2, 1)),
+    (13, 1, (2, 1)),
+    (19997, 1, (2, 1)),
+])
+def test_chosen_modulus_is_pinned(p, f, modulus):
+    # discrete logs, class indices and every output document depend on it
+    assert build_field(p, f).modulus == modulus
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (13, 1), (2, 4), (3, 5), (11, 3), (37, 3)])
+def test_trace_sequence_matches_tables(p, f):
+    field = build_field(p, f)
+    seq = field.trace_sequence
+    assert seq.shape == (field.q - 1,)
+    assert np.array_equal(seq, field.trace_table[field.antilog_table])
+
+
+def test_period_paths_build_no_element_tables(f243):
+    # from_json rebuilds the field, bypassing build_field's cache
+    field = FieldSpec.from_json(f243.to_json())
+    sys11 = build_cyclotomy(field, 11)
+    report = verify_scheme(sys11, IndexPartition.from_sets(
+        11, [[i] for i in range(11)]))
+    assert report.is_scheme
+    gauss_sums_all(field)
+    assert "trace_sequence" in vars(field)
+    for name in ("antilog_table", "log_table", "trace_table"):
+        assert name not in vars(field)

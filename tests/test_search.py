@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scheme_forge import _kernels
 from scheme_forge.cycint import CycInt
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import BudgetExceeded, ModulusMismatch, PreconditionViolated
@@ -127,6 +128,26 @@ def test_progress_reports_leaves_and_survivors():
     assert last.leaves == last.leaves_total == sum(result.counts_by_classes)
     assert last.checked == result.candidates_checked
     assert last.survivors >= len(result.schemes_found) >= 1
+
+
+def test_failed_chunk_stops_the_scan(monkeypatch):
+    # the first call fails at once, every later one returns at once: without
+    # a stop, idle workers drain the queue before the error is read
+    workers = 4
+    monkeypatch.setenv("SCHEME_FORGE_THREADS", str(workers))
+    calls = []
+
+    def chunk(prefix, N, *args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise BudgetExceeded("first chunk")
+        return np.zeros((0, N), dtype=np.int8)
+
+    monkeypatch.setattr(_kernels, "search_chunk", chunk)
+    with pytest.raises(BudgetExceeded, match="first chunk"):
+        exhaustive_nonexistence(SearchConfig(p=7, max_classes=3))
+    assert len(_kernels.search_prefixes(16, 3, 7)) == 365
+    assert len(calls) <= 2 * workers
 
 
 def test_p3_max_classes_3():

@@ -3,9 +3,11 @@
 
 Times the two hot paths (field table construction and the partition scan)
 on both backends and prints a small table, with the numpy rate of each row:
-elements/s (q - 1 per field) for the antilog tables and for the trace
-m-sequence that Gauss periods read instead (numpy only), leaves/s for the
-scan, single-threaded, building its suffix tables included.  Every scan row covers the full prefix set.  Without numba (or
+elements/s (q - 1 per field) for the antilog tables, and for the numpy-only
+field rows: the trace m-sequence that Gauss periods read instead, the psi
+vector the Gauss sums transform, and the uncached primitive-modulus scan;
+leaves/s for the scan, single-threaded, building its suffix tables included.
+Every scan row covers the full prefix set.  Without numba (or
 with SCHEME_FORGE_PURE_NUMPY=1) only the numpy fallbacks are timed and the
 numba column reads n/a.  --quick drops the four-class p = 7 scan (1.8e8
 leaves); with both backends, results double as a parity check.
@@ -19,7 +21,9 @@ import time
 import numpy as np
 
 from scheme_forge import _kernels
-from scheme_forge.finite_field import FieldSpec, build_field
+from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
+                                       build_field)
+from scheme_forge.gauss_sums import _psi_values
 from scheme_forge.search import trace_partition
 
 
@@ -58,6 +62,20 @@ def bench_trace_sequence(p, f):
     build = FieldSpec.trace_sequence.func  # uncached: a fresh build per call
     t_np, seq = _time(lambda: build(field))
     assert np.array_equal(seq, field.trace_sequence)
+    return t_np
+
+
+def bench_psi(p, f):
+    field = build_field(p, f)
+    field.trace_sequence  # built once, outside the timed region
+    t_np, _ = _time(lambda: _psi_values(field))
+    return t_np
+
+
+def bench_modulus_scan(p, f):
+    scan = _build_field_cached.__wrapped__  # uncached: a fresh scan per call
+    t_np, field = _time(lambda: scan(p, f, None, p ** f))
+    assert field.modulus == build_field(p, f).modulus
     return t_np
 
 
@@ -114,10 +132,13 @@ def main():
         t_jit, t_np = bench_antilog(p, f, jit_on)
         rows.append((f"antilog F_{p}^{f} (q={p ** f})", t_jit, t_np,
                      (p ** f - 1) / t_np))
-    for (p, f) in [(5, 9), (11, 6)]:
-        t_np = bench_trace_sequence(p, f)
-        rows.append((f"trace sequence F_{p}^{f} (q={p ** f})", None, t_np,
-                     (p ** f - 1) / t_np))
+    for name, bench in [("trace sequence", bench_trace_sequence),
+                        ("psi values", bench_psi),
+                        ("modulus scan", bench_modulus_scan)]:
+        for (p, f) in [(5, 9), (11, 6)]:
+            t_np = bench(p, f)
+            rows.append((f"{name} F_{p}^{f} (q={p ** f})", None, t_np,
+                         (p ** f - 1) / t_np))
 
     scans = [(3, 4), (7, 3)] if args.quick else [(3, 4), (7, 3), (7, 4)]
     for p, dmax in scans:

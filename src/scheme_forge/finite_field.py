@@ -17,8 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .errors import (DegreeZero, FieldTooLarge, InvalidElement, NotCoprime,
@@ -82,15 +84,14 @@ def _poly_mul_mod(a, b, mlow, f, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by x^f = -mlow
+                prod[i + j] += ai * bj
+    # reduce by x^f = -mlow; each coefficient is taken mod p once
     for k in range(len(prod) - 1, f - 1, -1):
-        c = prod[k]
+        c = prod[k] % p
         if c:
-            prod[k] = 0
             for i in range(f):
-                prod[k - f + i] = (prod[k - f + i] - c * mlow[i]) % p
-    prod = prod[:f]
+                prod[k - f + i] -= c * mlow[i]
+    prod = [c % p for c in prod[:f]]
     return prod + [0] * (f - len(prod))
 
 
@@ -150,7 +151,7 @@ class FieldSpec:
 
         Seeded with tr(x^i), i < f.  If x^k = sum_i c_i x^i mod the modulus,
         then s_{e+k} = sum_i c_i s_{e+i}: with s known on [0, n), taking
-        k = n extends it to [0, 2n - f + 1), f multiply-adds per doubling.
+        k = n extends it to [0, 2n - f + 1) in one windowed matrix product.
         Each sum stays below f p^2 <= 2^52 under the default cap.
         """
         p, f, n_total = self.p, self.f, self.q - 1
@@ -161,12 +162,8 @@ class FieldSpec:
         while n < n_total:
             take = min(n - f + 1, n_total - n)
             coeffs = _poly_pow_mod(self.gamma_poly, n, mlow, f, p)
-            out = s[n:n + take]
-            out[:] = 0
-            for i, c in enumerate(coeffs):
-                if c:
-                    out += c * s[i:i + take]
-            out %= p
+            window = sliding_window_view(s[:take + f - 1], f)  # row e: s[e:e+f]
+            np.remainder(window @ coeffs, p, out=s[n:n + take])
             n += take
         s.setflags(write=False)
         return s
@@ -301,19 +298,15 @@ def _build_from_modulus(p: int, f: int, mlow: list[int], cap: int) -> FieldSpec:
     if not _x_is_primitive(mlow, f, p, q, q1_factors):
         raise InvalidElement("modulus is not primitive")
 
-    basis_tr = []
-    x = ([0, 1] + [0] * (f - 2))[:f] if f > 1 else [(-mlow[0]) % p]
-    for i in range(f):
-        xi = _poly_pow_mod(x, i, mlow, f, p) if i else [1] + [0] * (f - 1)
-        acc = [0] * f
-        for j in range(f):
-            frob = _poly_pow_mod(xi, p ** j, mlow, f, p)
-            acc = [(a + b) % p for a, b in zip(acc, frob)]
-        if any(acc[1:]):
-            raise InvalidElement("trace of basis element not in the prime field")
-        basis_tr.append(acc[0])
+    # tr(x^i) is the i-th power sum P_i of the roots of the modulus; Newton's
+    # identities: P_k = -(k c_{f-k} + sum_{0<j<k} c_{f-j} P_{k-j}), P_0 = f
+    basis_tr = [f % p]
+    for k in range(1, f):
+        acc = k * mlow[f - k] + sum(mlow[f - j] * basis_tr[k - j]
+                                    for j in range(1, k))
+        basis_tr.append(-acc % p)
 
-    gamma = tuple(x + [0] * (f - len(x))) if f > 1 else (x[0],)
+    gamma = (0, 1) + (0,) * (f - 2) if f > 1 else ((-mlow[0]) % p,)
     return FieldSpec(p=p, f=f, q=q,
                      modulus=tuple(mlow) + (1,),
                      gamma_poly=gamma,
@@ -328,6 +321,12 @@ def _build_field_cached(p: int, f: int, seed: int | None, cap: int) -> FieldSpec
     sign = 1 if f % 2 == 0 else -1
     want = 0 if seed is None else int(seed)
     found = 0
+    # powers[a-1, i] = a^i mod p.  Of degree > 1, a primitive (so irreducible)
+    # modulus has no root in F_p: one product per candidate rules out most
+    # reducible ones before the order test (f = 1: no rows, nothing skipped)
+    powers = np.ones((p - 1 if f > 1 else 0, f + 1), dtype=np.int64)
+    for i in range(1, f + 1):
+        powers[:, i] = powers[:, i - 1] * np.arange(1, len(powers) + 1) % p
     # lexicographic on (c_0, ..., c_{f-1}): c_0 is the most significant digit
     for c0 in range(1, p):
         # the product of the roots of a primitive polynomial is the norm of a
@@ -336,13 +335,10 @@ def _build_field_cached(p: int, f: int, seed: int | None, cap: int) -> FieldSpec
         g = (sign * c0) % p
         if any(pow(g, (p - 1) // r, p) == 1 for r in p1_factors):
             continue
-        for rest in range(p ** (f - 1)):
-            digs = []
-            r = rest
-            for _ in range(f - 1):
-                digs.append(r % p)
-                r //= p
-            mlow = [c0] + digs[::-1]
+        for rest in product(range(p), repeat=f - 1):
+            mlow = [c0, *rest]
+            if not (powers @ (mlow + [1]) % p).all():
+                continue  # a root in F_p: reducible, so not primitive
             if _x_is_primitive(mlow, f, p, q, q1_factors):
                 if found == want:
                     return _build_from_modulus(p, f, mlow, cap)

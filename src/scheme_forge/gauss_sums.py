@@ -1,12 +1,13 @@
 """Gauss sums: direct evaluation plus the closed forms this package needs.
 
 Direct sums are double precision (exactness is reserved for Gauss periods,
-which is where scheme verdicts live).  Closed forms: the quadratic case,
-the index-2 case over Z_{2 p1} with its class-number data (h, b, c), and
-the Davenport-Hasse lift.  The sign of c (equivalently of sqrt(-p1)) is not
-pinned by the defining equations; evaluation takes an explicit c_sign and
-the comparison harness accepts whichever sign matches direct computation
-coherently across all exponents of one field.
+which is where scheme verdicts live): one in-place FFT of psi(gamma^a), the
+p-th roots of unity gathered by the trace m-sequence.  Closed forms: the
+quadratic case, the index-2 case over Z_{2 p1} with its class-number data
+(h, b, c), and the Davenport-Hasse lift.  The sign of c (equivalently of
+sqrt(-p1)) is not pinned by the defining equations; evaluation takes an
+explicit c_sign and the comparison harness accepts whichever sign matches
+direct computation coherently across all exponents of one field.
 """
 
 from __future__ import annotations
@@ -40,9 +41,12 @@ class MultChar:
 
 
 def _psi_values(field: FieldSpec) -> np.ndarray:
-    """psi(gamma^a) for a = 0..q-2."""
-    tr = field.trace_sequence.astype(np.float64)
-    return np.exp(2j * np.pi * tr / field.p)
+    """psi(gamma^a) = exp(2 pi i tr(gamma^a) / p) for a = 0..q-2, a new array.
+
+    exp runs on the p possible traces only: the same bits as elementwise.
+    """
+    roots = np.exp(2j * np.pi * np.arange(field.p, dtype=np.float64) / field.p)
+    return roots[field.trace_sequence]
 
 
 def gauss_sum_direct(chi: MultChar) -> complex:
@@ -55,12 +59,10 @@ def gauss_sum_direct(chi: MultChar) -> complex:
 
 def gauss_sums_all(field: FieldSpec) -> np.ndarray:
     """G(chi_k) for every k in [0, q-1), via one FFT of the psi table."""
-    q1 = field.q - 1
-    F = np.fft.fft(_psi_values(field))
-    out = np.empty(q1, dtype=complex)
-    out[0] = F[0]
-    out[1:] = F[:0:-1]  # G(chi_k) = sum_a psi(g^a) e^{+2 pi i k a/(q-1)} = F[-k]
-    return out
+    psi = _psi_values(field)
+    F = np.fft.fft(psi, out=psi)
+    # G(chi_k) = sum_a psi(g^a) e^{+2 pi i k a/(q-1)} = F[-k]
+    return np.concatenate((F[:1], F[:0:-1]))
 
 
 def gauss_sum_quadratic(p: int, f: int) -> complex:
@@ -226,9 +228,11 @@ def index2_comparison(p: int, p1: int, s: int = 1, m: int = 1,
     params = make_index2_params(p, p1, m)
     n = 2 * p1 ** m
     field = build_field(p, params.f * s, cap=cap)
-    step = (field.q - 1) // n
-    all_sums = gauss_sums_all(field)
-    direct = {e: complex(all_sums[(e * step) % (field.q - 1)]) for e in range(n)}
+    q1 = field.q - 1
+    step = q1 // n
+    psi = _psi_values(field)
+    F = np.fft.fft(psi, out=psi)  # G(chi_k) = F[-k], as in gauss_sums_all
+    direct = {e: complex(F[(-e * step) % q1]) for e in range(n)}
 
     best = None
     for c_sign in (1, -1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -113,6 +114,15 @@ def test_gauss_verify_cli(tmp_path):
     # an unreachable tolerance flips the outcome to a refutation exit
     assert main(["gauss-verify", "--p", "3", "--p1", "11",
                  "--tolerance", "1e-30", "--output", str(out)]) == 1
+
+
+def test_gauss_verify_stdout_bytes_are_pinned(capsys):
+    # direct sums print the FFT's rounding noise to 12 significant digits,
+    # so any change to how psi or its FFT is computed shows up here
+    assert main(["gauss-verify", "--p", "3", "--p1", "11"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "61c0382f2b9b2232aeaaba64901d57807692347464657a95e6512341892bee5b")
 
 
 def test_construct_cli(tmp_path):

@@ -4,8 +4,9 @@ import pytest
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (DegreeZero, FieldTooLarge, InvalidElement,
                                  NotCoprime, NotPrime, ZeroElement)
-from scheme_forge.finite_field import (FieldSpec, build_field, is_prime,
-                                       multiplicative_order, prime_factors)
+from scheme_forge.finite_field import (FieldSpec, _poly_pow_mod, build_field,
+                                       is_prime, multiplicative_order,
+                                       prime_factors)
 from scheme_forge.gauss_sums import gauss_sums_all
 from scheme_forge.scheme_core import IndexPartition, verify_scheme
 
@@ -156,3 +157,42 @@ def test_period_paths_build_no_element_tables(f243):
     assert "trace_sequence" in vars(field)
     for name in ("antilog_table", "log_table", "trace_table"):
         assert name not in vars(field)
+
+
+@pytest.mark.parametrize("p,f,moduli", [
+    (5, 4, [(2, 0, 2, 4, 1), (2, 0, 3, 2, 1)]),
+    (11, 3, [(3, 0, 3, 1), (3, 0, 6, 1)]),
+    (2, 6, [(1, 0, 1, 1, 0, 1, 1), (1, 1, 0, 0, 0, 0, 1)]),
+    (3, 5, [(1, 0, 0, 2, 1, 1), (1, 0, 1, 0, 1, 1)]),
+])
+def test_seeded_moduli_are_pinned(p, f, moduli):
+    # the seed-th modulus counts only primitive candidates, so skipping
+    # candidates with a root in F_p must not shift it
+    assert [build_field(p, f, seed=s).modulus for s in (1, 2)] == moduli
+
+
+def _frobenius_basis_trace(field):
+    """tr(x^i) = sum_j (x^i)^(p^j), summed as polynomials mod the modulus.
+
+    An oracle independent of the Newton identities that the field build uses.
+    """
+    p, f = field.p, field.f
+    mlow = list(field.modulus[:-1])
+    x = list(field.gamma_poly)
+    basis_tr = []
+    for i in range(f):
+        xi = _poly_pow_mod(x, i, mlow, f, p) if i else [1] + [0] * (f - 1)
+        acc = [0] * f
+        for j in range(f):
+            frob = _poly_pow_mod(xi, p ** j, mlow, f, p)
+            acc = [(a + b) % p for a, b in zip(acc, frob)]
+        assert not any(acc[1:])  # the trace lies in the prime field
+        basis_tr.append(acc[0])
+    return tuple(basis_tr)
+
+
+@pytest.mark.parametrize("p,f", [(5, 9), (11, 6), (37, 3), (2, 4), (3, 5),
+                                 (13, 1), (19997, 1), (2, 1), (2, 20)])
+def test_basis_trace_matches_frobenius_sum(p, f):
+    field = build_field(p, f)
+    assert field.basis_trace == _frobenius_basis_trace(field)

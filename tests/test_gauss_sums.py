@@ -6,7 +6,7 @@ import pytest
 from scheme_forge.errors import (BadDiscriminant, EvenCharacteristic,
                                  NoSolution, PreconditionViolated)
 from scheme_forge.finite_field import build_field, is_prime
-from scheme_forge.gauss_sums import (MultChar, class_number,
+from scheme_forge.gauss_sums import (MultChar, _psi_values, class_number,
                                      davenport_hasse_check, gauss_sum_direct,
                                      gauss_sum_index2, gauss_sum_quadratic,
                                      gauss_sums_all, index2_comparison,
@@ -184,3 +184,21 @@ def test_davenport_hasse_sampled(p, f, s, k):
     field = build_field(p, f)
     d, fm = davenport_hasse_check(MultChar(field, k), s)
     assert abs(d - fm) < 1e-5 * math.sqrt(float(p) ** (f * s))
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (13, 1), (3, 5), (11, 3),
+                                 (37, 3), (5, 9)])
+def test_psi_values_bitwise_equal_elementwise_exp(p, f):
+    field = build_field(p, f)
+    oracle = np.exp(2j * np.pi * field.trace_sequence.astype(np.float64) / p)
+    got = _psi_values(field)
+    assert got.dtype == oracle.dtype and got.shape == oracle.shape
+    assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
+
+
+def test_index2_direct_values_are_gauss_sums_all_bins():
+    rep = index2_comparison(3, 11)
+    G = gauss_sums_all(build_field(3, 5))
+    step = (3 ** 5 - 1) // 22
+    for entry in rep["per_exponent"]:
+        assert entry["direct"] == complex(G[entry["exponent"] * step])

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Benchmark the JIT kernels against their pure-numpy fallbacks.
+"""Benchmark the hot kernels.
 
-Times the two hot paths (field table construction and the partition scan)
-on both backends and prints a small table, with the numpy rate of each row:
-elements/s (q - 1 per field) for the antilog tables, and for the numpy-only
-field rows: the trace m-sequence that Gauss periods read instead, the psi
-vector the Gauss sums transform, and the uncached primitive-modulus scan;
-leaves/s for the scan, single-threaded, building its suffix tables included.
-Every scan row covers the full prefix set.  Without numba (or
-with SCHEME_FORGE_PURE_NUMPY=1) only the numpy fallbacks are timed and the
-numba column reads n/a.  --quick drops the four-class p = 7 scan (1.8e8
-leaves); with both backends, results double as a parity check.
+Times the field table construction on both backends (the numba antilog loop
+and its numpy doubling) and the numpy partition scan, and prints a small
+table with the numpy rate of each row: elements/s (q - 1 per field) for the
+antilog tables, and for the numpy-only field rows: the trace m-sequence that
+Gauss periods read instead, the psi vector the Gauss sums transform, and the
+uncached primitive-modulus scan; leaves/s for the scan, single-threaded, one
+call per prefix block of ``search.scan_groups`` (the blocks the full scan
+runs), building its suffix tables included.  The scan is numpy only, so its
+numba column reads n/a; without numba (or with SCHEME_FORGE_PURE_NUMPY=1)
+so does every other row's.  --quick drops the four-class p = 7 scan (1.8e8
+leaves).
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -24,7 +25,7 @@ from scheme_forge import _kernels
 from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
                                        build_field)
 from scheme_forge.gauss_sums import _psi_values
-from scheme_forge.search import trace_partition
+from scheme_forge.search import scan_groups, trace_partition
 
 
 def _time(fn, repeat=3):
@@ -79,7 +80,7 @@ def bench_modulus_scan(p, f):
     return t_np
 
 
-def bench_search(p, dmax, jit_on):
+def bench_search(p, dmax):
     N = 2 * (p + 1)
     t0, ts, tn = trace_partition(p)
     sden = np.zeros(N, dtype=np.int64)
@@ -87,35 +88,16 @@ def bench_search(p, dmax, jit_on):
         sden[i] = 1
     for i in tn:
         sden[i] = -1
-    depth = 4 if N <= 8 else 7
-    prefixes = _kernels.search_prefixes(N, dmax, depth)
+    blocks = scan_groups(N, dmax)
 
-    def run(force_numpy):
+    def run():
         counts = np.zeros(dmax + 2, dtype=np.int64)
-        surv = []
-        for pre in prefixes:
-            if force_numpy:
-                got = _kernels._search_chunk_numpy(
-                    pre, N, 3, dmax, N // 2,
-                    ((t0[0] - np.arange(N)) % N).astype(np.int64),
-                    ((t0[1] - np.arange(N)) % N).astype(np.int64),
-                    sden, p, True, counts)
-            else:
-                got = _kernels.search_chunk(pre, N, 3, dmax, N // 2,
-                                            (t0[0], t0[1]), sden, p, True, counts)
-            if len(got):
-                surv.append(got)
-        total = int(counts.sum())
-        nsurv = sum(len(s) for s in surv)
-        return total, nsurv
+        for block in blocks:
+            _kernels.search_chunk(block, N, 3, dmax, N // 2, (t0[0], t0[1]),
+                                  sden, p, True, counts)
+        return int(counts.sum())
 
-    t_np, r_np = _time(lambda: run(True), repeat=1)
-    if not jit_on:
-        return None, t_np, r_np[0]
-    run(False)  # warm the JIT outside the timed region
-    t_jit, r_jit = _time(lambda: run(False), repeat=1)
-    assert r_jit == r_np, "backend mismatch in search results"
-    return t_jit, t_np, r_np[0]
+    return _time(run, repeat=1)
 
 
 def main():
@@ -142,8 +124,8 @@ def main():
 
     scans = [(3, 4), (7, 3)] if args.quick else [(3, 4), (7, 3), (7, 4)]
     for p, dmax in scans:
-        t_jit, t_np, leaves = bench_search(p, dmax, jit_on)
-        rows.append((f"scan p={p} d<={dmax} ({leaves} leaves)", t_jit, t_np,
+        t_np, leaves = bench_search(p, dmax)
+        rows.append((f"scan p={p} d<={dmax} ({leaves} leaves)", None, t_np,
                      leaves / t_np))
 
     width = max(len(r[0]) for r in rows)

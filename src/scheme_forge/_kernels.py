@@ -1,16 +1,16 @@
-"""Hot numeric kernels, JIT-compiled with pure-numpy fallbacks.
+"""Hot numeric kernels.
 
-Two loops live here: filling the antilog table of F_{p^f} (sequential
-multiply-by-x recurrence, O(q f)), which only the element-level operations
-of ``FieldSpec`` build, on first use (Gauss periods read the trace
-m-sequence instead), and the exhaustive scan over set partitions of Z_N
-(~1.8e8 leaves at N = 16), which dominates runtime.  Both exist in a numba
-``@njit`` flavour and a vectorised numpy flavour; dispatch is decided per
-call by :func:`use_numba`.
-
-Set ``SCHEME_FORGE_PURE_NUMPY=1`` to force the numpy paths (e.g. on a host
-without a working numba install); ``benchmarks/bench_kernels.py`` times the
-two flavours against each other.
+Two loops live here.  Filling the antilog table of F_{p^f} (sequential
+multiply-by-x recurrence, O(q f)) is needed only by the element-level
+operations of ``FieldSpec``, on first use (Gauss periods read the trace
+m-sequence instead); it exists as a numba ``@njit`` loop and a vectorised
+numpy doubling, dispatched per call by :func:`use_numba`, and
+``SCHEME_FORGE_PURE_NUMPY=1`` forces the numpy one.  The exhaustive scan
+over set partitions of Z_N (~1.8e8 leaves at N = 16) is numpy only: it
+labels positions in opposite pairs, drops every completion whose pair
+multisets outnumber its blocks, and scans a whole block of prefixes that
+share their completions in one call.  ``benchmarks/bench_kernels.py`` times
+both.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, PreconditionViolated
 
 try:
     from numba import njit
@@ -127,8 +127,36 @@ def antilog_table(p, f, q, mlow):
 #     (#[(I+a) meets T_0],  #[(I+a) meets T_s] - #[(I+a) meets T_n])
 #
 # which this kernel packs into one machine word per character.
+#
+# Positions are labelled in opposite pairs, 0, N/2, 1, N/2 + 1, ...
+# (pair_order), and the restricted growth is taken in that order.  Since
+# T_0 = {i1, i1 + N/2}, the T_0 fields of character c's code are the label
+# multiset {a[i1 - c], a[i1 - c + N/2]}: a labelling has at least as many
+# distinct codes as distinct multisets {a[x], a[x + N/2]}, so a row with
+# more such multisets than blocks never survives.  In pair order each
+# multiset is two adjacent labels; bit lo*dmax + hi of a pair mask marks the
+# multiset {lo, hi}.
 
 _SIG_BASE = 4096  # per-part field: c0*1024 + (delta + p), c0 <= 2, |delta| <= p
+
+
+def pair_order(N):
+    """Enumeration order of the positions of Z_N: 0, N/2, 1, N/2 + 1, ..."""
+    return np.arange(N).reshape(2, N // 2).T.ravel()
+
+
+def _pair_bits(x, y, dmax):
+    return np.left_shift(1, np.minimum(x, y).astype(np.int64) * dmax +
+                         np.maximum(x, y))
+
+
+def _pair_mask(labels, dmax, start=0):
+    """Pair mask of the whole pairs (start + 2k, start + 2k + 1) on the last
+    axis of ``labels`` (pair-order labels)."""
+    stop = start + (labels.shape[-1] - start) // 2 * 2
+    return np.bitwise_or.reduce(_pair_bits(labels[..., start:stop:2],
+                                           labels[..., start + 1:stop:2],
+                                           dmax), axis=-1)
 
 
 def search_prefixes(N, dmax, depth):
@@ -144,114 +172,51 @@ def search_prefixes(N, dmax, depth):
     return [np.array(pre, dtype=np.int8) for pre in prefixes]
 
 
-@njit(cache=True, nogil=True)
-def _search_chunk_jit(prefix, N, dmin, dmax, half, j1s, j2s, sden2, p,
-                      require_nonsym, counts, surv, surv_cap):  # pragma: no cover
-    P = prefix.shape[0]
-    a = np.zeros(N, dtype=np.int8)
-    mx = np.zeros(N, dtype=np.int8)
-    for j in range(P):
-        a[j] = prefix[j]
-        mx[j] = a[j] if (j == 0 or a[j] > mx[j - 1]) else mx[j - 1]
-    for j in range(P, N):
-        a[j] = 0
-        mx[j] = mx[j - 1]
-
-    sigs = np.empty(N, dtype=np.int64)
-    dd = np.zeros(dmax, dtype=np.int64)
-    n_surv = 0
-    overflow = 0
-
-    while True:
-        # --- visit leaf ---
-        nblocks = int(mx[N - 1]) + 1
-        counts[nblocks] += 1
-        if dmin <= nblocks <= dmax:
-            ok = True
-            if require_nonsym:
-                ok = False
-                for j in range(N):
-                    jj = j + half
-                    if jj >= N:
-                        jj -= N
-                    if a[j] != a[jj]:
-                        ok = True
-                        break
-            if ok:
-                # dual-signature count with early exit
-                ndist = 0
-                good = True
-                for c in range(N):
-                    for l in range(nblocks):
-                        dd[l] = 0
-                    for j in range(N):
-                        dd[a[j]] += sden2[j + c]
-                    l1 = a[j1s[c]]
-                    l2 = a[j2s[c]]
-                    code = np.int64(0)
-                    for l in range(nblocks):
-                        c0 = 0
-                        if l1 == l:
-                            c0 += 1
-                        if l2 == l:
-                            c0 += 1
-                        code = code * _SIG_BASE + (c0 * 1024 + dd[l] + p)
-                    new = True
-                    for t in range(ndist):
-                        if sigs[t] == code:
-                            new = False
-                            break
-                    if new:
-                        if ndist == nblocks:
-                            good = False
-                            break
-                        sigs[ndist] = code
-                        ndist += 1
-                if good and ndist == nblocks:
-                    if n_surv < surv_cap:
-                        for j in range(N):
-                            surv[n_surv, j] = a[j]
-                        n_surv += 1
-                    else:
-                        overflow = 1
-        # --- advance odometer over positions P..N-1 ---
-        j = N - 1
-        while j >= P:
-            lim = min(mx[j - 1] + 1, dmax - 1)
-            if a[j] < lim:
-                a[j] += 1
-                mx[j] = a[j] if a[j] > mx[j - 1] else mx[j - 1]
-                for t in range(j + 1, N):
-                    a[t] = 0
-                    mx[t] = mx[j]
-                break
-            j -= 1
-        if j < P:
-            break
-    return n_surv, overflow
+def _group_key(prefixes, dmax):
+    """(top label, whole-pair mask, label of the split pair or 0) per row."""
+    P = prefixes.shape[1]
+    split = prefixes[:, -1] if P % 2 else np.zeros(len(prefixes), np.int8)
+    return np.stack([prefixes.max(axis=1), _pair_mask(prefixes, dmax), split],
+                    axis=1)
 
 
-# numpy flavour.  With B = _SIG_BASE and W[l] = B^(dmax-1-l), the packed code
-# of character c is linear in the per-position weights W[a_j]:
+def group_prefixes(prefixes, dmax):
+    """The prefixes stacked into (G, P) blocks, one per key: top label,
+    whole-pair mask, and for odd P the label of the split last pair.  The
+    prefixes of a block share their completions and the pair-bound filter
+    on them, so :func:`search_chunk` scans a block in one call."""
+    pre = np.stack(prefixes)
+    _, inv = np.unique(_group_key(pre, dmax), axis=0, return_inverse=True)
+    order = np.argsort(inv, kind="stable")
+    return np.split(pre[order], np.cumsum(np.bincount(inv))[:-1])
+
+
+# The packed codes.  With B = _SIG_BASE and W[l] = B^(dmax-1-l), the code of
+# character c is linear in the per-position weights W[a_j]:
 #
 #     code[c] = p * sum_l W[l] + sum_j W[a_j] * ST[j, c],
-#     ST[j, c] = sden[(j + c) % N] + 1024 * ([j == j1s[c]] + [j == j2s[c]])
+#     ST[j, c] = sden[(j + c) % N] + 1024 * ([j == i1 - c] + [j == i2 - c])
 #
-# (labels a part does not use contribute the constant field p).  The sum over
-# j splits into a prefix vector over j < P and a suffix part over j >= P.  The
-# completions of a prefix depend only on its top label, so their labels, block
-# counts and suffix codes are tabulated once per (N, P, dmax, top, ST[P:]),
-# cached read-only and shared by every prefix and thread.  A chunk adds its
-# prefix vector to the table and counts distinct codes per row.
+# (indices mod N, T_0 = {i1, i2}; labels a part does not use contribute the
+# constant field p).  With the rows of ST in pair order, the sum splits into
+# a prefix vector over the first P positions and a suffix part over the
+# rest.  The completions of a prefix depend only on its top label, so their
+# labels, block counts, pair masks and suffix codes are tabulated once per
+# (N, P, dmax, top, ST[P:]), cached read-only and shared by every prefix and
+# thread.  A call drops the rows the pair bound rules out, adds each prefix
+# vector of its block to the rest, and counts distinct codes per row.
 #
 # int64 is exact: each per-label field lies in [0, 4096) for p < 512, so every
 # code is below 4096^dmax <= 2^48; |ST| <= 2049, so every partial sum of the
-# split is below N * 2^12 * 4096^(dmax-1) <= 2^53 in absolute value.
+# split is below N * 2^12 * 4096^(dmax-1) <= 2^53 in absolute value, and the
+# difference of two below 2^54.
 
 SCAN_TABLE_BUDGET = 1 << 30  # bytes of one suffix table plus a chunk's arrays
+_SLAB = 1 << 14  # (prefix, row) pairs whose codes are compared at once
 _TABLE_LOCK = threading.Lock()
 
 
+@lru_cache(maxsize=None)
 def completion_count(length, dmax, top):
     """Number of restricted-growth completions of ``length`` labels after a
     prefix whose largest label is ``top``."""
@@ -269,7 +234,8 @@ def completion_count(length, dmax, top):
 
 class _SuffixTable(NamedTuple):
     labels: np.ndarray  # (R, N - P) int8 suffix labels, odometer order
-    blocks: np.ndarray  # (R,) block count of prefix + suffix
+    blocks: np.ndarray  # (R,) int8 block count of prefix + suffix
+    pairs: np.ndarray   # (1 or dmax, R) uint32 masks of the suffix's pairs
     leaves: np.ndarray  # bincount of blocks
     codes: np.ndarray   # (N, R) suffix part of the packed codes
 
@@ -286,9 +252,15 @@ def _suffix_table(N, P, dmax, top, st_suffix):
                np.repeat(np.cumsum(allowed) - allowed, allowed)).astype(np.int8)
         labels = np.concatenate([labels[reps], new[:, None]], axis=1)
         mx = np.maximum(mx[reps], new)
-    blocks = mx.astype(np.int64) + 1
+    blocks = mx + 1
     weights = _SIG_BASE ** np.arange(dmax - 1, -1, -1, dtype=np.int64)
-    table = _SuffixTable(labels, blocks,
+    # with P odd, the first suffix label completes the prefix's last pair:
+    # row s of the masks takes that pair's prefix label to be s
+    pairs = np.atleast_2d(_pair_mask(labels, dmax, P % 2))
+    if P % 2:
+        pairs = pairs | _pair_bits(np.arange(dmax)[:, None], labels[:, 0],
+                                   dmax)
+    table = _SuffixTable(labels, blocks, pairs.astype(np.uint32),
                          np.bincount(blocks, minlength=dmax + 1),
                          st.T @ weights[labels].T)
     for arr in table:
@@ -296,64 +268,77 @@ def _suffix_table(N, P, dmax, top, st_suffix):
     return table
 
 
-def _search_chunk_numpy(prefix, N, dmin, dmax, half, j1s, j2s, sden, p,
-                        require_nonsym, counts):
-    P = prefix.shape[0]
-    top = int(prefix.max())
-    rows = completion_count(N - P, dmax, top)
-    need = rows * (8 * (N + dmax + 2) + N)
-    if need > SCAN_TABLE_BUDGET:
-        raise BudgetExceeded(
-            f"suffix table of {rows} rows needs ~{need >> 20} MiB, over the "
-            f"{SCAN_TABLE_BUDGET >> 20} MiB budget of the numpy scan")
-    j = np.arange(N)
-    st = (sden[(j[:, None] + j[None, :]) % N] +
-          1024 * ((j[:, None] == j1s[None, :]).astype(np.int64) +
-                  (j[:, None] == j2s[None, :])))
-    with _TABLE_LOCK:
-        tab = _suffix_table(N, P, dmax, top, st[P:].tobytes())
-    counts[:tab.leaves.shape[0]] += tab.leaves
-    weights = _SIG_BASE ** np.arange(dmax - 1, -1, -1, dtype=np.int64)
-    base = p * weights.sum() + weights[prefix] @ st[:P]
-    # a row whose first dmax + 1 codes are pairwise distinct has more distinct
-    # codes than blocks; only the rest are sorted and counted
-    head = tab.codes[:dmax + 1] + base[:dmax + 1, None]
-    clash = np.full(rows, N <= dmax)
-    for c in range(1, head.shape[0]):
-        clash |= (head[:c] == head[c]).any(axis=0)
-    cand = np.flatnonzero(clash & (tab.blocks >= dmin))
-    codes = tab.codes[:, cand].T + base
-    codes.sort(axis=1)
-    ndist = 1 + (codes[:, 1:] != codes[:, :-1]).sum(axis=1)
-    hit = cand[ndist == tab.blocks[cand]]
-    found = np.concatenate(
-        [np.broadcast_to(prefix, (hit.shape[0], P)), tab.labels[hit]], axis=1)
-    if require_nonsym:
-        found = found[(found != found[:, (j + half) % N]).any(axis=1)]
-    return found
-
-
 def search_chunk(prefix, N, dmin, dmax, half, t0_positions, sden, p,
-                 require_nonsym, counts, surv_cap=16384):
-    """Scan all completions of ``prefix``; returns surviving label rows.
+                 require_nonsym, counts):
+    """Scan all completions of a block of label prefixes; returns the
+    surviving label rows, in natural position order.
 
+    ``prefix`` labels the first P positions of :func:`pair_order`: one
+    prefix of shape (P,), or a (G, P) block from :func:`group_prefixes`,
+    whose prefixes share a key.  ``t0_positions`` must be {i, i + N/2}.
     ``counts`` (int64, length >= dmax+2) accumulates the number of leaves per
     block count.  Survivors are partitions whose dual-signature count equals
     the block count (the translation-scheme criterion); the nonsymmetry
     filter keeps only candidates with some part I != I + half.
     """
-    i1, i2 = t0_positions
-    j1s = ((i1 - np.arange(N)) % N).astype(np.int64)
-    j2s = ((i2 - np.arange(N)) % N).astype(np.int64)
+    prefix = np.atleast_2d(np.asarray(prefix, dtype=np.int8))
     sden = np.asarray(sden, dtype=np.int64)
-    if use_numba():
-        sden2 = np.concatenate([sden, sden])
-        surv = np.zeros((surv_cap, N), dtype=np.int8)
-        n, overflow = _search_chunk_jit(
-            np.asarray(prefix, dtype=np.int8), N, dmin, dmax, half,
-            j1s, j2s, sden2, p, require_nonsym, counts, surv, surv_cap)
-        if overflow:
-            raise MemoryError("survivor buffer overflow; raise surv_cap")
-        return surv[:n].copy()
-    return _search_chunk_numpy(np.asarray(prefix, dtype=np.int8), N, dmin, dmax,
-                               half, j1s, j2s, sden, p, require_nonsym, counts)
+    G, P = prefix.shape
+    top = int(prefix[0].max())
+    rows = completion_count(N - P, dmax, top)
+    need = rows * (8 * (N + dmax + 3) + N)
+    if need > SCAN_TABLE_BUDGET:
+        raise BudgetExceeded(
+            f"suffix table of {rows} rows needs ~{need >> 20} MiB, over the "
+            f"{SCAN_TABLE_BUDGET >> 20} MiB budget of the scan")
+    i1, i2 = t0_positions
+    if N % 2 or (i2 - i1) % N != N // 2:
+        raise PreconditionViolated(
+            "the pair bound needs t0_positions = {i, i + N/2}")
+    key = _group_key(prefix, dmax)
+    if (key != key[0]).any():
+        raise PreconditionViolated(
+            "prefixes of one call must share top label, pair mask and split")
+    order = pair_order(N)
+    j = np.arange(N)
+    st = (sden[(j[:, None] + j[None, :]) % N] +
+          1024 * ((j[:, None] == (i1 - j) % N).astype(np.int64) +
+                  (j[:, None] == (i2 - j) % N)))[order]
+    with _TABLE_LOCK:
+        tab = _suffix_table(N, P, dmax, top, st[P:].tobytes())
+    counts[:tab.leaves.shape[0]] += G * tab.leaves
+    mask = key[0, 1] | tab.pairs[key[0, 2]]
+    keep = np.flatnonzero((np.bitwise_count(mask) <= tab.blocks) &
+                          (tab.blocks >= dmin))
+    weights = _SIG_BASE ** np.arange(dmax - 1, -1, -1, dtype=np.int64)
+    base = p * weights.sum() + weights[prefix] @ st[:P]
+    # a row whose first dmax + 1 codes are pairwise distinct has more distinct
+    # codes than blocks; only the rest are sorted and counted.  Codes a and c
+    # of prefix g and row r clash iff head[a, r] - head[c, r] equals
+    # base[g, c] - base[g, a].
+    head = tab.codes[:dmax + 1].take(keep, axis=1)
+    heads = [(a, c, head[a] - head[c])
+             for c in range(1, len(head)) for a in range(c)]
+    step = max(1, _SLAB // max(1, len(keep)))
+    hit_g, hit_r = [], []
+    for g0 in range(0, G, step):
+        b = base[g0:g0 + step]
+        clash = np.full((len(b), len(keep)), N <= dmax)
+        for a, c, diff in heads:
+            clash |= diff == (b[:, c] - b[:, a])[:, None]
+        g, k = np.nonzero(clash)
+        g += g0
+        r = keep[k]
+        codes = base[g]
+        codes += tab.codes.take(r, axis=1).T
+        codes.sort(axis=1)
+        ndist = 1 + (codes[:, 1:] != codes[:, :-1]).sum(axis=1)
+        hit = ndist == tab.blocks[r]
+        hit_g.append(g[hit])
+        hit_r.append(r[hit])
+    g, r = np.concatenate(hit_g), np.concatenate(hit_r)
+    found = np.empty((len(g), N), dtype=np.int8)
+    found[:, order] = np.concatenate([prefix[g], tab.labels[r]], axis=1)
+    if require_nonsym:
+        found = found[(found != found[:, (j + half) % N]).any(axis=1)]
+    return found

@@ -283,8 +283,11 @@ class FieldSpec:
     @classmethod
     def from_json(cls, doc: dict, cap: int = DEFAULT_CAP) -> "FieldSpec":
         obj = doc if isinstance(doc, dict) else json.loads(doc)
-        mod = list(obj["modulus_coeffs"])
-        fld = _build_from_modulus(obj["p"], obj["f"], mod[:-1], cap)
+        mlow = list(obj["modulus_coeffs"])[:-1]
+        fld = _build_from_modulus(obj["p"], obj["f"], mlow, cap)
+        if not _x_is_primitive(mlow, fld.f, fld.p, fld.q,
+                               prime_factors(fld.q - 1)):
+            raise InvalidElement("modulus is not primitive")
         if list(fld.gamma_poly) != list(obj["gamma_coeffs"]):
             raise InvalidElement("gamma_coeffs do not match the rebuilt field")
         return fld
@@ -294,9 +297,6 @@ def _build_from_modulus(p: int, f: int, mlow: list[int], cap: int) -> FieldSpec:
     q = p ** f
     if q > cap:
         raise FieldTooLarge(f"q = {p}^{f} = {q} exceeds cap {cap}")
-    q1_factors = prime_factors(q - 1)
-    if not _x_is_primitive(mlow, f, p, q, q1_factors):
-        raise InvalidElement("modulus is not primitive")
 
     # tr(x^i) is the i-th power sum P_i of the roots of the modulus; Newton's
     # identities: P_k = -(k c_{f-k} + sum_{0<j<k} c_{f-j} P_{k-j}), P_0 = f

@@ -3,11 +3,11 @@
 For a prime p = 3 (mod 4) the candidate translation schemes on F_{p^2} with
 few classes are unions of cyclotomic classes of order N = 2(p+1) (the
 nonzero squares of Z_p act as multipliers), so nonexistence is settled by
-scanning all partitions of Z_N into 3 or 4 parts.  The scan runs on the
-kernel ``_kernels.search_chunk`` picks (numba when installed, numpy
-otherwise), one label prefix per chunk on a thread pool; every survivor is
-re-verified through the exact CycInt path and the primitivity filter before
-being reported.
+scanning all partitions of Z_N into 3 or 4 parts.  The numpy kernel
+``_kernels.search_chunk`` runs on a thread pool, one block of label prefixes
+with a shared key per call (``scan_groups``); every survivor is re-verified
+through the exact CycInt path and the primitivity filter before being
+reported.
 """
 
 from __future__ import annotations
@@ -189,6 +189,16 @@ def _thread_budget() -> int:
     return min(8, os.cpu_count() or 1)
 
 
+def scan_groups(N: int, dmax: int) -> list[np.ndarray]:
+    """The scan's prefix blocks, one ``search_chunk`` call each: label
+    prefixes in pair order, grouped by ``_kernels.group_prefixes``.  The
+    depth keeps every suffix table small at N <= 16 and leaves N = 24 at
+    depth 9, whose tables exceed the budget."""
+    depth = 4 if N <= 8 else (7 if dmax <= 3 else 8) if N <= 16 else 9
+    return _kernels.group_prefixes(_kernels.search_prefixes(N, dmax, depth),
+                                   dmax)
+
+
 def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
     """Scan all partitions of Z_{2(p+1)} into 3..max_classes parts.
 
@@ -208,24 +218,23 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
     for i in tn:
         sden[i] = -1
 
-    depth = 4 if N <= 8 else 7 if N <= 16 else 9
-    prefixes = _kernels.search_prefixes(N, cfg.max_classes, depth)
-    leaves_total = sum(_kernels.completion_count(N - depth, cfg.max_classes,
-                                                 int(pre.max()))
-                       for pre in prefixes)
+    groups = scan_groups(N, cfg.max_classes)
+    leaves_total = sum(len(block) * _kernels.completion_count(
+        N - block.shape[1], cfg.max_classes, int(block[0].max()))
+        for block in groups)
     counts = np.zeros(cfg.max_classes + 2, dtype=np.int64)
     raw = []
 
     failed = threading.Event()
 
-    def run_chunk(prefix):
+    def run_chunk(block):
         # after a chunk raised, the scan ends in that error: a chunk a worker
         # starts later returns None without running the kernel
         if failed.is_set():
             return None
         local = np.zeros(cfg.max_classes + 2, dtype=np.int64)
         try:
-            surv = _kernels.search_chunk(prefix, N, 3, cfg.max_classes, half,
+            surv = _kernels.search_chunk(block, N, 3, cfg.max_classes, half,
                                          (t0[0], t0[1]), sden, p,
                                          cfg.require_nonsymmetric, local)
         except BaseException:
@@ -238,7 +247,7 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
     start = time.perf_counter()
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            for result in pool.map(run_chunk, prefixes):
+            for result in pool.map(run_chunk, groups):
                 if result is None:  # skipped; pool.map raises the error later
                     continue
                 local, surv = result
@@ -247,9 +256,9 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
                     raw.append(surv)
                     n_surv += len(surv)
                 done += 1
-                if progress and (done % 64 == 0 or done == len(prefixes)):
+                if progress and (done % 64 == 0 or done == len(groups)):
                     progress(ScanProgress(
-                        done, len(prefixes), int(counts.sum()), leaves_total,
+                        done, len(groups), int(counts.sum()), leaves_total,
                         int(counts[3:cfg.max_classes + 1].sum()), n_surv,
                         time.perf_counter() - start))
         except BaseException:

@@ -89,7 +89,8 @@ def test_search_cli_json(tmp_path, capsys):
     assert doc["checked"] == 2667
     assert doc["found"] == []
     last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert last.startswith("progress: 15/15 chunks, checked=2667, "
+    # 15 prefixes in 10 blocks of a shared key, one kernel call each
+    assert last.startswith("progress: 10/10 chunks, checked=2667, "
                            "leaves=2795/2795, ")
     # 12 nonsymmetric kernel survivors, all imprimitive
     assert last.endswith("leaves/s, ETA 0.0 s, survivors=12")

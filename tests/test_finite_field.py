@@ -109,6 +109,15 @@ def test_json_roundtrip(f1331):
     assert np.array_equal(back.log_table, f1331.log_table)
 
 
+@pytest.mark.parametrize("modulus", [[1, 0, 1], [2, 0, 1], [0, 1, 1]])
+def test_from_json_rejects_a_non_primitive_modulus(modulus):
+    # x^2 + 1 is irreducible over F_3, but x has order 4 modulo it; the
+    # other two are reducible
+    with pytest.raises(InvalidElement, match="not primitive"):
+        FieldSpec.from_json({"p": 3, "f": 2, "modulus_coeffs": modulus,
+                             "gamma_coeffs": [0, 1]})
+
+
 def test_helpers():
     assert is_prime(2) and is_prime(499) and not is_prime(1) and not is_prime(91)
     assert prime_factors(242) == [2, 11]

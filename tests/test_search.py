@@ -11,8 +11,9 @@ from scheme_forge.finite_field import build_field
 from scheme_forge.scheme_core import brute_force_verify, is_scheme
 from scheme_forge.search import (GroupRingElem, SearchConfig,
                                  enumeration_counts, exhaustive_nonexistence,
-                                 gr_involution, gr_mul, trace_partition,
-                                 ts_character_values, ts_identity_check)
+                                 gr_involution, gr_mul, scan_groups,
+                                 trace_partition, ts_character_values,
+                                 ts_identity_check)
 
 from conftest import partition_to_relations
 
@@ -146,7 +147,7 @@ def test_failed_chunk_stops_the_scan(monkeypatch):
     monkeypatch.setattr(_kernels, "search_chunk", chunk)
     with pytest.raises(BudgetExceeded, match="first chunk"):
         exhaustive_nonexistence(SearchConfig(p=7, max_classes=3))
-    assert len(_kernels.search_prefixes(16, 3, 7)) == 365
+    assert len(scan_groups(16, 3)) == 71
     assert len(calls) <= 2 * workers
 
 

@@ -1,50 +1,31 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, numpy only.
 
-Two loops live here.  Filling the antilog table of F_{p^f} (sequential
-multiply-by-x recurrence, O(q f)) is needed only by the element-level
-operations of ``FieldSpec``, on first use (Gauss periods read the trace
-m-sequence instead); it exists as a numba ``@njit`` loop and a vectorised
-numpy doubling, dispatched per call by :func:`use_numba`, and
-``SCHEME_FORGE_PURE_NUMPY=1`` forces the numpy one.  The exhaustive scan
-over set partitions of Z_N (~1.8e8 leaves at N = 16) is numpy only: it
-labels positions in opposite pairs, drops every completion whose pair
-multisets outnumber its blocks, and scans a whole block of prefixes that
-share their completions in one call.  ``benchmarks/bench_kernels.py`` times
-both.
+Two kernels live here.  The antilog table of F_{p^f} (the code of gamma^e
+for every e) is read off the trace m-sequence by one fixed linear map; it is
+needed only by the element-level operations of ``FieldSpec``, on first use
+(Gauss periods read the m-sequence itself).  The exhaustive scan over set
+partitions of Z_N (~1.8e8 leaves at N = 16) labels positions in opposite
+pairs, drops every completion whose pair multisets outnumber its blocks, and
+scans a whole block of prefixes that share their completions in one call.
+``benchmarks/bench_kernels.py`` times both.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, PreconditionViolated
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # numba is the optional `jit` extra
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 
 def use_numba() -> bool:
-    """True when the JIT paths should be used (env flag wins over autodetect)."""
-    if os.environ.get("SCHEME_FORGE_PURE_NUMPY", "") not in ("", "0"):
-        return False
-    return HAS_NUMBA
+    # every kernel is numpy; perfbench/child.py's import probe reads this
+    # to name the backend
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -53,63 +34,43 @@ def use_numba() -> bool:
 #
 # Elements of F_{p^f} are encoded as integers 0..q-1, the coefficient vector
 # of the residue mod the primitive modulus read in base p (constant digit
-# least significant).  antilog[e] is the code of x^e, where x is the residue
-# of the indeterminate, a generator by construction.
+# least significant).  antilog[e] is the code of gamma^e.  By the trace-dual-
+# basis relation (Lidl-Niederreiter, Finite Fields, 2.3), if gamma^e =
+# sum_i c_i x^i then s_{e+k} = tr(x^k gamma^e) = sum_i T[k, i] c_i, where
+# T[k, i] = tr(x^(i+k)) (= s_{i+k}, as gamma = x for f > 1; T = [1] for f = 1)
+# is the Gram matrix of the trace form, symmetric and invertible.  So
+# c = T^-1 (s_e, ..., s_{e+f-1}) mod p, and T^-1 is symmetric too.
+
+_ANTILOG_ROWS = 1 << 16  # windows mapped per matmul
 
 
-@njit(cache=True, nogil=True)
-def _antilog_jit(p, f, q, mlow, out):  # pragma: no cover - exercised via dispatch
-    digits = np.zeros(f, dtype=np.int64)
-    digits[0] = 1
-    code = 1
-    for e in range(q - 1):
-        out[e] = code
-        top = digits[f - 1]
-        for i in range(f - 1, 0, -1):
-            digits[i] = digits[i - 1]
-        digits[0] = 0
-        if top != 0:
-            for i in range(f):
-                digits[i] = (digits[i] - top * mlow[i]) % p
-        code = 0
-        for i in range(f - 1, -1, -1):
-            code = code * p + digits[i]
-    return out
+def _inverse_mod_p(matrix, p):
+    """Inverse of an invertible square integer matrix mod p (Gauss-Jordan)."""
+    n = len(matrix)
+    a = np.hstack([np.asarray(matrix, dtype=np.int64) % p,
+                   np.eye(n, dtype=np.int64)])
+    for c in range(n):
+        r = c + np.flatnonzero(a[c:, c])[0]
+        a[[c, r]] = a[[r, c]]
+        a[c] = a[c] * pow(int(a[c, c]), -1, p) % p
+        factor = a[:, c].copy()
+        factor[c] = 0
+        a = (a - np.outer(factor, a[c])) % p
+    return a[:, n:]
 
 
-def antilog_table_numpy(p, f, q, mlow):
-    """Doubling construction: powers [k, 2k) are powers [0, k) times x^k.
-
-    Multiplication by x^k is a linear map on coefficient vectors, tracked as
-    a power of the companion matrix of the modulus, so each doubling is one
-    (k x f) @ (f x f) matmul mod p.
-    """
-    mlow = np.asarray(mlow, dtype=np.int64)
-    M = np.zeros((f, f), dtype=np.int64)
-    for i in range(f - 1):
-        M[i, i + 1] = 1
-    M[f - 1, :] = (-mlow) % p
+def antilog_table(p, f, s):
+    """Exponent -> element code (int32) from the m-sequence s_e = tr(gamma^e),
+    e < q - 1: row e is T^-1 (s_e, ..., s_{e+f-1}) mod p, read in base p,
+    with the windows running cyclically past the end of s."""
+    t_inv = _inverse_mod_p(sliding_window_view(s[:2 * f - 1], f), p)
     place = p ** np.arange(f, dtype=np.int64)
-
-    codes = np.empty(q - 1, dtype=np.int64)
-    codes[0] = 1
-    have = 1
-    mpow = M.copy()  # M^have
-    while have < q - 1:
-        take = min(have, q - 1 - have)
-        digs = (codes[:take, None] // place[None, :]) % p
-        codes[have:have + take] = ((digs @ mpow) % p) @ place
-        if take == have:
-            mpow = (mpow @ mpow) % p
-        have += take
-    return codes.astype(np.int32)
-
-
-def antilog_table(p, f, q, mlow):
-    if use_numba():
-        out = np.empty(q - 1, dtype=np.int32)
-        return _antilog_jit(p, f, q, np.asarray(mlow, dtype=np.int64), out)
-    return antilog_table_numpy(p, f, q, mlow)
+    windows = sliding_window_view(np.concatenate([s, s[:f - 1]]), f)
+    out = np.empty(len(s), dtype=np.int32)
+    for e in range(0, len(s), _ANTILOG_ROWS):
+        out[e:e + _ANTILOG_ROWS] = (windows[e:e + _ANTILOG_ROWS] @ t_inv
+                                    % p) @ place
+    return out
 
 
 # ---------------------------------------------------------------------------

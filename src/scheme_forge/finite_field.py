@@ -8,14 +8,17 @@ lexicographically least primitive modulus (or the seed-th one).
 
 Every Gauss period reads only s_e = tr(gamma^e), a linear recurring sequence
 whose characteristic polynomial is the modulus, so building a field makes no
-q-sized table.  The log, antilog and trace tables are built on first use by
-the element-level operations.
+q-sized table.  The element tables are built from that sequence on first use
+by the element-level operations: by the trace-dual-basis relation, f
+consecutive terms s_e, ..., s_{e+f-1} fix the coordinates of gamma^e, which
+gives the antilog table; the log table inverts it, and the trace table
+scatters the sequence through it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -124,11 +127,12 @@ def _x_is_primitive(mlow, f, p, q, q1_factors):
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldSpec:
     """Immutable model of F_{p^f}; share freely, never mutate the tables.
 
-    The q-sized tables are cached properties, built on first use.
+    The q-sized tables are cached properties, built on first use.  Equality
+    and hashing read the defining fields only.
     """
 
     p: int
@@ -137,11 +141,6 @@ class FieldSpec:
     modulus: tuple[int, ...]      # monic, constant term first, length f+1
     gamma_poly: tuple[int, ...]   # coefficients of gamma, length f
     basis_trace: tuple[int, ...]  # tr(x^i) for i < f
-    _places: np.ndarray = dataclass_field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._places is None:
-            self._places = self.p ** np.arange(self.f, dtype=np.int64)
 
     # --- sequences and tables, read-only and built once ---------------------
 
@@ -170,9 +169,11 @@ class FieldSpec:
 
     @cached_property
     def antilog_table(self) -> np.ndarray:
-        """Exponent -> element code, length q-1 (int32)."""
-        table = np.asarray(_kernels.antilog_table(
-            self.p, self.f, self.q, list(self.modulus[:-1])), dtype=np.int32)
+        """Exponent -> element code, length q-1 (int32): the window
+        (s_e, ..., s_{e+f-1}) of the trace sequence is T coords(gamma^e),
+        T = [tr(x^(i+k))] (trace-dual basis), so coords = T^-1 window mod p.
+        """
+        table = _kernels.antilog_table(self.p, self.f, self.trace_sequence)
         table.setflags(write=False)
         return table
 
@@ -186,14 +187,13 @@ class FieldSpec:
 
     @cached_property
     def trace_table(self) -> np.ndarray:
-        """Element code -> tr(x) in [0, p) (int32)."""
-        # trace is F_p-linear: tr(code) = sum_i digit_i * tr(x^i)
-        tr = np.zeros(self.q, dtype=np.int64)
-        tmp = np.arange(self.q, dtype=np.int64)
-        for i in range(self.f):
-            tr += (tmp % self.p) * self.basis_trace[i]
-            tmp = tmp // self.p
-        table = (tr % self.p).astype(np.int32)
+        """Element code -> tr(x) in [0, p) (int32).
+
+        tr(antilog[e]) = s_e: the trace sequence scattered through the
+        antilog table, with tr(0) = 0.
+        """
+        table = np.zeros(self.q, dtype=np.int32)
+        table[self.antilog_table] = self.trace_sequence
         table.setflags(write=False)
         return table
 
@@ -213,30 +213,15 @@ class FieldSpec:
             raise ZeroElement("discrete log of 0")
         return int(self.log_table[x])
 
-    def power_of_gamma(self, e: int) -> int:
-        return int(self.antilog_table[e % (self.q - 1)])
-
     def add(self, x: int, y: int) -> int:
-        p = self.p
-        res, pl = 0, 1
+        p, res, pl = self.p, 0, 1
         for _ in range(self.f):
-            res += ((x + y) % p) * pl
-            x //= p
-            y //= p
-            pl *= p
+            res += (x + y) % p * pl
+            x, y, pl = x // p, y // p, pl * p
         return res
 
     def neg(self, x: int) -> int:
-        p = self.p
-        res, pl = 0, 1
-        for _ in range(self.f):
-            res += ((-x) % p) * pl
-            x //= p
-            pl *= p
-        return res
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return int(self.sub_vec(0, np.int64(x)))
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -265,7 +250,7 @@ class FieldSpec:
         zz = z
         cc = codes.astype(np.int64)
         for i in range(self.f):
-            res += (((zz % p) - (cc % p)) % p) * int(self._places[i])
+            res += (((zz % p) - (cc % p)) % p) * p ** i
             zz //= p
             cc = cc // p
         return res

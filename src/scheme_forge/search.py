@@ -293,6 +293,10 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
 
 def enumeration_counts(N: int, max_classes: int) -> list[int]:
     """Partition counts of Z_N by block count, from the kernel enumerator."""
+    if N % 2:
+        raise PreconditionViolated(
+            f"enumeration_counts needs an even N, got N = {N}: the scan "
+            "kernel labels Z_N in opposite pairs {i, i + N/2}")
     counts = np.zeros(max_classes + 2, dtype=np.int64)
     for prefix in _kernels.search_prefixes(N, max_classes, min(4, N - 1)):
         _kernels.search_chunk(prefix, N, N + 1, max_classes, N // 2,

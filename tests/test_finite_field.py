@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from scheme_forge.errors import (DegreeZero, FieldTooLarge, InvalidElement,
 from scheme_forge.finite_field import (FieldSpec, _poly_pow_mod, build_field,
                                        is_prime, multiplicative_order,
                                        prime_factors)
-from scheme_forge.gauss_sums import gauss_sums_all
+from scheme_forge.gauss_sums import MultChar, gauss_sums_all
 from scheme_forge.scheme_core import IndexPartition, verify_scheme
 
 
@@ -109,6 +111,18 @@ def test_json_roundtrip(f1331):
     assert np.array_equal(back.log_table, f1331.log_table)
 
 
+def test_rebuilt_field_compares_and_hashes_equal(f243):
+    # from_json rebuilds the field, bypassing build_field's cache
+    back = FieldSpec.from_json(f243.to_json())
+    assert back is not f243
+    assert back == f243 and hash(back) == hash(f243)
+    assert MultChar(back, 2) == MultChar(f243, 2)
+    assert hash(MultChar(back, 2)) == hash(MultChar(f243, 2))
+    assert back != build_field(3, 5, seed=1)
+    with pytest.raises(FrozenInstanceError):
+        back.p = 5
+
+
 @pytest.mark.parametrize("modulus", [[1, 0, 1], [2, 0, 1], [0, 1, 1]])
 def test_from_json_rejects_a_non_primitive_modulus(modulus):
     # x^2 + 1 is irreducible over F_3, but x has order 4 modulo it; the
@@ -205,3 +219,53 @@ def _frobenius_basis_trace(field):
 def test_basis_trace_matches_frobenius_sum(p, f):
     field = build_field(p, f)
     assert field.basis_trace == _frobenius_basis_trace(field)
+
+
+def _times_x(field, codes):
+    """Codes of x * c reduced by the modulus, from the base-p digits of c.
+
+    Independent of the trace sequence the antilog table is built from.  For
+    f = 1, x is congruent to gamma = -c_0 modulo x + c_0.
+    """
+    p, f = field.p, field.f
+    mlow = field.modulus[:-1]
+    codes = codes.astype(np.int64)
+    top = codes // p ** (f - 1)
+    out = np.zeros_like(codes)
+    for i in range(f):
+        shifted = codes // p ** (i - 1) % p if i else 0
+        out += (shifted - top * mlow[i]) % p * p ** i
+    return out
+
+
+def _digit_sum_trace_table(field):
+    """tr(code) = sum_i digit_i * tr(x^i) mod p, the trace being F_p-linear."""
+    tr = np.zeros(field.q, dtype=np.int64)
+    tmp = np.arange(field.q, dtype=np.int64)
+    for i in range(field.f):
+        tr += (tmp % field.p) * field.basis_trace[i]
+        tmp //= field.p
+    return tr % field.p
+
+
+ELEMENT_TABLE_FIELDS = [(3, 5), (11, 3), (37, 3), (7, 1), (2, 8), (5, 6),
+                        (2, 1), (13, 1), (5, 9), (11, 6), (2, 20)]
+
+
+@pytest.mark.parametrize("p,f", ELEMENT_TABLE_FIELDS)
+def test_antilog_table_steps_by_x(p, f):
+    # antilog[0] = 1 and antilog[e + 1] = x * antilog[e] (cyclically) fix
+    # every entry
+    field = build_field(p, f)
+    antilog = field.antilog_table
+    assert antilog.dtype == np.int32 and antilog[0] == 1
+    assert np.array_equal(_times_x(field, antilog), np.roll(antilog, -1))
+    assert field.log_table[0] == -1
+    assert np.array_equal(field.log_table[antilog], np.arange(field.q - 1))
+
+
+@pytest.mark.parametrize("p,f", ELEMENT_TABLE_FIELDS)
+def test_trace_table_matches_digit_sum(p, f):
+    field = build_field(p, f)
+    assert field.trace_table.dtype == np.int32
+    assert np.array_equal(field.trace_table, _digit_sum_trace_table(field))

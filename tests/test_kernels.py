@@ -1,4 +1,4 @@
-"""The scan kernel against its per-leaf oracle, and the antilog backends."""
+"""The scan kernel against its per-leaf oracle."""
 
 import numpy as np
 import pytest
@@ -7,26 +7,8 @@ from hypothesis import strategies as st
 
 from scheme_forge import _kernels
 from scheme_forge.errors import BudgetExceeded, PreconditionViolated
-from scheme_forge.finite_field import build_field
 from scheme_forge.search import (SearchConfig, exhaustive_nonexistence,
                                  trace_partition)
-
-
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA,
-                                 reason="numba unavailable")
-
-
-@needs_numba
-@pytest.mark.parametrize("p,f", [(3, 5), (11, 3), (37, 3), (7, 1), (2, 8), (5, 6)])
-def test_antilog_backends_agree(p, f):
-    field = build_field(p, f)
-    mlow = list(field.modulus[:-1])
-    q = p ** f
-    out = np.empty(q - 1, dtype=np.int32)
-    jit = _kernels._antilog_jit(p, f, q, np.asarray(mlow, dtype=np.int64), out)
-    fallback = _kernels.antilog_table_numpy(p, f, q, mlow)
-    assert np.array_equal(jit, fallback)
-    assert np.array_equal(jit, field.antilog_table)
 
 
 def _search_setup(p):
@@ -244,19 +226,9 @@ def test_numpy_scan_raises_before_building_an_oversized_table():
     assert _kernels._suffix_table.cache_info().currsize == tables
 
 
-def test_long_run_scan_without_numba_is_over_budget(monkeypatch):
-    monkeypatch.setenv("SCHEME_FORGE_PURE_NUMPY", "1")
+def test_long_run_scan_without_numba_is_over_budget():
     with pytest.raises(BudgetExceeded):
         exhaustive_nonexistence(SearchConfig(p=11, long_run=True))
-
-
-def test_use_numba_env_flag(monkeypatch):
-    monkeypatch.setenv("SCHEME_FORGE_PURE_NUMPY", "1")
-    assert not _kernels.use_numba()
-    monkeypatch.setenv("SCHEME_FORGE_PURE_NUMPY", "0")
-    assert _kernels.use_numba() == _kernels.HAS_NUMBA
-    monkeypatch.delenv("SCHEME_FORGE_PURE_NUMPY")
-    assert _kernels.use_numba() == _kernels.HAS_NUMBA
 
 
 def test_prefix_enumeration_is_partition_complete():

@@ -91,11 +91,18 @@ def test_trace_partition_domain():
 
 # --- the exhaustive scan ------------------------------------------------------------
 
-def test_enumeration_matches_stirling():
-    counts = enumeration_counts(8, 4)
-    assert counts[3] == stirling2(8, 3) == 966
-    assert counts[4] == stirling2(8, 4) == 1701
-    assert counts[1] == 1 and counts[2] == stirling2(8, 2)
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_enumeration_matches_stirling(N):
+    counts = enumeration_counts(N, 4)
+    assert counts == [0] + [stirling2(N, k) for k in range(1, 5)] + [0]
+    if N == 8:
+        assert counts[3:5] == [966, 1701]
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_enumeration_needs_even_n(N):
+    with pytest.raises(PreconditionViolated, match=f"even N, got N = {N}"):
+        enumeration_counts(N, 4)
 
 
 def test_p3_nonexistence():

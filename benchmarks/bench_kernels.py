@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Benchmark the hot kernels.
 
-Times the field builds and the partition scan, all numpy, and prints the
-best of three runs of each row with its rate: elements/s (q - 1 per field)
-for the field rows: the antilog table (read off the trace m-sequence, which
-is built once outside the timed region), the trace m-sequence itself that
-Gauss periods read, the psi vector the Gauss sums transform, and the
-uncached primitive-modulus scan; leaves/s for the scan, single-threaded,
-one call per prefix block of ``search.scan_groups`` (the blocks the full
-scan runs), building its suffix tables included, timed once.  --quick drops
-the four-class p = 7 scan (1.8e8 leaves).
+Times the field builds, the report stages of ``verify`` and the partition
+scan, all numpy, and prints the best of three runs of each row with its
+rate: elements/s (q - 1 per field) for the field rows: the antilog table
+(read off the trace m-sequence, which is built once outside the timed
+region), the trace m-sequence itself that Gauss periods read, the psi
+vector the Gauss sums transform, and the uncached primitive-modulus scan;
+numbers/s ((N + 1)^3 per scheme) for the intersection numbers of the
+order-N cyclotomic scheme, past its verdict; bytes/s for rendering that
+scheme's ``verify`` document; leaves/s for the scan, single-threaded, one
+call per prefix block of ``search.scan_groups`` (the blocks the full scan
+runs), building its suffix tables included, timed once.  --quick drops the
+four-class p = 7 scan (1.8e8 leaves).
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -19,10 +22,13 @@ import time
 
 import numpy as np
 
-from scheme_forge import _kernels
+from scheme_forge import _kernels, jsonio
+from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
                                        build_field)
 from scheme_forge.gauss_sums import _psi_values
+from scheme_forge.scheme_core import (IndexPartition, intersection_numbers,
+                                      verify_scheme)
 from scheme_forge.search import scan_groups, trace_partition
 
 
@@ -67,6 +73,28 @@ def bench_modulus_scan(p, f):
     return t_np
 
 
+def _cyclotomic_scheme(p, f, N):
+    """The order-N cyclotomic scheme: all N classes as singleton parts."""
+    sys_n = build_cyclotomy(build_field(p, f), N)
+    return sys_n, IndexPartition.from_sets(N, [[i] for i in range(N)])
+
+
+def bench_intersection(p, f, N):
+    sys_n, part = _cyclotomic_scheme(p, f, N)
+    t_np, _ = _time(lambda: intersection_numbers(sys_n, part, _verified=True))
+    return t_np
+
+
+def bench_json_render(p, f, N):
+    """Seconds and bytes for the document ``verify`` prints on this scheme."""
+    sys_n, part = _cyclotomic_scheme(p, f, N)
+    doc = {"command": "verify", "field": sys_n.field.to_json(),
+           "partition": part.to_json(),
+           "report": jsonio.report_to_json(verify_scheme(sys_n, part))}
+    t_np, text = _time(lambda: jsonio.dumps(doc))
+    return t_np, len(text.encode())
+
+
 def bench_search(p, dmax):
     N = 2 * (p + 1)
     t0, ts, tn = trace_partition(p)
@@ -103,6 +131,14 @@ def main():
             t_np = bench(p, f)
             rows.append((f"{name} F_{p}^{f} (q={p ** f})", t_np,
                          (p ** f - 1) / t_np))
+
+    p, f, N = 37, 3, 28
+    t_np = bench_intersection(p, f, N)
+    rows.append((f"intersection numbers F_{p}^{f} N={N}", t_np,
+                 (N + 1) ** 3 / t_np))
+    t_np, nbytes = bench_json_render(p, f, N)
+    rows.append((f"json render F_{p}^{f} N={N} ({nbytes} bytes)", t_np,
+                 nbytes / t_np))
 
     scans = [(3, 4), (7, 3)] if args.quick else [(3, 4), (7, 3), (7, 4)]
     for p, dmax in scans:

@@ -23,6 +23,12 @@ def _checked_prime(n: int) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
+def _roots(n: int) -> tuple[complex, ...]:
+    """exp(2 pi i k / n) for k < n, as embed multiplies them."""
+    return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
+
+
 def reduce_coeffs(n: int, raw) -> tuple[int, ...]:
     """Reduce a coefficient vector on 1..xi^{k} (any k) to the canonical basis."""
     folded = [0] * n
@@ -136,8 +142,8 @@ class CycInt:
 
     def embed(self) -> complex:
         """Evaluate at xi_n = exp(2 pi i / n), double precision."""
-        return sum(c * cmath.exp(2j * cmath.pi * i / self.n)
-                   for i, c in enumerate(self.coeffs) if c)
+        roots = _roots(self.n)
+        return sum(c * roots[i] for i, c in enumerate(self.coeffs) if c)
 
     @property
     def is_zero(self) -> bool:

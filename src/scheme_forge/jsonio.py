@@ -2,12 +2,16 @@
 
 One invocation emits one document under the "scheme-forge/1" schema; floats
 are rounded to 12 significant digits so identical runs are byte-identical,
-and complex values render as [re, im] pairs.
+and complex values render as [re, im] pairs.  ``dumps`` writes exactly the
+bytes of json.dumps(doc, indent=2) plus a newline, NaN and Infinity spelled
+as json spells them and non-ASCII characters escaped; it only gets there
+faster.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -16,6 +20,7 @@ from .errors import ParseError, PartitionInvalid
 from .scheme_core import IndexPartition, SchemeReport
 
 SCHEMA = "scheme-forge/1"
+_NUMBERS = {int, float}
 
 
 def fnum(x: float) -> float:
@@ -32,7 +37,7 @@ def complex_matrix(m) -> list[list[list[float]]]:
 
 
 def int_matrix(m) -> list[list[int]]:
-    return [[int(x) for x in row] for row in np.asarray(m)]
+    return np.asarray(m).tolist()
 
 
 def cyc_matrix(rows) -> list[list[dict]]:
@@ -141,4 +146,37 @@ def load_partition(path_or_inline: str, N: int) -> IndexPartition:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps({"schema": SCHEMA, **doc}, indent=2) + "\n"
+    """The document under its schema, as json.dumps(..., indent=2) + newline."""
+    return _render({"schema": SCHEMA, **doc}, "") + "\n"
+
+
+def _render(o, indent: str) -> str:
+    """json.dumps(o, indent=2), nested ``indent`` deep.
+
+    Lists of plain ints and floats, the bulk of a report, are joined in one
+    call; json's pure-Python indenting encoder visits them item by item.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if set(map(type, o)) <= _NUMBERS:
+            body = sep.join(map(repr, o))
+            if "n" in body:  # nan or inf: spelled NaN, Infinity by json
+                body = sep.join(map(json.dumps, o))
+        else:
+            body = sep.join([_render(x, inner) for x in o])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(o, dict) and all(isinstance(key, str) for key in o):
+        if not o:
+            return "{}"
+        body = sep.join([encode_basestring_ascii(key) + ": " + _render(v, inner)
+                         for key, v in o.items()])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if type(o) is int:
+        return repr(o)
+    if type(o) is str:
+        return encode_basestring_ascii(o)
+    # other scalars, dicts with non-str keys, and json's TypeError
+    return json.dumps(o, indent=2).replace("\n", "\n" + indent)

@@ -13,6 +13,7 @@ divisibility checks in place of any element-level count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,11 +173,14 @@ def symmetrize(sys: CyclotomicSystem, partition: IndexPartition) -> IndexPartiti
 
 # --- primitivity ---------------------------------------------------------------
 
-def is_primitive(sys: CyclotomicSystem, partition: IndexPartition) -> bool:
+def is_primitive(sys: CyclotomicSystem, partition: IndexPartition,
+                 _verified: bool = False) -> bool:
     """No nontrivial relation of the symmetrization has a character sum equal
-    to its valency (exact test over all nonprincipal characters)."""
-    count, _, _ = dual_classes(sys, partition)
-    if count != partition.d:
+    to its valency (exact test over all nonprincipal characters).
+
+    ``_verified`` skips the scheme check, for callers that have made it.
+    """
+    if not _verified and not is_scheme(sys, partition):
         raise NotAScheme("primitivity is only defined for verified schemes")
     sym = symmetrize(sys, partition)
     rows = _signature_rows(sys, sym)
@@ -219,7 +223,7 @@ def verify_scheme(sys: CyclotomicSystem, partition: IndexPartition,
             pairs += 1
     report.nonsymmetric_pair_count = pairs
 
-    report.is_primitive = is_primitive(sys, partition)
+    report.is_primitive = is_primitive(sys, partition, _verified=True)
 
     primal = set(partition.part_sets())
     dual = {frozenset(p) for p in parts_by_sig}
@@ -258,10 +262,11 @@ def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition,
     rows = [[one] + [CycInt.integer(p, sys.M * len(part))
                      for part in partition.parts]]
     order = range(d) if row_order is None else row_order
+    coeffs = uniq.tolist()
     for r in order:
         row = [one]
         for j in range(d):
-            row.append(CycInt(p, tuple(int(c) for c in uniq[r, j * n:(j + 1) * n])))
+            row.append(CycInt(p, tuple(coeffs[r][j * n:(j + 1) * n])))
         rows.append(row)
 
     P_complex = np.array([[e.embed() for e in row] for row in rows], dtype=complex)
@@ -286,35 +291,23 @@ def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition,
 
     where conj sigma_a(k) = sigma_{a+c}(k) for -1 in C_c, i.e. x -> x^{-1}
     on Z[x]/(x^p - 1).  The sum is an integer S, evaluated exactly in
-    Z[x]/(x^p - 1) through Tr(alpha) = p alpha_0 - alpha(1):
-    (p-1) S = sum_a [p (sigma sigma conj sigma)_0 - sigma(1)^3].  The
-    divisions by p - 1 and by q k_k must both be exact, else NotAScheme.
+    Z[x]/(x^p - 1) through Tr(alpha) = p alpha_0 - alpha(1), which is the
+    same for every representative of alpha(xi_p):
+    (p-1) S = sum_a [p (sigma sigma conj sigma)_0 - sigma(1)^3].
+
+    The summand is constant on Galois cosets.  t in F_p^* is gamma^e with
+    e a multiple of h = (q-1)/(p-1), and xi -> xi^t maps psi(gamma^a R_i)
+    to psi(t gamma^a R_i) = sigma_{a+e}(i), while Tr is Galois-invariant.
+    So the summand depends on a only through its coset of <h> in Z_N:
+    there are g = gcd(N, h) cosets, with representatives a = 0..g-1 and
+    N/g elements each, and the sum is N/g times the sum over a < g (g = N
+    when p = 2).  The divisions by p - 1 and by q k_k must both be exact,
+    else NotAScheme.
     """
     if not _verified and not is_scheme(sys, partition):
         raise NotAScheme("intersection numbers of a non-scheme")
-    d, N, M = partition.d, sys.N, sys.M
-    p, q = sys.field.p, sys.field.q
-    K = d + 1
-    rows = _signature_rows(sys, partition).reshape(N, d, p - 1)
-    # sigma_a(i) as a length-p vector in Z[x]/(x^p - 1); R_0 = {0} gives 1
-    sig = np.zeros((N, K, p), dtype=np.int64)
-    sig[:, 0, 0] = 1
-    sig[:, 1:, :p - 1] = rows
-    k = [1] + [M * len(part) for part in partition.parts]
-    # with B = max |coefficient|, each a adds at most 2 p^3 B^3 to |acc|;
-    # the numerator adds k_i k_j k_k to M acc / (p - 1)
-    acc_bound = 2 * N * p ** 3 * int(np.abs(sig).max()) ** 3
-    int64_ok = max(acc_bound, max(k) ** 3 + M * acc_bound // (p - 1)) < 2 ** 63
-    dtype = np.int64 if int64_ok else object
-    sig = sig.astype(dtype)
-    k = np.array(k, dtype=dtype)
-    shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    acc = np.zeros((K, K, K), dtype=dtype)
-    for u in sig:
-        # conv[i, j, m] = (u_i u_j)_m; (u_i u_j conj u_k)_0 = sum_m conv[i, j, m] u_k[m]
-        conv = np.tensordot(u, u[:, shift], axes=([1], [1]))
-        s = u.sum(axis=1)
-        acc += p * (conv @ u.T) - s[:, None, None] * s[None, :, None] * s
+    acc, k = _trace_sums(sys, partition)
+    p, q, M = sys.field.p, sys.field.q, sys.M
     if (acc % (p - 1)).any():
         raise NotAScheme("character sum over the relations is not rational")
     numer = k[:, None, None] * k[None, :, None] * k + M * (acc // (p - 1))
@@ -322,7 +315,39 @@ def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition,
         raise NotAScheme("intersection numbers are not integers")
     counts = numer // (q * k)
     # counts[i, j, k] = p_{ij}^k
-    return [counts[i].T.astype(np.int64) for i in range(K)]
+    return [counts[i].T.astype(np.int64) for i in range(partition.d + 1)]
+
+
+def _trace_sums(sys: CyclotomicSystem, partition: IndexPartition):
+    """(acc, k): acc[i, j, k] = (p-1) S for the sum S of intersection_numbers,
+    over the g coset representatives weighted by N/g, and the valencies k
+    (k_0 = 1), both of one integer dtype."""
+    d, N, M = partition.d, sys.N, sys.M
+    p, q = sys.field.p, sys.field.q
+    K = d + 1
+    g = math.gcd(N, (q - 1) // (p - 1))
+    rows = _signature_rows(sys, partition)[:g].reshape(g, d, p - 1)
+    # sigma_a(i) as a length-p vector in Z[x]/(x^p - 1); R_0 = {0} gives 1
+    sig = np.zeros((g, K, p), dtype=np.int64)
+    sig[:, 0, 0] = 1
+    sig[:, 1:, :p - 1] = rows
+    k = [1] + [M * len(part) for part in partition.parts]
+    # with B = max |coefficient| of these rows, each row adds at most
+    # 2 p^3 B^3 to |acc|, which is N/g times a sum of g rows; the numerator
+    # adds k_i k_j k_k to M acc / (p - 1)
+    acc_bound = 2 * N * p ** 3 * int(np.abs(sig).max()) ** 3
+    int64_ok = max(acc_bound, max(k) ** 3 + M * acc_bound // (p - 1)) < 2 ** 63
+    dtype = np.int64 if int64_ok else object
+    sig = sig.astype(dtype)
+    shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
+    acc = np.zeros((K, K, K), dtype=dtype)
+    for u in sig:
+        # conv[i, j, m] = (u_i u_j)_m; (u_i u_j conj u_k)_0 = sum_m conv[i, j, m] u_k[m]
+        conv = np.tensordot(u, u[:, shift], axes=([1], [1]))
+        s = u.sum(axis=1)
+        acc += p * (conv @ u.T) - s[:, None, None] * s[None, :, None] * s
+    acc *= N // g
+    return acc, np.array(k, dtype=dtype)
 
 
 # --- Krein parameters --------------------------------------------------------

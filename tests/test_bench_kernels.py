@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from scheme_forge.cli import main
+
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
 
 
@@ -19,6 +21,17 @@ def bench():
 def test_field_rows_measure(bench):
     assert bench.bench_antilog(3, 5) > 0
     assert bench.bench_trace_sequence(3, 5) > 0
+
+
+def test_verify_stage_rows_measure(bench, tmp_path):
+    assert bench.bench_intersection(3, 5, 22) > 0
+    seconds, nbytes = bench.bench_json_render(3, 5, 22)
+    assert seconds > 0
+    # the rendered document is the one the verify command writes
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--p", "3", "--f", "5", "--n", "22", "--parts",
+                 "|".join(str(i) for i in range(22)), "--output", str(out)]) == 0
+    assert nbytes == out.stat().st_size
 
 
 def test_scan_row_visits_every_leaf(bench):

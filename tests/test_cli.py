@@ -126,6 +126,17 @@ def test_gauss_verify_stdout_bytes_are_pinned(capsys):
         "61c0382f2b9b2232aeaaba64901d57807692347464657a95e6512341892bee5b")
 
 
+def test_verify_order28_stdout_bytes_are_pinned(capsys):
+    # the full order-28 cyclotomic scheme on F_{37^3}: about 1 MB of
+    # eigenmatrices and intersection matrices through jsonio.dumps
+    parts = "|".join(str(i) for i in range(28))
+    assert main(["verify", "--p", "37", "--f", "3", "--n", "28",
+                 "--parts", parts]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "ddb085ad5c453d947ee8ddf3700e7b3a5dd45afd7ec694927a50ecd8561ceac6")
+
+
 def test_construct_cli(tmp_path):
     out = tmp_path / "c.json"
     code = main(["construct", "--kind", "four_class", "--p", "11", "--p1", "7",

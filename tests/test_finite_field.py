@@ -161,12 +161,47 @@ def test_chosen_modulus_is_pinned(p, f, modulus):
     assert build_field(p, f).modulus == modulus
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (13, 1), (2, 4), (3, 5), (11, 3), (37, 3)])
-def test_trace_sequence_matches_tables(p, f):
+def _mul_mod(a, b, modulus, p):
+    """a * b reduced by the monic modulus; coefficient lists of length f."""
+    f = len(modulus) - 1
+    prod = [0] * (2 * f - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for top in range(2 * f - 2, f - 1, -1):  # x^top = -x^(top-f) * (modulus - x^f)
+        c = prod[top]
+        for i in range(f):
+            prod[top - f + i] -= c * modulus[i]
+    return [c % p for c in prod[:f]]
+
+
+def _pow_mod(a, e, modulus, p):
+    result = [1] + [0] * (len(a) - 1)
+    while e:
+        if e & 1:
+            result = _mul_mod(result, a, modulus, p)
+        a = _mul_mod(a, a, modulus, p)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (13, 1), (2, 4), (3, 5), (11, 3)])
+def test_trace_sequence_matches_frobenius_sum(p, f):
+    # s_e = tr(gamma^e) = sum_j (gamma^e)^(p^j), summed as polynomials
+    # modulo the modulus: no element table and no recurrence
     field = build_field(p, f)
-    seq = field.trace_sequence
-    assert seq.shape == (field.q - 1,)
-    assert np.array_equal(seq, field.trace_table[field.antilog_table])
+    modulus = field.modulus
+    want, y = [], [1] + [0] * (f - 1)
+    for _ in range(field.q - 1):
+        total, z = [0] * f, y
+        for _ in range(f):
+            total = [(a + b) % p for a, b in zip(total, z)]
+            z = _pow_mod(z, p, modulus, p)
+        assert not any(total[1:])  # the trace lies in the prime field
+        want.append(total[0])
+        y = _mul_mod(y, list(field.gamma_poly), modulus, p)
+    assert y == [1] + [0] * (f - 1)  # gamma^(q-1) = 1
+    assert field.trace_sequence.tolist() == want
 
 
 def test_period_paths_build_no_element_tables(f243):

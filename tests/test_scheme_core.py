@@ -7,6 +7,7 @@ from scheme_forge.errors import (MalformedPartition, NotAScheme,
                                  PartitionInvalid, TooLargeForOracle)
 from scheme_forge.finite_field import build_field
 from scheme_forge.scheme_core import (ORACLE_CAP, IndexPartition,
+                                      _signature_rows, _trace_sums,
                                       brute_force_verify, check_fusion,
                                       dual_partition, eigenmatrices,
                                       intersection_numbers, is_primitive,
@@ -122,7 +123,13 @@ def element_intersection_numbers(field, sys, partition):
     return list(B)
 
 
-@pytest.mark.parametrize("p,f,N,H", [
+def coset_partition(N, H):
+    """Cosets of the index-H subgroup of Z_N (H = N: all singletons)."""
+    return IndexPartition.from_sets(
+        N, [[(i + H * j) % N for j in range(N // H)] for i in range(H)])
+
+
+COSET_CASES = [
     (13, 1, 2, 2),    # Paley
     (13, 1, 1, 1),
     (3, 5, 22, 22),
@@ -132,13 +139,14 @@ def element_intersection_numbers(field, sys, partition):
     (2, 4, 5, 5),
     (3, 2, 8, 8),
     (7, 2, 16, 16),
-])
+]
+
+
+@pytest.mark.parametrize("p,f,N,H", COSET_CASES)
 def test_intersection_and_krein_match_element_count(p, f, N, H):
-    """Cosets of the index-H subgroup of Z_N (H = N: all singletons)."""
     field = build_field(p, f)
     sys_n = build_cyclotomy(field, N)
-    part = IndexPartition.from_sets(
-        N, [[(i + H * j) % N for j in range(N // H)] for i in range(H)])
+    part = coset_partition(N, H)
     for got, want in zip(intersection_numbers(sys_n, part),
                          element_intersection_numbers(field, sys_n, part),
                          strict=True):
@@ -148,6 +156,69 @@ def test_intersection_and_krein_match_element_count(p, f, N, H):
                          element_intersection_numbers(field, sys_n, dual),
                          strict=True):
         assert np.array_equal(got, want)
+
+
+def full_row_trace_sums(sys, partition):
+    """acc[i, j, k] = sum_a Tr(sigma_a(i) sigma_a(j) conj sigma_a(k)) over
+    all N rows a, with Tr(alpha) = p alpha_0 - alpha(1) on Z[x]/(x^p - 1)."""
+    N, p, K = sys.N, sys.field.p, partition.d + 1
+    sig = np.zeros((N, K, p), dtype=np.int64)
+    sig[:, 0, 0] = 1
+    sig[:, 1:, :p - 1] = _signature_rows(sys, partition).reshape(N, K - 1, p - 1)
+    shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
+    conv = np.einsum("ail,ajlm->aijm", sig, sig[:, :, shift])  # (u_i u_j)_m
+    s = sig.sum(axis=2)
+    return (p * np.einsum("aijm,akm->ijk", conv, sig)
+            - np.einsum("ai,aj,ak->ijk", s, s, s))
+
+
+def full_row_intersection_numbers(sys, partition):
+    p, q, M = sys.field.p, sys.field.q, sys.M
+    acc = full_row_trace_sums(sys, partition)
+    k = np.array([1] + [M * len(part) for part in partition.parts])
+    if (acc % (p - 1)).any():
+        raise NotAScheme("not rational")
+    numer = k[:, None, None] * k[None, :, None] * k + M * (acc // (p - 1))
+    if (numer % (q * k)).any():
+        raise NotAScheme("not integers")
+    return [b.T for b in numer // (q * k)]
+
+
+def assert_coset_sum_matches_full_rows(sys_n, part):
+    acc, _ = _trace_sums(sys_n, part)
+    assert np.array_equal(acc, full_row_trace_sums(sys_n, part))
+    try:
+        want = full_row_intersection_numbers(sys_n, part)
+    except NotAScheme:
+        with pytest.raises(NotAScheme):
+            intersection_numbers(sys_n, part, _verified=True)
+        return False
+    got = intersection_numbers(sys_n, part, _verified=True)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    return True
+
+
+@pytest.mark.parametrize("p,f,N,H", COSET_CASES + [(37, 3, 28, 28)])
+def test_coset_sum_matches_full_row_sum(p, f, N, H):
+    # g = gcd(N, (q-1)/(p-1)) coset representatives stand in for all N rows:
+    # g = 1 of 2 on F_13, 11 of 22 on F_{3^5}, 7 of 28 on F_{37^3}, g = N
+    # for p = 2
+    sys_n = build_cyclotomy(build_field(p, f), N)
+    assert assert_coset_sum_matches_full_rows(sys_n, coset_partition(N, H))
+
+
+def test_coset_sum_matches_full_row_sum_on_non_schemes():
+    rng = np.random.default_rng(88)
+    systems = [build_cyclotomy(build_field(p, f), N)
+               for p, f, N in [(3, 5, 22), (3, 4, 16), (2, 4, 15), (13, 1, 12)]]
+    # g = 11, 8, 15 (= N, p = 2) and 1 coset representatives
+    outcomes = []
+    while len(outcomes) < 52:
+        sys_n = systems[len(outcomes) % len(systems)]
+        part = random_partition(rng, sys_n.N, int(rng.integers(2, 6)))
+        if not is_scheme(sys_n, part):
+            outcomes.append(assert_coset_sum_matches_full_rows(sys_n, part))
+    assert not all(outcomes)
 
 
 def test_eigenmatrices_structure(f243):
@@ -226,6 +297,9 @@ def test_primitivity():
     assert is_primitive(sys1, IndexPartition.from_sets(1, [[0]]))
     sys2 = build_cyclotomy(f13, 2)
     assert is_primitive(sys2, singletons(2))
+    sys8 = build_cyclotomy(f9, 8)
+    with pytest.raises(NotAScheme):
+        is_primitive(sys8, IndexPartition.from_sets(8, [[0, 1, 2], [3, 4], [5, 6, 7]]))
 
 
 def test_check_fusion_identity(f243):

@@ -161,6 +161,14 @@ def test_chosen_modulus_is_pinned(p, f, modulus):
     assert build_field(p, f).modulus == modulus
 
 
+@pytest.mark.parametrize("p,f", [(2, 1), (13, 1), (2, 4), (3, 5), (11, 3), (37, 3)])
+def test_trace_sequence_matches_tables(p, f):
+    field = build_field(p, f)
+    seq = field.trace_sequence
+    assert seq.shape == (field.q - 1,)
+    assert np.array_equal(seq, field.trace_table[field.antilog_table])
+
+
 def _mul_mod(a, b, modulus, p):
     """a * b reduced by the monic modulus; coefficient lists of length f."""
     f = len(modulus) - 1

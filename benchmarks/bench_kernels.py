@@ -3,10 +3,12 @@
 
 Times the field builds, the report stages of ``verify`` and the partition
 scan, all numpy, and prints the best of three runs of each row with its
-rate: elements/s (q - 1 per field) for the field rows: the antilog table
-(read off the trace m-sequence, which is built once outside the timed
-region), the trace m-sequence itself that Gauss periods read, the psi
-vector the Gauss sums transform, and the uncached primitive-modulus scan;
+rate: elements/s for the field rows (q - 1 per field, L = (q - 1)/(p - 1)
+for the norm block): the antilog table (read off the trace m-sequence,
+which is built once outside the timed region), the norm block (the
+m-sequence over one norm period) that Gauss periods read, the whole
+m-sequence assembled from it, the psi vector the Gauss sums transform, and
+the uncached primitive-modulus scan;
 numbers/s ((N + 1)^3 per scheme) for the intersection numbers of the
 order-N cyclotomic scheme, past its verdict; bytes/s for rendering that
 scheme's ``verify`` document; leaves/s for the scan, single-threaded, one
@@ -52,16 +54,20 @@ def bench_antilog(p, f):
 
 
 def bench_trace_sequence(p, f):
+    """Seconds to build the norm block, and to assemble the sequence from it."""
     field = build_field(p, f)
-    build = FieldSpec.trace_sequence.func  # uncached: a fresh build per call
-    t_np, seq = _time(lambda: build(field))
+    # uncached: a fresh build per call
+    t_block, block = _time(lambda: FieldSpec.norm_block.func(field))
+    t_seq, seq = _time(lambda: FieldSpec.trace_sequence.func(field))
+    assert np.array_equal(block, field.norm_block)
     assert np.array_equal(seq, field.trace_sequence)
-    return t_np
+    assert np.array_equal(seq[:field.norm_period], block)
+    return t_block, t_seq
 
 
 def bench_psi(p, f):
     field = build_field(p, f)
-    field.trace_sequence  # built once, outside the timed region
+    field.norm_block  # built once, outside the timed region
     t_np, _ = _time(lambda: _psi_values(field))
     return t_np
 
@@ -124,13 +130,19 @@ def main():
     for name, bench, fields in [
             ("antilog", bench_antilog,
              [(3, 10), (11, 5), (5, 7), (5, 9), (11, 6), (2, 20)]),
-            ("trace sequence", bench_trace_sequence, [(5, 9), (11, 6)]),
             ("psi values", bench_psi, [(5, 9), (11, 6)]),
             ("modulus scan", bench_modulus_scan, [(5, 9), (11, 6)])]:
         for (p, f) in fields:
             t_np = bench(p, f)
             rows.append((f"{name} F_{p}^{f} (q={p ** f})", t_np,
                          (p ** f - 1) / t_np))
+    # the sparse moduli of F_{2^20} and F_{3^15} beside the benchmark fields
+    for p, f in [(5, 9), (11, 6), (2, 20), (3, 15)]:
+        t_block, t_seq = bench_trace_sequence(p, f)
+        rows.append((f"norm block F_{p}^{f} (L={(p ** f - 1) // (p - 1)})",
+                     t_block, (p ** f - 1) // (p - 1) / t_block))
+        rows.append((f"trace sequence F_{p}^{f} from the block", t_seq,
+                     (p ** f - 1) / t_seq))
 
     p, f, N = 37, 3, 28
     t_np = bench_intersection(p, f, N)

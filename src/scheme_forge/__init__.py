@@ -6,28 +6,51 @@ numbers, Bannai-Muzychuk fusion, index-2 Gauss sum closed forms, the named
 four-/five-class fission families, a two-class conference construction with
 its published F_{37^3} four-class fission, and an exhaustive nonexistence
 scan over prime-square fields.
+
+The public names below are imported from their modules on first access, so
+a command imports only the modules it runs.
 """
 
-from .cycint import CycInt, embed_complex, quadratic_gauss_cycint
-from .cyclotomy import CyclotomicSystem, build_cyclotomy, character_sum, class_of
-from .finite_field import (DEFAULT_CAP, FieldSpec, build_field, is_prime,
-                           multiplicative_order)
-from .gauss_sums import (Index2Params, MultChar, class_number,
-                         davenport_hasse_check, gauss_sum_direct,
-                         gauss_sum_index2, gauss_sum_quadratic, gauss_sums_all,
-                         index2_comparison, make_index2_params, solve_bc)
-from .scheme_core import (IndexPartition, SchemeReport, brute_force_verify,
-                          check_fusion, dual_partition, eigenmatrices,
-                          intersection_numbers, is_primitive, is_scheme,
-                          is_symmetric, krein_parameters, symmetrize,
-                          verify_scheme)
-from .constructions import (BuiltScheme, FissionSpec, SongReproduction,
-                            conference_7mod8, five_class_3mod8,
-                            five_class_index_sets, four_class_7mod8,
-                            ma_wang_template, match_template, song_example,
-                            three_class_base)
-from .search import (GroupRingElem, SearchConfig, SearchResult,
-                     exhaustive_nonexistence, gr_involution, gr_mul,
-                     trace_partition, ts_identity_check)
+import importlib
 
+_EXPORTS = {
+    "cycint": ("CycInt", "embed_complex", "quadratic_gauss_cycint"),
+    "cyclotomy": ("CyclotomicSystem", "build_cyclotomy", "character_sum",
+                  "class_of"),
+    "finite_field": ("DEFAULT_CAP", "FieldSpec", "build_field", "is_prime",
+                     "multiplicative_order"),
+    "gauss_sums": ("Index2Params", "MultChar", "class_number",
+                   "davenport_hasse_check", "gauss_sum_direct",
+                   "gauss_sum_index2", "gauss_sum_quadratic", "gauss_sums_all",
+                   "index2_comparison", "make_index2_params", "solve_bc"),
+    "scheme_core": ("IndexPartition", "SchemeReport", "brute_force_verify",
+                    "check_fusion", "dual_partition", "eigenmatrices",
+                    "intersection_numbers", "is_primitive", "is_scheme",
+                    "is_symmetric", "krein_parameters", "symmetrize",
+                    "verify_scheme"),
+    "constructions": ("BuiltScheme", "FissionSpec", "SongReproduction",
+                      "conference_7mod8", "five_class_3mod8",
+                      "five_class_index_sets", "four_class_7mod8",
+                      "ma_wang_template", "match_template", "song_example",
+                      "three_class_base"),
+    "search": ("GroupRingElem", "SearchConfig", "SearchResult",
+               "exhaustive_nonexistence", "gr_involution", "gr_mul",
+               "trace_partition", "ts_identity_check"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{mod}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -3,10 +3,11 @@
 Two kernels live here.  The antilog table of F_{p^f} (the code of gamma^e
 for every e) is read off the trace m-sequence by one fixed linear map; it is
 needed only by the element-level operations of ``FieldSpec``, on first use
-(Gauss periods read the m-sequence itself).  The exhaustive scan over set
-partitions of Z_N (~1.8e8 leaves at N = 16) labels positions in opposite
-pairs, drops every completion whose pair multisets outnumber its blocks, and
-scans a whole block of prefixes that share their completions in one call.
+(Gauss periods read one norm period of the m-sequence).  The exhaustive scan
+over set partitions of Z_N (~1.8e8 leaves at N = 16) labels positions in
+opposite pairs, drops every completion whose pair multisets outnumber its
+blocks, and scans a whole block of prefixes that share their completions in
+one call.
 ``benchmarks/bench_kernels.py`` times both.
 """
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / claim confirmed, 1 mathematical refutation (a scheme
 or match that was expected did not materialise), 2 usage or configuration
-error, 3 resource cap exceeded.
+error, 3 resource cap exceeded.  Each command imports the modules it runs,
+so gauss-verify, say, never loads the scan or the scheme verifier.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ import sys
 
 import numpy as np
 
-from . import constructions, gauss_sums, jsonio, search
-from .cyclotomy import build_cyclotomy
+from . import jsonio
 from .errors import SchemeForgeError
 from .finite_field import DEFAULT_CAP, build_field
-from .scheme_core import check_fusion, eigenmatrices, verify_scheme
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,11 +33,15 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 
 def _field_system(args):
+    from .cyclotomy import build_cyclotomy
+
     field = build_field(args.p, args.f, cap=args.cap)
     return field, build_cyclotomy(field, args.n)
 
 
 def cmd_verify(args) -> int:
+    from .scheme_core import verify_scheme
+
     field, sys_ = _field_system(args)
     partition = jsonio.load_partition(args.parts, args.n)
     report = verify_scheme(sys_, partition)
@@ -49,6 +52,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from .scheme_core import eigenmatrices
+
     field, sys_ = _field_system(args)
     partition = jsonio.load_partition(args.parts, args.n)
     P_exact, P, Q = eigenmatrices(sys_, partition)
@@ -61,6 +66,8 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from .scheme_core import check_fusion, eigenmatrices
+
     field, sys_ = _field_system(args)
     if args.parts:
         partition = jsonio.load_partition(args.parts, args.n)
@@ -86,6 +93,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import constructions
+
     kind = args.kind
     if kind == "three_class":
         built = constructions.three_class_base(args.p, args.p1, args.s, cap=args.cap)
@@ -109,6 +118,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_gauss_verify(args) -> int:
+    from . import gauss_sums
+
     rep = gauss_sums.index2_comparison(args.p, args.p1, s=args.s, cap=args.cap)
     ok = rep["max_abs_err"] <= args.tolerance * (rep["q_s"] ** 0.5)
     doc = {"command": "gauss-verify", "p": args.p, "p1": args.p1, "s": args.s,
@@ -128,6 +139,8 @@ def cmd_gauss_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
+
     cfg = search.SearchConfig(
         p=args.p, max_classes=args.max_classes,
         require_nonsymmetric=not args.allow_symmetric,
@@ -154,6 +167,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_song(args) -> int:
+    from . import constructions
+
     rep = constructions.song_example(cap=args.cap)
     ok = (rep.matrices_match and rep.dual_affine_map is not None
           and rep.rho_exact and rep.template_err is not None

@@ -1,10 +1,14 @@
 """Cyclotomic classes C_i of order N and their exact Gauss periods.
 
-One O(q) pass over the trace m-sequence s_e = tr(gamma^e) tallies, for each
-class index i and each t in F_p, how many x in C_i have tr(x) = t (C_i holds
-gamma^e for e = i mod N); the period eta_i is then the reduction of
-sum_t count[i][t] xi_p^t in Z[xi_p].  All character sums over unions of
-classes are exact linear combinations of the periods.
+For each class index i and each t in F_p, count[i][t] is how many x in C_i
+have tr(x) = t (C_i holds gamma^e for e = i mod N); the period eta_i is the
+reduction of sum_t count[i][t] xi_p^t in Z[xi_p].  The counts are read off
+the norm block, the trace m-sequence s_e = tr(gamma^e) over one norm period
+e < L = (q-1)/(p-1): gamma^L = N(gamma) lies in F_p^* and tr is F_p-linear,
+so s_{e+kL} = N(gamma)^k s_e (mod p), and the term at e with trace t counts
+once in class (e + kL) mod N with trace N(gamma)^k t for each k < p - 1.
+All character sums over unions of classes are exact linear combinations of
+the periods.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import numpy as np
 from .cycint import CycInt
 from .errors import IndexOutOfRange, NotADivisor, ZeroElement
 from .finite_field import FieldSpec
+
+_TALLY_ROWS = 1 << 18  # block terms per bincount: O(N p + this) memory
 
 
 @dataclass
@@ -46,9 +52,31 @@ def build_cyclotomy(field: FieldSpec, N: int) -> CyclotomicSystem:
         raise NotADivisor(f"N = {N} does not divide q-1 = {q - 1}")
     M = (q - 1) // N
 
-    # row m of the reshape holds exponents m*N .. m*N + N-1, one per class
-    keys = field.trace_sequence.reshape(M, N) + p * np.arange(N, dtype=np.int64)
-    counts = np.bincount(keys.ravel(), minlength=N * p).reshape(N, p)
+    # a term s_e = t of the norm block stands for the p - 1 terms
+    # s_{e+kL} = N(gamma)^k t: rotate the block, or its own (e mod N, t)
+    # tally when that is shorter
+    L, block = field.norm_period, field.norm_block
+    if L <= N * p:
+        e, t, weights = np.arange(L), block, None
+    else:
+        e, t = np.divmod(np.arange(N * p), p)
+        tally = np.zeros(N * p, dtype=np.int64)
+        for start in range(0, L, _TALLY_ROWS):
+            keys = np.arange(start, min(start + _TALLY_ROWS, L))
+            keys %= N
+            keys *= p
+            keys += block[start:start + _TALLY_ROWS]
+            tally += np.bincount(keys, minlength=N * p)
+        weights = np.tile(tally, p - 1)
+    keys = np.add.outer(np.arange(p - 1) * (L % N), e)
+    keys %= N
+    keys *= p
+    values = np.multiply.outer(field.norm_powers, t)
+    values %= p
+    keys += values
+    # weighted bincount sums in float64: exact, as every count is below q
+    counts = np.bincount(keys.ravel(), weights, minlength=N * p)
+    counts = counts.astype(np.int64).reshape(N, p)
 
     pm = np.empty((N, p - 1), dtype=np.int64)
     pm[:] = counts[:, : p - 1]

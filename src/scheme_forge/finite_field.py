@@ -7,12 +7,16 @@ of the indeterminate x, so discrete logs are defined relative to the
 lexicographically least primitive modulus (or the seed-th one).
 
 Every Gauss period reads only s_e = tr(gamma^e), a linear recurring sequence
-whose characteristic polynomial is the modulus, so building a field makes no
-q-sized table.  The element tables are built from that sequence on first use
-by the element-level operations: by the trace-dual-basis relation, f
-consecutive terms s_e, ..., s_{e+f-1} fix the coordinates of gamma^e, which
-gives the antilog table; the log table inverts it, and the trace table
-scatters the sequence through it.
+whose characteristic polynomial is the modulus.  One norm period fixes it:
+with L = (q-1)/(p-1), gamma^L = N(gamma) = (-1)^f c_0 lies in F_p^*, and tr
+is F_p-linear, so s_{e+L} = N(gamma) s_e (mod p) (Lidl-Niederreiter, Finite
+Fields, 2.3).  The periods and the Gauss sums read the norm block
+s_0, ..., s_{L-1}, so building a field makes no q-sized table.  The whole
+sequence is assembled from the block for the element tables, which the
+element-level operations build on first use: by the trace-dual-basis
+relation, f consecutive terms s_e, ..., s_{e+f-1} fix the coordinates of
+gamma^e, which gives the antilog table; the log table inverts it, and the
+trace table scatters the sequence through it.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _kernels
 from .errors import (DegreeZero, FieldTooLarge, InvalidElement, NotCoprime,
                      NotPrime, ZeroElement)
 
@@ -144,26 +146,80 @@ class FieldSpec:
 
     # --- sequences and tables, read-only and built once ---------------------
 
+    @property
+    def norm_period(self) -> int:
+        """L = (q-1)/(p-1): gamma^L = N(gamma), the norm of gamma, in F_p^*."""
+        return (self.q - 1) // (self.p - 1)
+
+    @cached_property
+    def norm_powers(self) -> np.ndarray:
+        """N(gamma)^k mod p for k < p - 1 (int64).
+
+        N(gamma) is the product of the f roots of the modulus, (-1)^f c_0.
+        Filled by doubling: entries [n, 2n) are N(gamma)^n times [0, n).
+        """
+        p = self.p
+        norm = (-1) ** self.f * self.modulus[0] % p
+        powers = np.ones(p - 1, dtype=np.int64)
+        n = 1
+        while n < p - 1:
+            take = min(n, p - 1 - n)
+            np.remainder(powers[:take] * pow(norm, n, p), p,
+                         out=powers[n:n + take])
+            n += take
+        powers.setflags(write=False)
+        return powers
+
+    @cached_property
+    def norm_block(self) -> np.ndarray:
+        """s_e = tr(gamma^e) for e < L, the norm period: uint8 for p < 256.
+
+        The rest of the m-sequence follows, as tr is F_p-linear:
+        s_{e + kL} = N(gamma)^k s_e mod p.  Seeded with tr(x^i), i < f.
+        If x^k = sum_i c_i x^i mod the modulus, then s_{e+k} =
+        sum_i c_i s_{e+i}: with s known on [0, n), taking k = n extends it
+        to [0, 2n - f + 1), summed over the nonzero c_i only.  Each sum
+        stays below f (p-1)^2, the bound that sizes its unsigned type.
+        """
+        p, f, L = self.p, self.f, self.norm_period
+        mlow = list(self.modulus[:-1])
+        s = np.empty(L, dtype=np.min_scalar_type(p - 1))
+        s[:f] = self.basis_trace
+        acc_type = np.min_scalar_type(f * (p - 1) ** 2)
+        n = f
+        while n < L:
+            take = min(n - f + 1, L - n)
+            coeffs = _poly_pow_mod(self.gamma_poly, n, mlow, f, p)
+            acc = np.zeros(take, dtype=acc_type)
+            for i, c in enumerate(coeffs):
+                if c:
+                    acc += np.multiply(s[i:i + take], c, dtype=acc_type)
+            np.remainder(acc, p, out=s[n:n + take])
+            n += take
+        s.setflags(write=False)
+        return s
+
+    def gather_trace(self, table: np.ndarray) -> np.ndarray:
+        """table[s_e] for e = 0..q-2, a new array of table's dtype.
+
+        Norm period k is the block read through the permuted p-entry table
+        t -> table[N(gamma)^k t mod p].  For f = 1 a period is one term
+        (L = 1 < p), so the terms N(gamma)^k s_0 mod p index table directly.
+        """
+        p, L, block = self.p, self.norm_period, self.norm_block
+        if L < p:
+            return table[np.multiply.outer(self.norm_powers, block).ravel() % p]
+        out = np.empty(self.q - 1, dtype=table.dtype)
+        t = np.arange(p, dtype=np.int64)
+        for k, c in enumerate(self.norm_powers.tolist()):
+            np.take(table[t * c % p], block, out=out[k * L:(k + 1) * L])
+        return out
+
     @cached_property
     def trace_sequence(self) -> np.ndarray:
-        """s_e = tr(gamma^e) for e = 0..q-2 (int64).
-
-        Seeded with tr(x^i), i < f.  If x^k = sum_i c_i x^i mod the modulus,
-        then s_{e+k} = sum_i c_i s_{e+i}: with s known on [0, n), taking
-        k = n extends it to [0, 2n - f + 1) in one windowed matrix product.
-        Each sum stays below f p^2 <= 2^52 under the default cap.
-        """
-        p, f, n_total = self.p, self.f, self.q - 1
-        mlow = list(self.modulus[:-1])
-        s = np.empty(n_total, dtype=np.int64)
-        s[:f] = self.basis_trace
-        n = f
-        while n < n_total:
-            take = min(n - f + 1, n_total - n)
-            coeffs = _poly_pow_mod(self.gamma_poly, n, mlow, f, p)
-            window = sliding_window_view(s[:take + f - 1], f)  # row e: s[e:e+f]
-            np.remainder(window @ coeffs, p, out=s[n:n + take])
-            n += take
+        """s_e = tr(gamma^e) for e = 0..q-2, of the norm block's dtype."""
+        block = self.norm_block
+        s = self.gather_trace(np.arange(self.p, dtype=block.dtype))
         s.setflags(write=False)
         return s
 
@@ -173,6 +229,8 @@ class FieldSpec:
         (s_e, ..., s_{e+f-1}) of the trace sequence is T coords(gamma^e),
         T = [tr(x^(i+k))] (trace-dual basis), so coords = T^-1 window mod p.
         """
+        from . import _kernels
+
         table = _kernels.antilog_table(self.p, self.f, self.trace_sequence)
         table.setflags(write=False)
         return table

@@ -2,9 +2,9 @@
 
 Direct sums are double precision (exactness is reserved for Gauss periods,
 which is where scheme verdicts live): one in-place FFT of psi(gamma^a), the
-p-th roots of unity gathered by the trace m-sequence.  Closed forms: the
-quadratic case, the index-2 case over Z_{2 p1} with its class-number data
-(h, b, c), and the Davenport-Hasse lift.  The sign of c (equivalently of
+p-th roots of unity gathered by the trace m-sequence, one norm period at a
+time.  Closed forms: the quadratic case, the index-2 case over Z_{2 p1} with
+its class-number data (h, b, c), and the Davenport-Hasse lift.  The sign of c (equivalently of
 sqrt(-p1)) is not pinned by the defining equations; evaluation takes an
 explicit c_sign and the comparison harness accepts whichever sign matches
 direct computation coherently across all exponents of one field.
@@ -44,9 +44,11 @@ def _psi_values(field: FieldSpec) -> np.ndarray:
     """psi(gamma^a) = exp(2 pi i tr(gamma^a) / p) for a = 0..q-2, a new array.
 
     exp runs on the p possible traces only: the same bits as elementwise.
+    The roots are gathered through the norm block, one norm period at a
+    time, so the q-length trace sequence is never built.
     """
     roots = np.exp(2j * np.pi * np.arange(field.p, dtype=np.float64) / field.p)
-    return roots[field.trace_sequence]
+    return field.gather_trace(roots)
 
 
 def gauss_sum_direct(chi: MultChar) -> complex:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cycint import CycInt
 from .errors import ParseError, PartitionInvalid
-from .scheme_core import IndexPartition, SchemeReport
+
+if TYPE_CHECKING:  # imported where used, so rendering loads no verifier
+    from .scheme_core import IndexPartition, SchemeReport
 
 SCHEMA = "scheme-forge/1"
 _NUMBERS = {int, float}
@@ -71,6 +73,9 @@ def report_to_json(report: SchemeReport) -> dict:
 
 
 def report_from_json(doc: dict) -> SchemeReport:
+    from .cycint import CycInt
+    from .scheme_core import SchemeReport
+
     rep = SchemeReport(is_scheme=doc["is_scheme"], d=doc["class_count"],
                        N=doc["N"], q=doc["q"],
                        distinct_signatures=doc["distinct_signatures"])
@@ -116,6 +121,8 @@ def revalidate_report(rep: SchemeReport, tol: float = 1e-6) -> bool:
 
 def parse_partition(text: str, N: int) -> IndexPartition:
     """Parts separated by '|', indices by ','."""
+    from .scheme_core import IndexPartition
+
     try:
         parts = [[int(tok) for tok in chunk.split(",") if tok.strip() != ""]
                  for chunk in text.split("|")]
@@ -130,6 +137,8 @@ def load_partition(path_or_inline: str, N: int) -> IndexPartition:
     """Inline '0,1|2,3' syntax, or @path / an existing path to a file with
     either that syntax or a JSON {"N":..., "parts":[[...]]} document."""
     import os
+
+    from .scheme_core import IndexPartition
 
     text = path_or_inline
     path = text[1:] if text.startswith("@") else text

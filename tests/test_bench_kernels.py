@@ -20,7 +20,8 @@ def bench():
 
 def test_field_rows_measure(bench):
     assert bench.bench_antilog(3, 5) > 0
-    assert bench.bench_trace_sequence(3, 5) > 0
+    t_block, t_seq = bench.bench_trace_sequence(3, 5)
+    assert t_block > 0 and t_seq > 0
 
 
 def test_verify_stage_rows_measure(bench, tmp_path):

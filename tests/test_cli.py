@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -208,3 +210,36 @@ def test_report_roundtrip_revalidates(f243):
         assert back.valencies == rep.valencies
         assert [tuple(p) for p in back.dual_parts] == \
             [tuple(p) for p in rep.dual_parts]
+
+
+def test_gauss_verify_imports_only_what_it_runs(tmp_path):
+    # the package resolves its public names on first use, so gauss-verify
+    # leaves the scan, the constructions and the scheme verifier unloaded
+    import scheme_forge
+
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    imports = re.findall(r"^from scheme_forge import \([^)]*\)",
+                         readme.read_text(), flags=re.M)
+    assert imports
+    code = f"""
+import sys
+from scheme_forge.cli import main
+assert main(["gauss-verify", "--p", "3", "--p1", "11",
+             "--output", {str(tmp_path / "g.json")!r}]) == 0
+loaded = sorted(m for m in sys.modules
+                if m in ("concurrent.futures", "scheme_forge.constructions",
+                         "scheme_forge.cyclotomy", "scheme_forge.scheme_core",
+                         "scheme_forge.search"))
+assert not loaded, loaded
+{chr(10).join(imports)}
+import scheme_forge
+for name in scheme_forge.__all__:
+    getattr(scheme_forge, name)
+"""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(
+        scheme_forge.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(AttributeError):
+        scheme_forge.no_such_name

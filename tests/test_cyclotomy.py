@@ -4,6 +4,7 @@ import pytest
 from scheme_forge.cycint import CycInt
 from scheme_forge.cyclotomy import build_cyclotomy, character_sum, class_of
 from scheme_forge.errors import IndexOutOfRange, NotADivisor, ZeroElement
+from scheme_forge.finite_field import build_field
 
 from conftest import brute_force_char_sum
 
@@ -39,6 +40,22 @@ def test_trace_count_rows_sum_to_class_size(f243):
     for i in range(11):
         raw = [int(c) for c in sys11.trace_counts[i]]
         assert sys11.periods[i] == CycInt.from_raw(3, raw)
+
+
+@pytest.mark.parametrize("p,f,N", [
+    (7, 2, 1), (7, 2, 16),          # N p <= L = 8, and N p > L
+    (3, 5, 22), (3, 5, 242),        # L = 121: rotate the tally, the block
+    (13, 1, 4), (2, 6, 9),          # L = 1, and p = 2 (L = q - 1)
+    (37, 3, 28), (5, 9, 38),
+])
+def test_block_tally_matches_full_sequence_bincount(p, f, N):
+    field = build_field(p, f)
+    keys = (field.trace_sequence.astype(np.int64).reshape(-1, N)
+            + p * np.arange(N))
+    want = np.bincount(keys.ravel(), minlength=N * p).reshape(N, p)
+    got = build_cyclotomy(field, N).trace_counts
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_character_sum_subgroup_f243(f243):

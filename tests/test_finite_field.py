@@ -193,35 +193,68 @@ def _pow_mod(a, e, modulus, p):
     return result
 
 
+def _frobenius_trace(y, modulus, p):
+    """tr(y) = sum_j y^(p^j), summed as polynomials modulo the modulus."""
+    f = len(modulus) - 1
+    total = [0] * f
+    for _ in range(f):
+        total = [(a + b) % p for a, b in zip(total, y)]
+        y = _pow_mod(y, p, modulus, p)
+    assert not any(total[1:])  # the trace lies in the prime field
+    return total[0]
+
+
 @pytest.mark.parametrize("p,f", [(2, 1), (13, 1), (2, 4), (3, 5), (11, 3)])
 def test_trace_sequence_matches_frobenius_sum(p, f):
-    # s_e = tr(gamma^e) = sum_j (gamma^e)^(p^j), summed as polynomials
-    # modulo the modulus: no element table and no recurrence
+    # s_e = tr(gamma^e), with no element table and no recurrence
     field = build_field(p, f)
     modulus = field.modulus
     want, y = [], [1] + [0] * (f - 1)
     for _ in range(field.q - 1):
-        total, z = [0] * f, y
-        for _ in range(f):
-            total = [(a + b) % p for a, b in zip(total, z)]
-            z = _pow_mod(z, p, modulus, p)
-        assert not any(total[1:])  # the trace lies in the prime field
-        want.append(total[0])
+        want.append(_frobenius_trace(y, modulus, p))
         y = _mul_mod(y, list(field.gamma_poly), modulus, p)
     assert y == [1] + [0] * (f - 1)  # gamma^(q-1) = 1
     assert field.trace_sequence.tolist() == want
 
 
+@pytest.mark.parametrize("p,f", [(2, 6), (13, 1), (257, 2), (5, 9)])
+def test_norm_block_spans_the_trace_sequence(p, f):
+    # gamma^L = N(gamma) = (-1)^f c_0 lies in F_p, so s_{e+L} = N(gamma) s_e
+    field = build_field(p, f)
+    q, L, modulus = field.q, field.norm_period, field.modulus
+    gamma = list(field.gamma_poly)
+    norm = _pow_mod(gamma, L, modulus, p)
+    assert norm == [(-1) ** f * modulus[0] % p] + [0] * (f - 1)
+    block, seq = field.norm_block, field.trace_sequence
+    assert block.dtype == seq.dtype == np.min_scalar_type(p - 1)
+    assert len(block) == L and len(seq) == q - 1
+    assert np.array_equal(seq[:L], block)
+    s = seq.astype(np.int64)
+    assert np.array_equal(s[L:], s[:-L] * norm[0] % p)
+    assert field.norm_powers.tolist() == [pow(norm[0], k, p)
+                                          for k in range(p - 1)]
+    # the Frobenius sum at the first terms, both sides of every norm
+    # period boundary, and a stride through the whole sequence
+    exps = set(range(min(q - 1, 40))) | set(range(0, q - 1, -(-q // 150)))
+    for k in range(1, p - 1):
+        exps |= {k * L - 1, k * L}
+    for e in sorted(exps | {q - 2}):
+        y = _pow_mod(gamma, e, modulus, p)
+        assert seq[e] == _frobenius_trace(y, modulus, p), e
+
+
 def test_period_paths_build_no_element_tables(f243):
-    # from_json rebuilds the field, bypassing build_field's cache
+    # from_json rebuilds the field, bypassing build_field's cache; periods
+    # and Gauss sums read the norm block, never the q-length sequence
     field = FieldSpec.from_json(f243.to_json())
     sys11 = build_cyclotomy(field, 11)
     report = verify_scheme(sys11, IndexPartition.from_sets(
         11, [[i] for i in range(11)]))
     assert report.is_scheme
     gauss_sums_all(field)
-    assert "trace_sequence" in vars(field)
-    for name in ("antilog_table", "log_table", "trace_table"):
+    assert "norm_block" in vars(field)
+    for name in ("trace_sequence", "antilog_table", "log_table",
+                 "trace_table"):
         assert name not in vars(field)
 
 

@@ -187,13 +187,17 @@ def test_davenport_hasse_sampled(p, f, s, k):
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (13, 1), (3, 5), (11, 3),
-                                 (37, 3), (5, 9)])
+                                 (37, 3), (5, 9), (7, 2), (257, 2)])
 def test_psi_values_bitwise_equal_elementwise_exp(p, f):
     field = build_field(p, f)
     oracle = np.exp(2j * np.pi * field.trace_sequence.astype(np.float64) / p)
     got = _psi_values(field)
     assert got.dtype == oracle.dtype and got.shape == oracle.shape
     assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
+    # read through the norm block, the root table gives the same bytes as
+    # a gather through the whole trace sequence
+    roots = np.exp(2j * np.pi * np.arange(p, dtype=np.float64) / p)
+    assert got.tobytes() == roots[field.trace_sequence].tobytes()
 
 
 def test_index2_direct_values_are_gauss_sums_all_bins():

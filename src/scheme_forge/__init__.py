@@ -14,7 +14,7 @@ a command imports only the modules it runs.
 import importlib
 
 _EXPORTS = {
-    "cycint": ("CycInt", "embed_complex", "quadratic_gauss_cycint"),
+    "cycint": ("CycInt", "quadratic_gauss_cycint"),
     "cyclotomy": ("CyclotomicSystem", "build_cyclotomy", "character_sum",
                   "class_of"),
     "finite_field": ("DEFAULT_CAP", "FieldSpec", "build_field", "is_prime",
@@ -28,7 +28,7 @@ _EXPORTS = {
                     "intersection_numbers", "is_primitive", "is_scheme",
                     "is_symmetric", "krein_parameters", "symmetrize",
                     "verify_scheme"),
-    "constructions": ("BuiltScheme", "FissionSpec", "SongReproduction",
+    "constructions": ("BuiltScheme", "SongReproduction",
                       "conference_7mod8", "five_class_3mod8",
                       "five_class_index_sets", "four_class_7mod8",
                       "ma_wang_template", "match_template", "song_example",

@@ -143,9 +143,7 @@ def cmd_search(args) -> int:
 
     cfg = search.SearchConfig(
         p=args.p, max_classes=args.max_classes,
-        require_nonsymmetric=not args.allow_symmetric,
-        require_primitive=not args.allow_symmetric,
-        long_run=args.long_run)
+        allow_symmetric=args.allow_symmetric, long_run=args.long_run)
 
     def progress(s):
         rate = s.leaves / s.elapsed_s if s.elapsed_s > 0 else 0.0

@@ -21,11 +21,11 @@ import numpy as np
 
 from .cycint import CycInt
 from .cyclotomy import CyclotomicSystem, build_cyclotomy
-from .errors import (FieldTooLarge, NoOrbitMemberVerifies, OrientationAmbiguous,
+from .errors import (NoOrbitMemberVerifies, OrientationAmbiguous,
                      PreconditionViolated, TemplatePreconditionViolated)
-from .finite_field import (DEFAULT_CAP, FieldSpec, build_field, is_prime,
-                           multiplicative_order)
-from .gauss_sums import Index2Params, class_number, make_index2_params
+from .finite_field import DEFAULT_CAP, FieldSpec, build_field, is_prime
+from .gauss_sums import (Index2Params, _coset_mod, class_number,
+                         make_index2_params)
 from .scheme_core import (IndexPartition, SchemeReport, dual_classes,
                           verify_scheme)
 
@@ -40,35 +40,12 @@ class BuiltScheme:
     params: Index2Params | None = None
 
 
-@dataclass(frozen=True)
-class FissionSpec:
-    p: int
-    p1: int
-    m: int = 1
-    s: int = 1
-    kind: str = "three_class_base"
-
-    def validate(self) -> None:
-        if self.p1 % 4 != 3 or self.p1 <= 3 or not is_prime(self.p1):
-            raise PreconditionViolated(f"p1 = {self.p1} must be a prime > 3, 3 mod 4")
-        if self.kind in ("four_class_7mod8", "conference_7mod8") and self.p1 % 8 != 7:
-            raise PreconditionViolated(f"p1 = {self.p1} must be 7 mod 8")
-        if self.kind == "five_class_3mod8":
-            if self.p1 % 8 != 3:
-                raise PreconditionViolated(f"p1 = {self.p1} must be 3 mod 8")
-            h = class_number(self.p1)
-            if 1 + self.p1 != 4 * self.p ** h:
-                raise PreconditionViolated(
-                    f"1 + p1 = {1 + self.p1} != 4 p^h = {4 * self.p ** h}")
-
-
-def _coset_mod(p: int, n: int) -> tuple[set[int], set[int]]:
-    """(<p>, -<p>) as subsets of Z_n^*."""
-    fwd, acc = set(), 1 % n
-    while acc not in fwd:
-        fwd.add(acc)
-        acc = (acc * p) % n
-    return fwd, {(-x) % n for x in fwd}
+def _index2_system(p: int, p1: int, s: int, N: int, cap: int):
+    """(params, field, system): the index-2 instance (p, p1), its field
+    F_{p^{f s}} and the order-N cyclotomy over it."""
+    params = make_index2_params(p, p1)
+    field = build_field(p, params.f * s, cap=cap)
+    return params, field, build_cyclotomy(field, N)
 
 
 # --- the symmetric three-class base scheme ----------------------------------
@@ -76,10 +53,7 @@ def _coset_mod(p: int, n: int) -> tuple[set[int], set[int]]:
 def three_class_base(p: int, p1: int, s: int = 1,
                      cap: int = DEFAULT_CAP) -> BuiltScheme:
     """{<p> mod p1, -<p> mod p1, {0}} over the index-p1 classes of F_{q^s}."""
-    FissionSpec(p, p1, s=s, kind="three_class_base").validate()
-    params = make_index2_params(p, p1)
-    field = build_field(p, params.f * s, cap=cap)
-    sys = build_cyclotomy(field, p1)
+    params, field, sys = _index2_system(p, p1, s, p1, cap)
     pos, neg = _coset_mod(p, p1)
     partition = IndexPartition.from_sets(p1, [sorted(pos), sorted(neg), [0]])
     report = verify_scheme(sys, partition)
@@ -95,11 +69,10 @@ def three_class_base(p: int, p1: int, s: int = 1,
 def four_class_7mod8(p: int, p1: int, s: int = 1,
                      cap: int = DEFAULT_CAP) -> BuiltScheme:
     """Split the base class C_0^{(p1)} into C_0 and C_{p1} of order 2 p1."""
-    FissionSpec(p, p1, s=s, kind="four_class_7mod8").validate()
-    params = make_index2_params(p, p1)
-    field = build_field(p, params.f * s, cap=cap)
+    if p1 % 8 != 7:
+        raise PreconditionViolated(f"p1 = {p1} must be 7 mod 8")
     N = 2 * p1
-    sys = build_cyclotomy(field, N)
+    params, field, sys = _index2_system(p, p1, s, N, cap)
     pos, _ = _coset_mod(p, p1)
     s1 = sorted(i for i in range(N) if i % p1 in pos)
     s2 = sorted(i for i in range(N) if i % p1 != 0 and i % p1 not in pos)
@@ -158,15 +131,17 @@ def five_class_3mod8(p: int, p1: int, m: int = 1,
     prime ideal; relative to our generator either that split or its mirror
     is the scheme, so both are tried and exactly one must verify.
     """
-    FissionSpec(p, p1, m=m, kind="five_class_3mod8").validate()
+    if p1 % 8 != 3 or p1 <= 3 or not is_prime(p1):
+        raise PreconditionViolated(f"p1 = {p1} must be a prime > 3, 3 mod 8")
+    h = class_number(p1)
+    if 1 + p1 != 4 * p ** h:
+        raise PreconditionViolated(f"1 + p1 = {1 + p1} != 4 p^h = {4 * p ** h}")
     if m >= 2:
         # out of field range by design: emit well-formed index sets only
         return BuiltScheme("five_class_3mod8", None, None,
                            five_class_index_sets(p, p1, m), None)
 
-    params = make_index2_params(p, p1)
-    field = build_field(p, params.f, cap=cap)
-    sys = build_cyclotomy(field, 2 * p1)
+    params, field, sys = _index2_system(p, p1, 1, 2 * p1, cap)
     candidates = [five_class_index_sets(p, p1, 1, split_negative=orient)
                   for orient in (True, False)]
     reports = [verify_scheme(sys, c) for c in candidates]
@@ -185,18 +160,17 @@ def five_class_3mod8(p: int, p1: int, m: int = 1,
 def conference_7mod8(p: int, p1: int, i0=None,
                      cap: int = DEFAULT_CAP) -> BuiltScheme:
     """{D_0, D_1} with D_0 a union of order-2p1 classes covering Z_{p1}."""
-    FissionSpec(p, p1, kind="conference_7mod8").validate()
+    if p1 % 8 != 7:
+        raise PreconditionViolated(f"p1 = {p1} must be 7 mod 8")
     if p % 4 != 1:
         raise PreconditionViolated(f"p = {p} must be 1 mod 4")
-    params = make_index2_params(p, p1)
     N = 2 * p1
     i0 = sorted(range(p1)) if i0 is None else sorted(set(int(i) for i in i0))
     if {i % p1 for i in i0} != set(range(p1)):
         raise PreconditionViolated("index set I0 must cover Z_{p1} mod p1")
     if len(i0) >= N:
         raise PreconditionViolated("I0 must be a proper subset of Z_{2p1}")
-    field = build_field(p, params.f, cap=cap)
-    sys = build_cyclotomy(field, N)
+    params, field, sys = _index2_system(p, p1, 1, N, cap)
     rest = sorted(set(range(N)) - set(i0))
     partition = IndexPartition.from_sets(N, [i0, rest])
     report = verify_scheme(sys, partition)
@@ -275,15 +249,20 @@ class SongReproduction:
     golden: dict
 
 
+def _affine_maps(N: int):
+    """The maps i -> u i + v of Z_N as (u, v), units u in increasing order."""
+    for u in range(1, N):
+        if math.gcd(u, N) == 1:
+            for v in range(N):
+                yield u, v
+
+
 def _affine_orbit_search(sys: CyclotomicSystem, base: IndexPartition):
-    N = base.N
-    units = [u for u in range(1, N) if math.gcd(u, N) == 1]
-    for u in units:
-        for v in range(N):
-            cand = base.affine_image(u, v)
-            count, _, _ = dual_classes(sys, cand)
-            if count == cand.d:
-                return (u, v), cand
+    for u, v in _affine_maps(base.N):
+        cand = base.affine_image(u, v)
+        count, _, _ = dual_classes(sys, cand)
+        if count == cand.d:
+            return (u, v), cand
     raise NoOrbitMemberVerifies(
         "no affine image of the published index sets verifies")
 
@@ -312,35 +291,19 @@ def song_example(cap: int = DEFAULT_CAP) -> SongReproduction:
     built = BuiltScheme("song_example", field, sys, aligned, report)
 
     # published intersection matrices, up to one simultaneous relabeling
-    B_golden = [np.array(b, dtype=np.int64) for b in golden["B"]]
-    relabel, match = None, False
-    for perm in itertools.permutations(range(1, 5)):
-        sigma = (0,) + perm
-        ok = True
-        for i in range(1, 5):
-            Bi = report.intersection_matrices[sigma[i]]
-            if not all(
-                int(Bi[sigma[k], sigma[j]]) == int(B_golden[i - 1][k, j])
-                for k in range(5) for j in range(5)
-            ):
-                ok = False
-                break
-        if ok:
-            relabel, match = sigma, True
-            break
+    B = np.array(report.intersection_matrices)
+    B_golden = np.array(golden["B"], dtype=np.int64)
+    sigmas = ((0,) + perm for perm in itertools.permutations(range(1, 5)))
+    relabel = next((sg for sg in sigmas
+                    if np.array_equal(B[np.ix_(sg, sg, sg)][1:], B_golden)), None)
 
     # dual index sets up to an affine map
     dual_sets = {frozenset(pt) for pt in report.dual_parts}
-    dual_map = None
     J = [[(i + k * shift) % N for i in golden["J1"]] for k in range(4)]
-    for uu in (x for x in range(1, N) if math.gcd(x, N) == 1):
-        for vv in range(N):
-            image = {frozenset((uu * i + vv) % N for i in part) for part in J}
-            if image == dual_sets:
-                dual_map = (uu, vv)
-                break
-        if dual_map:
-            break
+    dual_map = next(
+        ((u2, v2) for u2, v2 in _affine_maps(N)
+         if {frozenset((u2 * i + v2) % N for i in part) for part in J} == dual_sets),
+        None)
 
     # rho = 9 + 37 eta_0 with eta_0 the index-4 period over F_37, exactly
     f37 = build_field(golden["p"], 1)
@@ -357,6 +320,6 @@ def song_example(cap: int = DEFAULT_CAP) -> SongReproduction:
     tm = match_template(np.asarray(report.P_complex), ma_wang_template(q, g))
     return SongReproduction(
         built=built, affine_map=(u, v), class_relabeling=relabel,
-        matrices_match=match, dual_affine_map=dual_map, rho_exact=rho_exact,
-        rho_embed_err=rho_embed_err,
+        matrices_match=relabel is not None, dual_affine_map=dual_map,
+        rho_exact=rho_exact, rho_embed_err=rho_embed_err,
         template_err=tm[0] if tm else None, golden=golden)

@@ -164,10 +164,6 @@ class CycInt:
         return f"CycInt({self.n}, {self.coeffs})"
 
 
-def embed_complex(a: CycInt) -> complex:
-    return a.embed()
-
-
 def quadratic_gauss_cycint(p: int) -> CycInt:
     """The quadratic character sum sum_t (t|p) xi_p^t, exactly.
 

@@ -158,17 +158,24 @@ def make_index2_params(p: int, p1: int, m: int = 1) -> Index2Params:
     return Index2Params(p=p, p1=p1, m=m, h=h, b=b, c=c, f=f)
 
 
+def _coset_mod(p: int, n: int) -> tuple[set[int], set[int]]:
+    """(<p>, -<p>) as subsets of Z_n^*."""
+    fwd, acc = set(), 1 % n
+    while acc not in fwd:
+        fwd.add(acc)
+        acc = (acc * p) % n
+    return fwd, {(-x) % n for x in fwd}
+
+
 def _coset_sign(u: int, p: int, modulus: int) -> int:
-    """+1 if u lies in <p> mod modulus, -1 if in -<p>, else raises."""
-    u %= modulus
-    acc = 1
-    for _ in range(multiplicative_order(p, modulus)):
-        if u == acc:
-            return 1
-        if u == (-acc) % modulus:
-            return -1
-        acc = (acc * p) % modulus
-    raise PreconditionViolated(f"{u} is in neither +-<{p}> mod {modulus}")
+    """+1 if u lies in <p> mod modulus (first, when -1 is in <p>), -1 if in
+    -<p>, else raises."""
+    pos, neg = _coset_mod(p, modulus)
+    if u % modulus in pos:
+        return 1
+    if u % modulus in neg:
+        return -1
+    raise PreconditionViolated(f"{u % modulus} is in neither +-<{p}> mod {modulus}")
 
 
 def gauss_sum_index2(params: Index2Params, chi_exponent: int, s: int = 1,

@@ -196,63 +196,52 @@ def is_primitive(sys: CyclotomicSystem, partition: IndexPartition,
 
 # --- full verification ----------------------------------------------------------
 
-def verify_scheme(sys: CyclotomicSystem, partition: IndexPartition,
-                  full: bool = True) -> SchemeReport:
+def verify_scheme(sys: CyclotomicSystem, partition: IndexPartition) -> SchemeReport:
     count, parts_by_sig, uniq = dual_classes(sys, partition)
     d = partition.d
     report = SchemeReport(is_scheme=(count == d), d=d, N=sys.N, q=sys.field.q,
                           distinct_signatures=count)
-    if not report.is_scheme or not full:
+    if not report.is_scheme:
         return report
 
     report.valencies = [sys.M * len(p) for p in partition.parts]
     report.dual_parts = parts_by_sig
 
-    P_exact, P_complex, Q_complex = eigenmatrices(sys, partition,
-                                                  _precomputed=(parts_by_sig, uniq))
-    report.P_exact = P_exact
-    report.P_complex = P_complex
-    report.Q_complex = Q_complex
+    report.P_exact, report.P_complex, report.Q_complex = eigenmatrices(
+        sys, partition, _precomputed=uniq)
     report.intersection_matrices = intersection_numbers(
         sys, partition, _verified=True)
 
     report.is_symmetric_rel = [is_symmetric(sys, partition, i) for i in range(d)]
-    pairs = 0
-    for i in range(d):
-        if not report.is_symmetric_rel[i] and negation_image_index(sys, partition, i) > i:
-            pairs += 1
-    report.nonsymmetric_pair_count = pairs
+    report.nonsymmetric_pair_count = sum(
+        1 for i in range(d) if not report.is_symmetric_rel[i]
+        and negation_image_index(sys, partition, i) > i)
 
     report.is_primitive = is_primitive(sys, partition, _verified=True)
 
-    primal = set(partition.part_sets())
-    dual = {frozenset(p) for p in parts_by_sig}
-    report.is_self_dual = primal == dual
+    primal = partition.part_sets()
+    dual = [frozenset(p) for p in parts_by_sig]
+    report.is_self_dual = set(primal) == set(dual)
     if report.is_self_dual:
-        perm = []
-        dual_sets = [frozenset(p) for p in parts_by_sig]
-        for p in partition.part_sets():
-            perm.append(dual_sets.index(p))
-        report.self_dual_permutation = perm
+        report.self_dual_permutation = [dual.index(p) for p in primal]
     return report
 
 
 # --- eigenmatrices -----------------------------------------------------------
 
 def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition,
-                  row_order=None, _precomputed=None):
+                  _precomputed=None):
     """(P_exact, P_complex, Q_complex) with Q = q P^{-1}.
 
     Row 0 is the principal character (valencies with a leading one); rows
-    1..d follow the lexicographic order of their exact signature rows unless
-    ``row_order`` (a permutation of 1..d applied to that ordering) is given.
+    1..d follow the lexicographic order of their exact signature rows.
+    ``_precomputed`` is those unique rows, for callers that have them.
     """
-    if _precomputed is None:
-        count, parts_by_sig, uniq = dual_classes(sys, partition)
+    uniq = _precomputed
+    if uniq is None:
+        count, _, uniq = dual_classes(sys, partition)
         if count != partition.d:
             raise NotAScheme("eigenmatrices of a non-scheme")
-    else:
-        parts_by_sig, uniq = _precomputed
 
     d = partition.d
     p = sys.field.p
@@ -261,13 +250,9 @@ def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition,
 
     rows = [[one] + [CycInt.integer(p, sys.M * len(part))
                      for part in partition.parts]]
-    order = range(d) if row_order is None else row_order
-    coeffs = uniq.tolist()
-    for r in order:
-        row = [one]
-        for j in range(d):
-            row.append(CycInt(p, tuple(coeffs[r][j * n:(j + 1) * n])))
-        rows.append(row)
+    for coeffs in uniq.tolist():
+        rows.append([one] + [CycInt(p, tuple(coeffs[j * n:(j + 1) * n]))
+                             for j in range(d)])
 
     P_complex = np.array([[e.embed() for e in row] for row in rows], dtype=complex)
     try:

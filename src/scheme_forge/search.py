@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .cycint import CycInt
-from .cyclotomy import build_cyclotomy, character_sum
+from .cyclotomy import build_cyclotomy
 from .errors import BudgetExceeded, ModulusMismatch, PreconditionViolated
 from .finite_field import build_field, is_prime
 from .scheme_core import IndexPartition, dual_classes, is_primitive
@@ -138,8 +138,7 @@ def ts_identity_check(p: int) -> bool:
 class SearchConfig:
     p: int
     max_classes: int = 4
-    require_nonsymmetric: bool = True
-    require_primitive: bool = True
+    allow_symmetric: bool = False
     long_run: bool = False
 
     def validate(self):
@@ -236,7 +235,7 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
         try:
             surv = _kernels.search_chunk(block, N, 3, cfg.max_classes, half,
                                          (t0[0], t0[1]), sden, p,
-                                         cfg.require_nonsymmetric, local)
+                                         not cfg.allow_symmetric, local)
         except BaseException:
             failed.set()
             raise
@@ -282,7 +281,7 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
             if count != part.d:
                 raise PreconditionViolated(
                     "kernel/exact disagreement on a survivor; kernel bug")
-            if (cfg.require_primitive
+            if (not cfg.allow_symmetric
                     and not is_primitive(sys, part, _verified=True)):
                 continue
             survivors.append(part)
@@ -325,5 +324,4 @@ __all__ = [
     "GroupRingElem", "ScanProgress", "SearchConfig", "SearchResult", "gr_mul",
     "gr_involution", "trace_partition", "ts_identity_check",
     "exhaustive_nonexistence", "enumeration_counts", "ts_character_values",
-    "character_sum",
 ]

@@ -158,8 +158,7 @@ def test_criterion_7_nonexistence():
     assert r7.candidates_checked == 178_940_587
     assert t7 < 1800
 
-    sanity = exhaustive_nonexistence(
-        SearchConfig(p=3, require_nonsymmetric=False, require_primitive=False))
+    sanity = exhaustive_nonexistence(SearchConfig(p=3, allow_symmetric=True))
     assert len(sanity.schemes_found) >= 1
     field = build_field(3, 2)
     sys8 = build_cyclotomy(field, 8)

@@ -119,24 +119,45 @@ def test_gauss_verify_cli(tmp_path):
                  "--tolerance", "1e-30", "--output", str(out)]) == 1
 
 
-def test_gauss_verify_stdout_bytes_are_pinned(capsys):
+PINNED_STDOUT = [
     # direct sums print the FFT's rounding noise to 12 significant digits,
     # so any change to how psi or its FFT is computed shows up here
-    assert main(["gauss-verify", "--p", "3", "--p1", "11"]) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == (
-        "61c0382f2b9b2232aeaaba64901d57807692347464657a95e6512341892bee5b")
-
-
-def test_verify_order28_stdout_bytes_are_pinned(capsys):
+    ("gauss-verify --p 3 --p1 11",
+     "61c0382f2b9b2232aeaaba64901d57807692347464657a95e6512341892bee5b"),
     # the full order-28 cyclotomic scheme on F_{37^3}: about 1 MB of
     # eigenmatrices and intersection matrices through jsonio.dumps
-    parts = "|".join(str(i) for i in range(28))
-    assert main(["verify", "--p", "37", "--f", "3", "--n", "28",
-                 "--parts", parts]) == 0
+    ("verify --p 37 --f 3 --n 28 --parts "
+     + "|".join(str(i) for i in range(28)),
+     "ddb085ad5c453d947ee8ddf3700e7b3a5dd45afd7ec694927a50ecd8561ceac6"),
+    ("construct --kind three_class --p 3 --p1 11",
+     "2552ed175ad04b39c061c97fcadfb8bf587d5ac58170516c35c4b4c1f485a625"),
+    ("construct --kind four_class --p 11 --p1 7",
+     "c674acaf246b26cb8d91f44bf14aa8a90bfce184f71aaf7377913ec15684c37b"),
+    ("construct --kind five_class --p 3 --p1 11",
+     "ad2a9ce1c62aae4dd94c2d3130ad0fd14e4cc914bb5b9a08e1d5a5e6c718a389"),
+    # the five-class-q5e9 benchmark workload
+    ("construct --kind five_class --p 5 --p1 19",
+     "b999dffe9dc719f42a6d38b308e74be1a8c13e1de2bb23f28afb6fdad55435dc"),
+    ("construct --kind five_class --p 3 --p1 11 --m 2",
+     "2b8385f994da383e2597447c63c71ca18a4291092a1c0fbdf35ab1ff179f3219"),
+    ("construct --kind conference --p 37 --p1 7",
+     "c56e9d3d09f56c625d02f31076a0112e7ee210657ae9095ff38c439d0841060e"),
+    ("song-reproduce",
+     "6cb1b1f3f56bc629793a1bdb4d39140e23f976479d9ce845aea0d595f0a91e7c"),
+    ("search-nonexistence --p 3 --allow-symmetric",
+     "0caf197abd49846227c14c075e8a4da5028340a3256b103f92f45a0abd5c4cc0"),
+    ("search-nonexistence --p 7 --max-classes 3 --allow-symmetric",
+     "fc1c5182116702b73c0af785806ae43099fa8030d91ab553b9f6acfb1fd70842"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=[a.split(" --parts")[0].replace(" ", "_")
+                              for a, _ in PINNED_STDOUT])
+def test_stdout_bytes_are_pinned(argv, digest, capsys):
+    assert main(argv.split()) == 0
     out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == (
-        "ddb085ad5c453d947ee8ddf3700e7b3a5dd45afd7ec694927a50ecd8561ceac6")
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_construct_cli(tmp_path):

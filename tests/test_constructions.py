@@ -142,6 +142,18 @@ def test_five_class_precondition():
         five_class_3mod8(3, 7)  # 7 = 7 mod 8
     with pytest.raises(PreconditionViolated):
         five_class_3mod8(7, 11)  # 1 + 11 != 4 * 7^h
+    # 27 = 3 mod 8 but is not prime: rejected before class_number sees it,
+    # also on the emission-only path
+    with pytest.raises(PreconditionViolated):
+        five_class_3mod8(3, 27)
+    with pytest.raises(PreconditionViolated):
+        five_class_3mod8(3, 27, m=2)
+    with pytest.raises(PreconditionViolated):
+        five_class_3mod8(3, 3)  # 3 = 3 mod 8, prime, but not > 3
+    with pytest.raises(PreconditionViolated):
+        four_class_7mod8(3, 11)  # 11 = 3 mod 8
+    with pytest.raises(PreconditionViolated):
+        three_class_base(3, 9)  # 9 is not prime
 
 
 @pytest.mark.parametrize("p,p1", [(17, 67), (3, 107), (41, 163), (5, 499)])
@@ -206,6 +218,8 @@ def test_conference_preconditions():
         conference_7mod8(11, 7)  # p = 3 mod 4
     with pytest.raises(PreconditionViolated):
         conference_7mod8(37, 7, i0=[0, 1, 2, 3, 4, 5])  # misses 6 mod 7
+    with pytest.raises(PreconditionViolated):
+        conference_7mod8(37, 11)  # 11 = 3 mod 8
 
 
 def test_ma_wang_template_basics():

@@ -112,7 +112,7 @@ def test_p3_nonexistence():
 
 
 def test_p3_sanity_mode_finds_schemes():
-    cfg = SearchConfig(p=3, require_nonsymmetric=False, require_primitive=False)
+    cfg = SearchConfig(p=3, allow_symmetric=True)
     result = exhaustive_nonexistence(cfg)
     assert len(result.schemes_found) >= 1
     field = build_field(3, 2)
@@ -129,7 +129,7 @@ def test_p3_sanity_mode_finds_schemes():
 
 def test_progress_reports_leaves_and_survivors():
     seen = []
-    cfg = SearchConfig(p=3, require_nonsymmetric=False, require_primitive=False)
+    cfg = SearchConfig(p=3, allow_symmetric=True)
     result = exhaustive_nonexistence(cfg, progress=seen.append)
     last = seen[-1]
     assert last.chunks_done == last.chunks_total

@@ -15,8 +15,7 @@ import importlib
 
 _EXPORTS = {
     "cycint": ("CycInt", "quadratic_gauss_cycint"),
-    "cyclotomy": ("CyclotomicSystem", "build_cyclotomy", "character_sum",
-                  "class_of"),
+    "cyclotomy": ("CyclotomicSystem", "build_cyclotomy", "character_sum"),
     "finite_field": ("DEFAULT_CAP", "FieldSpec", "build_field", "is_prime",
                      "multiplicative_order"),
     "gauss_sums": ("Index2Params", "MultChar", "class_number",
@@ -33,8 +32,7 @@ _EXPORTS = {
                       "five_class_index_sets", "four_class_7mod8",
                       "ma_wang_template", "match_template", "song_example",
                       "three_class_base"),
-    "search": ("GroupRingElem", "SearchConfig", "SearchResult",
-               "exhaustive_nonexistence", "gr_involution", "gr_mul",
+    "search": ("SearchConfig", "SearchResult", "exhaustive_nonexistence",
                "trace_partition", "ts_identity_check"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -190,11 +190,14 @@ def cmd_song(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sp, field=False, n=False, parts=False):
+def _add_common(sp, field=False, n=False, parts=False, cap=True,
+                tolerance=False):
     sp.add_argument("--output", help="write the JSON document here instead of stdout")
-    sp.add_argument("--tolerance", type=float, default=1e-6)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                    help="field size cap (elements)")
+    if tolerance:
+        sp.add_argument("--tolerance", type=float, default=1e-6)
+    if cap:
+        sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help="field size cap (elements)")
     if field:
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--f", type=int, required=True)
@@ -238,7 +241,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("gauss-verify",
                         help="index-2 Gauss sum closed forms vs direct sums")
-    _add_common(sp)
+    _add_common(sp, tolerance=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--p1", type=int, required=True)
     sp.add_argument("--s", type=int, default=1)
@@ -246,7 +249,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("search-nonexistence",
                         help="exhaustive scan for few-class schemes on F_{p^2}")
-    _add_common(sp)
+    _add_common(sp, cap=False)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--max-classes", type=int, default=4, dest="max_classes")
     sp.add_argument("--allow-symmetric", action="store_true",
@@ -256,7 +259,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("song-reproduce",
                         help="reproduce the F_{37^3} four-class fission golden data")
-    _add_common(sp)
+    _add_common(sp, tolerance=True)
     sp.set_defaults(fn=cmd_song)
     return ap
 
@@ -272,7 +275,7 @@ def main(argv=None) -> int:
     except SchemeForgeError as exc:
         print(f"scheme-forge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.cli_code
-    except (ValueError, OverflowError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"scheme-forge: {exc}", file=sys.stderr)
         return 2
 

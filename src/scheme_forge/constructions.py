@@ -211,9 +211,9 @@ def ma_wang_template(q: int, g: int) -> np.ndarray:
     ], dtype=complex)
 
 
-def match_template(P: np.ndarray, T: np.ndarray, tol: float = 1e-6):
+def match_template(P: np.ndarray, T: np.ndarray):
     """Smallest max-abs deviation of P from T over row/column permutations
-    fixing index 0; returns (err, row_perm, col_perm) or None if above tol."""
+    fixing index 0; returns (err, row_perm, col_perm) or None if above 1e-6."""
     d = P.shape[0] - 1
     best = None
     for rp in itertools.permutations(range(1, d + 1)):
@@ -224,7 +224,7 @@ def match_template(P: np.ndarray, T: np.ndarray, tol: float = 1e-6):
             err = np.abs(Pr[:, cols] - T).max()
             if best is None or err < best[0]:
                 best = (err, rows, cols)
-    if best is not None and best[0] <= tol:
+    if best is not None and best[0] <= 1e-6:
         return best
     return None
 

@@ -96,7 +96,3 @@ def character_sum(sys: CyclotomicSystem, index_set, shift: int = 0) -> CycInt:
         for t in range(sys.field.p - 1):
             total[t] += int(row[t])
     return CycInt(sys.field.p, tuple(total))
-
-
-def class_of(sys: CyclotomicSystem, x: int) -> int:
-    return sys.class_of(x)

@@ -36,10 +36,6 @@ class ConductorMismatch(SchemeForgeError):
     pass
 
 
-class ModulusMismatch(SchemeForgeError):
-    pass
-
-
 class NotADivisor(SchemeForgeError):
     pass
 

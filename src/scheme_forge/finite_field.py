@@ -4,7 +4,8 @@ Elements are encoded as integers in [0, q): the base-p digit string of the
 code is the coefficient vector (constant term first) of the residue modulo
 the chosen primitive polynomial.  The generator gamma is always the residue
 of the indeterminate x, so discrete logs are defined relative to the
-lexicographically least primitive modulus (or the seed-th one).
+lexicographically least primitive modulus (or the one a JSON document
+names, for a field read by ``FieldSpec.from_json``).
 
 Every Gauss period reads only s_e = tr(gamma^e), a linear recurring sequence
 whose characteristic polynomial is the modulus.  One norm period fixes it:
@@ -324,23 +325,34 @@ class FieldSpec:
         }
 
     @classmethod
-    def from_json(cls, doc: dict, cap: int = DEFAULT_CAP) -> "FieldSpec":
+    def from_json(cls, doc: dict) -> "FieldSpec":
         obj = doc if isinstance(doc, dict) else json.loads(doc)
-        mlow = list(obj["modulus_coeffs"])[:-1]
-        fld = _build_from_modulus(obj["p"], obj["f"], mlow, cap)
-        if not _x_is_primitive(mlow, fld.f, fld.p, fld.q,
-                               prime_factors(fld.q - 1)):
+        p, f, modulus = obj["p"], obj["f"], list(obj["modulus_coeffs"])
+        _check_size(p, f, DEFAULT_CAP)
+        if (len(modulus) != f + 1 or modulus[-1] != 1
+                or not all(0 <= c < p for c in modulus)):
+            raise InvalidElement(
+                f"modulus_coeffs {modulus} is not a monic degree-{f} "
+                f"polynomial over F_{p}")
+        mlow = modulus[:-1]
+        if not _x_is_primitive(mlow, f, p, p ** f, prime_factors(p ** f - 1)):
             raise InvalidElement("modulus is not primitive")
+        fld = _build_from_modulus(p, f, mlow)
         if list(fld.gamma_poly) != list(obj["gamma_coeffs"]):
             raise InvalidElement("gamma_coeffs do not match the rebuilt field")
         return fld
 
 
-def _build_from_modulus(p: int, f: int, mlow: list[int], cap: int) -> FieldSpec:
-    q = p ** f
-    if q > cap:
-        raise FieldTooLarge(f"q = {p}^{f} = {q} exceeds cap {cap}")
+def _check_size(p: int, f: int, cap: int) -> None:
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if f < 1:
+        raise DegreeZero(f"extension degree must be >= 1, got {f}")
+    if p ** f > cap:
+        raise FieldTooLarge(f"q = {p}^{f} = {p ** f} exceeds cap {cap}")
 
+
+def _build_from_modulus(p: int, f: int, mlow: list[int]) -> FieldSpec:
     # tr(x^i) is the i-th power sum P_i of the roots of the modulus; Newton's
     # identities: P_k = -(k c_{f-k} + sum_{0<j<k} c_{f-j} P_{k-j}), P_0 = f
     basis_tr = [f % p]
@@ -350,20 +362,18 @@ def _build_from_modulus(p: int, f: int, mlow: list[int], cap: int) -> FieldSpec:
         basis_tr.append(-acc % p)
 
     gamma = (0, 1) + (0,) * (f - 2) if f > 1 else ((-mlow[0]) % p,)
-    return FieldSpec(p=p, f=f, q=q,
+    return FieldSpec(p=p, f=f, q=p ** f,
                      modulus=tuple(mlow) + (1,),
                      gamma_poly=gamma,
                      basis_trace=tuple(basis_tr))
 
 
 @lru_cache(maxsize=32)
-def _build_field_cached(p: int, f: int, seed: int | None, cap: int) -> FieldSpec:
+def _build_field_cached(p: int, f: int) -> FieldSpec:
     q = p ** f
     q1_factors = prime_factors(q - 1)
     p1_factors = prime_factors(p - 1)
     sign = 1 if f % 2 == 0 else -1
-    want = 0 if seed is None else int(seed)
-    found = 0
     # powers[a-1, i] = a^i mod p.  Of degree > 1, a primitive (so irreducible)
     # modulus has no root in F_p: one product per candidate rules out most
     # reducible ones before the order test (f = 1: no rows, nothing skipped)
@@ -383,25 +393,17 @@ def _build_field_cached(p: int, f: int, seed: int | None, cap: int) -> FieldSpec
             if not (powers @ (mlow + [1]) % p).all():
                 continue  # a root in F_p: reducible, so not primitive
             if _x_is_primitive(mlow, f, p, q, q1_factors):
-                if found == want:
-                    return _build_from_modulus(p, f, mlow, cap)
-                found += 1
+                return _build_from_modulus(p, f, mlow)
     raise InvalidElement(f"no primitive polynomial found for p={p}, f={f}")
 
 
-def build_field(p: int, f: int, seed: int | None = None,
-                cap: int = DEFAULT_CAP) -> FieldSpec:
+def build_field(p: int, f: int, cap: int = DEFAULT_CAP) -> FieldSpec:
     """Deterministic construction of F_{p^f}.
 
     Scans monic degree-f polynomials in lexicographic order of their
-    constant-first coefficient list and takes the seed-th one whose root
-    generates the multiplicative group (seed None or 0: the least).
-    Results are cached; treat the returned tables as read-only.
+    constant-first coefficient list and takes the first one whose root
+    generates the multiplicative group.  Results are cached; treat the
+    returned tables as read-only.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if f < 1:
-        raise DegreeZero(f"extension degree must be >= 1, got {f}")
-    if p ** f > cap:
-        raise FieldTooLarge(f"q = {p}^{f} = {p ** f} exceeds cap {cap}")
-    return _build_field_cached(p, f, seed, cap)
+    _check_size(p, f, cap)
+    return _build_field_cached(p, f)

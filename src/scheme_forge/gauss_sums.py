@@ -226,16 +226,16 @@ def gauss_sum_index2(params: Index2Params, chi_exponent: int, s: int = 1,
     return complex((-1) ** (s - 1) * val ** s)
 
 
-def index2_comparison(p: int, p1: int, s: int = 1, m: int = 1,
+def index2_comparison(p: int, p1: int, s: int = 1,
                       cap: int = DEFAULT_CAP) -> dict:
-    """Formula-vs-direct report over all exponents of the order-2p1^m family.
+    """Formula-vs-direct report over all exponents of the order-2p1 family.
 
     Tries both c-signs coherently and keeps the better one.  Entries carry
     the direct value, the formula value under the chosen sign, and the
     absolute error.
     """
-    params = make_index2_params(p, p1, m)
-    n = 2 * p1 ** m
+    params = make_index2_params(p, p1)
+    n = 2 * p1
     field = build_field(p, params.f * s, cap=cap)
     q1 = field.q - 1
     step = q1 // n
@@ -251,7 +251,7 @@ def index2_comparison(p: int, p1: int, s: int = 1, m: int = 1,
             best = (err, c_sign, formula)
     err, c_sign, formula = best
     return {
-        "p": p, "p1": p1, "m": m, "s": s, "q_s": field.q,
+        "p": p, "p1": p1, "s": s, "q_s": field.q,
         "h": params.h, "b": params.b, "c": params.c, "c_sign": c_sign,
         "max_abs_err": err,
         "per_exponent": [

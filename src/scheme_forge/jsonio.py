@@ -147,6 +147,8 @@ def load_partition(path_or_inline: str, N: int) -> IndexPartition:
             raw = fh.read().strip()
         if raw.startswith("{"):
             doc = json.loads(raw)
+            if "parts" not in doc:
+                raise ParseError(f"{path}: no \"parts\" in the JSON document")
             if N and doc.get("N") != N:
                 raise PartitionInvalid(f"file N = {doc.get('N')} != {N}")
             return IndexPartition.from_sets(doc["N"], doc["parts"])

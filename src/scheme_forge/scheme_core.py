@@ -58,10 +58,6 @@ class IndexPartition:
     def part_sets(self) -> list[frozenset]:
         return [frozenset(p) for p in self.parts]
 
-    def shifted(self, c: int) -> "IndexPartition":
-        return IndexPartition.from_sets(
-            self.N, [[(i + c) % self.N for i in p] for p in self.parts])
-
     def affine_image(self, u: int, v: int) -> "IndexPartition":
         return IndexPartition.from_sets(
             self.N, [[(u * i + v) % self.N for i in p] for p in self.parts])

@@ -1,4 +1,5 @@
-"""Group-ring identities over Z_N and the exhaustive nonexistence scan.
+"""The trace partition of Z_N, its group-ring identity, and the exhaustive
+nonexistence scan.
 
 For a prime p = 3 (mod 4) the candidate translation schemes on F_{p^2} with
 few classes are unions of cyclotomic classes of order N = 2(p+1) (the
@@ -23,75 +24,12 @@ import numpy as np
 from . import _kernels
 from .cycint import CycInt
 from .cyclotomy import build_cyclotomy
-from .errors import BudgetExceeded, ModulusMismatch, PreconditionViolated
+from .errors import BudgetExceeded, PreconditionViolated
 from .finite_field import build_field, is_prime
 from .scheme_core import IndexPartition, dual_classes, is_primitive
 
 LONG_RUN_PRIMES = (11,)
 DEFAULT_PRIMES = (3, 7)
-
-
-# --- group ring Z[Z_N] --------------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupRingElem:
-    N: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.N:
-            raise ModulusMismatch(f"need {self.N} coefficients")
-
-    @classmethod
-    def from_set(cls, N: int, subset) -> "GroupRingElem":
-        v = [0] * N
-        for i in subset:
-            v[i % N] += 1
-        return cls(N, tuple(v))
-
-    @classmethod
-    def basis(cls, N: int, i: int) -> "GroupRingElem":
-        return cls.from_set(N, [i])
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return GroupRingElem(self.N, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return GroupRingElem(self.N, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rmul__(self, scalar: int):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return GroupRingElem(self.N, tuple(scalar * a for a in self.coeffs))
-
-    def _coerce(self, other) -> "GroupRingElem":
-        if isinstance(other, GroupRingElem):
-            if other.N != self.N:
-                raise ModulusMismatch(f"moduli {self.N} != {other.N}")
-            return other
-        if isinstance(other, int):
-            v = [0] * self.N
-            v[0] = other
-            return GroupRingElem(self.N, tuple(v))
-        raise ModulusMismatch(f"cannot coerce {other!r}")
-
-
-def gr_mul(a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
-    bb = a._coerce(b)
-    N = a.N
-    out = [0] * N
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j, bj in enumerate(bb.coeffs):
-                if bj:
-                    out[(i + j) % N] += ai * bj
-    return GroupRingElem(N, tuple(out))
-
-
-def gr_involution(a: GroupRingElem) -> GroupRingElem:
-    return GroupRingElem(a.N, tuple(a.coeffs[(-i) % a.N] for i in range(a.N)))
 
 
 # --- the trace partition of Z_{2(p+1)} ----------------------------------------
@@ -121,15 +59,15 @@ def trace_partition(p: int):
 
 def ts_identity_check(p: int) -> bool:
     """Exact relative-difference-set identity for the square-trace indices:
-    T_s T_s^(-1) = p[0] + (p-1)/2 (Z_N - {[0], [N/2]})."""
+    T_s T_s^(-1) = p[0] + (p-1)/2 (Z_N - {[0], [N/2]}).  The coefficient
+    of [k] on the left counts the pairs i, j in T_s with i - j = k."""
     _, ts, _ = trace_partition(p)
     N = 2 * (p + 1)
-    Ts = GroupRingElem.from_set(N, ts)
-    lhs = gr_mul(Ts, gr_involution(Ts))
-    allN = GroupRingElem(N, (1,) * N)
-    sub = GroupRingElem.from_set(N, [0, N // 2])
-    rhs = p * GroupRingElem.basis(N, 0) + ((p - 1) // 2) * (allN - sub)
-    return lhs == rhs
+    t = np.asarray(ts)
+    lhs = np.bincount((t[:, None] - t[None, :]).ravel() % N, minlength=N)
+    rhs = np.full(N, (p - 1) // 2)
+    rhs[0], rhs[N // 2] = p, 0
+    return np.array_equal(lhs, rhs)
 
 
 # --- exhaustive nonexistence scan ------------------------------------------------
@@ -321,7 +259,7 @@ def ts_character_values(p: int):
 
 
 __all__ = [
-    "GroupRingElem", "ScanProgress", "SearchConfig", "SearchResult", "gr_mul",
-    "gr_involution", "trace_partition", "ts_identity_check",
-    "exhaustive_nonexistence", "enumeration_counts", "ts_character_values",
+    "ScanProgress", "SearchConfig", "SearchResult", "trace_partition",
+    "ts_identity_check", "exhaustive_nonexistence", "enumeration_counts",
+    "ts_character_values",
 ]

@@ -149,7 +149,7 @@ def test_criterion_7_nonexistence():
     r3 = exhaustive_nonexistence(SearchConfig(p=3))
     t3 = time.perf_counter() - t0
     assert r3.schemes_found == [] and r3.candidates_checked == 2667
-    assert t3 < 30  # stated budget is 1 s of search on 8 threads; allow JIT warm-up
+    assert t3 < 30  # stated budget is 1 s of search; the bound leaves room for a loaded host
 
     t0 = time.perf_counter()
     r7 = exhaustive_nonexistence(SearchConfig(p=7))

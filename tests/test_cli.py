@@ -52,6 +52,48 @@ def test_overlapping_parts_exit2():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "13", "--f", "1", "--n", "2", "--parts", "0|1",
+     "--tolerance", "1e-3"],
+    ["eigen", "--p", "13", "--f", "1", "--n", "2", "--parts", "0|1",
+     "--tolerance", "1e-3"],
+    ["fuse", "--p", "13", "--f", "1", "--n", "2", "--merge", "0|1",
+     "--tolerance", "1e-3"],
+    ["construct", "--kind", "three_class", "--p", "3", "--p1", "11",
+     "--tolerance", "1e-3"],
+    ["search-nonexistence", "--p", "3", "--tolerance", "1e-3"],
+    ["search-nonexistence", "--p", "3", "--cap", "100"],
+])
+def test_options_no_command_reads_exit2(argv, capsys):
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def _one_line_exit2(argv, capsys, match):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and match in err, err
+
+
+def test_unreadable_parts_file_exit2(tmp_path, capsys):
+    _one_line_exit2(["verify", "--p", "3", "--f", "2", "--n", "8", "--parts",
+                     "@" + str(tmp_path / "missing.txt")], capsys,
+                    "No such file")
+
+
+def test_partition_json_without_parts_exit2(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text('{"N": 8}')
+    _one_line_exit2(["verify", "--p", "3", "--f", "2", "--n", "8", "--parts",
+                     "@" + str(f)], capsys, "ParseError")
+
+
+def test_unwritable_output_exit2(tmp_path, capsys):
+    _one_line_exit2(["verify", "--p", "13", "--f", "1", "--n", "2", "--parts",
+                     "0|1", "--output", str(tmp_path / "missing" / "r.json")],
+                    capsys, "No such file")
+
+
 def test_field_cap_exit3():
     code = main(["verify", "--p", "13", "--f", "1", "--n", "2",
                  "--parts", "0|1", "--cap", "10"])
@@ -148,6 +190,11 @@ PINNED_STDOUT = [
      "0caf197abd49846227c14c075e8a4da5028340a3256b103f92f45a0abd5c4cc0"),
     ("search-nonexistence --p 7 --max-classes 3 --allow-symmetric",
      "fc1c5182116702b73c0af785806ae43099fa8030d91ab553b9f6acfb1fd70842"),
+    # the full p = 7 scan, and its 2,691 symmetric or imprimitive schemes
+    ("search-nonexistence --p 7",
+     "491370a6f896d1d0fa7a2cbfbe8495780b6b7c5da92c8c81f1cfd83be364d402"),
+    ("search-nonexistence --p 7 --allow-symmetric",
+     "f793e1a251f9b4b4a8c97fc25522492b25a17f6c25ef45029a31d25bacf06ae4"),
 ]
 
 

@@ -88,11 +88,17 @@ def test_reproducible_build():
     assert np.array_equal(a.trace_table, b.trace_table)
 
 
+def _field_mod(p, f, modulus):
+    """F_{p^f} modulo a given primitive polynomial (f > 1)."""
+    return FieldSpec.from_json({"p": p, "f": f, "modulus_coeffs": list(modulus),
+                                "gamma_coeffs": [0, 1] + [0] * (f - 2)})
+
+
 def test_seeded_build_differs():
-    a = build_field(3, 2)
-    b = build_field(3, 2, seed=1)
-    assert a.modulus != b.modulus
-    assert len(np.unique(b.antilog_table)) == 8
+    a = build_field(3, 5)
+    b = _field_mod(3, 5, (1, 0, 0, 2, 1, 1))
+    assert a.modulus != b.modulus and a != b
+    assert len(np.unique(b.antilog_table)) == 242
 
 
 def test_multiplicative_order():
@@ -118,7 +124,7 @@ def test_rebuilt_field_compares_and_hashes_equal(f243):
     assert back == f243 and hash(back) == hash(f243)
     assert MultChar(back, 2) == MultChar(f243, 2)
     assert hash(MultChar(back, 2)) == hash(MultChar(f243, 2))
-    assert back != build_field(3, 5, seed=1)
+    assert back != _field_mod(3, 5, (1, 0, 0, 2, 1, 1))
     with pytest.raises(FrozenInstanceError):
         back.p = 5
 
@@ -128,6 +134,20 @@ def test_from_json_rejects_a_non_primitive_modulus(modulus):
     # x^2 + 1 is irreducible over F_3, but x has order 4 modulo it; the
     # other two are reducible
     with pytest.raises(InvalidElement, match="not primitive"):
+        FieldSpec.from_json({"p": 3, "f": 2, "modulus_coeffs": modulus,
+                             "gamma_coeffs": [0, 1]})
+
+
+@pytest.mark.parametrize("modulus", [
+    [2, 1, 2],        # not monic (once read as x^2 + x + 2)
+    [2, 0, 1, 1],     # degree 3 for f = 2
+    [2, 1],           # too short
+    [],
+    [5, 1, 1],        # coefficient outside [0, 3)
+    [-1, 1, 1],
+])
+def test_from_json_rejects_a_malformed_modulus(modulus):
+    with pytest.raises(InvalidElement, match="not a monic degree-2"):
         FieldSpec.from_json({"p": 3, "f": 2, "modulus_coeffs": modulus,
                              "gamma_coeffs": [0, 1]})
 
@@ -265,9 +285,13 @@ def test_period_paths_build_no_element_tables(f243):
     (3, 5, [(1, 0, 0, 2, 1, 1), (1, 0, 1, 0, 1, 1)]),
 ])
 def test_seeded_moduli_are_pinned(p, f, moduli):
-    # the seed-th modulus counts only primitive candidates, so skipping
-    # candidates with a root in F_p must not shift it
-    assert [build_field(p, f, seed=s).modulus for s in (1, 2)] == moduli
+    # the second and third primitive moduli in build_field's scan order:
+    # skipping candidates with a root in F_p must not move its pick past them
+    least = build_field(p, f).modulus
+    for modulus in moduli:
+        field = _field_mod(p, f, modulus)
+        assert field.modulus == modulus
+        assert least[:-1] < modulus[:-1]
 
 
 def _frobenius_basis_trace(field):

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from scheme_forge import _kernels
+from scheme_forge import _kernels, search
 from scheme_forge.cycint import CycInt
 from scheme_forge.cyclotomy import build_cyclotomy
-from scheme_forge.errors import BudgetExceeded, ModulusMismatch, PreconditionViolated
+from scheme_forge.errors import BudgetExceeded, PreconditionViolated
 from scheme_forge.finite_field import build_field
 from scheme_forge.scheme_core import brute_force_verify, is_scheme
-from scheme_forge.search import (GroupRingElem, SearchConfig,
-                                 enumeration_counts, exhaustive_nonexistence,
-                                 gr_involution, gr_mul, scan_groups,
+from scheme_forge.search import (SearchConfig, enumeration_counts,
+                                 exhaustive_nonexistence, scan_groups,
                                  trace_partition, ts_character_values,
                                  ts_identity_check)
 
@@ -25,33 +22,6 @@ def stirling2(n, k):
         for j in range(1, k + 1):
             S[i][j] = j * S[i - 1][j] + S[i - 1][j - 1]
     return S[n][k]
-
-
-# --- group ring ----------------------------------------------------------------
-
-def test_gr_basis_convolution():
-    a = GroupRingElem.basis(8, 2)
-    b = GroupRingElem.basis(8, 3)
-    assert gr_mul(a, b) == GroupRingElem.basis(8, 5)
-
-
-def test_gr_involution_involutive():
-    x = GroupRingElem(6, (1, -2, 3, 0, 5, 7))
-    assert gr_involution(gr_involution(x)) == x
-
-
-def test_gr_modulus_mismatch():
-    with pytest.raises(ModulusMismatch):
-        gr_mul(GroupRingElem.basis(6, 1), GroupRingElem.basis(8, 1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-9, 9), min_size=8, max_size=8),
-       st.lists(st.integers(-9, 9), min_size=8, max_size=8))
-def test_gr_mul_commutative(a, b):
-    x = GroupRingElem(8, tuple(a))
-    y = GroupRingElem(8, tuple(b))
-    assert gr_mul(x, y) == gr_mul(y, x)
 
 
 # --- trace partition and identities -----------------------------------------------
@@ -82,6 +52,19 @@ def test_three_valued_structure(p):
 @pytest.mark.parametrize("p", [3, 7, 11, 19, 23, 31])
 def test_ts_identity(p):
     assert ts_identity_check(p)
+
+
+@pytest.mark.parametrize("p", [7, 11, 19])
+def test_ts_identity_fails_after_any_swap(p, monkeypatch):
+    # trading any one square-trace index for a nonsquare-trace one breaks
+    # the identity (at p = 3 one trade gives another difference set)
+    t0, ts, tn = trace_partition(p)
+    for i in range(p):
+        for j in range(p):
+            swapped = ts[:i] + (tn[j],) + ts[i + 1:]
+            monkeypatch.setattr(search, "trace_partition",
+                                lambda _, s=swapped: (t0, s, tn))
+            assert not ts_identity_check(p), (i, j)
 
 
 def test_trace_partition_domain():

@@ -11,10 +11,16 @@ m-sequence assembled from it, the psi vector the Gauss sums transform, and
 the uncached primitive-modulus scan;
 numbers/s ((N + 1)^3 per scheme) for the intersection numbers of the
 order-N cyclotomic scheme, past its verdict; bytes/s for rendering that
-scheme's ``verify`` document; leaves/s for the scan, single-threaded, one
-call per prefix block of ``search.scan_groups`` (the blocks the full scan
-runs), building its suffix tables included, timed once.  --quick drops the
-four-class p = 7 scan (1.8e8 leaves).
+scheme's ``verify`` document; leaves/s for the partition scan (the
+closure search's test oracle), single-threaded, one call per prefix block
+of ``search.scan_groups``, building its suffix tables included, timed
+once; closures/s for the two phases of the closure search that
+``search-nonexistence`` runs, best of three: the two-block phase (one
+two-block partition closed per orbit, then mapped over the orbits) and the
+meet phase (every round of meets, the final filters and the orbit
+expansion of the closed schemes), each counting the partitions handed to
+``search._close``.  --quick drops the four-class p = 7 scan (1.8e8
+leaves).
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -24,7 +30,7 @@ import time
 
 import numpy as np
 
-from scheme_forge import _kernels, jsonio
+from scheme_forge import _kernels, jsonio, search
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
                                        build_field)
@@ -121,6 +127,38 @@ def bench_search(p, dmax):
     return _time(run, repeat=1)
 
 
+def bench_closure(p, dmax):
+    """(seconds, closures) of the two-block phase and of the meet phase."""
+    search._code_matrix(p)  # the field, built once outside the timed region
+    close = search._close
+    phase, closed, marks = None, {}, {}  # the run's phase, counts, start times
+
+    def counting_close(labels, E, dmax):
+        closed[phase] += len(labels)
+        return close(labels, E, dmax)
+
+    def report(name, done, total):
+        nonlocal phase
+        phase = name
+        marks.setdefault(name, time.perf_counter())
+
+    best = None
+    search._close = counting_close
+    try:
+        for _ in range(3):
+            phase, closed, marks = "two-block", {"two-block": 0, "meets": 0}, {}
+            t0 = time.perf_counter()
+            search._closed_schemes(p, dmax, False, report)
+            t1 = time.perf_counter()
+            row = (marks["meets"] - t0, closed["two-block"],
+                   t1 - marks["meets"], closed["meets"])
+            best = row if best is None else (min(best[0], row[0]), row[1],
+                                             min(best[2], row[2]), row[3])
+    finally:
+        search._close = close
+    return best
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true")
@@ -157,6 +195,13 @@ def main():
         t_np, leaves = bench_search(p, dmax)
         rows.append((f"scan p={p} d<={dmax} ({leaves} leaves)", t_np,
                      leaves / t_np))
+
+    for p, dmax in [(3, 4), (7, 3), (7, 4)]:
+        t_two, n_two, t_meet, n_meet = bench_closure(p, dmax)
+        rows.append((f"closure p={p} d<={dmax} two-block ({n_two} closures)",
+                     t_two, n_two / t_two))
+        rows.append((f"closure p={p} d<={dmax} meets ({n_meet} closures)",
+                     t_meet, n_meet / t_meet))
 
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'time':>10}  {'rate/s':>10}")

@@ -7,7 +7,9 @@ needed only by the element-level operations of ``FieldSpec``, on first use
 over set partitions of Z_N (~1.8e8 leaves at N = 16) labels positions in
 opposite pairs, drops every completion whose pair multisets outnumber its
 blocks, and scans a whole block of prefixes that share their completions in
-one call.
+one call.  ``search-nonexistence`` no longer runs the scan: the closure
+search in ``search`` decides the same partitions, and the scan is its
+independent oracle in the tests (and ``enumeration_counts``'s enumerator).
 ``benchmarks/bench_kernels.py`` times both.
 """
 

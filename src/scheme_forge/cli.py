@@ -146,12 +146,10 @@ def cmd_search(args) -> int:
         allow_symmetric=args.allow_symmetric, long_run=args.long_run)
 
     def progress(s):
-        rate = s.leaves / s.elapsed_s if s.elapsed_s > 0 else 0.0
-        eta = (s.leaves_total - s.leaves) / rate if rate > 0 else 0.0
-        print(f"progress: {s.chunks_done}/{s.chunks_total} chunks, "
-              f"checked={s.checked}, leaves={s.leaves}/{s.leaves_total}, "
-              f"{rate:.3g} leaves/s, ETA {eta:.1f} s, "
-              f"survivors={s.survivors}", file=sys.stderr, flush=True)
+        rate = s.done / s.elapsed_s if s.elapsed_s > 0 else 0.0
+        eta = (s.total - s.done) / rate if rate > 0 else 0.0
+        print(f"progress: {s.phase} {s.done}/{s.total}, {rate:.3g}/s, "
+              f"ETA {eta:.1f} s", file=sys.stderr, flush=True)
 
     result = search.exhaustive_nonexistence(cfg, progress=progress)
     _emit({"command": "search-nonexistence", "p": args.p,

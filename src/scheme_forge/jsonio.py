@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # imported where used, so rendering loads no verifier
 
 SCHEMA = "scheme-forge/1"
 _NUMBERS = {int, float}
+REVALIDATE_TOL = 1e-6  # on P Q = qI and on P_exact against P_complex
 
 
 def fnum(x: float) -> float:
@@ -98,12 +99,12 @@ def report_from_json(doc: dict) -> SchemeReport:
     return rep
 
 
-def revalidate_report(rep: SchemeReport, tol: float = 1e-6) -> bool:
+def revalidate_report(rep: SchemeReport) -> bool:
     """Cheap internal-consistency pass on a (re)parsed report."""
     if not rep.is_scheme:
         return rep.distinct_signatures != rep.d
     P, Q = rep.P_complex, rep.Q_complex
-    if np.abs(P @ Q - rep.q * np.eye(P.shape[0])).max() > tol:
+    if np.abs(P @ Q - rep.q * np.eye(P.shape[0])).max() > REVALIDATE_TOL:
         return False
     if not np.array_equal(rep.intersection_matrices[0],
                           np.eye(rep.d + 1, dtype=np.int64)):
@@ -114,7 +115,7 @@ def revalidate_report(rep: SchemeReport, tol: float = 1e-6) -> bool:
             return False
     for i, row in enumerate(rep.P_exact):
         for j, e in enumerate(row):
-            if abs(e.embed() - P[i, j]) > tol:
+            if abs(e.embed() - P[i, j]) > REVALIDATE_TOL:
                 return False
     return True
 

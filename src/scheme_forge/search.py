@@ -1,34 +1,34 @@
 """The trace partition of Z_N, its group-ring identity, and the exhaustive
-nonexistence scan.
+nonexistence search.
 
 For a prime p = 3 (mod 4) the candidate translation schemes on F_{p^2} with
 few classes are unions of cyclotomic classes of order N = 2(p+1) (the
 nonzero squares of Z_p act as multipliers), so nonexistence is settled by
-scanning all partitions of Z_N into 3 or 4 parts.  The numpy kernel
-``_kernels.search_chunk`` runs on a thread pool, one block of label prefixes
-with a shared key per call (``scan_groups``); every survivor is re-verified
-through the exact CycInt path and the primitivity filter before being
-reported.
+deciding every partition of Z_N into 3 or 4 parts.  The search decides them
+without visiting them: it closes partitions under the duality of
+translation schemes (the coherent closure below), first the two-block
+partitions, one per orbit of the maps x -> u x + v (u in <p> mod N), then
+the meets of the kept closures, which reach every scheme.  Every survivor
+is re-verified through the exact CycInt path and the primitivity filter
+before being reported.  The partition scan of ``_kernels`` (every
+restricted-growth labelling, one ``search_chunk`` call per block of
+``scan_groups``) is kept as the tests' independent oracle.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
-import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .cycint import CycInt
 from .cyclotomy import build_cyclotomy
 from .errors import BudgetExceeded, PreconditionViolated
 from .finite_field import build_field, is_prime
 from .scheme_core import IndexPartition, dual_classes, is_primitive
 
-LONG_RUN_PRIMES = (11,)
 DEFAULT_PRIMES = (3, 7)
 
 
@@ -70,7 +70,304 @@ def ts_identity_check(p: int) -> bool:
     return np.array_equal(lhs, rhs)
 
 
-# --- exhaustive nonexistence scan ------------------------------------------------
+def _trace_signs(p: int) -> np.ndarray:
+    """sden[i] = +1 on T_s, -1 on T_n, 0 on T_0."""
+    _, ts, tn = trace_partition(p)
+    sden = np.zeros(2 * (p + 1), dtype=np.int64)
+    sden[list(ts)] = 1
+    sden[list(tn)] = -1
+    return sden
+
+
+# --- coherent closure ------------------------------------------------------------
+#
+# Over F_{p^2} with N = 2(p+1) the Gauss periods take three values (M on the
+# two zero-trace classes, (-1 +- sqrt(-p))/2 on the square/nonsquare-trace
+# classes), so the exact character sum of a part I under character a is
+# fixed by (#[(I+a) meets T_0], #[(I+a) meets T_s] - #[(I+a) meets T_n]),
+# which is sum_{j in I} E[j, a] with
+#
+#     E[j, a] = sden[(j + a) % N] + 1024 * [(j + a) % N in T_0].
+#
+# For a partition Q with labels l_j the code of character a is
+# sum_j W[l_j] E[j, a], W[l] = 4096^l, and Q* is the partition of the
+# characters into the level sets of these codes (what ``dual_classes``
+# counts).  E depends on j + a only, so it is symmetric and the same product
+# on the labels of Q* gives codes over the classes, whose level sets are Q**.
+# If a scheme S refines Q, then S* refines Q*, each block sum of Q* is
+# constant on the blocks of S, and S refines Q**.  So the iteration
+# Q <- Q meet Q** never passes a scheme below its start, and a row is
+# dropped as soon as |Q| or |Q*| exceeds max_classes.  A scheme is a fixed
+# point; one with blocks B_1..B_d is the meet of the closures of
+# {B_i, Z_N - B_i}, i < d, so closing meets of at most max_classes - 1 kept
+# two-block closures reaches it.  This is the duality of translation schemes
+# (Delsarte 1973; Bannai-Ito 1984, 2.10) run as a Weisfeiler-Leman-style
+# refinement restricted to fusions.
+#
+# The maps x -> u x + v, u in <p> mod N, permute the classes and fix E up to
+# the same map (v multiplies by gamma^v, u = p is the Frobenius, which fixes
+# traces), so closure commutes with them: only one two-block partition per
+# orbit is closed, and the results are expanded over the orbits at the end.
+#
+# int64 is exact: for p < 512 every per-block field 1024 * (T_0 count) +
+# (T_s - T_n count) lies in [-p, 2048 + p], a span below 4096, and a code
+# has at most max_classes <= 4 fields (rows with more blocks are dropped
+# before their codes are taken), so every code is below 4096^4 = 2^48 in
+# absolute value.  Partitions are compared by packed keys, 2 bits a class,
+# which the budget below confines to N <= 24.
+
+CLOSURE_BUDGET = 1 << 30  # bytes of the closure search's working set
+# peak bytes per reported scheme (its IndexPartition, JSON lists and text),
+# measured with tracemalloc on the 2,691 of --p 7 --allow-symmetric
+_SURVIVOR_BYTES = 2560
+_CODE_BASE = 4096
+_MASK_BATCH = 1 << 18     # two-block masks tested per batch
+_ROW_BATCH = 1 << 14      # partitions closed or mapped per batch
+_PAIR_BATCH = 1 << 16     # pairs whose meets are sized per batch
+
+
+def _code_matrix(p: int) -> np.ndarray:
+    """E[j, a] = sden[(j + a) % N] + 1024 * [(j + a) % N in T_0]."""
+    sden = _trace_signs(p)
+    N = len(sden)
+    j = np.arange(N)
+    s = (j[:, None] + j[None, :]) % N
+    return sden[s] + 1024 * (sden[s] == 0)
+
+
+def _orbit_maps(p: int, N: int) -> np.ndarray:
+    """(G, N): row g maps x to u x + v mod N, for u in <p> mod N and v in
+    Z_N; row 0 is the identity."""
+    units = [1]
+    while units[-1] * p % N != 1:
+        units.append(units[-1] * p % N)
+    x = np.arange(N)
+    return np.array([(u * x + v) % N for u in units for v in range(N)])
+
+
+def closure_bytes(N: int) -> int:
+    """Estimated peak bytes of the closure search on Z_N: the fixed-size
+    batches (masks and their images, 48 bytes a mask; rows being closed or
+    mapped, 64 bytes a class for labels, codes and sort orders; the meets
+    of a pair batch are closed at once) and the kept two-block closures,
+    at most one per orbit (the maps form a group of order 2N, as
+    p^2 = 1 mod N), each expanded over the group with its key.  The meet
+    closures and survivors are schemes, ~0.7e6 at N = 24, and are not
+    bounded in advance."""
+    orbits = 2 ** (N - 1) // (2 * N)
+    masks = _MASK_BATCH * 48
+    rows = max(_ROW_BATCH, _PAIR_BATCH) * N * 64
+    return masks + rows + orbits * 2 * N * (N + 8)
+
+
+def _level_sets(codes: np.ndarray):
+    """Label each row of ``codes`` by rank of value; (labels, level count)."""
+    order = np.argsort(codes, axis=1)
+    ranked = np.take_along_axis(codes, order, axis=1)
+    step = np.zeros(codes.shape, dtype=np.int8)
+    step[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    rank = np.cumsum(step, axis=1, dtype=np.int8)
+    labels = np.empty_like(rank)
+    np.put_along_axis(labels, order, rank, axis=1)
+    return labels, rank[:, -1].astype(np.int64) + 1
+
+
+def _levels_of_sums(labels: np.ndarray, E: np.ndarray, dmax: int):
+    """Level sets of sum_j W[l_j] E[j, .] for labels below dmax: Q* from
+    the labels of Q, and Q** from the labels of Q* (E is symmetric)."""
+    weights = _CODE_BASE ** np.arange(dmax, dtype=np.int64)
+    return _level_sets(weights[labels] @ E)
+
+
+def _close(labels: np.ndarray, E: np.ndarray, dmax: int) -> np.ndarray:
+    """Close each row (at most dmax labels) under Q <- Q meet Q**.
+
+    Returns the fixed points; a row is dropped as soon as Q or Q* has more
+    than dmax blocks.  Only rows still changing are iterated.
+    """
+    size = labels.max(axis=1, initial=0).astype(np.int64) + 1
+    out = []
+    while len(labels):
+        dual, dsize = _levels_of_sums(labels, E, dmax)
+        ok = dsize <= dmax
+        labels, size, dual = labels[ok], size[ok], dual[ok]
+        back, _ = _levels_of_sums(dual, E, dmax)
+        meet, msize = _level_sets(labels.astype(np.int64) * 64 + back)
+        fixed = msize == size
+        out.append(labels[fixed])
+        go = ~fixed & (msize <= dmax)
+        labels, size = meet[go], msize[go]
+    return np.concatenate(out) if out else labels
+
+
+def _canonical_rows(labels: np.ndarray) -> np.ndarray:
+    """Relabel each row by first occurrence (restricted growth string)."""
+    R, N = labels.shape
+    K = int(labels.max(initial=0)) + 1
+    first = np.full((R, K), N, dtype=np.int64)
+    for lab in range(K):
+        hit = labels == lab
+        first[:, lab] = np.where(hit.any(axis=1), hit.argmax(axis=1), N)
+    rank = np.argsort(np.argsort(first, axis=1), axis=1)
+    return np.take_along_axis(rank, labels.astype(np.int64),
+                              axis=1).astype(np.int8)
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One uint64 per canonical row of at most 4 labels, 2 bits a class."""
+    shift = 2 * np.arange(rows.shape[1], dtype=np.uint64)
+    return (rows.astype(np.uint64) << shift).sum(axis=1)
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    rows = _canonical_rows(rows)
+    _, first = np.unique(_keys(rows), return_index=True)
+    return rows[first]
+
+
+def _images(rows: np.ndarray, maps: np.ndarray):
+    """Canonical images of the rows under every map, in batches:
+    yields (image keys (R, G), images (R, G, N))."""
+    inverse = np.argsort(maps, axis=1)
+    step = max(1, _ROW_BATCH // len(maps))
+    for r0 in range(0, len(rows), step):
+        block = rows[r0:r0 + step][:, inverse]
+        flat = _canonical_rows(block.reshape(-1, rows.shape[1]))
+        yield _keys(flat).reshape(block.shape[:2]), flat.reshape(block.shape)
+
+
+def _orbits(rows: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Every distinct image of the rows under the maps."""
+    keys, images = [], []
+    for k, img in _images(rows, maps):
+        k, first = np.unique(k.ravel(), return_index=True)
+        keys.append(k)
+        images.append(img.reshape(-1, rows.shape[1])[first])
+    if not keys:
+        return rows
+    _, first = np.unique(np.concatenate(keys), return_index=True)
+    return np.concatenate(images)[first]
+
+
+def _orbit_representatives(rows: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """One row per orbit: the image with the least key."""
+    least = []
+    for k, img in _images(rows, maps):
+        least.append(img[np.arange(len(k)), k.argmin(axis=1)])
+    if not least:
+        return rows
+    return _distinct(np.concatenate(least))
+
+
+def _bit_tables(maps: np.ndarray, N: int) -> np.ndarray:
+    """(G, nbytes, 256) uint64: the image under each map of every byte of
+    a class mask (bit j for class j)."""
+    nbytes = (N + 7) // 8
+    image = np.zeros((len(maps), 8 * nbytes), dtype=np.uint64)
+    image[:, :N] = np.left_shift(np.uint64(1), maps.astype(np.uint64))
+    bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint64)
+    image = image.reshape(len(maps), nbytes, 1, 8)
+    return (bits * image).sum(axis=-1, dtype=np.uint64)
+
+
+def _two_block_representatives(N: int, tables: np.ndarray, lo: int, hi: int):
+    """Masks m of the two-block partitions {B, Z_N - B} with 0 in B,
+    m = 2i + 1 for lo <= i < hi, that are the least normalised image
+    (the side holding class 0) of their orbit."""
+    full = np.uint64((1 << N) - 1)
+    m = (np.arange(lo, hi, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
+    m = m[m != full]
+    for tab in tables[1:]:
+        image = tab[0][m & np.uint64(255)]
+        for b in range(1, len(tab)):
+            image |= tab[b][(m >> np.uint64(8 * b)) & np.uint64(255)]
+        image = np.where(image & np.uint64(1), image, image ^ full)
+        m = m[image >= m]
+    return m
+
+
+def _block_masks(rows: np.ndarray, dmax: int) -> np.ndarray:
+    bit = np.left_shift(np.uint64(1), np.arange(rows.shape[1], dtype=np.uint64))
+    return np.stack([((rows == lab) * bit).sum(axis=1, dtype=np.uint64)
+                     for lab in range(dmax)], axis=1)
+
+
+def _meet_closures(left, right, E, dmax, report):
+    """Distinct closures of the meets A ^ B, A in ``left``, B in ``right``,
+    with max(|A|, |B|) < |A ^ B| <= dmax; other meets add nothing."""
+    mask_l, mask_r = _block_masks(left, dmax), _block_masks(right, dmax)
+    size = np.maximum((left.max(axis=1) + 1)[:, None],
+                      right.max(axis=1) + 1)
+    step = max(1, _PAIR_BATCH // max(1, len(right)))
+    found = []
+    for a0 in range(0, len(left), step):
+        ml = mask_l[a0:a0 + step]
+        blocks = np.zeros((len(ml), len(right)), dtype=np.int8)
+        for i in range(dmax):
+            for j in range(dmax):
+                blocks += (ml[:, i, None] & mask_r[:, j]) != 0
+        ia, ib = np.nonzero((blocks <= dmax) & (blocks > size[a0:a0 + step]))
+        if len(ia):
+            meets, _ = _level_sets(left[a0 + ia].astype(np.int64) * dmax
+                                   + right[ib])
+            found.append(_distinct(_close(_distinct(meets), E, dmax)))
+        report("meets", min(a0 + step, len(left)), len(left))
+    if not found:
+        return left[:0]
+    return _distinct(np.concatenate(found))
+
+
+def _two_block_closures(N, maps, E, dmax, report):
+    """Every distinct closure with at most dmax blocks and dual blocks of a
+    two-block partition: one partition per orbit is closed, in batches,
+    and the closures are expanded over their orbits."""
+    tables = _bit_tables(maps, N)
+    total = 2 ** (N - 1)
+    kept = []
+    report("two-block", 0, total)
+    for lo in range(0, total, _MASK_BATCH):
+        hi = min(lo + _MASK_BATCH, total)
+        masks = _two_block_representatives(N, tables, lo, hi)
+        labels = ((masks[:, None] >> np.arange(N, dtype=np.uint64))
+                  & np.uint64(1)).astype(np.int8)
+        for r0 in range(0, len(labels), _ROW_BATCH):
+            kept.append(_close(labels[r0:r0 + _ROW_BATCH], E, dmax))
+        report("two-block", hi, total)
+    return _orbits(_distinct(np.concatenate(kept)), maps)
+
+
+def _closed_schemes(p, dmax, nonsymmetric, report):
+    """Label rows of every partition of Z_{2(p+1)} into 3..dmax parts that
+    the closure finds closed with as many dual blocks as blocks, kept only
+    if some part I != I + N/2 when ``nonsymmetric`` (the kernel's label
+    test)."""
+    N = 2 * (p + 1)
+    maps = _orbit_maps(p, N)
+    E = _code_matrix(p)
+    closures = _two_block_closures(N, maps, E, dmax, report)
+
+    # meets of up to dmax - 1 kept closures, one left operand per orbit;
+    # an operand with dmax blocks is its own meet with anything coarser
+    found = [closures]
+    right = closures[closures.max(axis=1) + 1 < dmax]
+    left = right
+    for _ in range(dmax - 2):
+        left = _orbit_representatives(left[left.max(axis=1) + 1 < dmax], maps)
+        report("meets", 0, len(left))
+        left = _meet_closures(left, right, E, dmax, report)
+        found.append(left)
+
+    candidates = _distinct(np.concatenate(found))
+    size = candidates.max(axis=1) + 1
+    _, dsize = _levels_of_sums(candidates, E, dmax)
+    keep = (size >= 3) & (dsize == size)
+    if nonsymmetric:
+        j = np.arange(N)
+        keep &= (candidates != candidates[:, (j + N // 2) % N]).any(axis=1)
+    return _orbits(candidates[keep], maps)
+
+
+# --- exhaustive nonexistence search ----------------------------------------------
 
 @dataclass
 class SearchConfig:
@@ -84,25 +381,21 @@ class SearchConfig:
             raise PreconditionViolated(f"p = {self.p} must be a prime = 3 (mod 4)")
         if self.max_classes not in (3, 4):
             raise PreconditionViolated("max_classes must be 3 or 4")
-        if self.p not in DEFAULT_PRIMES:
-            if self.p in LONG_RUN_PRIMES:
-                if not self.long_run:
-                    raise BudgetExceeded(
-                        f"p = {self.p} needs the explicit long-run flag")
-            else:
-                raise BudgetExceeded(f"p = {self.p} is beyond the search budget")
+        if self.p not in DEFAULT_PRIMES and not self.long_run:
+            raise BudgetExceeded(f"p = {self.p} needs the explicit long-run flag")
 
 
 @dataclass
-class ScanProgress:
-    """What the scan has done so far, handed to the progress callback."""
-    chunks_done: int
-    chunks_total: int
-    leaves: int          # partitions visited, any block count
-    leaves_total: int
-    checked: int         # partitions with 3..max_classes blocks
-    survivors: int       # kernel survivors awaiting the exact recheck
-    elapsed_s: float
+class SearchProgress:
+    """How far one phase of the search is, handed to the progress callback.
+
+    Phases in order: ``two-block`` (masks of two-block partitions tested and
+    closed), ``meets`` (once per round of meets: left operands done) and
+    ``recheck`` (survivors re-verified exactly)."""
+    phase: str
+    done: int
+    total: int
+    elapsed_s: float     # since the phase started
 
 
 @dataclass
@@ -120,10 +413,85 @@ def _canonical(labels: np.ndarray, N: int) -> IndexPartition:
 
 
 def _thread_budget() -> int:
+    # the search runs on one thread; perfbench/child.py reads this to
+    # report the scan threads of its environment
     env = os.environ.get("SCHEME_FORGE_THREADS", "")
     if env.strip():
         return max(1, int(env))
     return min(8, os.cpu_count() or 1)
+
+
+def _stirling2(n: int, k: int) -> int:
+    """Partitions of an n-set into k blocks, exactly."""
+    row = [1] + [0] * k
+    for i in range(1, n + 1):
+        for j in range(min(i, k), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
+
+
+def _progress_reporter(progress):
+    starts = {}
+
+    def report(phase, done, total):
+        """done == 0 starts the phase's clock; later calls are reported."""
+        now = time.perf_counter()
+        if done == 0:
+            starts[phase] = now
+        elif progress is not None:
+            progress(SearchProgress(phase, done, total, now - starts[phase]))
+
+    return report
+
+
+def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
+    """Decide every partition of Z_{2(p+1)} into 3..max_classes parts.
+
+    Returns every such partition that (a) is a closed partition with as many
+    dual classes as blocks, and passes the nonsymmetry filter unless it is
+    off, and (b) re-verifies as a scheme via the exact signature path, with
+    primitivity applied per the configuration.  The closure and the exact
+    path must agree; disagreement raises.  ``candidates_checked`` and
+    ``counts_by_classes`` count the partitions the closure argument decides,
+    by block count (Stirling numbers).
+    """
+    cfg.validate()
+    p, dmax = cfg.p, cfg.max_classes
+    N = 2 * (p + 1)
+    need = closure_bytes(N)
+    if need > CLOSURE_BUDGET:
+        raise BudgetExceeded(
+            f"the closure search on Z_{N} needs ~{need >> 20} MiB, over the "
+            f"{CLOSURE_BUDGET >> 20} MiB budget")
+    report = _progress_reporter(progress)
+    raw = _closed_schemes(p, dmax, not cfg.allow_symmetric, report)
+    need = len(raw) * _SURVIVOR_BYTES
+    if need > CLOSURE_BUDGET:
+        raise BudgetExceeded(
+            f"reporting {len(raw)} schemes needs ~{need >> 20} MiB, over the "
+            f"{CLOSURE_BUDGET >> 20} MiB budget")
+
+    # exact recheck of the survivors
+    field = build_field(p, 2)
+    sys = build_cyclotomy(field, N)
+    survivors = []
+    report("recheck", 0, len(raw))
+    for n, row in enumerate(raw, 1):
+        part = _canonical(row, N)
+        count, _, _ = dual_classes(sys, part)
+        if count != part.d:
+            raise PreconditionViolated(
+                "closure/exact disagreement on a survivor; closure bug")
+        if cfg.allow_symmetric or is_primitive(sys, part, _verified=True):
+            survivors.append(part)
+        if n % 256 == 0 or n == len(raw):
+            report("recheck", n, len(raw))
+    survivors.sort(key=lambda pt: pt.parts)
+    counts = [0] + [_stirling2(N, k) for k in range(1, dmax + 1)] + [0]
+    return SearchResult(candidates_checked=sum(counts[3:]),
+                        counts_by_classes=counts,
+                        schemes_found=survivors)
 
 
 def scan_groups(N: int, dmax: int) -> list[np.ndarray]:
@@ -131,106 +499,17 @@ def scan_groups(N: int, dmax: int) -> list[np.ndarray]:
     prefixes in pair order, grouped by ``_kernels.group_prefixes``.  The
     depth keeps every suffix table small at N <= 16 and leaves N = 24 at
     depth 9, whose tables exceed the budget."""
+    from . import _kernels
+
     depth = 4 if N <= 8 else (7 if dmax <= 3 else 8) if N <= 16 else 9
     return _kernels.group_prefixes(_kernels.search_prefixes(N, dmax, depth),
                                    dmax)
 
 
-def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
-    """Scan all partitions of Z_{2(p+1)} into 3..max_classes parts.
-
-    Returns every partition that (a) passes the configured filters in the
-    fast kernel and (b) re-verifies as a scheme via the exact signature path,
-    with primitivity applied per the configuration.  The kernel and the
-    exact path must agree; disagreement raises.
-    """
-    cfg.validate()
-    p = cfg.p
-    N = 2 * (p + 1)
-    half = N // 2
-    t0, ts, tn = trace_partition(p)
-    sden = np.zeros(N, dtype=np.int64)
-    for i in ts:
-        sden[i] = 1
-    for i in tn:
-        sden[i] = -1
-
-    groups = scan_groups(N, cfg.max_classes)
-    leaves_total = sum(len(block) * _kernels.completion_count(
-        N - block.shape[1], cfg.max_classes, int(block[0].max()))
-        for block in groups)
-    counts = np.zeros(cfg.max_classes + 2, dtype=np.int64)
-    raw = []
-
-    failed = threading.Event()
-
-    def run_chunk(block):
-        # after a chunk raised, the scan ends in that error: a chunk a worker
-        # starts later returns None without running the kernel
-        if failed.is_set():
-            return None
-        local = np.zeros(cfg.max_classes + 2, dtype=np.int64)
-        try:
-            surv = _kernels.search_chunk(block, N, 3, cfg.max_classes, half,
-                                         (t0[0], t0[1]), sden, p,
-                                         not cfg.allow_symmetric, local)
-        except BaseException:
-            failed.set()
-            raise
-        return local, surv
-
-    workers = _thread_budget()
-    done = n_surv = 0
-    start = time.perf_counter()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            for result in pool.map(run_chunk, groups):
-                if result is None:  # skipped; pool.map raises the error later
-                    continue
-                local, surv = result
-                counts += local
-                if len(surv):
-                    raw.append(surv)
-                    n_surv += len(surv)
-                done += 1
-                if progress and (done % 64 == 0 or done == len(groups)):
-                    progress(ScanProgress(
-                        done, len(groups), int(counts.sum()), leaves_total,
-                        int(counts[3:cfg.max_classes + 1].sum()), n_surv,
-                        time.perf_counter() - start))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-    checked = int(counts[3:cfg.max_classes + 1].sum())
-
-    # exact recheck of kernel survivors
-    field = build_field(p, 2)
-    sys = build_cyclotomy(field, N)
-    survivors = []
-    seen = set()
-    for batch in raw:
-        for row in batch:
-            part = _canonical(np.asarray(row), N)
-            if part.parts in seen:
-                continue
-            seen.add(part.parts)
-            count, _, _ = dual_classes(sys, part)
-            if count != part.d:
-                raise PreconditionViolated(
-                    "kernel/exact disagreement on a survivor; kernel bug")
-            if (not cfg.allow_symmetric
-                    and not is_primitive(sys, part, _verified=True)):
-                continue
-            survivors.append(part)
-    survivors.sort(key=lambda pt: pt.parts)
-    return SearchResult(candidates_checked=checked,
-                        counts_by_classes=[int(c) for c in counts],
-                        schemes_found=survivors)
-
-
 def enumeration_counts(N: int, max_classes: int) -> list[int]:
     """Partition counts of Z_N by block count, from the kernel enumerator."""
+    from . import _kernels
+
     if N % 2:
         raise PreconditionViolated(
             f"enumeration_counts needs an even N, got N = {N}: the scan "
@@ -259,7 +538,7 @@ def ts_character_values(p: int):
 
 
 __all__ = [
-    "ScanProgress", "SearchConfig", "SearchResult", "trace_partition",
+    "SearchProgress", "SearchConfig", "SearchResult", "trace_partition",
     "ts_identity_check", "exhaustive_nonexistence", "enumeration_counts",
     "ts_character_values",
 ]

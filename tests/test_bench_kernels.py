@@ -39,3 +39,10 @@ def test_scan_row_visits_every_leaf(bench):
     seconds, leaves = bench.bench_search(3, 4)
     assert seconds > 0
     assert leaves == 1 + 127 + 966 + 1701  # partitions of Z_8, <= 4 blocks
+
+
+def test_closure_rows_measure(bench):
+    t_two, n_two, t_meet, n_meet = bench.bench_closure(3, 4)
+    assert t_two > 0 and t_meet > 0
+    # 14 two-block partitions, one per orbit; meets in two rounds
+    assert n_two == 14 and n_meet > 0

@@ -132,12 +132,14 @@ def test_search_cli_json(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["checked"] == 2667
     assert doc["found"] == []
-    last = capsys.readouterr().err.strip().splitlines()[-1]
-    # 15 prefixes in 10 blocks of a shared key, one kernel call each
-    assert last.startswith("progress: 10/10 chunks, checked=2667, "
-                           "leaves=2795/2795, ")
-    # 12 nonsymmetric kernel survivors, all imprimitive
-    assert last.endswith("leaves/s, ETA 0.0 s, survivors=12")
+    lines = capsys.readouterr().err.strip().splitlines()
+    # each phase reports done/total, rate and ETA, and ends with done == total
+    assert [line.split()[1] for line in lines] == \
+        ["two-block", "meets", "meets", "recheck"]
+    assert lines[0].startswith("progress: two-block 128/128, ")
+    # 12 nonsymmetric closed schemes, all imprimitive
+    assert lines[-1].startswith("progress: recheck 12/12, ")
+    assert lines[-1].endswith("/s, ETA 0.0 s")
 
 
 def test_search_cli_sanity_mode(tmp_path):

@@ -226,9 +226,32 @@ def test_numpy_scan_raises_before_building_an_oversized_table():
     assert _kernels._suffix_table.cache_info().currsize == tables
 
 
-def test_long_run_scan_without_numba_is_over_budget():
-    with pytest.raises(BudgetExceeded):
-        exhaustive_nonexistence(SearchConfig(p=11, long_run=True))
+@pytest.mark.parametrize("dmax", [3, 4])
+def test_closure_returns_every_loop_kernel_scheme_p3(dmax):
+    # the per-leaf oracle over every partition of Z_8 into 3..dmax parts
+    p = 3
+    N, t0, sden = _search_setup(p)
+    j1s = [(t0[0] - c) % N for c in range(N)]
+    j2s = [(t0[1] - c) % N for c in range(N)]
+    order = _kernels.pair_order(N).tolist()
+    counts = np.zeros(dmax + 2, dtype=np.int64)
+    leaves = set()
+    for pre in _kernels.search_prefixes(N, dmax, 1):
+        leaves |= set(_loop_kernel(pre, N, 3, dmax, N // 2, j1s, j2s, sden, p,
+                                   False, counts, order))
+    result = exhaustive_nonexistence(
+        SearchConfig(p=p, max_classes=dmax, allow_symmetric=True))
+    closed = {tuple(_rgs(_labels(part, N))) for part in result.schemes_found}
+    assert {tuple(_rgs(a)) for a in leaves} == closed
+    assert counts.tolist() == result.counts_by_classes
+
+
+def _labels(part, N):
+    labels = [0] * N
+    for k, block in enumerate(part.parts):
+        for i in block:
+            labels[i] = k
+    return labels
 
 
 def test_prefix_enumeration_is_partition_complete():

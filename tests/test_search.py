@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from scheme_forge.cycint import CycInt
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import BudgetExceeded, PreconditionViolated
 from scheme_forge.finite_field import build_field
-from scheme_forge.scheme_core import brute_force_verify, is_scheme
+from scheme_forge.scheme_core import (brute_force_verify, dual_classes,
+                                      is_primitive, is_scheme)
 from scheme_forge.search import (SearchConfig, enumeration_counts,
                                  exhaustive_nonexistence, scan_groups,
                                  trace_partition, ts_character_values,
@@ -110,35 +113,16 @@ def test_p3_sanity_mode_finds_schemes():
                {frozenset(x) for x in lines} for p in result.schemes_found)
 
 
-def test_progress_reports_leaves_and_survivors():
+def test_progress_reports_closure_phases():
     seen = []
     cfg = SearchConfig(p=3, allow_symmetric=True)
     result = exhaustive_nonexistence(cfg, progress=seen.append)
-    last = seen[-1]
-    assert last.chunks_done == last.chunks_total
-    assert last.leaves == last.leaves_total == sum(result.counts_by_classes)
-    assert last.checked == result.candidates_checked
-    assert last.survivors >= len(result.schemes_found) >= 1
-
-
-def test_failed_chunk_stops_the_scan(monkeypatch):
-    # the first call fails at once, every later one returns at once: without
-    # a stop, idle workers drain the queue before the error is read
-    workers = 4
-    monkeypatch.setenv("SCHEME_FORGE_THREADS", str(workers))
-    calls = []
-
-    def chunk(prefix, N, *args):
-        calls.append(1)
-        if len(calls) == 1:
-            raise BudgetExceeded("first chunk")
-        return np.zeros((0, N), dtype=np.int8)
-
-    monkeypatch.setattr(_kernels, "search_chunk", chunk)
-    with pytest.raises(BudgetExceeded, match="first chunk"):
-        exhaustive_nonexistence(SearchConfig(p=7, max_classes=3))
-    assert len(scan_groups(16, 3)) == 71
-    assert len(calls) <= 2 * workers
+    # two-block masks, two rounds of meets, then the exact recheck
+    assert [s.phase for s in seen] == ["two-block", "meets", "meets",
+                                       "recheck"]
+    assert all(s.done == s.total and s.elapsed_s >= 0 for s in seen)
+    assert seen[0].total == 2 ** 7
+    assert seen[-1].total == len(result.schemes_found) == 19
 
 
 def test_p3_max_classes_3():
@@ -147,10 +131,168 @@ def test_p3_max_classes_3():
     assert result.schemes_found == []
 
 
-def test_budget_guards():
-    with pytest.raises(BudgetExceeded):
+def test_budget_guards(monkeypatch):
+    with pytest.raises(BudgetExceeded, match="long-run flag"):
         exhaustive_nonexistence(SearchConfig(p=11))
-    with pytest.raises(BudgetExceeded):
-        exhaustive_nonexistence(SearchConfig(p=19, long_run=True))
     with pytest.raises(PreconditionViolated):
         exhaustive_nonexistence(SearchConfig(p=5))
+    # p = 11 fits the budget; p = 19 (N = 40, 2^39 two-block partitions)
+    # raises before the code matrix or any mask is built
+    assert search.closure_bytes(24) < search.CLOSURE_BUDGET
+    assert search.closure_bytes(40) > search.CLOSURE_BUDGET
+
+    def no_allocation(*args):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(search, "_code_matrix", no_allocation)
+    monkeypatch.setattr(search, "_bit_tables", no_allocation)
+    with pytest.raises(BudgetExceeded, match="Z_40 needs"):
+        exhaustive_nonexistence(SearchConfig(p=19, long_run=True))
+
+
+def test_survivors_over_budget_raise_before_the_recheck(monkeypatch):
+    # 19 schemes at p = 3 with the filters off; the budget holds 10
+    monkeypatch.setattr(search, "_SURVIVOR_BYTES", search.CLOSURE_BUDGET // 10)
+    monkeypatch.setattr(search, "build_cyclotomy", None)
+    with pytest.raises(BudgetExceeded, match="reporting 19 schemes"):
+        exhaustive_nonexistence(SearchConfig(p=3, allow_symmetric=True))
+
+
+def test_p11_long_run_three_classes_finds_nothing():
+    seen = []
+    result = exhaustive_nonexistence(
+        SearchConfig(p=11, max_classes=3, long_run=True), progress=seen.append)
+    # 24 nonsymmetric closed schemes, all imprimitive
+    assert seen[-1].phase == "recheck" and seen[-1].total == 24
+    assert result.schemes_found == []
+    assert result.candidates_checked == stirling2(24, 3) == 47063200806
+
+
+# --- the closure search against the partition scan --------------------------------
+
+def _scan_found(p, dmax, allow_symmetric):
+    """The scan's found list: every search_chunk survivor of every prefix
+    block, rechecked through the exact path as the closure's are."""
+    N = 2 * (p + 1)
+    t0, ts, tn = trace_partition(p)
+    sden = np.zeros(N, dtype=np.int64)
+    sden[list(ts)] = 1
+    sden[list(tn)] = -1
+    sys_n = build_cyclotomy(build_field(p, 2), N)
+    counts = np.zeros(dmax + 2, dtype=np.int64)
+    found = set()
+    for block in scan_groups(N, dmax):
+        for row in _kernels.search_chunk(block, N, 3, dmax, N // 2, t0, sden,
+                                         p, not allow_symmetric, counts):
+            part = search._canonical(row, N)
+            assert dual_classes(sys_n, part)[0] == part.d
+            if allow_symmetric or is_primitive(sys_n, part, _verified=True):
+                found.add(part)
+    return found, counts.tolist()
+
+
+@pytest.mark.parametrize("p,dmax", [(3, 3), (3, 4), (7, 3)])
+@pytest.mark.parametrize("allow_symmetric", [False, True])
+def test_closure_finds_exactly_the_scan_survivors(p, dmax, allow_symmetric):
+    result = exhaustive_nonexistence(
+        SearchConfig(p=p, max_classes=dmax, allow_symmetric=allow_symmetric))
+    found, counts = _scan_found(p, dmax, allow_symmetric)
+    assert set(result.schemes_found) == found
+    assert len(result.schemes_found) == len(found)
+    # the Stirling counts are the scan's leaf counts
+    assert result.counts_by_classes == counts
+    if allow_symmetric:
+        assert len(found) == {(3, 3): 14, (3, 4): 19, (7, 3): 982}[p, dmax]
+
+
+def _orbit_of(mask, maps, N):
+    """The normalised masks (class 0 inside) of a two-block orbit."""
+    full = (1 << N) - 1
+    out = set()
+    for g in maps.tolist():
+        image = sum(1 << g[j] for j in range(N) if mask >> j & 1)
+        out.add(image if image & 1 else full ^ image)
+    return out
+
+
+@pytest.mark.parametrize("p,order,reps", [(3, 16, 14), (7, 32, 1101)])
+def test_two_block_representatives_one_per_orbit(p, order, reps):
+    N = 2 * (p + 1)
+    maps = search._orbit_maps(p, N)
+    assert len(maps) == order == 2 * N
+    assert {tuple(g) for g in maps.tolist()} == {
+        tuple((u * x + v) % N for x in range(N)) for u in (1, p)
+        for v in range(N)}
+    tables = search._bit_tables(maps, N)
+    got = search._two_block_representatives(N, tables, 0, 2 ** (N - 1))
+    assert len(got) == reps
+    if N <= 8:
+        orbits = {frozenset(_orbit_of(m, maps, N))
+                  for m in range(1, 1 << N, 2) if m != (1 << N) - 1}
+        assert sorted(min(o) for o in orbits) == sorted(got.tolist())
+
+
+def _quiet(*args):
+    pass
+
+
+@pytest.mark.parametrize("p,dmax,count", [(3, 4, 19), (7, 3, 143),
+                                          (7, 4, 151)])
+def test_two_block_closures_match_closing_every_partition(p, dmax, count):
+    # closing one two-block partition per orbit and mapping the closures
+    # over the orbits gives what closing all 2^(N-1) - 1 of them gives
+    N = 2 * (p + 1)
+    E = search._code_matrix(p)
+    masks = np.arange(2 ** (N - 1) - 1) * 2 + 1
+    labels = ((masks[:, None] >> np.arange(N)) & 1).astype(np.int8)
+    every = search._distinct(search._close(labels, E, dmax))
+    got = search._two_block_closures(N, search._orbit_maps(p, N), E, dmax,
+                                     _quiet)
+    assert len(got) == len(every) == count
+    assert set(search._keys(got).tolist()) == \
+        set(search._keys(every).tolist())
+
+
+def test_p11_closed_three_class_schemes():
+    # every 3-class fusion scheme at p = 11 with the nonsymmetry filter off:
+    # closure results mapped over the whole group, not the shifts alone
+    rows = search._closed_schemes(11, 3, False, _quiet)
+    assert len(rows) == 86550
+
+
+def _refines(fine, coarse):
+    return all(any(set(a) <= set(b) for b in coarse.parts)
+               for a in fine.parts)
+
+
+@pytest.mark.parametrize("dmax", [3, 4])
+def test_closure_is_the_coarsest_scheme_below(dmax):
+    # every scheme refining Q refines its closure, which is itself a scheme:
+    # the closure is the coarsest scheme with <= dmax classes below Q, and a
+    # row is dropped exactly when there is none
+    p, N = 3, 8
+    sys8 = build_cyclotomy(build_field(p, 2), N)
+    schemes = []
+    for labels in itertools.product(range(dmax), repeat=N):
+        if labels[0] == 0 and list(labels) == _rgs(labels):
+            part = search._canonical(np.array(labels), N)
+            if is_scheme(sys8, part):
+                schemes.append(part)
+    E = search._code_matrix(p)
+    for mask in range((1 << (N - 1)) - 1):
+        labels = np.array([[(2 * mask + 1) >> j & 1 for j in range(N)]],
+                          dtype=np.int8)
+        coarse = search._canonical(labels[0], N)
+        below = [s for s in schemes if _refines(s, coarse)]
+        closed = search._close(labels, E, dmax)
+        if not below:
+            assert len(closed) == 0
+            continue
+        top = search._canonical(closed[0], N)
+        assert top in below
+        assert all(_refines(s, top) for s in below)
+
+
+def _rgs(labels):
+    seen = {}
+    return [seen.setdefault(l, len(seen)) for l in labels]

@@ -32,8 +32,8 @@ _EXPORTS = {
                       "five_class_index_sets", "four_class_7mod8",
                       "ma_wang_template", "match_template", "song_example",
                       "three_class_base"),
-    "search": ("SearchConfig", "SearchResult", "exhaustive_nonexistence",
-               "trace_partition", "ts_identity_check"),
+    "search": ("SearchResult", "exhaustive_nonexistence", "trace_partition",
+               "ts_identity_check"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -141,17 +141,14 @@ def cmd_gauss_verify(args) -> int:
 def cmd_search(args) -> int:
     from . import search
 
-    cfg = search.SearchConfig(
-        p=args.p, max_classes=args.max_classes,
-        allow_symmetric=args.allow_symmetric, long_run=args.long_run)
-
     def progress(s):
         rate = s.done / s.elapsed_s if s.elapsed_s > 0 else 0.0
         eta = (s.total - s.done) / rate if rate > 0 else 0.0
         print(f"progress: {s.phase} {s.done}/{s.total}, {rate:.3g}/s, "
               f"ETA {eta:.1f} s", file=sys.stderr, flush=True)
 
-    result = search.exhaustive_nonexistence(cfg, progress=progress)
+    result = search.exhaustive_nonexistence(
+        args.p, args.max_classes, args.allow_symmetric, progress=progress)
     _emit({"command": "search-nonexistence", "p": args.p,
            "max_classes": args.max_classes,
            "allow_symmetric": bool(args.allow_symmetric),
@@ -252,7 +249,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--max-classes", type=int, default=4, dest="max_classes")
     sp.add_argument("--allow-symmetric", action="store_true",
                     help="sanity mode: drop the nonsymmetry and primitivity filters")
-    sp.add_argument("--long-run", action="store_true")
     sp.set_defaults(fn=cmd_search)
 
     sp = sub.add_parser("song-reproduce",

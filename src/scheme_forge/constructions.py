@@ -165,7 +165,7 @@ def conference_7mod8(p: int, p1: int, i0=None,
     if p % 4 != 1:
         raise PreconditionViolated(f"p = {p} must be 1 mod 4")
     N = 2 * p1
-    i0 = sorted(range(p1)) if i0 is None else sorted(set(int(i) for i in i0))
+    i0 = list(range(p1)) if i0 is None else sorted(int(i) for i in i0)
     if {i % p1 for i in i0} != set(range(p1)):
         raise PreconditionViolated("index set I0 must cover Z_{p1} mod p1")
     if len(i0) >= N:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycint import CycInt
-from .errors import IndexOutOfRange, NotADivisor, ZeroElement
+from .errors import IndexOutOfRange, NotADivisor
 from .finite_field import FieldSpec
 
 _TALLY_ROWS = 1 << 18  # block terms per bincount: O(N p + this) memory
@@ -32,12 +32,6 @@ class CyclotomicSystem:
     trace_counts: np.ndarray     # (N, p) int64
     periods: tuple[CycInt, ...]  # eta_0 .. eta_{N-1}, conductor p
     period_matrix: np.ndarray    # (N, p-1) int64, reduced coefficient rows
-
-    def class_of(self, x: int) -> int:
-        self.field.check_element(x)
-        if x == 0:
-            raise ZeroElement("0 lies in no cyclotomic class")
-        return int(self.field.log_table[x]) % self.N
 
     def minus_one_class(self) -> int:
         """Index c with -1 in C_c, i.e. (q-1)/2 mod N (q odd) or 0 (q even)."""

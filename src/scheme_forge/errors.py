@@ -24,10 +24,6 @@ class InvalidElement(SchemeForgeError):
     pass
 
 
-class ZeroElement(SchemeForgeError):
-    pass
-
-
 class NotCoprime(SchemeForgeError):
     pass
 

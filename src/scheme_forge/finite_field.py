@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from .errors import (DegreeZero, FieldTooLarge, InvalidElement, NotCoprime,
-                     NotPrime, ZeroElement)
+                     NotPrime)
 
 DEFAULT_CAP = 1 << 26
 
@@ -258,20 +258,6 @@ class FieldSpec:
 
     # --- element operations -------------------------------------------------
 
-    def check_element(self, x: int) -> int:
-        if not (0 <= x < self.q):
-            raise InvalidElement(f"code {x} outside [0, {self.q})")
-        return x
-
-    def trace(self, x: int) -> int:
-        return int(self.trace_table[self.check_element(x)])
-
-    def discrete_log(self, x: int) -> int:
-        self.check_element(x)
-        if x == 0:
-            raise ZeroElement("discrete log of 0")
-        return int(self.log_table[x])
-
     def add(self, x: int, y: int) -> int:
         p, res, pl = self.p, 0, 1
         for _ in range(self.f):
@@ -279,26 +265,11 @@ class FieldSpec:
             x, y, pl = x // p, y // p, pl * p
         return res
 
-    def neg(self, x: int) -> int:
-        return int(self.sub_vec(0, np.int64(x)))
-
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
         e = (int(self.log_table[x]) + int(self.log_table[y])) % (self.q - 1)
         return int(self.antilog_table[e])
-
-    def frobenius(self, x: int) -> int:
-        if x == 0:
-            return 0
-        return int(self.antilog_table[(self.p * int(self.log_table[x])) % (self.q - 1)])
-
-    def norm(self, x: int) -> int:
-        """Norm down to F_p, returned as an integer in [0, p)."""
-        if x == 0:
-            return 0
-        e = int(self.log_table[x]) * ((self.q - 1) // (self.p - 1))
-        return int(self.antilog_table[e % (self.q - 1)])
 
     # --- vectorised code arithmetic ------------------------------------------
 

@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # imported where used, so rendering loads no verifier
 
 SCHEMA = "scheme-forge/1"
 _NUMBERS = {int, float}
-REVALIDATE_TOL = 1e-6  # on P Q = qI and on P_exact against P_complex
 
 
 def fnum(x: float) -> float:
@@ -71,53 +70,6 @@ def report_to_json(report: SchemeReport) -> dict:
         "self_dual_permutation": report.self_dual_permutation,
     })
     return doc
-
-
-def report_from_json(doc: dict) -> SchemeReport:
-    from .cycint import CycInt
-    from .scheme_core import SchemeReport
-
-    rep = SchemeReport(is_scheme=doc["is_scheme"], d=doc["class_count"],
-                       N=doc["N"], q=doc["q"],
-                       distinct_signatures=doc["distinct_signatures"])
-    if not rep.is_scheme or "valencies" not in doc:
-        return rep
-    rep.valencies = list(doc["valencies"])
-    rep.P_exact = [[CycInt.from_json(e) for e in row] for row in doc["P_exact"]]
-    rep.P_complex = np.array([[complex(re, im) for re, im in row]
-                              for row in doc["P_complex"]])
-    rep.Q_complex = np.array([[complex(re, im) for re, im in row]
-                              for row in doc["Q_complex"]])
-    rep.intersection_matrices = [np.array(b, dtype=np.int64)
-                                 for b in doc["intersection_matrices"]]
-    rep.dual_parts = [tuple(p) for p in doc["dual_parts"]]
-    rep.is_symmetric_rel = list(doc["is_symmetric"])
-    rep.nonsymmetric_pair_count = doc["nonsymmetric_pair_count"]
-    rep.is_primitive = doc["is_primitive"]
-    rep.is_self_dual = doc["is_self_dual"]
-    rep.self_dual_permutation = doc["self_dual_permutation"]
-    return rep
-
-
-def revalidate_report(rep: SchemeReport) -> bool:
-    """Cheap internal-consistency pass on a (re)parsed report."""
-    if not rep.is_scheme:
-        return rep.distinct_signatures != rep.d
-    P, Q = rep.P_complex, rep.Q_complex
-    if np.abs(P @ Q - rep.q * np.eye(P.shape[0])).max() > REVALIDATE_TOL:
-        return False
-    if not np.array_equal(rep.intersection_matrices[0],
-                          np.eye(rep.d + 1, dtype=np.int64)):
-        return False
-    for i, b in enumerate(rep.intersection_matrices):
-        want = 1 if i == 0 else rep.valencies[i - 1]
-        if not (b.sum(axis=1) == want).all():
-            return False
-    for i, row in enumerate(rep.P_exact):
-        for j, e in enumerate(row):
-            if abs(e.embed() - P[i, j]) > REVALIDATE_TOL:
-                return False
-    return True
 
 
 def parse_partition(text: str, N: int) -> IndexPartition:

@@ -49,7 +49,7 @@ class IndexPartition:
 
     @classmethod
     def from_sets(cls, N: int, parts) -> "IndexPartition":
-        return cls(N, tuple(tuple(sorted(set(p))) for p in parts))
+        return cls(N, tuple(tuple(sorted(p)) for p in parts))
 
     @property
     def d(self) -> int:

@@ -10,14 +10,15 @@ translation schemes (the coherent closure below), first the two-block
 partitions, one per orbit of the maps x -> u x + v (u in <p> mod N), then
 the meets of the kept closures, which reach every scheme.  Every survivor
 is re-verified through the exact CycInt path and the primitivity filter
-before being reported.  The partition scan of ``_kernels`` (every
+before being reported.  No prime is gated by name: the working-set
+estimates refuse a run before it allocates (p = 19, N = 40, is refused;
+p = 11 runs in seconds).  The partition scan of ``_kernels`` (every
 restricted-growth labelling, one ``search_chunk`` call per block of
 ``scan_groups``) is kept as the tests' independent oracle.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -28,8 +29,6 @@ from .cyclotomy import build_cyclotomy
 from .errors import BudgetExceeded, PreconditionViolated
 from .finite_field import build_field, is_prime
 from .scheme_core import IndexPartition, dual_classes, is_primitive
-
-DEFAULT_PRIMES = (3, 7)
 
 
 # --- the trace partition of Z_{2(p+1)} ----------------------------------------
@@ -370,22 +369,6 @@ def _closed_schemes(p, dmax, nonsymmetric, report):
 # --- exhaustive nonexistence search ----------------------------------------------
 
 @dataclass
-class SearchConfig:
-    p: int
-    max_classes: int = 4
-    allow_symmetric: bool = False
-    long_run: bool = False
-
-    def validate(self):
-        if self.p % 4 != 3 or not is_prime(self.p):
-            raise PreconditionViolated(f"p = {self.p} must be a prime = 3 (mod 4)")
-        if self.max_classes not in (3, 4):
-            raise PreconditionViolated("max_classes must be 3 or 4")
-        if self.p not in DEFAULT_PRIMES and not self.long_run:
-            raise BudgetExceeded(f"p = {self.p} needs the explicit long-run flag")
-
-
-@dataclass
 class SearchProgress:
     """How far one phase of the search is, handed to the progress callback.
 
@@ -413,12 +396,8 @@ def _canonical(labels: np.ndarray, N: int) -> IndexPartition:
 
 
 def _thread_budget() -> int:
-    # the search runs on one thread; perfbench/child.py reads this to
-    # report the scan threads of its environment
-    env = os.environ.get("SCHEME_FORGE_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    """Threads the search runs on: one (perfbench/child.py reports it)."""
+    return 1
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -445,19 +424,24 @@ def _progress_reporter(progress):
     return report
 
 
-def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
+def exhaustive_nonexistence(p: int, max_classes: int = 4,
+                            allow_symmetric: bool = False,
+                            progress=None) -> SearchResult:
     """Decide every partition of Z_{2(p+1)} into 3..max_classes parts.
 
     Returns every such partition that (a) is a closed partition with as many
-    dual classes as blocks, and passes the nonsymmetry filter unless it is
-    off, and (b) re-verifies as a scheme via the exact signature path, with
-    primitivity applied per the configuration.  The closure and the exact
-    path must agree; disagreement raises.  ``candidates_checked`` and
-    ``counts_by_classes`` count the partitions the closure argument decides,
-    by block count (Stirling numbers).
+    dual classes as blocks, and is nonsymmetric and primitive unless
+    ``allow_symmetric``, and (b) re-verifies as a scheme via the exact
+    signature path.  The closure and the exact path must agree;
+    disagreement raises.  ``candidates_checked`` and ``counts_by_classes``
+    count the partitions the closure argument decides, by block count
+    (Stirling numbers).  The budget estimates alone decide what runs.
     """
-    cfg.validate()
-    p, dmax = cfg.p, cfg.max_classes
+    if p % 4 != 3 or not is_prime(p):
+        raise PreconditionViolated(f"p = {p} must be a prime = 3 (mod 4)")
+    if max_classes not in (3, 4):
+        raise PreconditionViolated("max_classes must be 3 or 4")
+    dmax = max_classes
     N = 2 * (p + 1)
     need = closure_bytes(N)
     if need > CLOSURE_BUDGET:
@@ -465,7 +449,7 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
             f"the closure search on Z_{N} needs ~{need >> 20} MiB, over the "
             f"{CLOSURE_BUDGET >> 20} MiB budget")
     report = _progress_reporter(progress)
-    raw = _closed_schemes(p, dmax, not cfg.allow_symmetric, report)
+    raw = _closed_schemes(p, dmax, not allow_symmetric, report)
     need = len(raw) * _SURVIVOR_BYTES
     if need > CLOSURE_BUDGET:
         raise BudgetExceeded(
@@ -483,7 +467,7 @@ def exhaustive_nonexistence(cfg: SearchConfig, progress=None) -> SearchResult:
         if count != part.d:
             raise PreconditionViolated(
                 "closure/exact disagreement on a survivor; closure bug")
-        if cfg.allow_symmetric or is_primitive(sys, part, _verified=True):
+        if allow_symmetric or is_primitive(sys, part, _verified=True):
             survivors.append(part)
         if n % 256 == 0 or n == len(raw):
             report("recheck", n, len(raw))
@@ -538,7 +522,7 @@ def ts_character_values(p: int):
 
 
 __all__ = [
-    "SearchProgress", "SearchConfig", "SearchResult", "trace_partition",
+    "SearchProgress", "SearchResult", "trace_partition",
     "ts_identity_check", "exhaustive_nonexistence", "enumeration_counts",
     "ts_character_values",
 ]

@@ -49,7 +49,7 @@ def brute_force_char_sum(field, class_indices, N, shift=0):
     for a in range(field.q - 1):
         if a % N in want:
             x = int(field.antilog_table[(a + shift) % (field.q - 1)])
-            total += cmath.exp(2j * cmath.pi * field.trace(x) / field.p)
+            total += cmath.exp(2j * cmath.pi * field.trace_table[x] / field.p)
     return total
 
 

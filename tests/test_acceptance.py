@@ -20,8 +20,7 @@ from scheme_forge.gauss_sums import (MultChar, class_number,
                                      gauss_sum_quadratic, index2_comparison)
 from scheme_forge.scheme_core import (IndexPartition, brute_force_verify,
                                       dual_partition, is_scheme)
-from scheme_forge.search import (SearchConfig, exhaustive_nonexistence,
-                                 ts_identity_check)
+from scheme_forge.search import exhaustive_nonexistence, ts_identity_check
 
 from conftest import partition_to_relations
 from test_gauss_sums import DH_SAMPLES, prime_powers
@@ -146,19 +145,19 @@ def test_criterion_7_nonexistence():
         assert ts_identity_check(p), p
 
     t0 = time.perf_counter()
-    r3 = exhaustive_nonexistence(SearchConfig(p=3))
+    r3 = exhaustive_nonexistence(3)
     t3 = time.perf_counter() - t0
     assert r3.schemes_found == [] and r3.candidates_checked == 2667
     assert t3 < 30  # stated budget is 1 s of search; the bound leaves room for a loaded host
 
     t0 = time.perf_counter()
-    r7 = exhaustive_nonexistence(SearchConfig(p=7))
+    r7 = exhaustive_nonexistence(7)
     t7 = time.perf_counter() - t0
     assert r7.schemes_found == []
     assert r7.candidates_checked == 178_940_587
     assert t7 < 1800
 
-    sanity = exhaustive_nonexistence(SearchConfig(p=3, allow_symmetric=True))
+    sanity = exhaustive_nonexistence(3, allow_symmetric=True)
     assert len(sanity.schemes_found) >= 1
     field = build_field(3, 2)
     sys8 = build_cyclotomy(field, 8)

@@ -10,7 +10,6 @@ import pytest
 
 from scheme_forge import jsonio
 from scheme_forge.cli import main
-from scheme_forge.scheme_core import IndexPartition
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -46,10 +45,16 @@ def test_missing_required_flag_exit2():
     assert "--p" in err
 
 
-def test_overlapping_parts_exit2():
-    code = main(["verify", "--p", "13", "--f", "1", "--n", "2",
-                 "--parts", "0,1|1"])
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "13", "--f", "1", "--n", "2", "--parts", "0,1|1"],
+    # an index repeated inside one part is not deduplicated away
+    ["verify", "--p", "13", "--f", "1", "--n", "2", "--parts", "0,0|1"],
+    ["construct", "--kind", "conference", "--p", "37", "--p1", "7",
+     "--i0", "0,0,1,2,3,4,5,6"],
+])
+def test_overlapping_parts_exit2(argv, capsys):
+    assert main(argv) == 2
+    assert "PartitionInvalid: index" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -63,10 +68,12 @@ def test_overlapping_parts_exit2():
      "--tolerance", "1e-3"],
     ["search-nonexistence", "--p", "3", "--tolerance", "1e-3"],
     ["search-nonexistence", "--p", "3", "--cap", "100"],
+    ["search-nonexistence", "--p", "3", "--long-run"],
 ])
 def test_options_no_command_reads_exit2(argv, capsys):
     assert main(argv) == 2
-    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    option = [a for a in argv if a.startswith("--")][-1]
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def _one_line_exit2(argv, capsys, match):
@@ -265,23 +272,6 @@ def test_byte_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_report_roundtrip_revalidates(f243):
-    from scheme_forge.cyclotomy import build_cyclotomy
-    from scheme_forge.scheme_core import verify_scheme
-
-    sys11 = build_cyclotomy(f243, 11)
-    part = IndexPartition.from_sets(11, [[0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10]])
-    rep = verify_scheme(sys11, part)
-    doc = json.loads(json.dumps(jsonio.report_to_json(rep)))
-    back = jsonio.report_from_json(doc)
-    assert jsonio.revalidate_report(back)
-    assert back.is_scheme == rep.is_scheme
-    if rep.is_scheme:
-        assert back.valencies == rep.valencies
-        assert [tuple(p) for p in back.dual_parts] == \
-            [tuple(p) for p in rep.dual_parts]
-
-
 def test_gauss_verify_imports_only_what_it_runs(tmp_path):
     # the package resolves its public names on first use, so gauss-verify
     # leaves the scan, the constructions and the scheme verifier unloaded
@@ -313,3 +303,25 @@ for name in scheme_forge.__all__:
     assert proc.returncode == 0, proc.stderr
     with pytest.raises(AttributeError):
         scheme_forge.no_such_name
+
+
+def test_search_imports_only_what_it_runs(tmp_path):
+    # the closure search runs without the scan kernels (the tests' oracle),
+    # the constructions or the Gauss sums
+    import scheme_forge
+
+    code = f"""
+import sys
+from scheme_forge.cli import main
+assert main(["search-nonexistence", "--p", "3",
+             "--output", {str(tmp_path / "s.json")!r}]) == 0
+loaded = sorted(m for m in sys.modules
+                if m in ("scheme_forge._kernels", "scheme_forge.constructions",
+                         "scheme_forge.gauss_sums"))
+assert not loaded, loaded
+"""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(
+        scheme_forge.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from scheme_forge import _kernels
 from scheme_forge.errors import BudgetExceeded, PreconditionViolated
-from scheme_forge.search import (SearchConfig, exhaustive_nonexistence,
-                                 trace_partition)
+from scheme_forge.search import exhaustive_nonexistence, trace_partition
 
 
 def _search_setup(p):
@@ -239,8 +238,7 @@ def test_closure_returns_every_loop_kernel_scheme_p3(dmax):
     for pre in _kernels.search_prefixes(N, dmax, 1):
         leaves |= set(_loop_kernel(pre, N, 3, dmax, N // 2, j1s, j2s, sden, p,
                                    False, counts, order))
-    result = exhaustive_nonexistence(
-        SearchConfig(p=p, max_classes=dmax, allow_symmetric=True))
+    result = exhaustive_nonexistence(p, dmax, allow_symmetric=True)
     closed = {tuple(_rgs(_labels(part, N))) for part in result.schemes_found}
     assert {tuple(_rgs(a)) for a in leaves} == closed
     assert counts.tolist() == result.counts_by_classes

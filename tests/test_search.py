@@ -10,10 +10,9 @@ from scheme_forge.errors import BudgetExceeded, PreconditionViolated
 from scheme_forge.finite_field import build_field
 from scheme_forge.scheme_core import (brute_force_verify, dual_classes,
                                       is_primitive, is_scheme)
-from scheme_forge.search import (SearchConfig, enumeration_counts,
-                                 exhaustive_nonexistence, scan_groups,
-                                 trace_partition, ts_character_values,
-                                 ts_identity_check)
+from scheme_forge.search import (enumeration_counts, exhaustive_nonexistence,
+                                 scan_groups, trace_partition,
+                                 ts_character_values, ts_identity_check)
 
 from conftest import partition_to_relations
 
@@ -92,14 +91,13 @@ def test_enumeration_needs_even_n(N):
 
 
 def test_p3_nonexistence():
-    result = exhaustive_nonexistence(SearchConfig(p=3))
+    result = exhaustive_nonexistence(3)
     assert result.candidates_checked == 966 + 1701
     assert result.schemes_found == []
 
 
 def test_p3_sanity_mode_finds_schemes():
-    cfg = SearchConfig(p=3, allow_symmetric=True)
-    result = exhaustive_nonexistence(cfg)
+    result = exhaustive_nonexistence(3, allow_symmetric=True)
     assert len(result.schemes_found) >= 1
     field = build_field(3, 2)
     sys8 = build_cyclotomy(field, 8)
@@ -115,8 +113,8 @@ def test_p3_sanity_mode_finds_schemes():
 
 def test_progress_reports_closure_phases():
     seen = []
-    cfg = SearchConfig(p=3, allow_symmetric=True)
-    result = exhaustive_nonexistence(cfg, progress=seen.append)
+    result = exhaustive_nonexistence(3, allow_symmetric=True,
+                                     progress=seen.append)
     # two-block masks, two rounds of meets, then the exact recheck
     assert [s.phase for s in seen] == ["two-block", "meets", "meets",
                                        "recheck"]
@@ -126,16 +124,14 @@ def test_progress_reports_closure_phases():
 
 
 def test_p3_max_classes_3():
-    result = exhaustive_nonexistence(SearchConfig(p=3, max_classes=3))
+    result = exhaustive_nonexistence(3, max_classes=3)
     assert result.candidates_checked == 966
     assert result.schemes_found == []
 
 
 def test_budget_guards(monkeypatch):
-    with pytest.raises(BudgetExceeded, match="long-run flag"):
-        exhaustive_nonexistence(SearchConfig(p=11))
     with pytest.raises(PreconditionViolated):
-        exhaustive_nonexistence(SearchConfig(p=5))
+        exhaustive_nonexistence(5)
     # p = 11 fits the budget; p = 19 (N = 40, 2^39 two-block partitions)
     # raises before the code matrix or any mask is built
     assert search.closure_bytes(24) < search.CLOSURE_BUDGET
@@ -147,7 +143,7 @@ def test_budget_guards(monkeypatch):
     monkeypatch.setattr(search, "_code_matrix", no_allocation)
     monkeypatch.setattr(search, "_bit_tables", no_allocation)
     with pytest.raises(BudgetExceeded, match="Z_40 needs"):
-        exhaustive_nonexistence(SearchConfig(p=19, long_run=True))
+        exhaustive_nonexistence(19)
 
 
 def test_survivors_over_budget_raise_before_the_recheck(monkeypatch):
@@ -155,13 +151,12 @@ def test_survivors_over_budget_raise_before_the_recheck(monkeypatch):
     monkeypatch.setattr(search, "_SURVIVOR_BYTES", search.CLOSURE_BUDGET // 10)
     monkeypatch.setattr(search, "build_cyclotomy", None)
     with pytest.raises(BudgetExceeded, match="reporting 19 schemes"):
-        exhaustive_nonexistence(SearchConfig(p=3, allow_symmetric=True))
+        exhaustive_nonexistence(3, allow_symmetric=True)
 
 
-def test_p11_long_run_three_classes_finds_nothing():
+def test_p11_three_classes_finds_nothing():
     seen = []
-    result = exhaustive_nonexistence(
-        SearchConfig(p=11, max_classes=3, long_run=True), progress=seen.append)
+    result = exhaustive_nonexistence(11, max_classes=3, progress=seen.append)
     # 24 nonsymmetric closed schemes, all imprimitive
     assert seen[-1].phase == "recheck" and seen[-1].total == 24
     assert result.schemes_found == []
@@ -194,8 +189,7 @@ def _scan_found(p, dmax, allow_symmetric):
 @pytest.mark.parametrize("p,dmax", [(3, 3), (3, 4), (7, 3)])
 @pytest.mark.parametrize("allow_symmetric", [False, True])
 def test_closure_finds_exactly_the_scan_survivors(p, dmax, allow_symmetric):
-    result = exhaustive_nonexistence(
-        SearchConfig(p=p, max_classes=dmax, allow_symmetric=allow_symmetric))
+    result = exhaustive_nonexistence(p, dmax, allow_symmetric)
     found, counts = _scan_found(p, dmax, allow_symmetric)
     assert set(result.schemes_found) == found
     assert len(result.schemes_found) == len(found)

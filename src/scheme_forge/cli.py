@@ -4,18 +4,24 @@ Exit codes: 0 success / claim confirmed, 1 mathematical refutation (a scheme
 or match that was expected did not materialise), 2 usage or configuration
 error, 3 resource cap exceeded.  Each command imports the modules it runs,
 so gauss-verify, say, never loads the scan or the scheme verifier.
+numpy starts on one BLAS thread unless OPENBLAS_NUM_THREADS is already set.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-import numpy as np
+# OpenBLAS sizes its thread pool once, as numpy loads; the CLI's one BLAS call,
+# the eigenmatrix inverse, is at most 29x29, so a per-core pool only costs CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import jsonio
-from .errors import SchemeForgeError
-from .finite_field import DEFAULT_CAP, build_field
+import numpy as np  # noqa: E402
+
+from . import jsonio  # noqa: E402
+from .errors import SchemeForgeError  # noqa: E402
+from .finite_field import DEFAULT_CAP, build_field  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):

@@ -53,6 +53,8 @@ def _index2_system(p: int, p1: int, s: int, N: int, cap: int):
 def three_class_base(p: int, p1: int, s: int = 1,
                      cap: int = DEFAULT_CAP) -> BuiltScheme:
     """{<p> mod p1, -<p> mod p1, {0}} over the index-p1 classes of F_{q^s}."""
+    if s < 1:
+        raise PreconditionViolated(f"s = {s} must be >= 1")
     params, field, sys = _index2_system(p, p1, s, p1, cap)
     pos, neg = _coset_mod(p, p1)
     partition = IndexPartition.from_sets(p1, [sorted(pos), sorted(neg), [0]])
@@ -69,6 +71,8 @@ def three_class_base(p: int, p1: int, s: int = 1,
 def four_class_7mod8(p: int, p1: int, s: int = 1,
                      cap: int = DEFAULT_CAP) -> BuiltScheme:
     """Split the base class C_0^{(p1)} into C_0 and C_{p1} of order 2 p1."""
+    if s < 1:
+        raise PreconditionViolated(f"s = {s} must be >= 1")
     if p1 % 8 != 7:
         raise PreconditionViolated(f"p1 = {p1} must be 7 mod 8")
     N = 2 * p1
@@ -101,6 +105,8 @@ def five_class_index_sets(p: int, p1: int, m: int = 1,
     recursive C_0 side.  ``split_negative=False`` builds the mirrored
     orientation (the other prime-ideal choice).
     """
+    if m < 1:
+        raise PreconditionViolated(f"m = {m} must be >= 1")
     N = 2 * p1 ** m
     pm1 = p1 ** (m - 1)
     pos2, neg2 = _coset_mod(p, 2 * p1)   # odd residues mod 2 p1
@@ -131,6 +137,8 @@ def five_class_3mod8(p: int, p1: int, m: int = 1,
     prime ideal; relative to our generator either that split or its mirror
     is the scheme, so both are tried and exactly one must verify.
     """
+    if m < 1:
+        raise PreconditionViolated(f"m = {m} must be >= 1")
     if p1 % 8 != 3 or p1 <= 3 or not is_prime(p1):
         raise PreconditionViolated(f"p1 = {p1} must be a prime > 3, 3 mod 8")
     h = class_number(p1)

@@ -234,6 +234,8 @@ def index2_comparison(p: int, p1: int, s: int = 1,
     the direct value, the formula value under the chosen sign, and the
     absolute error.
     """
+    if s < 1:
+        raise PreconditionViolated(f"s = {s} must be >= 1")
     params = make_index2_params(p, p1)
     n = 2 * p1
     field = build_field(p, params.f * s, cap=cap)

@@ -241,6 +241,20 @@ def test_construct_precondition_exit2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # m < 1 used to print the m = 1 document and exit 0
+    ["construct", "--kind", "five_class", "--p", "5", "--p1", "19", "--m", "0"],
+    ["construct", "--kind", "five_class", "--p", "5", "--p1", "19", "--m", "-2"],
+    # s < 1 used to be reported as the extension degree f s
+    ["gauss-verify", "--p", "11", "--p1", "7", "--s", "-1"],
+    ["construct", "--kind", "three_class", "--p", "3", "--p1", "11", "--s", "0"],
+    ["construct", "--kind", "four_class", "--p", "11", "--p1", "7", "--s", "-1"],
+])
+def test_count_below_one_exit2(argv, capsys):
+    _one_line_exit2(argv, capsys,
+                    f"PreconditionViolated: {argv[-2][2:]} = {argv[-1]} must be >= 1")
+
+
 def test_fuse_cli(tmp_path):
     out = tmp_path / "f.json"
     code = main(["fuse", "--p", "13", "--f", "1", "--n", "4",
@@ -325,3 +339,32 @@ assert not loaded, loaded
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_starts_one_blas_thread():
+    # OpenBLAS sizes its thread pool as numpy loads: the CLI asks for one
+    # thread unless OPENBLAS_NUM_THREADS is set, the library asks for nothing
+    import scheme_forge
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(pathlib.Path(scheme_forge.__file__).parents[1])
+
+    def run(code, **extra):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    cli = """
+import os
+import scheme_forge.cli
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+    assert run(cli) == ["1", "1"]
+    assert run(cli, OPENBLAS_NUM_THREADS="2")[1] == "2"
+    assert run("""
+import os
+import scheme_forge
+scheme_forge.build_field(3, 2)
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+""") == ["None"]

@@ -154,6 +154,10 @@ def test_five_class_precondition():
         four_class_7mod8(3, 11)  # 11 = 3 mod 8
     with pytest.raises(PreconditionViolated):
         three_class_base(3, 9)  # 9 is not prime
+    # m < 1 is refused, not read as m = 1 (the CLI test covers the rest)
+    for m in (0, -2):
+        with pytest.raises(PreconditionViolated, match=f"m = {m} "):
+            five_class_index_sets(5, 19, m)
 
 
 @pytest.mark.parametrize("p,p1", [(17, 67), (3, 107), (41, 163), (5, 499)])

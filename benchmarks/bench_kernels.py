@@ -8,7 +8,8 @@ for the norm block): the antilog table (read off the trace m-sequence,
 which is built once outside the timed region), the norm block (the
 m-sequence over one norm period) that Gauss periods read, the whole
 m-sequence assembled from it, the psi vector the Gauss sums transform, and
-the uncached primitive-modulus scan;
+the uncached primitive-modulus scan; terms/s for the cyclotomy tally of
+the norm block (L per system, the block built outside the timed region);
 numbers/s ((N + 1)^3 per scheme) for the intersection numbers of the
 order-N cyclotomic scheme, past its verdict; bytes/s for rendering that
 scheme's ``verify`` document; leaves/s for the partition scan (the
@@ -19,14 +20,17 @@ once; closures/s for the two phases of the closure search that
 two-block partition closed per orbit, then mapped over the orbits) and the
 meet phase (every round of meets, the final filters and the orbit
 expansion of the closed schemes), each counting the partitions handed to
-``search._close``.  --quick drops the four-class p = 7 scan (1.8e8
-leaves).
+``search._close``.  The norm block, psi and tally rows also print their
+traced peak: the tracemalloc heap high-water mark of one more, untimed
+call above its level at entry, the output included.  --quick drops the
+four-class p = 7 scan (1.8e8 leaves).
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -50,6 +54,17 @@ def _time(fn, repeat=3):
     return best, out
 
 
+def _traced_peak_mb(fn):
+    """MB of traced heap one call of fn peaks at, above its level at entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - entry) / (1 << 20)
+    finally:
+        tracemalloc.stop()
+
+
 def bench_antilog(p, f):
     field = build_field(p, f)
     field.trace_sequence  # built once, outside the timed region
@@ -60,7 +75,8 @@ def bench_antilog(p, f):
 
 
 def bench_trace_sequence(p, f):
-    """Seconds to build the norm block, and to assemble the sequence from it."""
+    """Seconds to build the norm block, and to assemble the sequence from
+    it, and the block build's traced peak in MB."""
     field = build_field(p, f)
     # uncached: a fresh build per call
     t_block, block = _time(lambda: FieldSpec.norm_block.func(field))
@@ -68,14 +84,23 @@ def bench_trace_sequence(p, f):
     assert np.array_equal(block, field.norm_block)
     assert np.array_equal(seq, field.trace_sequence)
     assert np.array_equal(seq[:field.norm_period], block)
-    return t_block, t_seq
+    return t_block, t_seq, _traced_peak_mb(lambda: FieldSpec.norm_block.func(field))
 
 
 def bench_psi(p, f):
+    """Seconds and traced peak MB of the psi vector."""
     field = build_field(p, f)
     field.norm_block  # built once, outside the timed region
     t_np, _ = _time(lambda: _psi_values(field))
-    return t_np
+    return t_np, _traced_peak_mb(lambda: _psi_values(field))
+
+
+def bench_tally(p, f, N):
+    """Seconds and traced peak MB of the order-N cyclotomic system."""
+    field = build_field(p, f)
+    field.norm_block  # built once, outside the timed region
+    t_np, _ = _time(lambda: build_cyclotomy(field, N))
+    return t_np, _traced_peak_mb(lambda: build_cyclotomy(field, N))
 
 
 def bench_modulus_scan(p, f):
@@ -164,49 +189,57 @@ def main():
     ap.add_argument("--quick", action="store_true")
     args = ap.parse_args()
 
-    rows = []
+    rows = []  # (name, seconds, rate, traced peak MB or None)
     for name, bench, fields in [
             ("antilog", bench_antilog,
              [(3, 10), (11, 5), (5, 7), (5, 9), (11, 6), (2, 20)]),
-            ("psi values", bench_psi, [(5, 9), (11, 6)]),
             ("modulus scan", bench_modulus_scan, [(5, 9), (11, 6)])]:
         for (p, f) in fields:
             t_np = bench(p, f)
             rows.append((f"{name} F_{p}^{f} (q={p ** f})", t_np,
-                         (p ** f - 1) / t_np))
+                         (p ** f - 1) / t_np, None))
+    for p, f in [(5, 9), (11, 6)]:
+        t_np, peak = bench_psi(p, f)
+        rows.append((f"psi values F_{p}^{f} (q={p ** f})", t_np,
+                     (p ** f - 1) / t_np, peak))
     # the sparse moduli of F_{2^20} and F_{3^15} beside the benchmark fields
     for p, f in [(5, 9), (11, 6), (2, 20), (3, 15)]:
-        t_block, t_seq = bench_trace_sequence(p, f)
+        t_block, t_seq, peak = bench_trace_sequence(p, f)
         rows.append((f"norm block F_{p}^{f} (L={(p ** f - 1) // (p - 1)})",
-                     t_block, (p ** f - 1) // (p - 1) / t_block))
+                     t_block, (p ** f - 1) // (p - 1) / t_block, peak))
         rows.append((f"trace sequence F_{p}^{f} from the block", t_seq,
-                     (p ** f - 1) / t_seq))
+                     (p ** f - 1) / t_seq, None))
+    for p, f, N in [(5, 9, 38), (3, 16, 8)]:
+        t_np, peak = bench_tally(p, f, N)
+        rows.append((f"cyclotomy tally F_{p}^{f} N={N}", t_np,
+                     (p ** f - 1) // (p - 1) / t_np, peak))
 
     p, f, N = 37, 3, 28
     t_np = bench_intersection(p, f, N)
     rows.append((f"intersection numbers F_{p}^{f} N={N}", t_np,
-                 (N + 1) ** 3 / t_np))
+                 (N + 1) ** 3 / t_np, None))
     t_np, nbytes = bench_json_render(p, f, N)
     rows.append((f"json render F_{p}^{f} N={N} ({nbytes} bytes)", t_np,
-                 nbytes / t_np))
+                 nbytes / t_np, None))
 
     scans = [(3, 4), (7, 3)] if args.quick else [(3, 4), (7, 3), (7, 4)]
     for p, dmax in scans:
         t_np, leaves = bench_search(p, dmax)
         rows.append((f"scan p={p} d<={dmax} ({leaves} leaves)", t_np,
-                     leaves / t_np))
+                     leaves / t_np, None))
 
     for p, dmax in [(3, 4), (7, 3), (7, 4)]:
         t_two, n_two, t_meet, n_meet = bench_closure(p, dmax)
         rows.append((f"closure p={p} d<={dmax} two-block ({n_two} closures)",
-                     t_two, n_two / t_two))
+                     t_two, n_two / t_two, None))
         rows.append((f"closure p={p} d<={dmax} meets ({n_meet} closures)",
-                     t_meet, n_meet / t_meet))
+                     t_meet, n_meet / t_meet, None))
 
     width = max(len(r[0]) for r in rows)
-    print(f"{'kernel':<{width}}  {'time':>10}  {'rate/s':>10}")
-    for name, t_np, rate in rows:
-        print(f"{name:<{width}}  {t_np * 1e3:>8.2f}ms  {rate:>10.3g}")
+    print(f"{'kernel':<{width}}  {'time':>10}  {'rate/s':>10}  {'peak':>10}")
+    for name, t_np, rate, peak in rows:
+        peak = "" if peak is None else f"{peak:.2f}MB"
+        print(f"{name:<{width}}  {t_np * 1e3:>8.2f}ms  {rate:>10.3g}  {peak:>10}")
 
 
 if __name__ == "__main__":

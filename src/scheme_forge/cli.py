@@ -30,12 +30,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = jsonio.dumps(doc)
+    # rendered in full before the first write: a render error writes nothing
+    pieces = jsonio.chunks(doc)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _field_system(args):
@@ -102,17 +103,20 @@ def cmd_construct(args) -> int:
     from . import constructions
 
     kind = args.kind
-    if kind == "three_class":
-        built = constructions.three_class_base(args.p, args.p1, args.s, cap=args.cap)
-    elif kind == "four_class":
-        built = constructions.four_class_7mod8(args.p, args.p1, args.s, cap=args.cap)
-    elif kind == "five_class":
-        built = constructions.five_class_3mod8(args.p, args.p1, args.m, cap=args.cap)
-    elif kind == "conference":
-        i0 = [int(t) for t in args.i0.split(",")] if args.i0 else None
-        built = constructions.conference_7mod8(args.p, args.p1, i0, cap=args.cap)
-    else:
-        raise SchemeForgeError(f"unknown construction kind {kind!r}")
+    build, reads = {
+        "three_class": (constructions.three_class_base, "s"),
+        "four_class": (constructions.four_class_7mod8, "s"),
+        "five_class": (constructions.five_class_3mod8, "m"),
+        "conference": (constructions.conference_7mod8, "i0"),
+    }[kind]
+    for name in ("s", "m", "i0"):
+        if name != reads and getattr(args, name) is not None:
+            raise ValueError(f"construct --kind {kind} does not read --{name}")
+    value = getattr(args, reads)
+    if reads == "i0":
+        value = [int(t) for t in value.split(",")] if value else None
+    options = {} if value is None else {reads: value}
+    built = build(args.p, args.p1, **options, cap=args.cap)
     doc = {"command": "construct", "kind": kind,
            "partition": built.partition.to_json()}
     if built.field is not None:
@@ -235,8 +239,9 @@ def build_parser() -> _Parser:
                     choices=["three_class", "four_class", "five_class", "conference"])
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--p1", type=int, required=True)
-    sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--m", type=int, default=1)
+    # each kind reads one of these; giving another exits 2
+    sp.add_argument("--s", type=int, help="three_class, four_class (default 1)")
+    sp.add_argument("--m", type=int, help="five_class (default 1)")
     sp.add_argument("--i0", help="conference index set, e.g. '0,1,2,3,4,5,6'")
     sp.set_defaults(fn=cmd_construct)
 

@@ -7,8 +7,13 @@ the norm block, the trace m-sequence s_e = tr(gamma^e) over one norm period
 e < L = (q-1)/(p-1): gamma^L = N(gamma) lies in F_p^* and tr is F_p-linear,
 so s_{e+kL} = N(gamma)^k s_e (mod p), and the term at e with trace t counts
 once in class (e + kL) mod N with trace N(gamma)^k t for each k < p - 1.
-All character sums over unions of classes are exact linear combinations of
-the periods.
+The block, or its (e mod N, t) tally when that is shorter, is rotated
+through the p - 1 norm periods a group of periods per bincount.  The tally
+reads the block in blocks of a multiple of N terms, at most max(N, _BLOCK),
+so every block shares one pattern of class offsets.  Either pass holds
+O(N p + _BLOCK) memory beyond the block, never a copy of the sequence.  All
+character sums over unions of classes are exact linear combinations of the
+periods.
 """
 
 from __future__ import annotations
@@ -19,9 +24,7 @@ import numpy as np
 
 from .cycint import CycInt
 from .errors import IndexOutOfRange, NotADivisor
-from .finite_field import FieldSpec
-
-_TALLY_ROWS = 1 << 18  # block terms per bincount: O(N p + this) memory
+from .finite_field import _BLOCK, FieldSpec
 
 
 @dataclass
@@ -55,22 +58,33 @@ def build_cyclotomy(field: FieldSpec, N: int) -> CyclotomicSystem:
     else:
         e, t = np.divmod(np.arange(N * p), p)
         tally = np.zeros(N * p, dtype=np.int64)
-        for start in range(0, L, _TALLY_ROWS):
-            keys = np.arange(start, min(start + _TALLY_ROWS, L))
-            keys %= N
-            keys *= p
-            keys += block[start:start + _TALLY_ROWS]
-            tally += np.bincount(keys, minlength=N * p)
-        weights = np.tile(tally, p - 1)
-    keys = np.add.outer(np.arange(p - 1) * (L % N), e)
-    keys %= N
-    keys *= p
-    values = np.multiply.outer(field.norm_powers, t)
-    values %= p
-    keys += values
-    # weighted bincount sums in float64: exact, as every count is below q
-    counts = np.bincount(keys.ravel(), weights, minlength=N * p)
-    counts = counts.astype(np.int64).reshape(N, p)
+        # each block starts at a multiple of N: one pattern of (e mod N) p
+        rows = N * max(1, _BLOCK // N)
+        offsets = np.arange(min(rows, L), dtype=np.intp)
+        offsets %= N
+        offsets *= p
+        keys = np.empty_like(offsets)
+        for start in range(0, L, rows):
+            chunk = block[start:start + rows]
+            np.add(offsets[:len(chunk)], chunk, out=keys[:len(chunk)])
+            tally += np.bincount(keys[:len(chunk)], minlength=N * p)
+        weights = tally
+    # the p - 1 norm periods, as many per bincount as fit in one block or
+    # in the N p counts it returns
+    counts = np.zeros(N * p, dtype=np.int64)
+    group = max(1, max(_BLOCK, N * p) // len(e))
+    for k0 in range(0, p - 1, group):
+        k = np.arange(k0, min(k0 + group, p - 1))
+        keys = np.add.outer(k * (L % N), e)
+        keys %= N
+        keys *= p
+        values = np.multiply.outer(field.norm_powers[k], t)
+        values %= p
+        keys += values
+        # weighted bincount sums in float64: exact, as every count is below q
+        w = None if weights is None else np.tile(weights, len(k))
+        counts += np.bincount(keys.ravel(), w, minlength=N * p).astype(np.int64)
+    counts = counts.reshape(N, p)
 
     pm = np.empty((N, p - 1), dtype=np.int64)
     pm[:] = counts[:, : p - 1]

@@ -12,7 +12,11 @@ whose characteristic polynomial is the modulus.  One norm period fixes it:
 with L = (q-1)/(p-1), gamma^L = N(gamma) = (-1)^f c_0 lies in F_p^*, and tr
 is F_p-linear, so s_{e+L} = N(gamma) s_e (mod p) (Lidl-Niederreiter, Finite
 Fields, 2.3).  The periods and the Gauss sums read the norm block
-s_0, ..., s_{L-1}, so building a field makes no q-sized table.  The whole
+s_0, ..., s_{L-1}, so building a field makes no q-sized table.  Every pass
+over the sequence (the doubling that builds the block, the gather that
+reads it, the cyclotomy tally) walks it in sub-blocks of at most _BLOCK
+terms through buffers it reuses, so a pass holds its output and O(_BLOCK)
+more, never a second copy of its data.  The whole
 sequence is assembled from the block for the element tables, which the
 element-level operations build on first use: by the trace-dual-basis
 relation, f consecutive terms s_e, ..., s_{e+f-1} fix the coordinates of
@@ -33,6 +37,7 @@ from .errors import (DegreeZero, FieldTooLarge, InvalidElement, NotCoprime,
                      NotPrime)
 
 DEFAULT_CAP = 1 << 26
+_BLOCK = 1 << 15  # sequence terms per sub-block of every pass over s_e
 
 
 def is_prime(n: int) -> bool:
@@ -179,24 +184,38 @@ class FieldSpec:
         s_{e + kL} = N(gamma)^k s_e mod p.  Seeded with tr(x^i), i < f.
         If x^k = sum_i c_i x^i mod the modulus, then s_{e+k} =
         sum_i c_i s_{e+i}: with s known on [0, n), taking k = n extends it
-        to [0, 2n - f + 1), summed over the nonzero c_i only.  Each sum
-        stays below f (p-1)^2, the bound that sizes its unsigned type.
+        to [0, 2n - f + 1), summed over the nonzero c_i only, one sub-block
+        at a time through two reused buffers.  Each sum stays below
+        f (p-1)^2, the bound that sizes its unsigned type.  The next jump's
+        x^(2n-f+1) is (x^n)^2 x^(1-f), two products, not a power.
         """
         p, f, L = self.p, self.f, self.norm_period
         mlow = list(self.modulus[:-1])
         s = np.empty(L, dtype=np.min_scalar_type(p - 1))
         s[:f] = self.basis_trace
+        if L <= f:
+            s.setflags(write=False)
+            return s
         acc_type = np.min_scalar_type(f * (p - 1) ** 2)
+        acc = np.empty(min(_BLOCK, L), dtype=acc_type)
+        tmp = np.empty_like(acc)
+        step = _poly_pow_mod(self.gamma_poly, self.q - f, mlow, f, p)  # x^(1-f)
+        coeffs = _poly_pow_mod(self.gamma_poly, f, mlow, f, p)  # x^n, n = f
         n = f
         while n < L:
             take = min(n - f + 1, L - n)
-            coeffs = _poly_pow_mod(self.gamma_poly, n, mlow, f, p)
-            acc = np.zeros(take, dtype=acc_type)
-            for i, c in enumerate(coeffs):
-                if c:
-                    acc += np.multiply(s[i:i + take], c, dtype=acc_type)
-            np.remainder(acc, p, out=s[n:n + take])
+            (i0, c0), *rest = [(i, c) for i, c in enumerate(coeffs) if c]
+            for a in range(0, take, _BLOCK):
+                b = min(a + _BLOCK, take)
+                np.multiply(s[i0 + a:i0 + b], c0, out=acc[:b - a], dtype=acc_type)
+                for i, c in rest:
+                    np.multiply(s[i + a:i + b], c, out=tmp[:b - a], dtype=acc_type)
+                    acc[:b - a] += tmp[:b - a]
+                np.remainder(acc[:b - a], p, out=s[n + a:n + b])
             n += take
+            if n < L:
+                coeffs = _poly_mul_mod(_poly_mul_mod(coeffs, coeffs, mlow, f, p),
+                                       step, mlow, f, p)
         s.setflags(write=False)
         return s
 
@@ -204,8 +223,11 @@ class FieldSpec:
         """table[s_e] for e = 0..q-2, a new array of table's dtype.
 
         Norm period k is the block read through the permuted p-entry table
-        t -> table[N(gamma)^k t mod p].  For f = 1 a period is one term
-        (L = 1 < p), so the terms N(gamma)^k s_0 mod p index table directly.
+        t -> table[N(gamma)^k t mod p], one sub-block per take.  Every term
+        is below p, so mode="clip" gathers the same entries, straight into
+        out, where the default mode buffers it.  For f = 1 a period is one
+        term (L = 1 < p), so the terms N(gamma)^k s_0 mod p index table
+        directly.
         """
         p, L, block = self.p, self.norm_period, self.norm_block
         if L < p:
@@ -213,7 +235,11 @@ class FieldSpec:
         out = np.empty(self.q - 1, dtype=table.dtype)
         t = np.arange(p, dtype=np.int64)
         for k, c in enumerate(self.norm_powers.tolist()):
-            np.take(table[t * c % p], block, out=out[k * L:(k + 1) * L])
+            perm = table[t * c % p]
+            for a in range(0, L, _BLOCK):
+                b = min(a + _BLOCK, L)
+                np.take(perm, block[a:b], out=out[k * L + a:k * L + b],
+                        mode="clip")
         return out
 
     @cached_property

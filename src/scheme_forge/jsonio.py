@@ -5,7 +5,8 @@ are rounded to 12 significant digits so identical runs are byte-identical,
 and complex values render as [re, im] pairs.  ``dumps`` writes exactly the
 bytes of json.dumps(doc, indent=2) plus a newline, NaN and Infinity spelled
 as json spells them and non-ASCII characters escaped; it only gets there
-faster.
+faster.  ``chunks`` gives the same bytes as a list of pieces, each dict laid
+out key by key, for a writer that need not join them.
 """
 
 from __future__ import annotations
@@ -111,7 +112,44 @@ def load_partition(path_or_inline: str, N: int) -> IndexPartition:
 
 def dumps(doc: dict) -> str:
     """The document under its schema, as json.dumps(..., indent=2) + newline."""
-    return _render({"schema": SCHEMA, **doc}, "") + "\n"
+    return "".join(chunks(doc))
+
+
+def chunks(doc: dict) -> list[str]:
+    """The pieces of dumps(doc), in order, for writelines.
+
+    Every dict is laid out key by key and every other value is one string,
+    so writing the pieces never holds a second copy of the document.
+    """
+    out: list[str] = []
+    _lay_out({"schema": SCHEMA, **doc}, "", out)
+    out.append("\n")
+    return out
+
+
+def _is_object(o) -> bool:
+    """A non-empty dict that json lays out key by key."""
+    return isinstance(o, dict) and bool(o) and all(isinstance(k, str) for k in o)
+
+
+def _lay_out(o, indent: str, out: list[str]) -> None:
+    """Append the pieces of json.dumps(o, indent=2), nested ``indent`` deep:
+    an object's one per key, a nested object's own after its key, and any
+    other value as one piece."""
+    if not _is_object(o):
+        out.append(_render(o, indent))
+        return
+    inner = indent + "  "
+    lead = "{\n"
+    for key, v in o.items():
+        head = lead + inner + encode_basestring_ascii(key) + ": "
+        if _is_object(v):
+            out.append(head)
+            _lay_out(v, inner, out)
+        else:
+            out.append(head + _render(v, inner))
+        lead = ",\n"
+    out.append("\n" + indent + "}")
 
 
 def _render(o, indent: str) -> str:
@@ -132,15 +170,13 @@ def _render(o, indent: str) -> str:
         else:
             body = sep.join([_render(x, inner) for x in o])
         return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(o, dict) and all(isinstance(key, str) for key in o):
-        if not o:
-            return "{}"
-        body = sep.join([encode_basestring_ascii(key) + ": " + _render(v, inner)
-                         for key, v in o.items()])
-        return "{\n" + inner + body + "\n" + indent + "}"
+    if _is_object(o):
+        pieces: list[str] = []
+        _lay_out(o, indent, pieces)
+        return "".join(pieces)
     if type(o) is int:
         return repr(o)
     if type(o) is str:
         return encode_basestring_ascii(o)
-    # other scalars, dicts with non-str keys, and json's TypeError
+    # other scalars, empty dicts, dicts with non-str keys, json's TypeError
     return json.dumps(o, indent=2).replace("\n", "\n" + indent)

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,3 +63,14 @@ def partition_to_relations(field, sys, partition):
         mask = np.isin(classes, np.asarray(part))
         rels.append(field.antilog_table[exps[mask]].astype(np.int64))
     return rels
+
+
+def traced_peak(fn):
+    """(fn(), the peak of traced heap above its level at the call, in bytes)."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()

@@ -20,8 +20,19 @@ def bench():
 
 def test_field_rows_measure(bench):
     assert bench.bench_antilog(3, 5) > 0
-    t_block, t_seq = bench.bench_trace_sequence(3, 5)
+    t_block, t_seq, peak = bench.bench_trace_sequence(3, 5)
     assert t_block > 0 and t_seq > 0
+    assert peak > 0  # the 121-byte block at least
+    seconds, peak = bench.bench_psi(3, 5)
+    assert seconds > 0
+    assert 242 * 16 / (1 << 20) <= peak < 1  # the complex128 vector, and little more
+
+
+def test_tally_row_measures(bench):
+    # L = 29,524 > N p = 24: the block is tallied, not rotated
+    seconds, peak = bench.bench_tally(3, 10, 8)
+    assert seconds > 0
+    assert 0 < peak < 1
 
 
 def test_verify_stage_rows_measure(bench, tmp_path):

@@ -255,6 +255,25 @@ def test_count_below_one_exit2(argv, capsys):
                     f"PreconditionViolated: {argv[-2][2:]} = {argv[-1]} must be >= 1")
 
 
+@pytest.mark.parametrize("argv", [
+    # each used to exit 0 with the document of the option's default
+    ["construct", "--kind", "five_class", "--p", "3", "--p1", "11", "--s", "5"],
+    ["construct", "--kind", "conference", "--p", "37", "--p1", "7", "--s", "1"],
+    ["construct", "--kind", "three_class", "--p", "3", "--p1", "11", "--m", "7"],
+    ["construct", "--kind", "four_class", "--p", "11", "--p1", "7", "--m", "1"],
+    ["construct", "--kind", "conference", "--p", "37", "--p1", "7", "--m", "2"],
+    ["construct", "--kind", "three_class", "--p", "3", "--p1", "11",
+     "--i0", "0,1"],
+    ["construct", "--kind", "four_class", "--p", "11", "--p1", "7",
+     "--i0", "0,1"],
+    ["construct", "--kind", "five_class", "--p", "5", "--p1", "19",
+     "--i0", "0,1"],
+])
+def test_construct_option_the_kind_ignores_exit2(argv, capsys):
+    _one_line_exit2(argv, capsys,
+                    f"construct --kind {argv[2]} does not read {argv[-2]}")
+
+
 def test_fuse_cli(tmp_path):
     out = tmp_path / "f.json"
     code = main(["fuse", "--p", "13", "--f", "1", "--n", "4",

@@ -6,7 +6,7 @@ from scheme_forge.cyclotomy import build_cyclotomy, character_sum
 from scheme_forge.errors import IndexOutOfRange, NotADivisor
 from scheme_forge.finite_field import build_field
 
-from conftest import brute_force_char_sum
+from conftest import brute_force_char_sum, traced_peak
 
 
 def test_f9_index2_periods(f9):
@@ -47,6 +47,9 @@ def test_trace_count_rows_sum_to_class_size(f243):
     (3, 5, 22), (3, 5, 242),        # L = 121: rotate the tally, the block
     (13, 1, 4), (2, 6, 9),          # L = 1, and p = 2 (L = q - 1)
     (37, 3, 28), (5, 9, 38),
+    (257, 2, 2),                    # rotated in groups of 127 periods
+    (2, 20, 33825),                 # N > _BLOCK: one class cycle a block
+    (5, 8, 16),                     # L mod rows = 32120, L mod N = 8
 ])
 def test_block_tally_matches_full_sequence_bincount(p, f, N):
     field = build_field(p, f)
@@ -56,6 +59,18 @@ def test_block_tally_matches_full_sequence_bincount(p, f, N):
     got = build_cyclotomy(field, N).trace_counts
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,f,N", [
+    (5, 9, 38),    # L = 488,281 terms, tallied a block at a time
+    (1021, 2, 2),  # the block rotated through 1020 norm periods, 32 a group
+])
+def test_tally_holds_no_second_copy(p, f, N):
+    field = build_field(p, f)
+    field.norm_block
+    sys_n, peak = traced_peak(lambda: build_cyclotomy(field, N))
+    assert sys_n.M == (field.q - 1) // N
+    assert peak < 1 << 20, peak
 
 
 def test_character_sum_subgroup_f243(f243):

@@ -6,11 +6,13 @@ import pytest
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (DegreeZero, FieldTooLarge, InvalidElement,
                                  NotCoprime, NotPrime)
-from scheme_forge.finite_field import (FieldSpec, _poly_pow_mod, build_field,
-                                       is_prime, multiplicative_order,
-                                       prime_factors)
+from scheme_forge.finite_field import (_BLOCK, FieldSpec, _poly_pow_mod,
+                                       build_field, is_prime,
+                                       multiplicative_order, prime_factors)
 from scheme_forge.gauss_sums import MultChar, gauss_sums_all
 from scheme_forge.scheme_core import IndexPartition, verify_scheme
+
+from conftest import traced_peak
 
 
 @pytest.mark.parametrize("p,f,q", [(37, 3, 50653), (3, 5, 243), (11, 3, 1331)])
@@ -254,13 +256,33 @@ def test_norm_block_spans_the_trace_sequence(p, f):
     assert field.norm_powers.tolist() == [pow(norm[0], k, p)
                                           for k in range(p - 1)]
     # the Frobenius sum at the first terms, both sides of every norm
-    # period boundary, and a stride through the whole sequence
+    # period boundary, of every sub-block the gather reads (F_{5^9}: 14 in
+    # a period) and of every jump and sub-block of the doubling, and a
+    # stride through the whole sequence
     exps = set(range(min(q - 1, 40))) | set(range(0, q - 1, -(-q // 150)))
     for k in range(1, p - 1):
         exps |= {k * L - 1, k * L}
+    for a in range(_BLOCK, L, _BLOCK):
+        exps |= {a - 1, a}
+    n = f
+    while n < L:
+        take = min(n - f + 1, L - n)
+        for a in range(n, n + take, _BLOCK):
+            exps |= {a - 1, a}
+        n += take
     for e in sorted(exps | {q - 2}):
         y = _pow_mod(gamma, e, modulus, p)
         assert seq[e] == _frobenius_trace(y, modulus, p), e
+
+
+def test_norm_block_holds_no_second_copy():
+    # L = 4,194,303 uint8 terms; the doubling's sums run through two
+    # sub-block buffers, not through take-length temporaries
+    field = build_field(2, 22)
+    block, peak = traced_peak(lambda: FieldSpec.norm_block.func(field))
+    assert np.array_equal(block, field.norm_block)
+    assert block.nbytes >= 4_000_000
+    assert peak < block.nbytes + (1 << 20), peak - block.nbytes
 
 
 def test_period_paths_build_no_element_tables(f243):

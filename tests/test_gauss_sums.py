@@ -12,6 +12,8 @@ from scheme_forge.gauss_sums import (MultChar, _psi_values, class_number,
                                      gauss_sums_all, index2_comparison,
                                      make_index2_params, solve_bc)
 
+from conftest import traced_peak
+
 
 def prime_powers(limit, p_min=2):
     out = []
@@ -198,6 +200,17 @@ def test_psi_values_bitwise_equal_elementwise_exp(p, f):
     # a gather through the whole trace sequence
     roots = np.exp(2j * np.pi * np.arange(p, dtype=np.float64) / p)
     assert got.tobytes() == roots[field.trace_sequence].tobytes()
+
+
+def test_psi_values_hold_no_second_copy():
+    # the gather writes straight into its output a sub-block at a time:
+    # whole periods cost 4 MiB more, and the default take mode, which
+    # buffers each sub-block's output, 0.75 MiB more, against 0.25 MiB
+    field = build_field(11, 6)
+    field.norm_block
+    psi, peak = traced_peak(lambda: _psi_values(field))
+    assert psi.shape == (field.q - 1,)
+    assert peak < psi.nbytes + (1 << 19), peak - psi.nbytes
 
 
 def test_index2_direct_values_are_gauss_sums_all_bins():

@@ -65,3 +65,15 @@ def test_dumps_matches_json_on_subclasses():
 def test_dumps_rejects_what_json_rejects():
     with pytest.raises(TypeError):
         jsonio.dumps({"bad": [1, np.int64(2)]})
+
+
+def test_chunks_lay_out_each_key_as_its_own_piece():
+    # the command line writes these pieces as they are: no piece holds the
+    # value of more than one key, so the document is never joined
+    doc = {"a": [1, 2], "b": {"c": [3.5], "d": "x"}}
+    pieces = jsonio.chunks(doc)
+    assert "".join(pieces) == reference(doc)
+    assert pieces == ['{\n  "schema": "scheme-forge/1"',
+                      ',\n  "a": [\n    1,\n    2\n  ]',
+                      ',\n  "b": ', '{\n    "c": [\n      3.5\n    ]',
+                      ',\n    "d": "x"', '\n  }', '\n}', '\n']

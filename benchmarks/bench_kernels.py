@@ -5,25 +5,25 @@ Times the field builds, the report stages of ``verify`` and the partition
 scan, all numpy, and prints the best of three runs of each row with its
 rate: elements/s for the field rows (q - 1 per field, L = (q - 1)/(p - 1)
 for the norm block): the antilog table (read off the trace m-sequence,
-which is built once outside the timed region), the norm block (the
-m-sequence over one norm period) that Gauss periods read, the whole
-m-sequence assembled from it, the psi vector the Gauss sums transform, and
-the uncached primitive-modulus scan; terms/s for the cyclotomy tally of
-the norm block (L per system, the block built outside the timed region);
-numbers/s ((N + 1)^3 per scheme) for the intersection numbers of the
-order-N cyclotomic scheme, past its verdict; bytes/s for rendering that
-scheme's ``verify`` document; leaves/s for the partition scan (the
-closure search's test oracle), single-threaded, one call per prefix block
-of ``search.scan_groups``, building its suffix tables included, timed
-once; closures/s for the two phases of the closure search that
-``search-nonexistence`` runs, best of three: the two-block phase (one
-two-block partition closed per orbit, then mapped over the orbits) and the
-meet phase (every round of meets, the final filters and the orbit
-expansion of the closed schemes), each counting the partitions handed to
-``search._close``.  The norm block, psi and tally rows also print their
-traced peak: the tracemalloc heap high-water mark of one more, untimed
-call above its level at entry, the output included.  --quick drops the
-four-class p = 7 scan (1.8e8 leaves).
+which is built once outside the timed region), the norm block (the norm
+stream, the m-sequence over one norm period, assembled into one array),
+the whole m-sequence gathered from the stream, the psi vector the Gauss
+sums transform, and the uncached primitive-modulus scan; terms/s for the
+cyclotomy tally (L per system).  The psi and tally rows walk the stream
+inside the timed region, as a command does; numbers/s ((N + 1)^3 per
+scheme) for the intersection numbers of the order-N cyclotomic scheme,
+past its verdict; bytes/s for rendering that scheme's ``verify`` document;
+leaves/s for the partition scan (the closure search's test oracle),
+single-threaded, one call per prefix block of ``search.scan_groups``,
+building its suffix tables included, timed once; closures/s for the two
+phases of the closure search that ``search-nonexistence`` runs, best of
+three: the two-block phase (one two-block partition closed per orbit, then
+mapped over the orbits) and the meet phase (every round of meets, the
+final filters and the orbit expansion of the closed schemes), each
+counting the partitions handed to ``search._close``.  The norm block, psi
+and tally rows also print their traced peak: the tracemalloc heap
+high-water mark of one more, untimed call above its level at entry, the
+output included.  --quick drops the four-class p = 7 scan (1.8e8 leaves).
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -75,8 +75,8 @@ def bench_antilog(p, f):
 
 
 def bench_trace_sequence(p, f):
-    """Seconds to build the norm block, and to assemble the sequence from
-    it, and the block build's traced peak in MB."""
+    """Seconds to assemble the norm block from the stream, and to gather the
+    sequence from the stream, and the block's traced peak in MB."""
     field = build_field(p, f)
     # uncached: a fresh build per call
     t_block, block = _time(lambda: FieldSpec.norm_block.func(field))
@@ -90,7 +90,6 @@ def bench_trace_sequence(p, f):
 def bench_psi(p, f):
     """Seconds and traced peak MB of the psi vector."""
     field = build_field(p, f)
-    field.norm_block  # built once, outside the timed region
     t_np, _ = _time(lambda: _psi_values(field))
     return t_np, _traced_peak_mb(lambda: _psi_values(field))
 
@@ -98,7 +97,6 @@ def bench_psi(p, f):
 def bench_tally(p, f, N):
     """Seconds and traced peak MB of the order-N cyclotomic system."""
     field = build_field(p, f)
-    field.norm_block  # built once, outside the timed region
     t_np, _ = _time(lambda: build_cyclotomy(field, N))
     return t_np, _traced_peak_mb(lambda: build_cyclotomy(field, N))
 

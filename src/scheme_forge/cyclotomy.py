@@ -3,15 +3,14 @@
 For each class index i and each t in F_p, count[i][t] is how many x in C_i
 have tr(x) = t (C_i holds gamma^e for e = i mod N); the period eta_i is the
 reduction of sum_t count[i][t] xi_p^t in Z[xi_p].  The counts are read off
-the norm block, the trace m-sequence s_e = tr(gamma^e) over one norm period
+the norm stream, the trace m-sequence s_e = tr(gamma^e) over one norm period
 e < L = (q-1)/(p-1): gamma^L = N(gamma) lies in F_p^* and tr is F_p-linear,
 so s_{e+kL} = N(gamma)^k s_e (mod p), and the term at e with trace t counts
 once in class (e + kL) mod N with trace N(gamma)^k t for each k < p - 1.
-The block, or its (e mod N, t) tally when that is shorter, is rotated
-through the p - 1 norm periods a group of periods per bincount.  The tally
-reads the block in blocks of a multiple of N terms, at most max(N, _BLOCK),
-so every block shares one pattern of class offsets.  Either pass holds
-O(N p + _BLOCK) memory beyond the block, never a copy of the sequence.  All
+Each sub-block of the stream is rotated through the p - 1 norm periods a
+group of periods per bincount, or, when the tally is shorter than the
+period, added to its (e mod N, t) tally, which is then rotated.  Either
+way the pass holds O(N p + _BLOCK) memory, never the period itself.  All
 character sums over unions of classes are exact linear combinations of the
 periods.
 """
@@ -49,29 +48,46 @@ def build_cyclotomy(field: FieldSpec, N: int) -> CyclotomicSystem:
         raise NotADivisor(f"N = {N} does not divide q-1 = {q - 1}")
     M = (q - 1) // N
 
-    # a term s_e = t of the norm block stands for the p - 1 terms
-    # s_{e+kL} = N(gamma)^k t: rotate the block, or its own (e mod N, t)
-    # tally when that is shorter
-    L, block = field.norm_period, field.norm_block
+    # a term s_e = t of the norm period stands for the p - 1 terms
+    # s_{e+kL} = N(gamma)^k t: rotate the terms, a sub-block of the stream
+    # at a time, or their (e mod N, t) tally when that is shorter
+    L = field.norm_period
+    counts = np.zeros(N * p, dtype=np.int64)
     if L <= N * p:
-        e, t, weights = np.arange(L), block, None
+        for start, t in field.norm_stream():
+            _rotate(field, N, np.arange(start, start + len(t)), t, None, counts)
     else:
-        e, t = np.divmod(np.arange(N * p), p)
         tally = np.zeros(N * p, dtype=np.int64)
-        # each block starts at a multiple of N: one pattern of (e mod N) p
-        rows = N * max(1, _BLOCK // N)
-        offsets = np.arange(min(rows, L), dtype=np.intp)
+        # offsets[r + i] = ((r + i) mod N) p: a sub-block at start reads its
+        # own from r = start mod N
+        offsets = np.arange(min(L, _BLOCK) + N - 1, dtype=np.intp)
         offsets %= N
         offsets *= p
-        keys = np.empty_like(offsets)
-        for start in range(0, L, rows):
-            chunk = block[start:start + rows]
-            np.add(offsets[:len(chunk)], chunk, out=keys[:len(chunk)])
-            tally += np.bincount(keys[:len(chunk)], minlength=N * p)
-        weights = tally
-    # the p - 1 norm periods, as many per bincount as fit in one block or
-    # in the N p counts it returns
-    counts = np.zeros(N * p, dtype=np.int64)
+        keys = np.empty(min(L, _BLOCK), dtype=np.intp)
+        for start, chunk in field.norm_stream():
+            r, b = start % N, len(chunk)
+            np.add(offsets[r:r + b], chunk, out=keys[:b])
+            tally += np.bincount(keys[:b], minlength=N * p)
+        e, t = np.divmod(np.arange(N * p), p)
+        _rotate(field, N, e, t, tally, counts)
+    counts = counts.reshape(N, p)
+
+    pm = np.empty((N, p - 1), dtype=np.int64)
+    pm[:] = counts[:, : p - 1]
+    pm -= counts[:, p - 1:p]
+    periods = tuple(CycInt(p, tuple(int(c) for c in row)) for row in pm)
+    return CyclotomicSystem(field=field, N=N, M=M, trace_counts=counts,
+                            periods=periods, period_matrix=pm)
+
+
+def _rotate(field: FieldSpec, N: int, e: np.ndarray, t: np.ndarray,
+            weights: np.ndarray | None, counts: np.ndarray) -> None:
+    """Add to counts the terms s_e = t, weighted, in all p - 1 norm periods.
+
+    In period k the term stands at e + kL with trace N(gamma)^k t; as many
+    periods go to one bincount as fit in max(_BLOCK, N p) keys.
+    """
+    p, L = field.p, field.norm_period
     group = max(1, max(_BLOCK, N * p) // len(e))
     for k0 in range(0, p - 1, group):
         k = np.arange(k0, min(k0 + group, p - 1))
@@ -84,14 +100,6 @@ def build_cyclotomy(field: FieldSpec, N: int) -> CyclotomicSystem:
         # weighted bincount sums in float64: exact, as every count is below q
         w = None if weights is None else np.tile(weights, len(k))
         counts += np.bincount(keys.ravel(), w, minlength=N * p).astype(np.int64)
-    counts = counts.reshape(N, p)
-
-    pm = np.empty((N, p - 1), dtype=np.int64)
-    pm[:] = counts[:, : p - 1]
-    pm -= counts[:, p - 1:p]
-    periods = tuple(CycInt(p, tuple(int(c) for c in row)) for row in pm)
-    return CyclotomicSystem(field=field, N=N, M=M, trace_counts=counts,
-                            periods=periods, period_matrix=pm)
 
 
 def character_sum(sys: CyclotomicSystem, index_set, shift: int = 0) -> CycInt:

@@ -11,17 +11,18 @@ Every Gauss period reads only s_e = tr(gamma^e), a linear recurring sequence
 whose characteristic polynomial is the modulus.  One norm period fixes it:
 with L = (q-1)/(p-1), gamma^L = N(gamma) = (-1)^f c_0 lies in F_p^*, and tr
 is F_p-linear, so s_{e+L} = N(gamma) s_e (mod p) (Lidl-Niederreiter, Finite
-Fields, 2.3).  The periods and the Gauss sums read the norm block
-s_0, ..., s_{L-1}, so building a field makes no q-sized table.  Every pass
-over the sequence (the doubling that builds the block, the gather that
-reads it, the cyclotomy tally) walks it in sub-blocks of at most _BLOCK
-terms through buffers it reuses, so a pass holds its output and O(_BLOCK)
-more, never a second copy of its data.  The whole
-sequence is assembled from the block for the element tables, which the
-element-level operations build on first use: by the trace-dual-basis
-relation, f consecutive terms s_e, ..., s_{e+f-1} fix the coordinates of
-gamma^e, which gives the antilog table; the log table inverts it, and the
-trace table scatters the sequence through it.
+Fields, 2.3).  The periods and the Gauss sums read that norm period
+s_0, ..., s_{L-1} as a stream: norm_stream yields it in sub-blocks of at
+most _BLOCK terms from a rolling buffer, and the cyclotomy tally, the psi
+gather and the direct Gauss sum each consume a sub-block as it comes.
+Nothing caches the period, so those paths hold their output and O(_BLOCK)
+more (O(N p + _BLOCK) for the periods) however large q is, and building a
+field makes no q-sized table.  norm_block assembles the stream for the
+oracles and the tests.  The whole sequence is gathered from the stream for
+the element tables, which the element-level operations build on first use:
+by the trace-dual-basis relation, f consecutive terms s_e, ..., s_{e+f-1}
+fix the coordinates of gamma^e, which gives the antilog table; the log
+table inverts it, and the trace table scatters the sequence through it.
 """
 
 from __future__ import annotations
@@ -176,77 +177,110 @@ class FieldSpec:
         powers.setflags(write=False)
         return powers
 
-    @cached_property
-    def norm_block(self) -> np.ndarray:
-        """s_e = tr(gamma^e) for e < L, the norm period: uint8 for p < 256.
+    def norm_stream(self):
+        """Yield (start, s[start:start + b]) over s_e = tr(gamma^e), e < L.
 
-        The rest of the m-sequence follows, as tr is F_p-linear:
-        s_{e + kL} = N(gamma)^k s_e mod p.  Seeded with tr(x^i), i < f.
-        If x^k = sum_i c_i x^i mod the modulus, then s_{e+k} =
-        sum_i c_i s_{e+i}: with s known on [0, n), taking k = n extends it
-        to [0, 2n - f + 1), summed over the nonzero c_i only, one sub-block
-        at a time through two reused buffers.  Each sum stays below
-        f (p-1)^2, the bound that sizes its unsigned type.  The next jump's
-        x^(2n-f+1) is (x^n)^2 x^(1-f), two products, not a power.
+        The sub-blocks come in order, each start a multiple of _BLOCK and
+        b <= _BLOCK, in the norm block's dtype.  Each is a read-only view of
+        a buffer the walk reuses: read it before drawing the next.  Seeded
+        with tr(x^i), i < f.  If x^j = sum_i c_i x^i mod the modulus, then
+        s_{e+j} = sum_i c_i s_{e+i}: with s known on [0, n), a jump j <= n
+        gives up to j - f + 1 more terms from s[n - j:n], summed over the
+        nonzero c_i only.  Each sum stays below f (p-1)^2, the bound that
+        sizes its unsigned type.  The jump doubles, x^(2j-f+1) =
+        (x^j)^2 x^(1-f) (two products, not a power), until one step fills a
+        sub-block at j = _BLOCK + f - 1; from then on x^j stays fixed and a
+        step reads only the last j terms, so the buffer holds the last j
+        terms and a few sub-blocks however long the period.
         """
         p, f, L = self.p, self.f, self.norm_period
+        dtype = np.min_scalar_type(p - 1)
+        if L <= f:  # f = 1: the period is the one term tr(1)
+            chunk = np.array(self.basis_trace, dtype=dtype)
+            chunk.setflags(write=False)
+            yield 0, chunk
+            return
         mlow = list(self.modulus[:-1])
-        s = np.empty(L, dtype=np.min_scalar_type(p - 1))
-        s[:f] = self.basis_trace
-        if L <= f:
-            s.setflags(write=False)
-            return s
         acc_type = np.min_scalar_type(f * (p - 1) ** 2)
         acc = np.empty(min(_BLOCK, L), dtype=acc_type)
         tmp = np.empty_like(acc)
+        top = _BLOCK + f - 1  # the last jump
+        # s[base:base + len(buf)]: the last top terms and two more steps
+        buf = np.empty(min(L, 2 * top + _BLOCK), dtype=dtype)
+        buf[:f] = self.basis_trace
         step = _poly_pow_mod(self.gamma_poly, self.q - f, mlow, f, p)  # x^(1-f)
-        coeffs = _poly_pow_mod(self.gamma_poly, f, mlow, f, p)  # x^n, n = f
-        n = f
+        coeffs = _poly_pow_mod(self.gamma_poly, f, mlow, f, p)  # x^j, j = f
+        base, n, j = 0, f, f
         while n < L:
-            take = min(n - f + 1, L - n)
-            (i0, c0), *rest = [(i, c) for i, c in enumerate(coeffs) if c]
-            for a in range(0, take, _BLOCK):
-                b = min(a + _BLOCK, take)
-                np.multiply(s[i0 + a:i0 + b], c0, out=acc[:b - a], dtype=acc_type)
-                for i, c in rest:
-                    np.multiply(s[i + a:i + b], c, out=tmp[:b - a], dtype=acc_type)
-                    acc[:b - a] += tmp[:b - a]
-                np.remainder(acc[:b - a], p, out=s[n + a:n + b])
-            n += take
-            if n < L:
+            if j < top and 2 * j - f + 1 <= n:
                 coeffs = _poly_mul_mod(_poly_mul_mod(coeffs, coeffs, mlow, f, p),
                                        step, mlow, f, p)
+                j = 2 * j - f + 1
+            end = min(n + j - f + 1, L, n // _BLOCK * _BLOCK + _BLOCK)
+            if end - base > len(buf):
+                # only once j = top, so the two ranges do not overlap and
+                # s[n - j:n] holds the open sub-block too
+                buf[:j] = buf[n - j - base:n - base]
+                base = n - j
+            b, src = end - n, n - j - base
+            (i0, c0), *rest = [(i, c) for i, c in enumerate(coeffs) if c]
+            np.multiply(buf[src + i0:src + i0 + b], c0, out=acc[:b], dtype=acc_type)
+            for i, c in rest:
+                np.multiply(buf[src + i:src + i + b], c, out=tmp[:b], dtype=acc_type)
+                acc[:b] += tmp[:b]
+            np.remainder(acc[:b], p, out=buf[n - base:end - base])
+            n = end
+            if n % _BLOCK == 0 or n == L:
+                start = (n - 1) // _BLOCK * _BLOCK
+                chunk = buf[start - base:n - base]
+                chunk.setflags(write=False)
+                yield start, chunk
+
+    @cached_property
+    def norm_block(self) -> np.ndarray:
+        """s_e = tr(gamma^e) for e < L, the norm stream assembled: uint8 for
+        p < 256.
+
+        The rest of the m-sequence follows, as tr is F_p-linear:
+        s_{e + kL} = N(gamma)^k s_e mod p.  For the oracles and the tests:
+        the periods and the Gauss sums read norm_stream, never this array.
+        """
+        s = np.empty(self.norm_period, dtype=np.min_scalar_type(self.p - 1))
+        for start, chunk in self.norm_stream():
+            s[start:start + len(chunk)] = chunk
         s.setflags(write=False)
         return s
 
     def gather_trace(self, table: np.ndarray) -> np.ndarray:
         """table[s_e] for e = 0..q-2, a new array of table's dtype.
 
-        Norm period k is the block read through the permuted p-entry table
-        t -> table[N(gamma)^k t mod p], one sub-block per take.  Every term
-        is below p, so mode="clip" gathers the same entries, straight into
-        out, where the default mode buffers it.  For f = 1 a period is one
-        term (L = 1 < p), so the terms N(gamma)^k s_0 mod p index table
-        directly.
+        Each sub-block of the norm stream is written into all p - 1 norm
+        periods: into period k through the permuted p-entry table
+        t -> table[N(gamma)^k t mod p].  Every term is below p, so
+        mode="clip" gathers the same entries, straight into out, where the
+        default mode buffers it.  For f = 1 a period is the one term
+        s_0 = tr(1) = 1 (L = 1 < p), so the sequence is N(gamma)^k itself.
         """
-        p, L, block = self.p, self.norm_period, self.norm_block
+        p, L = self.p, self.norm_period
         if L < p:
-            return table[np.multiply.outer(self.norm_powers, block).ravel() % p]
+            return table[self.norm_powers]
         out = np.empty(self.q - 1, dtype=table.dtype)
         t = np.arange(p, dtype=np.int64)
-        for k, c in enumerate(self.norm_powers.tolist()):
-            perm = table[t * c % p]
-            for a in range(0, L, _BLOCK):
-                b = min(a + _BLOCK, L)
-                np.take(perm, block[a:b], out=out[k * L + a:k * L + b],
-                        mode="clip")
+        powers = self.norm_powers.tolist()
+        index = np.empty(min(L, _BLOCK), dtype=np.intp)  # cast once, not per take
+        for start, chunk in self.norm_stream():
+            b = len(chunk)
+            index[:b] = chunk
+            for k, c in enumerate(powers):
+                np.take(table[t * c % p], index[:b],
+                        out=out[k * L + start:k * L + start + b], mode="clip")
         return out
 
     @cached_property
     def trace_sequence(self) -> np.ndarray:
         """s_e = tr(gamma^e) for e = 0..q-2, of the norm block's dtype."""
-        block = self.norm_block
-        s = self.gather_trace(np.arange(self.p, dtype=block.dtype))
+        dtype = np.min_scalar_type(self.p - 1)
+        s = self.gather_trace(np.arange(self.p, dtype=dtype))
         s.setflags(write=False)
         return s
 

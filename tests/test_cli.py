@@ -180,6 +180,9 @@ PINNED_STDOUT = [
     ("verify --p 37 --f 3 --n 28 --parts "
      + "|".join(str(i) for i in range(28)),
      "ddb085ad5c453d947ee8ddf3700e7b3a5dd45afd7ec694927a50ecd8561ceac6"),
+    # F_{3^16}: the longest norm period a command walks, L = 21,523,360
+    ("verify --p 3 --f 16 --n 8 --parts 0|1|2|3|4|5|6|7",
+     "58eb25e97c78ac95a72150798f6bb0ba51d58a41899b8ca6d8b0f11549c7a022"),
     ("construct --kind three_class --p 3 --p1 11",
      "2552ed175ad04b39c061c97fcadfb8bf587d5ac58170516c35c4b4c1f485a625"),
     ("construct --kind four_class --p 11 --p1 7",

@@ -44,12 +44,14 @@ def test_trace_count_rows_sum_to_class_size(f243):
 
 @pytest.mark.parametrize("p,f,N", [
     (7, 2, 1), (7, 2, 16),          # N p <= L = 8, and N p > L
-    (3, 5, 22), (3, 5, 242),        # L = 121: rotate the tally, the block
+    (3, 5, 22), (3, 5, 242),        # L = 121: rotate the tally, the terms
     (13, 1, 4), (2, 6, 9),          # L = 1, and p = 2 (L = q - 1)
-    (37, 3, 28), (5, 9, 38),
+    (37, 3, 28),
+    (5, 9, 38),                     # sub-blocks start at 2^15 k = 12 k mod N
     (257, 2, 2),                    # rotated in groups of 127 periods
-    (2, 20, 33825),                 # N > _BLOCK: one class cycle a block
-    (5, 8, 16),                     # L mod rows = 32120, L mod N = 8
+    (2, 16, 65535),                 # L <= N p: two sub-blocks rotated
+    (2, 20, 33825),                 # N > _BLOCK: offsets past one cycle
+    (5, 8, 16),                     # a last sub-block of 32,120 terms
 ])
 def test_block_tally_matches_full_sequence_bincount(p, f, N):
     field = build_field(p, f)
@@ -62,12 +64,13 @@ def test_block_tally_matches_full_sequence_bincount(p, f, N):
 
 
 @pytest.mark.parametrize("p,f,N", [
-    (5, 9, 38),    # L = 488,281 terms, tallied a block at a time
-    (1021, 2, 2),  # the block rotated through 1020 norm periods, 32 a group
+    (5, 9, 38),    # L = 488,281 terms, tallied a sub-block at a time
+    (1021, 2, 2),  # the period rotated through 1020 norm periods, 32 a group
+    (2, 22, 3),    # L = 4,194,303 uint8 terms, four times the bound
 ])
 def test_tally_holds_no_second_copy(p, f, N):
+    # the bound covers generating the terms too: no L-term array exists
     field = build_field(p, f)
-    field.norm_block
     sys_n, peak = traced_peak(lambda: build_cyclotomy(field, N))
     assert sys_n.M == (field.q - 1) // N
     assert peak < 1 << 20, peak

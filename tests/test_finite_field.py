@@ -255,22 +255,30 @@ def test_norm_block_spans_the_trace_sequence(p, f):
     assert np.array_equal(s[L:], s[:-L] * norm[0] % p)
     assert field.norm_powers.tolist() == [pow(norm[0], k, p)
                                           for k in range(p - 1)]
+    # the stream's sub-blocks start at the multiples of _BLOCK, in order,
+    # and concatenate to the period
+    pieces = [(start, chunk.copy()) for start, chunk in field.norm_stream()]
+    assert [start for start, _ in pieces] == list(range(0, L, _BLOCK))
+    assert all(c.dtype == block.dtype and len(c) <= _BLOCK for _, c in pieces)
+    assert np.array_equal(np.concatenate([c for _, c in pieces]), seq[:L])
     # the Frobenius sum at the first terms, both sides of every norm
-    # period boundary, of every sub-block the gather reads (F_{5^9}: 14 in
-    # a period) and of every jump and sub-block of the doubling, and a
-    # stride through the whole sequence
+    # period boundary, of every sub-block (F_{5^9}: 15 in a period) and of
+    # every step of the walk: the doubling jumps, cut at the sub-block
+    # boundaries, up to j = _BLOCK + f - 1, then that jump's steps, through
+    # every shift of the rolling buffer; and a stride through the sequence
     exps = set(range(min(q - 1, 40))) | set(range(0, q - 1, -(-q // 150)))
     for k in range(1, p - 1):
         exps |= {k * L - 1, k * L}
     for a in range(_BLOCK, L, _BLOCK):
         exps |= {a - 1, a}
-    n = f
+    top, n, j = _BLOCK + f - 1, f, f
     while n < L:
-        take = min(n - f + 1, L - n)
-        for a in range(n, n + take, _BLOCK):
-            exps |= {a - 1, a}
-        n += take
-    for e in sorted(exps | {q - 2}):
+        if j < top and 2 * j - f + 1 <= n:
+            j = 2 * j - f + 1
+            exps |= {n - j, n - j + f - 1}
+        n = min(n + j - f + 1, L, n // _BLOCK * _BLOCK + _BLOCK)
+        exps |= {n - 1, n}
+    for e in sorted(e for e in exps | {q - 2} if e < q - 1):
         y = _pow_mod(gamma, e, modulus, p)
         assert seq[e] == _frobenius_trace(y, modulus, p), e
 
@@ -286,15 +294,16 @@ def test_norm_block_holds_no_second_copy():
 
 
 def test_period_paths_build_no_element_tables(f243):
-    # from_json rebuilds the field, bypassing build_field's cache; periods
-    # and Gauss sums read the norm block, never the q-length sequence
+    # from_json rebuilds the field, bypassing build_field's cache; periods,
+    # verdict and Gauss sums walk the norm stream: they build neither the
+    # q-length sequence nor the norm block
     field = FieldSpec.from_json(f243.to_json())
     sys11 = build_cyclotomy(field, 11)
     report = verify_scheme(sys11, IndexPartition.from_sets(
         11, [[i] for i in range(11)]))
     assert report.is_scheme
     gauss_sums_all(field)
-    assert "norm_block" in vars(field)
+    assert "norm_block" not in vars(field)
     for name in ("trace_sequence", "antilog_table", "log_table",
                  "trace_table"):
         assert name not in vars(field)

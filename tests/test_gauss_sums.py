@@ -203,14 +203,33 @@ def test_psi_values_bitwise_equal_elementwise_exp(p, f):
 
 
 def test_psi_values_hold_no_second_copy():
-    # the gather writes straight into its output a sub-block at a time:
-    # whole periods cost 4 MiB more, and the default take mode, which
-    # buffers each sub-block's output, 0.75 MiB more, against 0.25 MiB
+    # the gather writes each sub-block of the norm stream straight into
+    # its output; the bound covers generating the terms too.  The default
+    # take mode, which buffers each sub-block's output, costs 0.49 MiB more
     field = build_field(11, 6)
-    field.norm_block
     psi, peak = traced_peak(lambda: _psi_values(field))
     assert psi.shape == (field.q - 1,)
     assert peak < psi.nbytes + (1 << 19), peak - psi.nbytes
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (13, 1), (2, 6), (3, 5), (5, 4),
+                                 (11, 3), (257, 2)])
+def test_direct_sums_match_gauss_sums_all(p, f):
+    # angles reduced mod q - 1 in integers: 5e-13 off the FFT on F_{257^2},
+    # where exp of the unreduced 2 pi k a / (q - 1) was 1.4e-8 off
+    field = build_field(p, f)
+    G = gauss_sums_all(field)
+    ks = range(0, field.q - 1, 1 + field.q // 600)
+    for k in ks:
+        assert abs(gauss_sum_direct(MultChar(field, k)) - G[k]) < 1e-8, k
+
+
+def test_direct_sum_holds_no_q_length_vector():
+    # psi alone is 27 MB on F_{11^6}; the sum walks the norm stream
+    field = build_field(11, 6)
+    got, peak = traced_peak(lambda: gauss_sum_direct(MultChar(field, 12345)))
+    assert peak < 1 << 20, peak
+    assert abs(got - gauss_sums_all(field)[12345]) < 1e-8
 
 
 def test_index2_direct_values_are_gauss_sums_all_bins():

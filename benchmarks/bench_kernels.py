@@ -13,22 +13,21 @@ cyclotomy tally (L per system).  The psi and tally rows walk the stream
 inside the timed region, as a command does; numbers/s ((N + 1)^3 per
 scheme) for the intersection numbers of the order-N cyclotomic scheme,
 past its verdict; bytes/s for rendering that scheme's ``verify`` document;
-leaves/s for the partition scan (the closure search's test oracle),
-single-threaded, one call per prefix block of ``search.scan_groups``,
-building its suffix tables included, timed once; closures/s for the two
-phases of the closure search that ``search-nonexistence`` runs, best of
-three: the two-block phase (one two-block partition closed per orbit, then
+leaves/s for the plain partition scan (the closure search's test
+oracle), one ``search_chunk`` call per label prefix, at most dmax^9
+completions a call, at (p, dmax) = (3, 4) and (7, 3), timed once;
+closures/s for the two phases of the closure search that
+``search-nonexistence`` runs, best of three: the two-block phase (one two-block partition closed per orbit, then
 mapped over the orbits) and the meet phase (every round of meets, the
 final filters and the orbit expansion of the closed schemes), each
 counting the partitions handed to ``search._close``.  The norm block, psi
 and tally rows also print their traced peak: the tracemalloc heap
 high-water mark of one more, untimed call above its level at entry, the
-output included.  --quick drops the four-class p = 7 scan (1.8e8 leaves).
+output included.
 
-    python3 benchmarks/bench_kernels.py [--quick]
+    python3 benchmarks/bench_kernels.py
 """
 
-import argparse
 import time
 import tracemalloc
 
@@ -41,7 +40,7 @@ from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
 from scheme_forge.gauss_sums import _psi_values
 from scheme_forge.scheme_core import (IndexPartition, intersection_numbers,
                                       verify_scheme)
-from scheme_forge.search import scan_groups, trace_partition
+from scheme_forge.search import trace_partition
 
 
 def _time(fn, repeat=3):
@@ -138,12 +137,12 @@ def bench_search(p, dmax):
         sden[i] = 1
     for i in tn:
         sden[i] = -1
-    blocks = scan_groups(N, dmax)
+    prefixes = _kernels.search_prefixes(N, dmax, max(1, N - 9))
 
     def run():
         counts = np.zeros(dmax + 2, dtype=np.int64)
-        for block in blocks:
-            _kernels.search_chunk(block, N, 3, dmax, N // 2, (t0[0], t0[1]),
+        for prefix in prefixes:
+            _kernels.search_chunk(prefix, N, 3, dmax, N // 2, (t0[0], t0[1]),
                                   sden, p, True, counts)
         return int(counts.sum())
 
@@ -183,10 +182,6 @@ def bench_closure(p, dmax):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--quick", action="store_true")
-    args = ap.parse_args()
-
     rows = []  # (name, seconds, rate, traced peak MB or None)
     for name, bench, fields in [
             ("antilog", bench_antilog,
@@ -220,8 +215,7 @@ def main():
     rows.append((f"json render F_{p}^{f} N={N} ({nbytes} bytes)", t_np,
                  nbytes / t_np, None))
 
-    scans = [(3, 4), (7, 3)] if args.quick else [(3, 4), (7, 3), (7, 4)]
-    for p, dmax in scans:
+    for p, dmax in [(3, 4), (7, 3)]:
         t_np, leaves = bench_search(p, dmax)
         rows.append((f"scan p={p} d<={dmax} ({leaves} leaves)", t_np,
                      leaves / t_np, None))

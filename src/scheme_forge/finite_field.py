@@ -375,12 +375,15 @@ class FieldSpec:
 
 
 def _check_size(p: int, f: int, cap: int) -> None:
-    if not is_prime(p):
+    if p < 2:
         raise NotPrime(f"{p} is not prime")
     if f < 1:
         raise DegreeZero(f"extension degree must be >= 1, got {f}")
-    if p ** f > cap:
-        raise FieldTooLarge(f"q = {p}^{f} = {p ** f} exceeds cap {cap}")
+    # before trial division; p^f >= 2^f > cap from f = cap.bit_length() on
+    if f >= cap.bit_length() or p ** f > cap:
+        raise FieldTooLarge(f"q = {p}^{f} exceeds cap {cap}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
 
 
 def _build_from_modulus(p: int, f: int, mlow: list[int]) -> FieldSpec:

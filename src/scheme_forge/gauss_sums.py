@@ -324,8 +324,8 @@ def davenport_hasse_check(chi: MultChar, s: int,
                           cap: int = DEFAULT_CAP) -> tuple[complex, complex]:
     """(direct G of the lifted character, (-1)^{s-1} G(chi)^s)."""
     field = chi.field
-    if field.q ** s > cap:
-        raise FieldTooLarge(f"q^s = {field.q ** s} exceeds cap {cap}")
+    if s >= cap.bit_length() or field.q ** s > cap:  # q >= 2
+        raise FieldTooLarge(f"q^s = {field.q}^{s} exceeds cap {cap}")
     big = build_field(field.p, field.f * s, cap=cap)
     if chi.is_trivial:
         direct = complex(-1.0)

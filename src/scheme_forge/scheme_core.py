@@ -26,6 +26,13 @@ from .errors import (MalformedPartition, NotAScheme, PartitionInvalid,
 ORACLE_CAP = 20_000
 
 
+def _index(i) -> int:
+    """A part's index as an int: an int or numpy integer, never a bool."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise PartitionInvalid(f"index {i!r} is not an integer")
+    return int(i)
+
+
 @dataclass(frozen=True)
 class IndexPartition:
     """Partition of Z_N; the trivial class {0} of F_q is implicit, not stored."""
@@ -49,6 +56,10 @@ class IndexPartition:
 
     @classmethod
     def from_sets(cls, N: int, parts) -> "IndexPartition":
+        try:
+            parts = [[_index(i) for i in p] for p in parts]
+        except TypeError:
+            raise PartitionInvalid("parts must be lists of indices") from None
         return cls(N, tuple(tuple(sorted(p)) for p in parts))
 
     @property

@@ -13,8 +13,8 @@ is re-verified through the exact CycInt path and the primitivity filter
 before being reported.  No prime is gated by name: the working-set
 estimates refuse a run before it allocates (p = 19, N = 40, is refused;
 p = 11 runs in seconds).  The partition scan of ``_kernels`` (every
-restricted-growth labelling, one ``search_chunk`` call per block of
-``scan_groups``) is kept as the tests' independent oracle.
+restricted-growth labelling, one ``search_chunk`` call per label prefix)
+is kept as the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -437,17 +437,23 @@ def exhaustive_nonexistence(p: int, max_classes: int = 4,
     count the partitions the closure argument decides, by block count
     (Stirling numbers).  The budget estimates alone decide what runs.
     """
-    if p % 4 != 3 or not is_prime(p):
-        raise PreconditionViolated(f"p = {p} must be a prime = 3 (mod 4)")
+    domain = f"p = {p} must be a prime = 3 (mod 4)"
+    if p % 4 != 3 or p < 3:
+        raise PreconditionViolated(domain)
     if max_classes not in (3, 4):
         raise PreconditionViolated("max_classes must be 3 or 4")
     dmax = max_classes
     N = 2 * (p + 1)
-    need = closure_bytes(N)
+    # decided from N before a huge p is trial-divided; the estimate grows
+    # with N, so past N = 64 its value there refuses without forming 2^(N-1)
+    need = closure_bytes(min(N, 64))
     if need > CLOSURE_BUDGET:
         raise BudgetExceeded(
-            f"the closure search on Z_{N} needs ~{need >> 20} MiB, over the "
+            f"the closure search on Z_{N} needs "
+            f"{'~' if N <= 64 else 'more than '}{need >> 20} MiB, over the "
             f"{CLOSURE_BUDGET >> 20} MiB budget")
+    if not is_prime(p):
+        raise PreconditionViolated(domain)
     report = _progress_reporter(progress)
     raw = _closed_schemes(p, dmax, not allow_symmetric, report)
     need = len(raw) * _SURVIVOR_BYTES
@@ -478,26 +484,10 @@ def exhaustive_nonexistence(p: int, max_classes: int = 4,
                         schemes_found=survivors)
 
 
-def scan_groups(N: int, dmax: int) -> list[np.ndarray]:
-    """The scan's prefix blocks, one ``search_chunk`` call each: label
-    prefixes in pair order, grouped by ``_kernels.group_prefixes``.  The
-    depth keeps every suffix table small at N <= 16 and leaves N = 24 at
-    depth 9, whose tables exceed the budget."""
-    from . import _kernels
-
-    depth = 4 if N <= 8 else (7 if dmax <= 3 else 8) if N <= 16 else 9
-    return _kernels.group_prefixes(_kernels.search_prefixes(N, dmax, depth),
-                                   dmax)
-
-
 def enumeration_counts(N: int, max_classes: int) -> list[int]:
     """Partition counts of Z_N by block count, from the kernel enumerator."""
     from . import _kernels
 
-    if N % 2:
-        raise PreconditionViolated(
-            f"enumeration_counts needs an even N, got N = {N}: the scan "
-            "kernel labels Z_N in opposite pairs {i, i + N/2}")
     counts = np.zeros(max_classes + 2, dtype=np.int64)
     for prefix in _kernels.search_prefixes(N, max_classes, min(4, N - 1)):
         _kernels.search_chunk(prefix, N, N + 1, max_classes, N // 2,

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -105,6 +106,38 @@ def test_field_cap_exit3():
     code = main(["verify", "--p", "13", "--f", "1", "--n", "2",
                  "--parts", "0|1", "--cap", "10"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv,match", [
+    (["verify", "--p", "2305843009213693951", "--f", "1", "--n", "2",
+      "--parts", "0|1"], "q = 2305843009213693951^1 exceeds cap"),
+    (["verify", "--p", "3", "--f", "10000", "--n", "2", "--parts", "0|1"],
+     "q = 3^10000 exceeds cap"),
+    (["verify", "--p", "3", "--f", "10000000", "--n", "2", "--parts", "0|1"],
+     "q = 3^10000000 exceeds cap"),
+    (["search-nonexistence", "--p", "20011"], "Z_40024 needs more than"),
+    # 2^61 - 1 is a prime = 3 (mod 4) that trial division would not finish
+    (["search-nonexistence", "--p", "2305843009213693951"], "needs more than"),
+])
+def test_oversized_input_exit3_at_once(argv, match, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and match in err, err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"N": 2, "parts": 5}',
+    '{"N": 2, "parts": [[0, "a"]]}',
+    '{"N": 2, "parts": [[0.5], [1]]}',
+    '{"N": 2, "parts": [[true], [0]]}',
+])
+def test_partition_file_with_non_integer_indices_exit2(doc, tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(doc)
+    _one_line_exit2(["verify", "--p", "3", "--f", "2", "--n", "2", "--parts",
+                     "@" + str(f)], capsys, "PartitionInvalid")
 
 
 def test_partition_file_loads_song_sets(tmp_path, sys28):

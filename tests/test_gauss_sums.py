@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from scheme_forge.errors import (BadDiscriminant, EvenCharacteristic,
-                                 NoSolution, PreconditionViolated)
+                                 FieldTooLarge, NoSolution,
+                                 PreconditionViolated)
 from scheme_forge.finite_field import build_field, is_prime
 from scheme_forge.gauss_sums import (MultChar, _psi_values, class_number,
                                      davenport_hasse_check, gauss_sum_direct,
@@ -159,6 +161,14 @@ def test_davenport_hasse_trivial(f9):
 def test_davenport_hasse_quadratic(f9):
     d, fm = davenport_hasse_check(MultChar(f9, 4), 2)
     assert abs(d - fm) < 1e-6
+
+
+def test_davenport_hasse_refuses_a_huge_lift_at_once(f9):
+    # q^s is compared with the cap without being formed
+    t0 = time.perf_counter()
+    with pytest.raises(FieldTooLarge, match=r"q\^s = 9\^10000000 exceeds"):
+        davenport_hasse_check(MultChar(f9, 4), 10_000_000)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_davenport_hasse_order22(f243):

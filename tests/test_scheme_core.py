@@ -39,6 +39,19 @@ def test_partition_validation():
         IndexPartition.from_sets(4, [[0, 1, 2, 4]])
 
 
+@pytest.mark.parametrize("parts", [5, [5], [[0, "a"]], [[0.5], [1]],
+                                   [[True], [0]], [[np.bool_(True)], [0]]])
+def test_partition_indices_must_be_integers(parts):
+    with pytest.raises(PartitionInvalid):
+        IndexPartition.from_sets(2, parts)
+
+
+def test_partition_reads_numpy_integers_as_int():
+    part = IndexPartition.from_sets(3, [np.array([2, 0]), [np.int8(1)]])
+    assert part.parts == ((0, 2), (1,))
+    assert all(type(i) is int for p in part.parts for i in p)
+
+
 @pytest.mark.parametrize("p,f,N", [(13, 1, 2), (3, 2, 8), (3, 5, 11), (11, 2, 12)])
 def test_cyclotomic_schemes_verify(p, f, N):
     field = build_field(p, f)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -11,8 +12,8 @@ from scheme_forge.finite_field import build_field
 from scheme_forge.scheme_core import (brute_force_verify, dual_classes,
                                       is_primitive, is_scheme)
 from scheme_forge.search import (enumeration_counts, exhaustive_nonexistence,
-                                 scan_groups, trace_partition,
-                                 ts_character_values, ts_identity_check)
+                                 trace_partition, ts_character_values,
+                                 ts_identity_check)
 
 from conftest import partition_to_relations
 
@@ -76,18 +77,12 @@ def test_trace_partition_domain():
 
 # --- the exhaustive scan ------------------------------------------------------------
 
-@pytest.mark.parametrize("N", [4, 6, 8])
+@pytest.mark.parametrize("N", [4, 5, 6, 7, 8])
 def test_enumeration_matches_stirling(N):
     counts = enumeration_counts(N, 4)
     assert counts == [0] + [stirling2(N, k) for k in range(1, 5)] + [0]
     if N == 8:
         assert counts[3:5] == [966, 1701]
-
-
-@pytest.mark.parametrize("N", [5, 7])
-def test_enumeration_needs_even_n(N):
-    with pytest.raises(PreconditionViolated, match=f"even N, got N = {N}"):
-        enumeration_counts(N, 4)
 
 
 def test_p3_nonexistence():
@@ -146,6 +141,18 @@ def test_budget_guards(monkeypatch):
         exhaustive_nonexistence(19)
 
 
+def test_budget_is_decided_before_primality(monkeypatch):
+    # 2^61 - 1 = 3 (mod 4): refused from N alone, neither trial-divided nor
+    # sized through 2^(N - 1)
+    def no_trial_division(n):
+        raise AssertionError("trial-divided before the budget check")
+
+    monkeypatch.setattr(search, "is_prime", no_trial_division)
+    with pytest.raises(BudgetExceeded,
+                       match=f"Z_{2 ** 62} needs more than"):
+        exhaustive_nonexistence(2 ** 61 - 1)
+
+
 def test_survivors_over_budget_raise_before_the_recheck(monkeypatch):
     # 19 schemes at p = 3 with the filters off; the budget holds 10
     monkeypatch.setattr(search, "_SURVIVOR_BYTES", search.CLOSURE_BUDGET // 10)
@@ -165,25 +172,40 @@ def test_p11_three_classes_finds_nothing():
 
 # --- the closure search against the partition scan --------------------------------
 
-def _scan_found(p, dmax, allow_symmetric):
-    """The scan's found list: every search_chunk survivor of every prefix
-    block, rechecked through the exact path as the closure's are."""
+@functools.lru_cache(maxsize=None)
+def _scan(p, dmax):
+    """Every search_chunk survivor without the nonsymmetry filter, and the
+    leaf counts: one scan per (p, dmax) for the whole module."""
     N = 2 * (p + 1)
     t0, ts, tn = trace_partition(p)
     sden = np.zeros(N, dtype=np.int64)
     sden[list(ts)] = 1
     sden[list(tn)] = -1
-    sys_n = build_cyclotomy(build_field(p, 2), N)
     counts = np.zeros(dmax + 2, dtype=np.int64)
+    # at most dmax^9 completions a call
+    rows = [_kernels.search_chunk(pre, N, 3, dmax, N // 2, t0, sden, p,
+                                  False, counts)
+            for pre in _kernels.search_prefixes(N, dmax, max(1, N - 9))]
+    return np.concatenate(rows), counts.tolist()
+
+
+def _scan_found(p, dmax, allow_symmetric):
+    """The scan's found list: its survivors, those with some part
+    I != I + N/2 unless ``allow_symmetric``, rechecked through the exact
+    path as the closure's are."""
+    N = 2 * (p + 1)
+    rows, counts = _scan(p, dmax)
+    if not allow_symmetric:
+        j = np.arange(N)
+        rows = rows[(rows != rows[:, (j + N // 2) % N]).any(axis=1)]
+    sys_n = build_cyclotomy(build_field(p, 2), N)
     found = set()
-    for block in scan_groups(N, dmax):
-        for row in _kernels.search_chunk(block, N, 3, dmax, N // 2, t0, sden,
-                                         p, not allow_symmetric, counts):
-            part = search._canonical(row, N)
-            assert dual_classes(sys_n, part)[0] == part.d
-            if allow_symmetric or is_primitive(sys_n, part, _verified=True):
-                found.add(part)
-    return found, counts.tolist()
+    for row in rows:
+        part = search._canonical(row, N)
+        assert dual_classes(sys_n, part)[0] == part.d
+        if allow_symmetric or is_primitive(sys_n, part, _verified=True):
+            found.add(part)
+    return found, counts
 
 
 @pytest.mark.parametrize("p,dmax", [(3, 3), (3, 4), (7, 3)])

@@ -21,11 +21,12 @@ import numpy as np
 
 from .cycint import CycInt
 from .cyclotomy import CyclotomicSystem, build_cyclotomy
-from .errors import (NoOrbitMemberVerifies, OrientationAmbiguous,
-                     PreconditionViolated, TemplatePreconditionViolated)
+from .errors import (FieldTooLarge, NoOrbitMemberVerifies,
+                     OrientationAmbiguous, PreconditionViolated,
+                     TemplatePreconditionViolated)
 from .finite_field import DEFAULT_CAP, FieldSpec, build_field, is_prime
-from .gauss_sums import (Index2Params, _coset_mod, class_number,
-                         make_index2_params)
+from .gauss_sums import (Index2Params, _coset_mod, check_index2_cap,
+                         class_number, make_index2_params)
 from .scheme_core import (IndexPartition, SchemeReport, dual_classes,
                           verify_scheme)
 
@@ -43,6 +44,7 @@ class BuiltScheme:
 def _index2_system(p: int, p1: int, s: int, N: int, cap: int):
     """(params, field, system): the index-2 instance (p, p1), its field
     F_{p^{f s}} and the order-N cyclotomy over it."""
+    check_index2_cap(p, p1, s, cap)
     params = make_index2_params(p, p1)
     field = build_field(p, params.f * s, cap=cap)
     return params, field, build_cyclotomy(field, N)
@@ -139,8 +141,17 @@ def five_class_3mod8(p: int, p1: int, m: int = 1,
     """
     if m < 1:
         raise PreconditionViolated(f"m = {m} must be >= 1")
-    if p1 % 8 != 3 or p1 <= 3 or not is_prime(p1):
-        raise PreconditionViolated(f"p1 = {p1} must be a prime > 3, 3 mod 8")
+    bad_p1 = PreconditionViolated(f"p1 = {p1} must be a prime > 3, 3 mod 8")
+    if p1 % 8 != 3 or p1 <= 3:
+        raise bad_p1
+    # the cap before any number theory: the field for m = 1, else the
+    # 2 p1^m indices, never formed once 2^m alone exceeds the cap
+    if m == 1:
+        check_index2_cap(p, p1, 1, cap)
+    elif m >= cap.bit_length() or 2 * p1 ** m > cap:
+        raise FieldTooLarge(f"N = 2*{p1}^{m} exceeds cap {cap}")
+    if not is_prime(p1):
+        raise bad_p1
     h = class_number(p1)
     if 1 + p1 != 4 * p ** h:
         raise PreconditionViolated(f"1 + p1 = {1 + p1} != 4 p^h = {4 * p ** h}")

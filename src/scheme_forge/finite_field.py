@@ -379,11 +379,16 @@ def _check_size(p: int, f: int, cap: int) -> None:
         raise NotPrime(f"{p} is not prime")
     if f < 1:
         raise DegreeZero(f"extension degree must be >= 1, got {f}")
-    # before trial division; p^f >= 2^f > cap from f = cap.bit_length() on
-    if f >= cap.bit_length() or p ** f > cap:
-        raise FieldTooLarge(f"q = {p}^{f} exceeds cap {cap}")
+    check_cap(p, f, cap)  # before trial division
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+
+
+def check_cap(p: int, f: int, cap: int) -> None:
+    """FieldTooLarge when q = p^f (p >= 2, f >= 1) exceeds the cap."""
+    # p^f >= 2^f > cap from f = cap.bit_length() on: a huge f forms no p^f
+    if f >= cap.bit_length() or p ** f > cap:
+        raise FieldTooLarge(f"q = {p}^{f} exceeds cap {cap}")
 
 
 def _build_from_modulus(p: int, f: int, mlow: list[int]) -> FieldSpec:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (BadDiscriminant, EvenCharacteristic, FieldTooLarge,
                      NoSolution, PreconditionViolated)
 from .finite_field import (_BLOCK, DEFAULT_CAP, FieldSpec, build_field,
-                           is_prime, multiplicative_order)
+                           check_cap, is_prime, multiplicative_order)
 
 _PIECE = _BLOCK // 4  # terms per piece of gauss_sum_direct's tally
 
@@ -175,6 +175,15 @@ class Index2Params:
         return self.p ** self.f
 
 
+def check_index2_cap(p: int, p1: int, s: int, cap: int) -> None:
+    """FieldTooLarge when the index-2 field F_{p^(f s)}, f = (p1 - 1)/2,
+    exceeds the cap; decided before p or p1 is trial-divided, since a huge
+    p1 means a huge f.  Other malformed (p, p1) are left to
+    make_index2_params."""
+    if p >= 2 and p1 > 3 and p1 % 4 == 3:
+        check_cap(p, (p1 - 1) // 2 * s, cap)
+
+
 def make_index2_params(p: int, p1: int, m: int = 1) -> Index2Params:
     if not (is_prime(p) and is_prime(p1)) or p1 % 4 != 3 or p1 <= 3 or p == p1:
         raise PreconditionViolated(f"bad index-2 instance (p, p1) = ({p}, {p1})")
@@ -267,6 +276,7 @@ def index2_comparison(p: int, p1: int, s: int = 1,
     """
     if s < 1:
         raise PreconditionViolated(f"s = {s} must be >= 1")
+    check_index2_cap(p, p1, s, cap)
     params = make_index2_params(p, p1)
     n = 2 * p1
     field = build_field(p, params.f * s, cap=cap)

@@ -6,9 +6,10 @@ The partition is an association scheme iff the additive characters, grouped
 by their exact value vector on the relations, fall into exactly d classes
 besides the principal one; values live in Z[xi_p], so signatures are
 integer coefficient rows and the verdict is exact.  Intersection numbers,
-and Krein parameters as the intersection numbers of the dual partition,
-follow from the same rows by the translation-scheme identity, with exact
-divisibility checks in place of any element-level count.
+and Krein parameters as those of the dual partition, follow from the same
+rows by the translation-scheme identity, with exact divisibility checks.
+Every transpose is read from one permutation, -R_i = R_neg[i] (part i
+shifted by the class of -1).
 """
 
 from __future__ import annotations
@@ -137,45 +138,30 @@ def is_symmetric(sys: CyclotomicSystem, partition: IndexPartition, i: int) -> bo
     return {(j + c) % sys.N for j in part} == part
 
 
-def negation_image_index(sys: CyclotomicSystem, partition: IndexPartition, i: int) -> int:
-    c = sys.minus_one_class()
-    image = frozenset((j + c) % sys.N for j in partition.parts[i])
-    for k, part in enumerate(partition.part_sets()):
-        if part == image:
-            return k
-    raise NotAScheme("negation image of a relation is not a relation")
+def _negation(sys: CyclotomicSystem, partition: IndexPartition) -> list[int]:
+    """neg[i] = k with -R_i = R_k; NotAScheme if negation does not permute
+    the parts.  -1 lies in C_c, so -R_i is part i shifted by c.  Each shift
+    must land inside one part; as j -> j + c permutes Z_N, the d shifts
+    then cover the d parts, one each, so each shift is a whole part."""
+    if partition.N != sys.N:
+        raise PartitionInvalid(f"partition is over Z_{partition.N}, system over Z_{sys.N}")
+    c, N = sys.minus_one_class(), sys.N
+    label = {j: k for k, part in enumerate(partition.parts) for j in part}
+    neg = [label[(part[0] + c) % N] for part in partition.parts]
+    for part, k in zip(partition.parts, neg):
+        if any(label[(j + c) % N] != k for j in part):
+            raise NotAScheme("negation image of a relation is not a relation")
+    return neg
 
 
 def symmetrize(sys: CyclotomicSystem, partition: IndexPartition) -> IndexPartition:
-    """Merge each part with its negation image (idempotent).
-
-    Implemented as a union-find over parts (a part joins every part its
-    negation image touches), so the result is a partition even when the
-    input is not a scheme and images straddle several parts.
-    """
-    c = sys.minus_one_class()
-    sets = [set(p) for p in partition.parts]
-    parent = list(range(len(sets)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, s in enumerate(sets):
-        image = {(j + c) % sys.N for j in s}
-        for k, t in enumerate(sets):
-            if image & t:
-                ri, rk = find(i), find(k)
-                if ri != rk:
-                    parent[max(ri, rk)] = min(ri, rk)
-
-    groups: dict[int, set] = {}
-    for i, s in enumerate(sets):
-        groups.setdefault(find(i), set()).update(s)
-    merged = [sorted(groups[r]) for r in sorted(groups)]
-    return IndexPartition.from_sets(partition.N, merged)
+    """Merge each part with its negation image (idempotent), in the order of
+    the smaller part index.  Defined on partitions whose negation permutes
+    the parts, as every scheme's does; NotAScheme on any other."""
+    parts = partition.parts
+    return IndexPartition.from_sets(
+        partition.N, [set(parts[i]) | set(parts[k])
+                      for i, k in enumerate(_negation(sys, partition)) if i <= k])
 
 
 # --- primitivity ---------------------------------------------------------------
@@ -185,20 +171,18 @@ def is_primitive(sys: CyclotomicSystem, partition: IndexPartition,
     """No nontrivial relation of the symmetrization has a character sum equal
     to its valency (exact test over all nonprincipal characters).
 
-    ``_verified`` skips the scheme check, for callers that have made it.
+    Defined on verified schemes; ``_verified`` skips the scheme check, for
+    callers that have made it.  The sum over R_i u -R_i is the sum of two
+    signature rows, rows_i + rows_neg[i].  It equals its valency iff each
+    of its terms is 1, iff row i alone equals M |R_i|, as -R_i has the
+    conjugate sum; so each relation is tested on its own row.
     """
     if not _verified and not is_scheme(sys, partition):
         raise NotAScheme("primitivity is only defined for verified schemes")
-    sym = symmetrize(sys, partition)
-    rows = _signature_rows(sys, sym)
-    p = sys.field.p
-    for j, part in enumerate(sym.parts):
-        valency = sys.M * len(part)
-        block = rows[:, j * (p - 1):(j + 1) * (p - 1)]
-        hit = (block[:, 0] == valency) & (block[:, 1:] == 0).all(axis=1)
-        if hit.any():
-            return False
-    return True
+    rows = _signature_rows(sys, partition).reshape(sys.N, partition.d, -1)
+    valency = sys.M * np.array([len(part) for part in partition.parts])
+    hit = (rows[:, :, 0] == valency) & (rows[:, :, 1:] == 0).all(axis=2)
+    return not hit.any()
 
 
 # --- full verification ----------------------------------------------------------
@@ -219,10 +203,9 @@ def verify_scheme(sys: CyclotomicSystem, partition: IndexPartition) -> SchemeRep
     report.intersection_matrices = intersection_numbers(
         sys, partition, _verified=True)
 
-    report.is_symmetric_rel = [is_symmetric(sys, partition, i) for i in range(d)]
-    report.nonsymmetric_pair_count = sum(
-        1 for i in range(d) if not report.is_symmetric_rel[i]
-        and negation_image_index(sys, partition, i) > i)
+    neg = _negation(sys, partition)
+    report.is_symmetric_rel = [k == i for i, k in enumerate(neg)]
+    report.nonsymmetric_pair_count = sum(1 for i, k in enumerate(neg) if k > i)
 
     report.is_primitive = is_primitive(sys, partition, _verified=True)
 
@@ -346,11 +329,7 @@ def _trace_sums(sys: CyclotomicSystem, partition: IndexPartition):
 
 def krein_parameters(sys: CyclotomicSystem, partition: IndexPartition):
     """Intersection matrices of the dual scheme (translation duality)."""
-    count, parts_by_sig, _ = dual_classes(sys, partition)
-    if count != partition.d:
-        raise NotAScheme("Krein parameters of a non-scheme")
-    dual = IndexPartition.from_sets(sys.N, parts_by_sig)
-    return intersection_numbers(sys, dual)
+    return intersection_numbers(sys, dual_partition(sys, partition))
 
 
 def dual_partition(sys: CyclotomicSystem, partition: IndexPartition) -> IndexPartition:

@@ -118,6 +118,17 @@ def test_field_cap_exit3():
     (["search-nonexistence", "--p", "20011"], "Z_40024 needs more than"),
     # 2^61 - 1 is a prime = 3 (mod 4) that trial division would not finish
     (["search-nonexistence", "--p", "2305843009213693951"], "needs more than"),
+    # the index-2 field F_{3^((p1 - 1)/2)} is refused before p1 is
+    # trial-divided; 2^61 - 1 = 7 (mod 8) also passes four_class's own check
+    (["gauss-verify", "--p", "3", "--p1", "2305843009213693951"],
+     "q = 3^1152921504606846975 exceeds cap"),
+    (["construct", "--kind", "three_class", "--p", "3",
+      "--p1", "2305843009213693951"], "q = 3^1152921504606846975 exceeds cap"),
+    (["construct", "--kind", "four_class", "--p", "3",
+      "--p1", "2305843009213693951"], "q = 3^1152921504606846975 exceeds cap"),
+    # the emission-only m >= 2 family would list 2 * 11^m indices
+    (["construct", "--kind", "five_class", "--p", "3", "--p1", "11",
+      "--m", "100000"], "N = 2*11^100000 exceeds cap"),
 ])
 def test_oversized_input_exit3_at_once(argv, match, capsys):
     t0 = time.perf_counter()
@@ -208,6 +219,9 @@ PINNED_STDOUT = [
     # so any change to how psi or its FFT is computed shows up here
     ("gauss-verify --p 3 --p1 11",
      "61c0382f2b9b2232aeaaba64901d57807692347464657a95e6512341892bee5b"),
+    # the gauss-q11e6 benchmark workload
+    ("gauss-verify --p 11 --p1 7 --s 2",
+     "6e43a314dcb6119b5717b2acd01d9f4ce51d709d3eb1f9970cc6751160189d11"),
     # the full order-28 cyclotomic scheme on F_{37^3}: about 1 MB of
     # eigenmatrices and intersection matrices through jsonio.dumps
     ("verify --p 37 --f 3 --n 28 --parts "
@@ -233,6 +247,10 @@ PINNED_STDOUT = [
      "6cb1b1f3f56bc629793a1bdb4d39140e23f976479d9ce845aea0d595f0a91e7c"),
     ("search-nonexistence --p 3 --allow-symmetric",
      "0caf197abd49846227c14c075e8a4da5028340a3256b103f92f45a0abd5c4cc0"),
+    # the scan-p7-d3 benchmark workload: 16 closure survivors through
+    # is_primitive, none of them primitive
+    ("search-nonexistence --p 7 --max-classes 3",
+     "656f0304977fbe0b5f17f19acb811c4c5271a46282867caf5fecf783c46f9ef9"),
     ("search-nonexistence --p 7 --max-classes 3 --allow-symmetric",
      "fc1c5182116702b73c0af785806ae43099fa8030d91ab553b9f6acfb1fd70842"),
     # the full p = 7 scan, and its 2,691 symmetric or imprimitive schemes

@@ -300,6 +300,102 @@ def test_symmetrize_and_is_symmetric(f9):
     assert symmetrize(sys8, sym).parts == sym.parts
 
 
+def union_find_symmetrize(sys, partition):
+    """The earlier symmetrize: a union-find over parts, where a part joins
+    every part its negation image touches, so any partition goes in."""
+    c = sys.minus_one_class()
+    sets = [set(p) for p in partition.parts]
+    parent = list(range(len(sets)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, s in enumerate(sets):
+        image = {(j + c) % sys.N for j in s}
+        for k, t in enumerate(sets):
+            if image & t:
+                ri, rk = find(i), find(k)
+                if ri != rk:
+                    parent[max(ri, rk)] = min(ri, rk)
+    groups = {}
+    for i, s in enumerate(sets):
+        groups.setdefault(find(i), set()).update(s)
+    return IndexPartition.from_sets(
+        partition.N, [sorted(groups[r]) for r in sorted(groups)])
+
+
+def symmetrized_is_primitive(sys, partition):
+    """The earlier is_primitive: signature rows of the symmetrized partition,
+    each of its relations against its own valency."""
+    sym = union_find_symmetrize(sys, partition)
+    rows = _signature_rows(sys, sym)
+    n = sys.field.p - 1
+    for j, part in enumerate(sym.parts):
+        block = rows[:, j * n:(j + 1) * n]
+        if ((block[:, 0] == sys.M * len(part))
+                & (block[:, 1:] == 0).all(axis=1)).any():
+            return False
+    return True
+
+
+def verified_fusions(rng, sys_n, tries):
+    """Every coset scheme of Z_N, then random groupings of the cosets of a
+    random index-H subgroup into d = 2..5 parts that verify."""
+    N = sys_n.N
+    divisors = [h for h in range(1, N + 1) if N % h == 0]
+    found = [coset_partition(N, H) for H in divisors]
+    for _ in range(tries):
+        H = int(rng.choice(divisors[1:]))
+        d = int(rng.integers(2, min(H, 5) + 1))
+        labels = rng.integers(0, d, size=H)
+        if len(np.unique(labels)) < d:
+            continue
+        part = IndexPartition.from_sets(
+            N, [[i for i in range(N) if labels[i % H] == k] for k in range(d)])
+        if is_scheme(sys_n, part):
+            found.append(part)
+    return found
+
+
+def test_negation_permutation_matches_union_find_oracle():
+    seen = set()
+    for p, f, N in [(2, 4, 15), (2, 4, 5), (2, 6, 21), (3, 2, 8), (3, 2, 4),
+                    (3, 5, 22), (5, 2, 24), (7, 2, 16), (13, 1, 12)]:
+        sys_n = build_cyclotomy(build_field(p, f), N)
+        rng = np.random.default_rng(p * 1000 + N)
+        for part in verified_fusions(rng, sys_n, 30):
+            want = union_find_symmetrize(sys_n, part)
+            assert symmetrize(sys_n, part).parts == want.parts
+            prim = is_primitive(sys_n, part)
+            assert prim == symmetrized_is_primitive(sys_n, part)
+            report = verify_scheme(sys_n, part)
+            assert report.is_primitive == prim
+            assert report.is_symmetric_rel == [is_symmetric(sys_n, part, i)
+                                               for i in range(part.d)]
+            # each nonsymmetric pair merges two parts into one
+            assert report.nonsymmetric_pair_count == part.d - want.d
+            seen.add((prim, report.nonsymmetric_pair_count > 0))
+    # primitive or not, with and without a nonsymmetric pair
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("parts", [
+    # -1 = gamma^4: {0, 1, 2} goes to {4, 5, 6}, across {3, 4} and {5, 6, 7}
+    [[0, 1, 2], [3, 4], [5, 6, 7]],
+    # {0} goes to {4}, inside a larger part
+    [[0], [1, 2, 3, 4, 5, 6, 7]],
+])
+def test_symmetrize_refuses_a_non_permuting_negation(f9, parts):
+    sys8 = build_cyclotomy(f9, 8)
+    part = IndexPartition.from_sets(8, parts)
+    assert union_find_symmetrize(sys8, part).d == 1
+    with pytest.raises(NotAScheme):
+        symmetrize(sys8, part)
+
+
 def test_primitivity():
     f9 = build_field(3, 2)
     sys4 = build_cyclotomy(f9, 4)

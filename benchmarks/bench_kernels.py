@@ -195,8 +195,9 @@ def main():
         t_np, peak = bench_psi(p, f)
         rows.append((f"psi values F_{p}^{f} (q={p ** f})", t_np,
                      (p ** f - 1) / t_np, peak))
-    # the sparse moduli of F_{2^20} and F_{3^15} beside the benchmark fields
-    for p, f in [(5, 9), (11, 6), (2, 20), (3, 15)]:
+    # the sparse moduli of F_{2^20} and F_{3^15} beside the benchmark fields,
+    # and F_{3^16}, the longest walk (657 sub-blocks)
+    for p, f in [(5, 9), (11, 6), (2, 20), (3, 15), (3, 16)]:
         t_block, t_seq, peak = bench_trace_sequence(p, f)
         rows.append((f"norm block F_{p}^{f} (L={(p ** f - 1) // (p - 1)})",
                      t_block, (p ** f - 1) // (p - 1) / t_block, peak))

@@ -30,6 +30,8 @@ from .gauss_sums import (Index2Params, _coset_mod, check_index2_cap,
 from .scheme_core import (IndexPartition, SchemeReport, dual_classes,
                           verify_scheme)
 
+EMISSION_BUDGET = 1 << 30  # bytes of the m >= 2 five-class index sets
+
 
 @dataclass
 class BuiltScheme:
@@ -145,11 +147,14 @@ def five_class_3mod8(p: int, p1: int, m: int = 1,
     if p1 % 8 != 3 or p1 <= 3:
         raise bad_p1
     # the cap before any number theory: the field for m = 1, else the
-    # 2 p1^m indices, never formed once 2^m alone exceeds the cap
+    # 2 p1^m indices, never formed once 2^m alone exceeds the cap, and at
+    # ~160 bytes an index at peak (565 MB at N = 2*11^6) within the budget
     if m == 1:
         check_index2_cap(p, p1, 1, cap)
-    elif m >= cap.bit_length() or 2 * p1 ** m > cap:
-        raise FieldTooLarge(f"N = 2*{p1}^{m} exceeds cap {cap}")
+    elif (m >= cap.bit_length()
+          or 2 * p1 ** m > min(cap, EMISSION_BUDGET // 160)):
+        raise FieldTooLarge(f"N = 2*{p1}^{m} exceeds cap {cap} or, at 160 "
+                            f"bytes an index, {EMISSION_BUDGET >> 20} MiB")
     if not is_prime(p1):
         raise bad_p1
     h = class_number(p1)

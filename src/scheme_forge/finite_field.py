@@ -13,16 +13,18 @@ with L = (q-1)/(p-1), gamma^L = N(gamma) = (-1)^f c_0 lies in F_p^*, and tr
 is F_p-linear, so s_{e+L} = N(gamma) s_e (mod p) (Lidl-Niederreiter, Finite
 Fields, 2.3).  The periods and the Gauss sums read that norm period
 s_0, ..., s_{L-1} as a stream: norm_stream yields it in sub-blocks of at
-most _BLOCK terms from a rolling buffer, and the cyclotomy tally, the psi
-gather and the direct Gauss sum each consume a sub-block as it comes.
-Nothing caches the period, so those paths hold their output and O(_BLOCK)
-more (O(N p + _BLOCK) for the periods) however large q is, and building a
-field makes no q-sized table.  norm_block assembles the stream for the
-oracles and the tests.  The whole sequence is gathered from the stream for
-the element tables, which the element-level operations build on first use:
-by the trace-dual-basis relation, f consecutive terms s_e, ..., s_{e+f-1}
-fix the coordinates of gamma^e, which gives the antilog table; the log
-table inverts it, and the trace table scatters the sequence through it.
+most _BLOCK terms, each summed by the same linearity (gamma^e = sum_i c_i
+x^i gives s_{e+k} = sum_i c_i s_{i+k}) from one fixed head
+s[0:min(L, _BLOCK) + f - 1], and the cyclotomy tally, the psi gather and
+the direct Gauss sum each consume a sub-block as it comes.  Nothing caches
+the period, so those paths hold their output and O(_BLOCK) more
+(O(N p + _BLOCK) for the periods) however large q is, and building a field
+makes no q-sized table.  norm_block assembles the stream for the oracles
+and the tests.  The whole sequence is gathered from the stream for the
+element tables, which the element-level operations build on first use: by
+the trace-dual-basis relation, f consecutive terms s_e, ..., s_{e+f-1} fix
+the coordinates of gamma^e, which gives the antilog table; the log table
+inverts it, and the trace table scatters the sequence through it.
 """
 
 from __future__ import annotations
@@ -182,59 +184,49 @@ class FieldSpec:
 
         The sub-blocks come in order, each start a multiple of _BLOCK and
         b <= _BLOCK, in the norm block's dtype.  Each is a read-only view of
-        a buffer the walk reuses: read it before drawing the next.  Seeded
-        with tr(x^i), i < f.  If x^j = sum_i c_i x^i mod the modulus, then
-        s_{e+j} = sum_i c_i s_{e+i}: with s known on [0, n), a jump j <= n
-        gives up to j - f + 1 more terms from s[n - j:n], summed over the
-        nonzero c_i only.  Each sum stays below f (p-1)^2, the bound that
-        sizes its unsigned type.  The jump doubles, x^(2j-f+1) =
-        (x^j)^2 x^(1-f) (two products, not a power), until one step fills a
-        sub-block at j = _BLOCK + f - 1; from then on x^j stays fixed and a
-        step reads only the last j terms, so the buffer holds the last j
-        terms and a few sub-blocks however long the period.
+        a buffer the walk reuses: read it before drawing the next.  If
+        gamma^e = sum_i c_i x^i, then s_{e+k} = sum_i c_i s_{i+k}, summed over
+        the c_i != 0 below f (p-1)^2, the bound that sizes its unsigned type.
+        The head s[0:min(L, _BLOCK) + f - 1] doubles from tr(x^i), i < f: on
+        [0, n), e = n gives n - f + 1 more terms, gamma^n the last column of
+        M = multiplication by gamma^(n-f+1) mod p, and then M <- M^2.  For
+        L > _BLOCK, n - f + 1 stops at _BLOCK, a power of 2: that M steps c
+        from each sub-block's start to the next, each summed from the head.
         """
         p, f, L = self.p, self.f, self.norm_period
-        dtype = np.min_scalar_type(p - 1)
-        if L <= f:  # f = 1: the period is the one term tr(1)
-            chunk = np.array(self.basis_trace, dtype=dtype)
-            chunk.setflags(write=False)
-            yield 0, chunk
-            return
-        mlow = list(self.modulus[:-1])
         acc_type = np.min_scalar_type(f * (p - 1) ** 2)
-        acc = np.empty(min(_BLOCK, L), dtype=acc_type)
-        tmp = np.empty_like(acc)
-        top = _BLOCK + f - 1  # the last jump
-        # s[base:base + len(buf)]: the last top terms and two more steps
-        buf = np.empty(min(L, 2 * top + _BLOCK), dtype=dtype)
-        buf[:f] = self.basis_trace
-        step = _poly_pow_mod(self.gamma_poly, self.q - f, mlow, f, p)  # x^(1-f)
-        coeffs = _poly_pow_mod(self.gamma_poly, f, mlow, f, p)  # x^j, j = f
-        base, n, j = 0, f, f
-        while n < L:
-            if j < top and 2 * j - f + 1 <= n:
-                coeffs = _poly_mul_mod(_poly_mul_mod(coeffs, coeffs, mlow, f, p),
-                                       step, mlow, f, p)
-                j = 2 * j - f + 1
-            end = min(n + j - f + 1, L, n // _BLOCK * _BLOCK + _BLOCK)
-            if end - base > len(buf):
-                # only once j = top, so the two ranges do not overlap and
-                # s[n - j:n] holds the open sub-block too
-                buf[:j] = buf[n - j - base:n - base]
-                base = n - j
-            b, src = end - n, n - j - base
+        acc, tmp = np.empty((2, min(_BLOCK, L)), dtype=acc_type)
+        head = np.empty(min(L, _BLOCK) + f - 1, np.min_scalar_type(p - 1))
+        head[:f] = self.basis_trace
+
+        def combine(coeffs, out):  # out = sum_i c_i head[i:i + b] mod p
+            b = len(out)
             (i0, c0), *rest = [(i, c) for i, c in enumerate(coeffs) if c]
-            np.multiply(buf[src + i0:src + i0 + b], c0, out=acc[:b], dtype=acc_type)
+            np.multiply(head[i0:i0 + b], c0, out=acc[:b], dtype=acc_type)
             for i, c in rest:
-                np.multiply(buf[src + i:src + i + b], c, out=tmp[:b], dtype=acc_type)
+                if c == 1:  # every c for p = 2
+                    acc[:b] += head[i:i + b]
+                    continue
+                np.multiply(head[i:i + b], c, out=tmp[:b], dtype=acc_type)
                 acc[:b] += tmp[:b]
-            np.remainder(acc[:b], p, out=buf[n - base:end - base])
-            n = end
-            if n % _BLOCK == 0 or n == L:
-                start = (n - 1) // _BLOCK * _BLOCK
-                chunk = buf[start - base:n - base]
-                chunk.setflags(write=False)
-                yield start, chunk
+            np.remainder(acc[:b], p, out=out)
+
+        # multiplication by gamma = x: x^i -> x^(i+1), x^f = -(c_0 + ...)
+        M, n = np.eye(f, k=-1, dtype=np.int64), f
+        M[:, -1] = [-c % p for c in self.modulus[:-1]]
+        while n < len(head):
+            combine(M[:, -1].tolist(), head[n:min(2 * n - f + 1, len(head))])
+            M = M @ M % p
+            n = 2 * n - f + 1
+        coords, out = M[:, 0], np.empty(min(_BLOCK, L), head.dtype)
+        chunk = head[:min(L, _BLOCK)]
+        for start in range(0, L, _BLOCK):
+            if start:
+                chunk = out[:min(_BLOCK, L - start)]
+                combine(coords.tolist(), chunk)
+                coords = M @ coords % p
+            chunk.setflags(write=False)
+            yield start, chunk
 
     @cached_property
     def norm_block(self) -> np.ndarray:

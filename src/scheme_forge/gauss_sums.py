@@ -280,11 +280,8 @@ def index2_comparison(p: int, p1: int, s: int = 1,
     params = make_index2_params(p, p1)
     n = 2 * p1
     field = build_field(p, params.f * s, cap=cap)
-    q1 = field.q - 1
-    step = q1 // n
-    psi = _psi_values(field)
-    F = np.fft.fft(psi, out=psi)  # G(chi_k) = F[-k], as in gauss_sums_all
-    direct = {e: complex(F[(-e * step) % q1]) for e in range(n)}
+    G, step = gauss_sums_all(field), (field.q - 1) // n
+    direct = {e: complex(G[e * step]) for e in range(n)}
 
     best = None
     for c_sign in (1, -1):

@@ -129,6 +129,10 @@ def test_field_cap_exit3():
     # the emission-only m >= 2 family would list 2 * 11^m indices
     (["construct", "--kind", "five_class", "--p", "3", "--p1", "11",
       "--m", "100000"], "N = 2*11^100000 exceeds cap"),
+    # inside the cap, but its sets would need ~6 GB
+    (["construct", "--kind", "five_class", "--p", "3", "--p1", "11",
+      "--m", "7"], "N = 2*11^7 exceeds cap 67108864 or, at 160 bytes an "
+     "index, 1024 MiB"),
 ])
 def test_oversized_input_exit3_at_once(argv, match, capsys):
     t0 = time.perf_counter()

@@ -239,7 +239,10 @@ def test_trace_sequence_matches_frobenius_sum(p, f):
     assert field.trace_sequence.tolist() == want
 
 
-@pytest.mark.parametrize("p,f", [(2, 6), (13, 1), (257, 2), (5, 9)])
+# F_{2^15}: L = _BLOCK - 1, the head's one sub-block; F_{2^16}:
+# L = 2 _BLOCK - 1, one full sub-block and one summed from the head
+@pytest.mark.parametrize("p,f", [(2, 6), (13, 1), (257, 2), (5, 9), (2, 15),
+                                 (2, 16)])
 def test_norm_block_spans_the_trace_sequence(p, f):
     # gamma^L = N(gamma) = (-1)^f c_0 lies in F_p, so s_{e+L} = N(gamma) s_e
     field = build_field(p, f)
@@ -262,22 +265,19 @@ def test_norm_block_spans_the_trace_sequence(p, f):
     assert all(c.dtype == block.dtype and len(c) <= _BLOCK for _, c in pieces)
     assert np.array_equal(np.concatenate([c for _, c in pieces]), seq[:L])
     # the Frobenius sum at the first terms, both sides of every norm
-    # period boundary, of every sub-block (F_{5^9}: 15 in a period) and of
-    # every step of the walk: the doubling jumps, cut at the sub-block
-    # boundaries, up to j = _BLOCK + f - 1, then that jump's steps, through
-    # every shift of the rolling buffer; and a stride through the sequence
+    # period boundary, of every step of the head's doubling and of its end,
+    # and around every sub-block start (F_{5^9}: 15 in a period), each
+    # summed from the head; and a stride through the sequence
     exps = set(range(min(q - 1, 40))) | set(range(0, q - 1, -(-q // 150)))
     for k in range(1, p - 1):
         exps |= {k * L - 1, k * L}
-    for a in range(_BLOCK, L, _BLOCK):
-        exps |= {a - 1, a}
-    top, n, j = _BLOCK + f - 1, f, f
-    while n < L:
-        if j < top and 2 * j - f + 1 <= n:
-            j = 2 * j - f + 1
-            exps |= {n - j, n - j + f - 1}
-        n = min(n + j - f + 1, L, n // _BLOCK * _BLOCK + _BLOCK)
+    head, n = min(L, _BLOCK) + f - 1, f
+    while n < head:
         exps |= {n - 1, n}
+        n = 2 * n - f + 1
+    exps |= {head - 1, head}
+    for a in range(_BLOCK, L, _BLOCK):
+        exps |= {a - 1, a, a + 1}
     for e in sorted(e for e in exps | {q - 2} if e < q - 1):
         y = _pow_mod(gamma, e, modulus, p)
         assert seq[e] == _frobenius_trace(y, modulus, p), e

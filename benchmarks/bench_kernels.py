@@ -9,9 +9,12 @@ which is built once outside the timed region), the norm block (the norm
 stream, the m-sequence over one norm period, assembled into one array),
 the whole m-sequence gathered from the stream, the psi vector the Gauss
 sums transform, and the uncached primitive-modulus scan; terms/s for the
-cyclotomy tally (L per system).  The psi and tally rows walk the stream
-inside the timed region, as a command does; numbers/s ((N + 1)^3 per
-scheme) for the intersection numbers of the order-N cyclotomic scheme,
+cyclotomy tally (L per system); elements/s (q^s - 1) for the
+Davenport-Hasse check on F_{11^6}, which finds the subfield root in
+polynomial arithmetic and sums both Gauss sums over the norm stream.  The
+psi and tally rows walk the stream inside the timed region, as a command
+does; numbers/s ((N + 1)^3 per scheme) for the intersection numbers of
+the order-N cyclotomic scheme,
 past its verdict; bytes/s for rendering that scheme's ``verify`` document;
 leaves/s for the plain partition scan (the closure search's test
 oracle), one ``search_chunk`` call per label prefix, at most dmax^9
@@ -20,10 +23,10 @@ closures/s for the two phases of the closure search that
 ``search-nonexistence`` runs, best of three: the two-block phase (one two-block partition closed per orbit, then
 mapped over the orbits) and the meet phase (every round of meets, the
 final filters and the orbit expansion of the closed schemes), each
-counting the partitions handed to ``search._close``.  The norm block, psi
-and tally rows also print their traced peak: the tracemalloc heap
-high-water mark of one more, untimed call above its level at entry, the
-output included.
+counting the partitions handed to ``search._close``.  The norm block, psi,
+Davenport-Hasse and tally rows also print their traced peak: the
+tracemalloc heap high-water mark of one more, untimed call above its level
+at entry, the output included.
 
     python3 benchmarks/bench_kernels.py
 """
@@ -37,7 +40,8 @@ from scheme_forge import _kernels, jsonio, search
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
                                        build_field)
-from scheme_forge.gauss_sums import _psi_values
+from scheme_forge.gauss_sums import (MultChar, _psi_values,
+                                     davenport_hasse_check)
 from scheme_forge.scheme_core import (IndexPartition, intersection_numbers,
                                       verify_scheme)
 from scheme_forge.search import trace_partition
@@ -98,6 +102,15 @@ def bench_tally(p, f, N):
     field = build_field(p, f)
     t_np, _ = _time(lambda: build_cyclotomy(field, N))
     return t_np, _traced_peak_mb(lambda: build_cyclotomy(field, N))
+
+
+def bench_davenport_hasse(p, f, s, k):
+    """Seconds and traced peak MB of the Davenport-Hasse check of chi_k
+    lifted from F_{p^f} to F_{p^(f s)}, both fields built outside."""
+    chi = MultChar(build_field(p, f), k)
+    build_field(p, f * s)
+    t_np, _ = _time(lambda: davenport_hasse_check(chi, s))
+    return t_np, _traced_peak_mb(lambda: davenport_hasse_check(chi, s))
 
 
 def bench_modulus_scan(p, f):
@@ -203,6 +216,10 @@ def main():
                      t_block, (p ** f - 1) // (p - 1) / t_block, peak))
         rows.append((f"trace sequence F_{p}^{f} from the block", t_seq,
                      (p ** f - 1) / t_seq, None))
+    p, f, s, k = 11, 3, 2, 95
+    t_np, peak = bench_davenport_hasse(p, f, s, k)
+    rows.append((f"davenport-hasse F_{p}^{f} -> F_{p}^{f * s} k={k}", t_np,
+                 (p ** (f * s) - 1) / t_np, peak))
     for p, f, N in [(5, 9, 38), (3, 16, 8)]:
         t_np, peak = bench_tally(p, f, N)
         rows.append((f"cyclotomy tally F_{p}^{f} N={N}", t_np,

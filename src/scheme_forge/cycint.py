@@ -12,7 +12,7 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConductorMismatch, NotCoprime, NotPrime
+from .errors import ConductorMismatch, NotPrime
 from .finite_field import is_prime
 
 
@@ -115,30 +115,7 @@ class CycInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined in Z[xi]")
-        result = CycInt.integer(self.n, 1)
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
-
-    # --- Galois action, embedding, predicates -----------------------------------
-
-    def conjugate(self, s: int) -> "CycInt":
-        """The automorphism xi -> xi^s, s coprime to n."""
-        import math
-
-        if math.gcd(s, self.n) != 1:
-            raise NotCoprime(f"gcd({s}, {self.n}) != 1")
-        raw = [0] * self.n
-        for i, c in enumerate(self.coeffs):
-            raw[(i * s) % self.n] += c
-        return CycInt.from_raw(self.n, raw)
+    # --- embedding, predicates, serialization -------------------------------
 
     def embed(self) -> complex:
         """Evaluate at xi_n = exp(2 pi i / n), double precision."""
@@ -149,16 +126,8 @@ class CycInt:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CycInt":
-        return cls(doc["n"], tuple(doc["coeffs"]))
 
     def __repr__(self):
         return f"CycInt({self.n}, {self.coeffs})"

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycint import CycInt
-from .errors import IndexOutOfRange, NotADivisor
+from .errors import BudgetExceeded, IndexOutOfRange, NotADivisor
 from .finite_field import _BLOCK, FieldSpec
+
+PERIOD_BUDGET = 1 << 30  # bytes of build_cyclotomy's working set
 
 
 @dataclass
@@ -47,11 +49,18 @@ def build_cyclotomy(field: FieldSpec, N: int) -> CyclotomicSystem:
     if N < 1 or (q - 1) % N != 0:
         raise NotADivisor(f"N = {N} does not divide q-1 = {q - 1}")
     M = (q - 1) // N
+    L = field.norm_period
+    # peak bytes, measured: ~112 a class for its CycInt period, and 32 a cell
+    # of the (N, p) counts when the stream is rotated, 64 when its tally is
+    need = N * ((32 if L <= N * p else 64) * p + 112)
+    if need > PERIOD_BUDGET:
+        raise BudgetExceeded(
+            f"the order-{N} periods of F_{{{p}^{field.f}}} need "
+            f"~{need >> 20} MiB, over the {PERIOD_BUDGET >> 20} MiB budget")
 
     # a term s_e = t of the norm period stands for the p - 1 terms
     # s_{e+kL} = N(gamma)^k t: rotate the terms, a sub-block of the stream
     # at a time, or their (e mod N, t) tally when that is shorter
-    L = field.norm_period
     counts = np.zeros(N * p, dtype=np.int64)
     if L <= N * p:
         for start, t in field.norm_stream():

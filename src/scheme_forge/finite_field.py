@@ -1,11 +1,14 @@
-"""Concrete models of F_{p^f}: the trace m-sequence, and lazy element tables.
+"""Concrete models of F_{p^f}: the modulus, the trace m-sequence, and lazy
+element tables.
 
 Elements are encoded as integers in [0, q): the base-p digit string of the
 code is the coefficient vector (constant term first) of the residue modulo
 the chosen primitive polynomial.  The generator gamma is always the residue
 of the indeterminate x, so discrete logs are defined relative to the
 lexicographically least primitive modulus (or the one a JSON document
-names, for a field read by ``FieldSpec.from_json``).
+names, for a field read by ``FieldSpec.from_json``).  Arithmetic on single
+elements is polynomial arithmetic in F_p[x]/(modulus) (_poly_mul_mod,
+_poly_pow_mod).
 
 Every Gauss period reads only s_e = tr(gamma^e), a linear recurring sequence
 whose characteristic polynomial is the modulus.  One norm period fixes it:
@@ -19,12 +22,14 @@ s[0:min(L, _BLOCK) + f - 1], and the cyclotomy tally, the psi gather and
 the direct Gauss sum each consume a sub-block as it comes.  Nothing caches
 the period, so those paths hold their output and O(_BLOCK) more
 (O(N p + _BLOCK) for the periods) however large q is, and building a field
-makes no q-sized table.  norm_block assembles the stream for the oracles
-and the tests.  The whole sequence is gathered from the stream for the
-element tables, which the element-level operations build on first use: by
-the trace-dual-basis relation, f consecutive terms s_e, ..., s_{e+f-1} fix
-the coordinates of gamma^e, which gives the antilog table; the log table
-inverts it, and the trace table scatters the sequence through it.
+makes no q-sized table.  norm_block assembles the stream for
+trace_partition, the oracles and the tests.  The whole sequence is
+gathered from the stream for the element tables, which no library path
+reads (the tests and the benchmark's field hook do); each is built on
+first use: by the trace-dual-basis relation, f consecutive terms s_e, ...,
+s_{e+f-1} fix the coordinates of gamma^e, which gives the antilog table;
+the log table inverts it, and the trace table scatters the sequence
+through it.
 """
 
 from __future__ import annotations
@@ -234,8 +239,9 @@ class FieldSpec:
         p < 256.
 
         The rest of the m-sequence follows, as tr is F_p-linear:
-        s_{e + kL} = N(gamma)^k s_e mod p.  For the oracles and the tests:
-        the periods and the Gauss sums read norm_stream, never this array.
+        s_{e + kL} = N(gamma)^k s_e mod p.  For trace_partition (L = p + 1
+        on F_{p^2}), the oracles and the tests: the periods and the Gauss
+        sums read norm_stream, never this array.
         """
         s = np.empty(self.norm_period, dtype=np.min_scalar_type(self.p - 1))
         for start, chunk in self.norm_stream():
@@ -307,21 +313,6 @@ class FieldSpec:
         table[self.antilog_table] = self.trace_sequence
         table.setflags(write=False)
         return table
-
-    # --- element operations -------------------------------------------------
-
-    def add(self, x: int, y: int) -> int:
-        p, res, pl = self.p, 0, 1
-        for _ in range(self.f):
-            res += (x + y) % p * pl
-            x, y, pl = x // p, y // p, pl * p
-        return res
-
-    def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        e = (int(self.log_table[x]) + int(self.log_table[y])) % (self.q - 1)
-        return int(self.antilog_table[e])
 
     # --- vectorised code arithmetic ------------------------------------------
 

@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import (BadDiscriminant, EvenCharacteristic, FieldTooLarge,
                      NoSolution, PreconditionViolated)
-from .finite_field import (_BLOCK, DEFAULT_CAP, FieldSpec, build_field,
-                           check_cap, is_prime, multiplicative_order)
+from .finite_field import (_BLOCK, DEFAULT_CAP, FieldSpec, _poly_mul_mod,
+                           _poly_pow_mod, build_field, check_cap, is_prime,
+                           multiplicative_order)
 
 _PIECE = _BLOCK // 4  # terms per piece of gauss_sum_direct's tally
 
@@ -311,18 +312,24 @@ def lifted_exponent(field: FieldSpec, big: FieldSpec, k: int) -> int:
     The subfield of order q inside F_{q^s} is identified by locating a root
     beta of the small modulus among the elements of order dividing q-1; then
     Norm(gamma'^a) = beta^{a/c} with beta = gamma'^{cL}, L = (q^s-1)/(q-1).
+    The candidates beta_j = gamma'^{jL} are stepped, and the small modulus
+    evaluated at each by Horner, in F_p[x]/(m') for the big modulus m': no
+    element table is read.
     """
-    q, q1 = field.q, field.q - 1
+    q1 = field.q - 1
     L = (big.q - 1) // q1
+    p, f, mlow = big.p, big.f, big.modulus[:-1]
+    step = _poly_pow_mod(big.gamma_poly, L, mlow, f, p)
+    beta = [1] + [0] * (f - 1)
     for j in range(1, q1 + 1):
+        beta = _poly_mul_mod(beta, step, mlow, f, p)
         if math.gcd(j, q1) != 1:
             continue
-        beta = int(big.antilog_table[(j * L) % (big.q - 1)])
-        # Horner evaluation of the small modulus at beta, inside the big field
-        acc = 0
+        acc = [0] * f
         for coeff in reversed(field.modulus):
-            acc = big.add(big.mul(acc, beta), coeff % field.p)
-        if acc == 0:
+            acc = _poly_mul_mod(acc, beta, mlow, f, p)
+            acc[0] = (acc[0] + coeff) % p
+        if not any(acc):
             return (k * pow(j, -1, q1) % q1) * L
     raise PreconditionViolated("no root of the subfield modulus found")
 

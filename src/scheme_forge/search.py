@@ -27,7 +27,7 @@ import numpy as np
 from .cycint import CycInt
 from .cyclotomy import build_cyclotomy
 from .errors import BudgetExceeded, PreconditionViolated
-from .finite_field import build_field, is_prime
+from .finite_field import DEFAULT_CAP, build_field, check_cap, is_prime
 from .scheme_core import IndexPartition, dual_classes, is_primitive
 
 
@@ -42,14 +42,20 @@ def _square_status(t: int, p: int) -> int:
 
 def trace_partition(p: int):
     """(T_0, T_s, T_n): class indices of Z_{2(p+1)} with zero / square /
-    nonsquare trace, sizes (2, p, p); T_n is T_s shifted by p+1."""
+    nonsquare trace, sizes (2, p, p); T_n is T_s shifted by p+1.
+
+    The traces s_i = tr(gamma^i), i < N, are the norm block (L = p + 1
+    terms) and s_{i+L} = N(gamma) s_i."""
+    if p % 4 == 3:
+        check_cap(p, 2, DEFAULT_CAP)  # before trial division
     if p % 4 != 3 or not is_prime(p):
         raise PreconditionViolated(f"p = {p} must be a prime = 3 (mod 4)")
     field = build_field(p, 2)
-    N = 2 * (p + 1)
+    head = field.norm_block
+    s = np.concatenate((head, head * field.norm_powers[1] % p))
     t0, ts, tn = [], [], []
-    for i in range(N):
-        status = _square_status(int(field.trace_sequence[i]), p)
+    for i, t in enumerate(s.tolist()):
+        status = _square_status(t, p)
         (t0 if status == 0 else ts if status == 1 else tn).append(i)
     if len(t0) != 2 or len(ts) != p or len(tn) != p:
         raise PreconditionViolated("trace partition has unexpected sizes")

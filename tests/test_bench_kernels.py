@@ -35,6 +35,12 @@ def test_tally_row_measures(bench):
     assert 0 < peak < 1
 
 
+def test_davenport_hasse_row_measures(bench):
+    seconds, peak = bench.bench_davenport_hasse(3, 2, 2, 1)
+    assert seconds > 0
+    assert 0 < peak < 1
+
+
 def test_verify_stage_rows_measure(bench, tmp_path):
     assert bench.bench_intersection(3, 5, 22) > 0
     seconds, nbytes = bench.bench_json_render(3, 5, 22)

@@ -133,6 +133,9 @@ def test_field_cap_exit3():
     (["construct", "--kind", "five_class", "--p", "3", "--p1", "11",
       "--m", "7"], "N = 2*11^7 exceeds cap 67108864 or, at 160 bytes an "
      "index, 1024 MiB"),
+    # inside the cap, but its (N, p) period counts would need ~128 GiB
+    (["verify", "--p", "65521", "--f", "1", "--n", "65520", "--parts", "0|1"],
+     "the order-65520 periods of F_{65521^1} need ~131017 MiB"),
 ])
 def test_oversized_input_exit3_at_once(argv, match, capsys):
     t0 = time.perf_counter()

@@ -4,10 +4,11 @@ import time
 import numpy as np
 import pytest
 
+from scheme_forge import gauss_sums
 from scheme_forge.errors import (BadDiscriminant, EvenCharacteristic,
                                  FieldTooLarge, NoSolution,
                                  PreconditionViolated)
-from scheme_forge.finite_field import build_field, is_prime
+from scheme_forge.finite_field import FieldSpec, build_field, is_prime
 from scheme_forge.gauss_sums import (MultChar, _psi_values, class_number,
                                      davenport_hasse_check, gauss_sum_direct,
                                      gauss_sum_index2, gauss_sum_quadratic,
@@ -174,6 +175,18 @@ def test_davenport_hasse_refuses_a_huge_lift_at_once(f9):
 def test_davenport_hasse_order22(f243):
     d, fm = davenport_hasse_check(MultChar(f243, 11), 2)
     assert abs(d - fm) < 1e-5 * math.sqrt(243.0 ** 2)
+
+
+def test_davenport_hasse_reads_no_element_table(monkeypatch):
+    # the subfield root is found in F_11[x]/(m'), where the antilog and log
+    # tables of F_{11^6} were 22 MB; from_json rebuilds the big field, so no
+    # table an earlier test built is cached on it
+    big = FieldSpec.from_json(build_field(11, 6).to_json())
+    monkeypatch.setattr(gauss_sums, "build_field", lambda p, f, cap: big)
+    chi = MultChar(build_field(11, 3), 95)
+    (d, fm), peak = traced_peak(lambda: davenport_hasse_check(chi, 2))
+    assert peak < 2 << 20, peak
+    assert abs(d - fm) < 1e-5 * 11 ** 3
 
 
 DH_SAMPLES = [

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from scheme_forge import _kernels, search
 from scheme_forge.cycint import CycInt
 from scheme_forge.cyclotomy import build_cyclotomy
-from scheme_forge.errors import BudgetExceeded, PreconditionViolated
-from scheme_forge.finite_field import build_field
+from scheme_forge.errors import (BudgetExceeded, FieldTooLarge,
+                                 PreconditionViolated)
+from scheme_forge.finite_field import build_field, is_prime
 from scheme_forge.scheme_core import (brute_force_verify, dual_classes,
                                       is_primitive, is_scheme)
 from scheme_forge.search import (enumeration_counts, exhaustive_nonexistence,
@@ -73,6 +75,25 @@ def test_ts_identity_fails_after_any_swap(p, monkeypatch):
 def test_trace_partition_domain():
     with pytest.raises(PreconditionViolated):
         trace_partition(5)
+
+
+def test_trace_partition_refuses_a_huge_prime_at_once():
+    # 2^61 - 1 is a prime = 3 (mod 4): q = p^2 is refused before p is
+    # trial-divided
+    t0 = time.perf_counter()
+    with pytest.raises(FieldTooLarge):
+        trace_partition(2 ** 61 - 1)
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 200, 4) if is_prime(p)])
+def test_trace_partition_reads_the_trace_sequence(p):
+    # zero / square / nonsquare trace, read off the whole m-sequence
+    s = build_field(p, 2).trace_sequence[:2 * (p + 1)].tolist()
+    kind = [0 if t == 0 else 1 if pow(t, (p - 1) // 2, p) == 1 else 2
+            for t in s]
+    assert trace_partition(p) == tuple(
+        tuple(i for i, k in enumerate(kind) if k == want) for want in range(3))
 
 
 # --- the exhaustive scan ------------------------------------------------------------

@@ -15,7 +15,8 @@ polynomial arithmetic and sums both Gauss sums over the norm stream.  The
 psi and tally rows walk the stream inside the timed region, as a command
 does; numbers/s ((N + 1)^3 per scheme) for the intersection numbers of
 the order-N cyclotomic scheme,
-past its verdict; bytes/s for rendering that scheme's ``verify`` document;
+past its verdict; entries/s ((N + 1)^2) for its eigenmatrices, the
+P_exact coefficient rows, their embedding at xi_p and the inverse; bytes/s for rendering that scheme's ``verify`` document;
 leaves/s for the plain partition scan (the closure search's test
 oracle), one ``search_chunk`` call per label prefix, at most dmax^9
 completions a call, at (p, dmax) = (3, 4) and (7, 3), timed once;
@@ -42,7 +43,8 @@ from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
                                        build_field)
 from scheme_forge.gauss_sums import (MultChar, _psi_values,
                                      davenport_hasse_check)
-from scheme_forge.scheme_core import (IndexPartition, intersection_numbers,
+from scheme_forge.scheme_core import (IndexPartition, dual_classes,
+                                      eigenmatrices, intersection_numbers,
                                       verify_scheme)
 from scheme_forge.search import trace_partition
 
@@ -129,6 +131,14 @@ def _cyclotomic_scheme(p, f, N):
 def bench_intersection(p, f, N):
     sys_n, part = _cyclotomic_scheme(p, f, N)
     t_np, _ = _time(lambda: intersection_numbers(sys_n, part, _verified=True))
+    return t_np
+
+
+def bench_eigenmatrices(p, f, N):
+    """Seconds for P_exact, its embedding and Q, signature rows given."""
+    sys_n, part = _cyclotomic_scheme(p, f, N)
+    _, _, uniq = dual_classes(sys_n, part)
+    t_np, _ = _time(lambda: eigenmatrices(sys_n, part, _precomputed=uniq))
     return t_np
 
 
@@ -229,6 +239,9 @@ def main():
     t_np = bench_intersection(p, f, N)
     rows.append((f"intersection numbers F_{p}^{f} N={N}", t_np,
                  (N + 1) ** 3 / t_np, None))
+    t_np = bench_eigenmatrices(p, f, N)
+    rows.append((f"eigenmatrices F_{p}^{f} N={N}", t_np,
+                 (N + 1) ** 2 / t_np, None))
     t_np, nbytes = bench_json_render(p, f, N)
     rows.append((f"json render F_{p}^{f} N={N} ({nbytes} bytes)", t_np,
                  nbytes / t_np, None))

@@ -14,8 +14,8 @@ a command imports only the modules it runs.
 import importlib
 
 _EXPORTS = {
-    "cycint": ("CycInt", "quadratic_gauss_cycint"),
-    "cyclotomy": ("CyclotomicSystem", "build_cyclotomy", "character_sum"),
+    "cyclotomy": ("CyclotomicSystem", "build_cyclotomy", "character_sum",
+                  "embed"),
     "finite_field": ("DEFAULT_CAP", "FieldSpec", "build_field", "is_prime",
                      "multiplicative_order"),
     "gauss_sums": ("Index2Params", "MultChar", "class_number",

@@ -17,8 +17,6 @@ import sys
 # the eigenmatrix inverse, is at most 29x29, so a per-core pool only costs CPU
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402
-
 from . import jsonio  # noqa: E402
 from .errors import SchemeForgeError  # noqa: E402
 from .finite_field import DEFAULT_CAP, build_field  # noqa: E402
@@ -27,6 +25,13 @@ from .finite_field import DEFAULT_CAP, build_field  # noqa: E402
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # NaN too
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative number")
+    return value
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -73,6 +78,7 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from .cyclotomy import embed
     from .scheme_core import check_fusion, eigenmatrices
 
     field, sys_ = _field_system(args)
@@ -93,8 +99,7 @@ def cmd_fuse(args) -> int:
         delta, fused_P = fused
         doc["row_partition"] = [list(c) for c in delta]
         doc["fused_P_exact"] = jsonio.cyc_matrix(fused_P)
-        doc["fused_P_complex"] = jsonio.complex_matrix(
-            np.array([[e.embed() for e in row] for row in fused_P]))
+        doc["fused_P_complex"] = jsonio.complex_matrix(embed(fused_P, field.p))
     _emit(doc, args.output)
     return 0
 
@@ -199,7 +204,7 @@ def _add_common(sp, field=False, n=False, parts=False, cap=True,
                 tolerance=False):
     sp.add_argument("--output", help="write the JSON document here instead of stdout")
     if tolerance:
-        sp.add_argument("--tolerance", type=float, default=1e-6)
+        sp.add_argument("--tolerance", type=_tolerance, default=1e-6)
     if cap:
         sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="field size cap (elements)")

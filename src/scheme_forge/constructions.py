@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycint import CycInt
-from .cyclotomy import CyclotomicSystem, build_cyclotomy
+from .cyclotomy import CyclotomicSystem, build_cyclotomy, embed
 from .errors import (FieldTooLarge, NoOrbitMemberVerifies,
                      OrientationAmbiguous, PreconditionViolated,
                      TemplatePreconditionViolated)
@@ -331,15 +330,13 @@ def song_example(cap: int = DEFAULT_CAP) -> SongReproduction:
 
     # rho = 9 + 37 eta_0 with eta_0 the index-4 period over F_37, exactly
     f37 = build_field(golden["p"], 1)
-    eta0 = build_cyclotomy(f37, 4).periods[0]
-    rho = CycInt.integer(golden["p"], golden["rho_integer_part"]) + \
-        golden["rho_period_multiplier"] * eta0
-    entries = [e for row in report.P_exact for e in row]
-    rho_exact = any(e == rho for e in entries)
+    rho = golden["rho_period_multiplier"] * build_cyclotomy(f37, 4).period_matrix[0]
+    rho[0] += golden["rho_integer_part"]
+    rho_exact = bool((report.P_exact == rho).all(axis=-1).any())
 
     q, g = golden["q"], golden["g"]
     rho_formula = ma_wang_template(q, g)[1, 1]
-    rho_embed_err = abs(rho.embed() - rho_formula)
+    rho_embed_err = abs(embed(rho, golden["p"]) - rho_formula)
 
     tm = match_template(np.asarray(report.P_complex), ma_wang_template(q, g))
     return SongReproduction(

@@ -28,10 +28,6 @@ class NotCoprime(SchemeForgeError):
     pass
 
 
-class ConductorMismatch(SchemeForgeError):
-    pass
-
-
 class NotADivisor(SchemeForgeError):
     pass
 

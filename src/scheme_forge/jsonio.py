@@ -44,7 +44,9 @@ def int_matrix(m) -> list[list[int]]:
 
 
 def cyc_matrix(rows) -> list[list[dict]]:
-    return [[e.to_json() for e in row] for row in rows]
+    """An (m, m, p - 1) matrix of Z[xi_p] coefficient rows, entry by entry."""
+    n = rows.shape[-1] + 1
+    return [[{"n": n, "coeffs": e} for e in row] for row in rows.tolist()]
 
 
 def report_to_json(report: SchemeReport) -> dict:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycint import CycInt
-from .cyclotomy import CyclotomicSystem
+from .cyclotomy import CyclotomicSystem, embed
 from .errors import (MalformedPartition, NotAScheme, PartitionInvalid,
                      SingularP, TooLargeForOracle)
 
@@ -86,7 +85,7 @@ class SchemeReport:
     q: int
     distinct_signatures: int
     valencies: list[int] | None = None
-    P_exact: list[list[CycInt]] | None = None
+    P_exact: np.ndarray | None = None  # (d+1, d+1, p-1) int64 rows
     P_complex: np.ndarray | None = None
     Q_complex: np.ndarray | None = None
     intersection_matrices: list[np.ndarray] | None = None
@@ -223,8 +222,9 @@ def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition,
                   _precomputed=None):
     """(P_exact, P_complex, Q_complex) with Q = q P^{-1}.
 
-    Row 0 is the principal character (valencies with a leading one); rows
-    1..d follow the lexicographic order of their exact signature rows.
+    P_exact[i, j] is the coefficient row of entry (i, j).  Row 0 is the
+    principal character (valencies with a leading one); rows 1..d follow
+    the lexicographic order of their exact signature rows.
     ``_precomputed`` is those unique rows, for callers that have them.
     """
     uniq = _precomputed
@@ -235,21 +235,17 @@ def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition,
 
     d = partition.d
     p = sys.field.p
-    n = p - 1
-    one = CycInt.integer(p, 1)
+    P_exact = np.zeros((d + 1, d + 1, p - 1), dtype=np.int64)
+    P_exact[:, 0, 0] = 1
+    P_exact[0, 1:, 0] = [sys.M * len(part) for part in partition.parts]
+    P_exact[1:, 1:] = uniq.reshape(d, d, p - 1)
 
-    rows = [[one] + [CycInt.integer(p, sys.M * len(part))
-                     for part in partition.parts]]
-    for coeffs in uniq.tolist():
-        rows.append([one] + [CycInt(p, tuple(coeffs[j * n:(j + 1) * n]))
-                             for j in range(d)])
-
-    P_complex = np.array([[e.embed() for e in row] for row in rows], dtype=complex)
+    P_complex = embed(P_exact, p)
     try:
         Q_complex = sys.field.q * np.linalg.inv(P_complex)
     except np.linalg.LinAlgError as exc:
         raise SingularP("first eigenmatrix is singular") from exc
-    return rows, P_complex, Q_complex
+    return P_exact, P_complex, Q_complex
 
 
 # --- intersection numbers -------------------------------------------------------
@@ -348,6 +344,7 @@ def check_fusion(P_exact, column_partition):
     Returns (row_partition, fused_P_exact) on success, None when the merged
     relations do not form a scheme.
     """
+    P_exact = np.asarray(P_exact)
     m = len(P_exact)
     cells = [tuple(sorted(c)) for c in column_partition]
     covered = sorted(i for c in cells for i in c)
@@ -356,30 +353,21 @@ def check_fusion(P_exact, column_partition):
     if cells[0] != (0,):
         raise MalformedPartition("first column cell must be {0}")
 
-    sig_of_row = []
-    for row in P_exact:
-        sums = []
-        for cell in cells:
-            s = row[cell[0]]
-            for idx in cell[1:]:
-                s = s + row[idx]
-            sums.append(s)
-        sig_of_row.append(tuple(sums))
-
+    # sums[r, c] is the row of the sum of row r over cell c
+    sums = np.stack([P_exact[:, list(c)].sum(axis=1) for c in cells], axis=1)
+    sigs = [tuple(map(tuple, sig)) for sig in sums.tolist()]
     groups: dict = {}
-    for r, sig in enumerate(sig_of_row):
+    for r, sig in enumerate(sigs):
         groups.setdefault(sig, []).append(r)
     if len(groups) != len(cells):
         return None
 
-    row0_sig = sig_of_row[0]
+    row0_sig = sigs[0]
     if groups[row0_sig] != [0]:
         return None
-    other = sorted((sig for sig in groups if sig != row0_sig),
-                   key=lambda sig: [e.coeffs for e in sig])
+    other = sorted(sig for sig in groups if sig != row0_sig)
     delta = [tuple(groups[row0_sig])] + [tuple(groups[s]) for s in other]
-    fused = [list(row0_sig)] + [list(s) for s in other]
-    return delta, fused
+    return delta, np.array([row0_sig] + other, dtype=np.int64)
 
 
 # --- independent oracle ---------------------------------------------------------

@@ -9,7 +9,7 @@ without visiting them: it closes partitions under the duality of
 translation schemes (the coherent closure below), first the two-block
 partitions, one per orbit of the maps x -> u x + v (u in <p> mod N), then
 the meets of the kept closures, which reach every scheme.  Every survivor
-is re-verified through the exact CycInt path and the primitivity filter
+is re-verified through the exact signature rows and the primitivity filter
 before being reported.  No prime is gated by name: the working-set
 estimates refuse a run before it allocates (p = 19, N = 40, is refused;
 p = 11 runs in seconds).  The partition scan of ``_kernels`` (every
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycint import CycInt
 from .cyclotomy import build_cyclotomy
 from .errors import BudgetExceeded, PreconditionViolated
 from .finite_field import DEFAULT_CAP, build_field, check_cap, is_prime
@@ -509,10 +508,11 @@ def ts_character_values(p: int):
     N = 2 * (p + 1)
     sys = build_cyclotomy(field, N)
     t0, ts, tn = trace_partition(p)
-    vals_t0 = {sys.periods[i] for i in t0}
-    vals_ts = {sys.periods[i] for i in ts}
-    vals_tn = {sys.periods[i] for i in tn}
-    expect = CycInt.integer(p, (p - 1) // 2)
+    rows = [tuple(row) for row in sys.period_matrix.tolist()]
+    vals_t0 = {rows[i] for i in t0}
+    vals_ts = {rows[i] for i in ts}
+    vals_tn = {rows[i] for i in tn}
+    expect = ((p - 1) // 2,) + (0,) * (p - 2)
     return vals_t0 == {expect} and len(vals_ts) == 1 and len(vals_tn) == 1 \
         and vals_ts != vals_tn
 

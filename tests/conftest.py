@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scheme_forge.finite_field import build_field
-from scheme_forge.cyclotomy import build_cyclotomy
+from scheme_forge.cyclotomy import build_cyclotomy, embed
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +74,18 @@ def traced_peak(fn):
         return out, tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
+
+
+def scalar_embed(coeffs, p):
+    """Oracle: a coefficient row evaluated at xi_p one term at a time."""
+    roots = [cmath.exp(2j * cmath.pi * k / p) for k in range(p)]
+    return sum(c * roots[i] for i, c in enumerate(coeffs) if c)
+
+
+def assert_embeds_like_scalar_sum(rows, p):
+    """embed(rows, p) holds the bytes of scalar_embed entry by entry."""
+    rows = np.asarray(rows, dtype=np.int64)
+    want = np.array([scalar_embed(row, p)
+                     for row in rows.reshape(-1, p - 1).tolist()],
+                    dtype=complex).reshape(rows.shape[:-1])
+    assert embed(rows, p).tobytes() == want.tobytes()

@@ -43,6 +43,7 @@ def test_davenport_hasse_row_measures(bench):
 
 def test_verify_stage_rows_measure(bench, tmp_path):
     assert bench.bench_intersection(3, 5, 22) > 0
+    assert bench.bench_eigenmatrices(3, 5, 22) > 0
     seconds, nbytes = bench.bench_json_render(3, 5, 22)
     assert seconds > 0
     # the rendered document is the one the verify command writes

@@ -135,7 +135,7 @@ def test_field_cap_exit3():
      "index, 1024 MiB"),
     # inside the cap, but its (N, p) period counts would need ~128 GiB
     (["verify", "--p", "65521", "--f", "1", "--n", "65520", "--parts", "0|1"],
-     "the order-65520 periods of F_{65521^1} need ~131017 MiB"),
+     "the order-65520 periods of F_{65521^1} need ~131010 MiB"),
 ])
 def test_oversized_input_exit3_at_once(argv, match, capsys):
     t0 = time.perf_counter()
@@ -314,6 +314,18 @@ def test_construct_precondition_exit2(tmp_path):
 def test_count_below_one_exit2(argv, capsys):
     _one_line_exit2(argv, capsys,
                     f"PreconditionViolated: {argv[-2][2:]} = {argv[-1]} must be >= 1")
+
+
+@pytest.mark.parametrize("argv", [
+    # each used to exit 1, a refutation, as no error is within it
+    ["gauss-verify", "--p", "3", "--p1", "11", "--tolerance", "-1"],
+    ["gauss-verify", "--p", "3", "--p1", "11", "--tolerance", "nan"],
+    ["song-reproduce", "--tolerance", "-1"],
+    ["song-reproduce", "--tolerance", "nan"],
+])
+def test_negative_or_nan_tolerance_exit2(argv, capsys):
+    _one_line_exit2(argv, capsys,
+                    f"argument --tolerance: '{argv[-1]}' is not a non-negative number")
 
 
 @pytest.mark.parametrize("argv", [

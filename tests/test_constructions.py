@@ -8,7 +8,6 @@ from scheme_forge.constructions import (conference_7mod8, five_class_3mod8,
                                         four_class_7mod8, load_golden,
                                         ma_wang_template, match_template,
                                         song_example, three_class_base)
-from scheme_forge.cycint import CycInt, quadratic_gauss_cycint
 from scheme_forge.cyclotomy import build_cyclotomy, character_sum
 from scheme_forge.errors import (PreconditionViolated,
                                  TemplatePreconditionViolated)
@@ -17,7 +16,7 @@ from scheme_forge.scheme_core import (IndexPartition, brute_force_verify,
                                       check_fusion, eigenmatrices,
                                       verify_scheme)
 
-from conftest import partition_to_relations
+from conftest import assert_embeds_like_scalar_sum, partition_to_relations
 
 
 def test_three_class_3_11():
@@ -122,9 +121,9 @@ def test_five_class_spot_values():
     built = five_class_3mod8(3, 11)
     q, p1 = built.field.q, 11
     s4 = built.partition.parts[3]
-    values = {character_sum(built.system, s4, a) for a in range(22)}
+    values = {tuple(character_sum(built.system, s4, a)) for a in range(22)}
     assert len(values) <= 5
-    assert CycInt.integer(3, (q - 1) // (2 * p1)) not in values
+    assert ((q - 1) // (2 * p1), 0) not in values
 
 
 def test_five_class_emission_m2():
@@ -200,15 +199,17 @@ def test_conference_37_7():
     assert rep.is_scheme and rep.d == 2
     assert rep.valencies == [(q - 1) // 2] * 2
     assert rep.is_primitive
-    # exact conference eigenvalues (-1 +- sqrt q)/2 with sqrt q = 37 sqrt 37
-    sqrt_q = 37 * quadratic_gauss_cycint(37)
-    lo = [(CycInt.integer(37, -1) + s * sqrt_q) for s in (1, -1)]
+    # exact conference eigenvalues (-1 +- sqrt q)/2 with sqrt q = 37 sqrt 37,
+    # sqrt 37 = sum_t (t|37) xi^t, on the basis 1..xi^35: (t|37) - (36|37)
+    legendre = [0] + [1 if pow(t, 18, 37) == 1 else -1 for t in range(1, 37)]
+    sqrt_q = 37 * (np.array(legendre[:36]) - legendre[36])
     expected = set()
-    for v in lo:
-        half = CycInt(37, tuple(c // 2 for c in v.coeffs))
-        assert all(c % 2 == 0 for c in v.coeffs)
-        expected.add(half)
-    got = {rep.P_exact[i][1] for i in (1, 2)}
+    for s in (1, -1):
+        v = s * sqrt_q
+        v[0] -= 1
+        assert (v % 2 == 0).all()
+        expected.add(tuple(v // 2))
+    got = {tuple(rep.P_exact[i][1]) for i in (1, 2)}
     assert got == expected
     # strongly regular parameters (v, (v-1)/2, (v-5)/4, (v-1)/4)
     B1 = rep.intersection_matrices[1]
@@ -250,6 +251,7 @@ def test_song_reproduction():
     assert rep.dual_affine_map is not None
     assert rep.rho_exact
     assert rep.rho_embed_err < 1e-6
+    assert_embeds_like_scalar_sum(rep.built.report.P_exact, 37)
     assert rep.template_err is not None and rep.template_err < 1e-6
     golden = rep.golden
     assert rep.built.report.valencies == [golden["valency"]] * 4
@@ -277,7 +279,7 @@ def test_song_fusion_from_index28(sys28):
     assert fused is not None
     _, fused_P = fused
     own_P, _, _ = eigenmatrices(sys28, rep.built.partition)
-    assert fused_P == own_P
+    assert np.array_equal(fused_P, own_P)
     # merging two parts of the verified fission: the block test and the
     # direct verdict on the merged partition must agree
     bad_lam = [[0], lam[1] + lam[2], lam[3], lam[4]]

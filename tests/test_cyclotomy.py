@@ -1,31 +1,33 @@
 import numpy as np
 import pytest
 
-from scheme_forge.cycint import CycInt
-from scheme_forge.cyclotomy import build_cyclotomy, character_sum
+from scheme_forge.constructions import five_class_3mod8, three_class_base
+from scheme_forge.cyclotomy import build_cyclotomy, character_sum, embed
 from scheme_forge.errors import IndexOutOfRange, NotADivisor
 from scheme_forge.finite_field import build_field
 
-from conftest import brute_force_char_sum, traced_peak
+from conftest import (assert_embeds_like_scalar_sum, brute_force_char_sum,
+                      traced_peak)
+
+
+def integer(p, c):
+    """The row of the rational integer c in Z[xi_p]."""
+    return [c] + [0] * (p - 2)
 
 
 def test_f9_index2_periods(f9):
     sys2 = build_cyclotomy(f9, 2)
-    assert sys2.periods[0] == CycInt.integer(3, 1)
-    assert sys2.periods[1] == CycInt.integer(3, -2)
+    assert sys2.period_matrix.tolist() == [integer(3, 1), integer(3, -2)]
 
 
 def test_index1_full_sum(f243):
     sys1 = build_cyclotomy(f243, 1)
-    assert sys1.periods == (CycInt.integer(3, -1),)
+    assert sys1.period_matrix.tolist() == [integer(3, -1)]
 
 
 def test_f37_index4_vanishing(f37):
     sys4 = build_cyclotomy(f37, 4)
-    total = sys4.periods[0]
-    for eta in sys4.periods[1:]:
-        total = total + eta
-    assert total == CycInt.integer(37, -1)
+    assert sys4.period_matrix.sum(axis=0).tolist() == integer(37, -1)
 
 
 def test_not_a_divisor(f9):
@@ -34,12 +36,12 @@ def test_not_a_divisor(f9):
 
 
 def test_trace_count_rows_sum_to_class_size(f243):
+    # row i is count_i[:p-1] - count_i[p-1] with the p counts summing to M,
+    # so M - sum(row i) = p count_i[p-1] is a multiple of p in [0, p M]
     sys11 = build_cyclotomy(f243, 11)
-    assert (sys11.trace_counts.sum(axis=1) == sys11.M).all()
-    # periods are exactly the reduced count vectors
-    for i in range(11):
-        raw = [int(c) for c in sys11.trace_counts[i]]
-        assert sys11.periods[i] == CycInt.from_raw(3, raw)
+    rest = sys11.M - sys11.period_matrix.sum(axis=1)
+    assert (rest % 3 == 0).all()
+    assert ((0 <= rest) & (rest <= 3 * sys11.M)).all()
 
 
 @pytest.mark.parametrize("p,f,N", [
@@ -57,16 +59,17 @@ def test_block_tally_matches_full_sequence_bincount(p, f, N):
     field = build_field(p, f)
     keys = (field.trace_sequence.astype(np.int64).reshape(-1, N)
             + p * np.arange(N))
-    want = np.bincount(keys.ravel(), minlength=N * p).reshape(N, p)
-    got = build_cyclotomy(field, N).trace_counts
+    counts = np.bincount(keys.ravel(), minlength=N * p).reshape(N, p)
+    got = build_cyclotomy(field, N).period_matrix
     assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, counts[:, :p - 1] - counts[:, p - 1:])
 
 
 @pytest.mark.parametrize("p,f,N", [
     (5, 9, 38),    # L = 488,281 terms, tallied a sub-block at a time
     (1021, 2, 2),  # the period rotated through 1020 norm periods, 32 a group
     (2, 22, 3),    # L = 4,194,303 uint8 terms, four times the bound
+    (2, 14, 5461),  # L = 16,383 > N p = 10,922: the tally rolled, 32 B a cell
 ])
 def test_tally_holds_no_second_copy(p, f, N):
     # the bound covers generating the terms too: no L-term array exists
@@ -81,13 +84,13 @@ def test_character_sum_subgroup_f243(f243):
     idx = [1, 3, 9, 5, 4]  # the subgroup generated by 3 in Z_11
     got = character_sum(sys11, idx, 0)
     oracle = brute_force_char_sum(f243, idx, 11)
-    assert abs(got.embed() - oracle) < 1e-9
+    assert abs(embed(got, 3) - oracle) < 1e-9
 
 
 def test_character_sum_trivial_cases(f243):
     sys11 = build_cyclotomy(f243, 11)
-    assert character_sum(sys11, range(11), 0) == CycInt.integer(3, -1)
-    assert character_sum(sys11, [], 5) == CycInt.integer(3, 0)
+    assert character_sum(sys11, range(11), 0).tolist() == integer(3, -1)
+    assert character_sum(sys11, [], 5).tolist() == integer(3, 0)
     with pytest.raises(IndexOutOfRange):
         character_sum(sys11, [11], 0)
 
@@ -102,7 +105,7 @@ def test_character_sum_random_vs_brute_force(f243, N):
         shift = int(rng.integers(0, N))
         got = character_sum(sys_n, idx, shift)
         oracle = brute_force_char_sum(f243, [(i + shift) % N for i in idx], N)
-        assert abs(got.embed() - oracle) < 1e-9
+        assert abs(embed(got, 3) - oracle) < 1e-9
 
 
 def test_class_of(f243):
@@ -118,5 +121,25 @@ def test_class_of(f243):
 def test_frobenius_period_invariance(f243, N):
     # eta_{p i} = eta_i always: Frobenius permutes each class, fixing traces
     sys_n = build_cyclotomy(f243, N)
-    for i in range(N):
-        assert sys_n.periods[(3 * i) % N] == sys_n.periods[i]
+    rows = sys_n.period_matrix
+    assert np.array_equal(rows[(3 * np.arange(N)) % N], rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 37, 101])
+def test_embed_repeats_scalar_sum_bitwise(p):
+    rng = np.random.default_rng(p)
+    rows = rng.integers(-10 ** 6, 10 ** 6, size=(60, p - 1))
+    rows[rng.random(rows.shape) < 0.3] = 0  # zero terms are skipped
+    rows[:3] = 0                            # and all-zero rows sum to 0j
+    rows[3, :] = rng.integers(-2, 3, size=p - 1)
+    assert_embeds_like_scalar_sum(rows, p)
+    assert_embeds_like_scalar_sum(rows[7], p)  # one row: a 0-d result
+
+
+@pytest.mark.parametrize("build", [
+    lambda: five_class_3mod8(3, 11), lambda: five_class_3mod8(5, 19),
+    lambda: three_class_base(3, 11),
+])
+def test_embed_repeats_scalar_sum_on_reports(build):
+    built = build()
+    assert_embeds_like_scalar_sum(built.report.P_exact, built.field.p)

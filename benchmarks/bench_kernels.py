@@ -9,13 +9,16 @@ which is built once outside the timed region), the norm block (the norm
 stream, the m-sequence over one norm period, assembled into one array),
 the whole m-sequence gathered from the stream, the psi vector the Gauss
 sums transform, and the uncached primitive-modulus scan; terms/s for the
-cyclotomy tally (L per system); elements/s (q^s - 1) for the
+cyclotomy tally and fold (L per system: F_{5^9} by 38 and a walk-bound
+F_{3^16} by 8, then F_{401^3} by 400 and F_{2^22} by 1,398,101, where a
+sub-block must cost its own terms, not the N p cells of the tally); elements/s
+(q - 1) for one direct Gauss sum on F_{1021^2}, a tally of the stream
+and its fold over the 1020 norm periods; elements/s (q^s - 1) for the
 Davenport-Hasse check on F_{11^6}, which finds the subfield root in
 polynomial arithmetic and sums both Gauss sums over the norm stream.  The
-psi and tally rows walk the stream inside the timed region, as a command
-does; numbers/s ((N + 1)^3 per scheme) for the intersection numbers of
-the order-N cyclotomic scheme,
-past its verdict; entries/s ((N + 1)^2) for its eigenmatrices, the
+psi, direct-sum and tally rows walk the stream inside the timed region, as
+a command does; numbers/s ((N + 1)^3 per scheme) for the intersection
+numbers of the order-N cyclotomic scheme, past its verdict; entries/s ((N + 1)^2) for its eigenmatrices, the
 P_exact coefficient rows, their embedding at xi_p and the inverse; bytes/s for rendering that scheme's ``verify`` document;
 leaves/s for the plain partition scan (the closure search's test
 oracle), one ``search_chunk`` call per label prefix, at most dmax^9
@@ -25,7 +28,7 @@ closures/s for the two phases of the closure search that
 mapped over the orbits) and the meet phase (every round of meets, the
 final filters and the orbit expansion of the closed schemes), each
 counting the partitions handed to ``search._close``.  The norm block, psi,
-Davenport-Hasse and tally rows also print their traced peak: the
+direct-sum, Davenport-Hasse and tally rows also print their traced peak: the
 tracemalloc heap high-water mark of one more, untimed call above its level
 at entry, the output included.
 
@@ -42,7 +45,7 @@ from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
                                        build_field)
 from scheme_forge.gauss_sums import (MultChar, _psi_values,
-                                     davenport_hasse_check)
+                                     davenport_hasse_check, gauss_sum_direct)
 from scheme_forge.scheme_core import (IndexPartition, dual_classes,
                                       eigenmatrices, intersection_numbers,
                                       verify_scheme)
@@ -104,6 +107,13 @@ def bench_tally(p, f, N):
     field = build_field(p, f)
     t_np, _ = _time(lambda: build_cyclotomy(field, N))
     return t_np, _traced_peak_mb(lambda: build_cyclotomy(field, N))
+
+
+def bench_gauss_direct(p, f, k):
+    """Seconds and traced peak MB of one direct Gauss sum G(chi_k)."""
+    chi = MultChar(build_field(p, f), k)
+    t_np, _ = _time(lambda: gauss_sum_direct(chi))
+    return t_np, _traced_peak_mb(lambda: gauss_sum_direct(chi))
 
 
 def bench_davenport_hasse(p, f, s, k):
@@ -230,7 +240,11 @@ def main():
     t_np, peak = bench_davenport_hasse(p, f, s, k)
     rows.append((f"davenport-hasse F_{p}^{f} -> F_{p}^{f * s} k={k}", t_np,
                  (p ** (f * s) - 1) / t_np, peak))
-    for p, f, N in [(5, 9, 38), (3, 16, 8)]:
+    p, f, k = 1021, 2, 12345
+    t_np, peak = bench_gauss_direct(p, f, k)
+    rows.append((f"gauss sum direct F_{p}^{f} k={k}", t_np,
+                 (p ** f - 1) / t_np, peak))
+    for p, f, N in [(5, 9, 38), (3, 16, 8), (401, 3, 400), (2, 22, 1398101)]:
         t_np, peak = bench_tally(p, f, N)
         rows.append((f"cyclotomy tally F_{p}^{f} N={N}", t_np,
                      (p ** f - 1) // (p - 1) / t_np, peak))

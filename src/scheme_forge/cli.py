@@ -34,6 +34,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _cap(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} admits no field (q >= 2)")
+    return value
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
     # rendered in full before the first write: a render error writes nothing
     pieces = jsonio.chunks(doc)
@@ -206,7 +213,7 @@ def _add_common(sp, field=False, n=False, parts=False, cap=True,
     if tolerance:
         sp.add_argument("--tolerance", type=_tolerance, default=1e-6)
     if cap:
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        sp.add_argument("--cap", type=_cap, default=DEFAULT_CAP,
                         help="field size cap (elements)")
     if field:
         sp.add_argument("--p", type=int, required=True)

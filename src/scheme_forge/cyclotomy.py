@@ -7,15 +7,16 @@ i and each t in F_p, count[i][t] is how many x in C_i have tr(x) = t (C_i
 holds gamma^e for e = i mod N); the period eta_i is the row of
 sum_t count[i][t] xi_p^t, count[i][t] - count[i][p-1] for t < p - 1.  The
 counts are read off the norm stream, the trace m-sequence s_e = tr(gamma^e)
-over one norm period e < L = (q-1)/(p-1): gamma^L = N(gamma) lies in F_p^*
-and tr is F_p-linear, so s_{e+kL} = N(gamma)^k s_e (mod p), and the term at
-e with trace t counts once in class (e + kL) mod N with trace N(gamma)^k t
-for each k < p - 1.  Each sub-block of the stream is rotated through the
-p - 1 norm periods a group of periods per bincount, or, when the tally is
-shorter than the period, added to its (e mod N, t) tally, which is then
-rolled and permuted into each norm period.  Either way the pass holds
-O(N p + _BLOCK) memory, never the period itself.  All character sums over
-unions of classes are sums of period rows.
+over one norm period e < L = (q-1)/(p-1): gamma^L = nu = N(gamma) is a
+primitive root mod p and tr is F_p-linear, so s_{e+kL} = nu^k s_e (mod p).
+As (p - 1) L = q - 1 = 0 (mod N), k -> (e + kL mod N, nu^k t) is an action
+of Z_{p-1}: the term at e with s_e = nu^a counts once in class i with trace
+nu^m iff i - mL = e - aL (mod N).  So one pass tallies the stream by
+(e mod N, t), a sub-block at a time, and one fold sums the tally over the N
+values of e - aL and reads every nonzero trace's count back from those
+sums; the class size M leaves the zero traces' count.  That is O(L + N p)
+time and O(N p + _BLOCK) memory, never the period itself.  All character
+sums over unions of classes are sums of period rows.
 """
 
 from __future__ import annotations
@@ -52,64 +53,55 @@ def build_cyclotomy(field: FieldSpec, N: int) -> CyclotomicSystem:
         raise NotADivisor(f"N = {N} does not divide q-1 = {q - 1}")
     M = (q - 1) // N
     L = field.norm_period
-    # peak bytes, measured: 32 a cell of the (N, p) counts, whether the
-    # stream or its tally is rotated
+    # peak bytes: 32 a cell of the (N, p) counts bounds the measured 24
+    # (large p) to 28 (p = 2)
     need = 32 * N * p
     if need > PERIOD_BUDGET:
         raise BudgetExceeded(
             f"the order-{N} periods of F_{{{p}^{field.f}}} need "
             f"~{need >> 20} MiB, over the {PERIOD_BUDGET >> 20} MiB budget")
 
-    # a term s_e = t of the norm period stands for the p - 1 terms
-    # s_{e+kL} = N(gamma)^k t: rotate the terms, a sub-block of the stream
-    # at a time, or their (e mod N, t) tally when that is shorter
-    if L <= N * p:
-        counts = np.zeros(N * p, dtype=np.int64)
-        for start, t in field.norm_stream():
-            _rotate(field, N, np.arange(start, start + len(t)), t, counts)
-        counts = counts.reshape(N, p)
-    else:
-        tally = np.zeros(N * p, dtype=np.int64)
-        # offsets[r + i] = ((r + i) mod N) p: a sub-block at start reads its
-        # own from r = start mod N
-        offsets = np.arange(min(L, _BLOCK) + N - 1, dtype=np.intp)
-        offsets %= N
-        offsets *= p
-        keys = np.empty(min(L, _BLOCK), dtype=np.intp)
-        for start, chunk in field.norm_stream():
-            r, b = start % N, len(chunk)
-            np.add(offsets[r:r + b], chunk, out=keys[:b])
-            tally += np.bincount(keys[:b], minlength=N * p)
-        tally = tally.reshape(N, p)
-        # period k moves tally[e, t] to counts[e + kL, N(gamma)^k t], so
-        # counts[r, u] gains tally[r - kL, N(gamma)^-k u]
-        counts = np.zeros((N, p), dtype=np.int64)
-        r, u = np.arange(N), np.arange(p)
-        for k in range(p - 1):
-            counts += tally[np.ix_((r - k * L % N) % N, field.norm_powers[-k] * u % p)]
+    # tally[r, t]: the e < L with e = r (mod N) and s_e = t
+    tally = np.zeros(N * p, dtype=np.int64)
+    # offsets[r + i] = ((r + i) mod N) p: a sub-block at start reads its own
+    # from r = start mod N
+    offsets = np.arange(min(L, _BLOCK) + N - 1, dtype=np.intp)
+    offsets %= N
+    offsets *= p
+    # the keys of whole sub-blocks fill max(_BLOCK, N p) before one bincount
+    # of the N p cells adds them, still in cache: O(1) a term, not O(N p) a
+    # sub-block
+    keys = np.empty(min(L, max(_BLOCK, N * p)), dtype=np.intp)
+    fill = 0
+    for start, chunk in field.norm_stream():
+        r, b = start % N, len(chunk)
+        np.add(offsets[r:r + b], chunk, out=keys[fill:fill + b])
+        fill += b
+        if fill + _BLOCK > len(keys) or start + b == L:
+            tally += np.bincount(keys[:fill], minlength=N * p)
+            fill = 0
+    del offsets, keys
+    tally[::p] = 0  # t = 0: the class size M fixes the zero traces
 
+    # a term at e with s_e = nu^a counts in class i with trace nu^m iff
+    # i - mL = e - aL (mod N): H[c] sums tally[(c + aL) mod N, nu^a] over a,
+    # and class i has H[(i - mL) mod N] terms of trace nu^m.  In int64: a
+    # weighted bincount would cast to float64, whose first use in a process
+    # costs 68 KB of RSS
+    log = np.zeros(p, dtype=np.intp)
+    log[field.norm_powers] = np.arange(p - 1)
+    shift = log * (L % N) % N
+    index = np.add.outer(shift, np.arange(N))  # by trace: rows step in order
+    index %= N
+    index *= p
+    index += np.arange(p)[:, None]
+    H = tally[index].sum(axis=0)
+    del tally, index
+    # i - mL + N lies in [1, 2N): read off H twice over, with no mod
+    counts = np.concatenate((H, H))[np.add.outer(np.arange(N), N - shift)]
+    counts[:, 0] = M - counts[:, 1:].sum(axis=1)
     pm = counts[:, :p - 1] - counts[:, p - 1:]
     return CyclotomicSystem(field=field, N=N, M=M, period_matrix=pm)
-
-
-def _rotate(field: FieldSpec, N: int, e: np.ndarray, t: np.ndarray,
-            counts: np.ndarray) -> None:
-    """Add to counts the terms s_e = t in all p - 1 norm periods.
-
-    In period k the term stands at e + kL with trace N(gamma)^k t; as many
-    periods go to one bincount as fit in max(_BLOCK, N p) keys.
-    """
-    p, L = field.p, field.norm_period
-    group = max(1, max(_BLOCK, N * p) // len(e))
-    for k0 in range(0, p - 1, group):
-        k = np.arange(k0, min(k0 + group, p - 1))
-        keys = np.add.outer(k * (L % N), e)
-        keys %= N
-        keys *= p
-        values = np.multiply.outer(field.norm_powers[k], t)
-        values %= p
-        keys += values
-        counts += np.bincount(keys.ravel(), minlength=N * p)
 
 
 @lru_cache(maxsize=None)

@@ -18,8 +18,8 @@ Fields, 2.3).  The periods and the Gauss sums read that norm period
 s_0, ..., s_{L-1} as a stream: norm_stream yields it in sub-blocks of at
 most _BLOCK terms, each summed by the same linearity (gamma^e = sum_i c_i
 x^i gives s_{e+k} = sum_i c_i s_{i+k}) from one fixed head
-s[0:min(L, _BLOCK) + f - 1], and the cyclotomy tally, the psi gather and
-the direct Gauss sum each consume a sub-block as it comes.  Nothing caches
+s[0:min(L, _BLOCK) + f - 1]; the periods and the direct Gauss sum tally
+it and fold the p - 1 periods, and the psi gather fills them.  Nothing caches
 the period, so those paths hold their output and O(_BLOCK) more
 (O(N p + _BLOCK) for the periods) however large q is, and building a field
 makes no q-sized table.  norm_block assembles the stream for

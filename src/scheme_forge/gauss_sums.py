@@ -3,9 +3,10 @@
 Direct sums are double precision (exactness is reserved for Gauss periods,
 which is where scheme verdicts live): one in-place FFT of psi(gamma^a), the
 p-th roots of unity gathered from each sub-block of the norm stream into
-every norm period, or, for a single sum, a tally of the stream with no
-psi.  Closed forms: the quadratic case, the index-2 case over Z_{2 p1} with
-its class-number data (h, b, c), and the Davenport-Hasse lift.  The sign of c (equivalently of
+every norm period, or, for a single sum, a tally of the stream folded
+over them in closed form.  Closed forms: the quadratic case, the index-2
+case over Z_{2 p1} with its class-number data (h, b, c), and the
+Davenport-Hasse lift.  The sign of c (equivalently of
 sqrt(-p1)) is not pinned by the defining equations; evaluation takes an
 explicit c_sign and the comparison harness accepts whichever sign matches
 direct computation coherently across all exponents of one field.
@@ -59,15 +60,16 @@ def gauss_sum_direct(chi: MultChar) -> complex:
     """G(chi) = sum_a psi(gamma^a) chi(gamma^a) over a < q - 1, summed over
     the norm stream with no q-length vector.
 
-    Write a = jL + e (e < L) and z = chi(gamma): then psi(gamma^a) =
-    root[N(gamma)^j s_e mod p] and chi(gamma^a) = z^(jL) z^e, so G is
-    sum_j z^(jL) sum_t root[N(gamma)^j t mod p] A_t, where A_t sums z^e over
-    the e < L with s_e = t.  A is tallied a piece of a sub-block at a time,
-    its angles reduced mod q - 1 in integers; only the traces that occur
-    enter the sum over the p - 1 norm periods j (f = 1: t = 1 alone).
+    Write a = jL + e (e < L), z = chi(gamma), nu = N(gamma) and w = z^L =
+    exp(2 pi i k / (p - 1)): then G = sum_t A_t sum_j w^j root[nu^j t],
+    A_t summing z^e over the e < L with s_e = t, tallied a piece of a
+    sub-block at a time with its angles reduced mod q - 1 in integers.  The
+    sum over j is w^-a W for t = nu^a, W = sum_m w^m root[nu^m], and p - 1
+    or 0 for t = 0 as w is 1 or not: G = W sum_a w^-a A[nu^a], plus
+    (p - 1) A_0 when w = 1.
     """
     field = chi.field
-    p, L, q1 = field.p, field.norm_period, field.q - 1
+    p, q1 = field.p, field.q - 1
     k = chi.k % q1
     re, im = np.zeros(p), np.zeros(p)
     for start, s in field.norm_stream():
@@ -80,14 +82,11 @@ def gauss_sum_direct(chi: MultChar) -> complex:
             re += np.bincount(t, np.cos(angle), minlength=p)
             im += np.bincount(t, np.sin(angle, out=angle), minlength=p)
     A = re + 1j * im
-    t = np.flatnonzero(A)
-    roots = np.exp(2j * np.pi * np.arange(p, dtype=np.float64) / p)
-    total = 0j
-    group = max(1, _PIECE // max(1, len(t)))
-    for j0 in range(0, p - 1, group):
-        j = np.arange(j0, min(j0 + group, p - 1))
-        rows = roots[np.multiply.outer(field.norm_powers[j], t) % p] @ A[t]
-        total += np.exp(1j * (j * (k * L % q1) % q1 * (2 * np.pi / q1))) @ rows
+    nu = field.norm_powers
+    w = np.exp(2j * np.pi / (p - 1) * (k * np.arange(p - 1) % (p - 1)))
+    total = (w @ np.exp(2j * np.pi / p * nu)) * (w.conj() @ A[nu])
+    if k % (p - 1) == 0:
+        total += (p - 1) * A[0]
     return complex(total)
 
 

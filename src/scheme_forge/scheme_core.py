@@ -348,7 +348,7 @@ def check_fusion(P_exact, column_partition):
     m = len(P_exact)
     cells = [tuple(sorted(c)) for c in column_partition]
     covered = sorted(i for c in cells for i in c)
-    if covered != list(range(m)) or len(covered) != sum(len(c) for c in cells):
+    if covered != list(range(m)) or not all(cells):
         raise MalformedPartition("column partition must partition {0..d}")
     if cells[0] != (0,):
         raise MalformedPartition("first column cell must be {0}")

@@ -29,8 +29,15 @@ def test_field_rows_measure(bench):
 
 
 def test_tally_row_measures(bench):
-    # L = 29,524 > N p = 24: the block is tallied, not rotated
+    # the rate counts L = 29,524 terms a build: one sub-block tallied by
+    # (e mod N, t), then folded over the two norm periods
     seconds, peak = bench.bench_tally(3, 10, 8)
+    assert seconds > 0
+    assert 0 < peak < 1
+
+
+def test_gauss_direct_row_measures(bench):
+    seconds, peak = bench.bench_gauss_direct(3, 5, 11)
     assert seconds > 0
     assert 0 < peak < 1
 

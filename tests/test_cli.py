@@ -347,6 +347,24 @@ def test_construct_option_the_kind_ignores_exit2(argv, capsys):
                     f"construct --kind {argv[2]} does not read {argv[-2]}")
 
 
+@pytest.mark.parametrize("merge", ["0||1,2,3,4", "0|1,2,3,4|"])
+def test_fuse_empty_cell_exit2(merge, capsys):
+    # used to exit 0 with "fusable": false, refuting a fusable merge
+    _one_line_exit2(["fuse", "--p", "3", "--f", "2", "--n", "4",
+                     "--merge", merge], capsys, "MalformedPartition")
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", "1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "13", "--f", "1", "--n", "2", "--parts", "0|1"],
+    ["gauss-verify", "--p", "3", "--p1", "11"],
+])
+def test_cap_below_two_exit2(argv, cap, capsys):
+    # such a cap admits no field: a configuration error, not exit 3
+    _one_line_exit2(argv + ["--cap", cap], capsys,
+                    f"argument --cap: '{cap}' admits no field (q >= 2)")
+
+
 def test_fuse_cli(tmp_path):
     out = tmp_path / "f.json"
     code = main(["fuse", "--p", "13", "--f", "1", "--n", "4",

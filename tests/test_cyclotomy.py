@@ -4,7 +4,7 @@ import pytest
 from scheme_forge.constructions import five_class_3mod8, three_class_base
 from scheme_forge.cyclotomy import build_cyclotomy, character_sum, embed
 from scheme_forge.errors import IndexOutOfRange, NotADivisor
-from scheme_forge.finite_field import build_field
+from scheme_forge.finite_field import _BLOCK, build_field
 
 from conftest import (assert_embeds_like_scalar_sum, brute_force_char_sum,
                       traced_peak)
@@ -46,14 +46,16 @@ def test_trace_count_rows_sum_to_class_size(f243):
 
 @pytest.mark.parametrize("p,f,N", [
     (7, 2, 1), (7, 2, 16),          # N p <= L = 8, and N p > L
-    (3, 5, 22), (3, 5, 242),        # L = 121: rotate the tally, the terms
+    (3, 5, 22), (3, 5, 242),        # L = 121: g = gcd(L, N) = 11 and 121
     (13, 1, 4), (2, 6, 9),          # L = 1, and p = 2 (L = q - 1)
     (37, 3, 28),
     (5, 9, 38),                     # sub-blocks start at 2^15 k = 12 k mod N
-    (257, 2, 2),                    # rotated in groups of 127 periods
-    (2, 16, 65535),                 # L <= N p: two sub-blocks rotated
+    (257, 2, 2),                    # 256 periods fold onto 2 classes
+    (2, 16, 65535),                 # L = N: two sub-blocks
     (2, 20, 33825),                 # N > _BLOCK: offsets past one cycle
     (5, 8, 16),                     # a last sub-block of 32,120 terms
+    (101, 3, 100), (101, 2, 102),   # g = 1, L = 10,303; g = 102 = N, L = 102
+    (2, 22, 1398101),               # 128 sub-blocks, each added in O(_BLOCK)
 ])
 def test_block_tally_matches_full_sequence_bincount(p, f, N):
     field = build_field(p, f)
@@ -67,9 +69,9 @@ def test_block_tally_matches_full_sequence_bincount(p, f, N):
 
 @pytest.mark.parametrize("p,f,N", [
     (5, 9, 38),    # L = 488,281 terms, tallied a sub-block at a time
-    (1021, 2, 2),  # the period rotated through 1020 norm periods, 32 a group
+    (1021, 2, 2),  # 1020 norm periods folded onto 2 classes
     (2, 22, 3),    # L = 4,194,303 uint8 terms, four times the bound
-    (2, 14, 5461),  # L = 16,383 > N p = 10,922: the tally rolled, 32 B a cell
+    (2, 14, 5461),  # L = 16,383 > N p = 10,922: the fold's arrays within it
 ])
 def test_tally_holds_no_second_copy(p, f, N):
     # the bound covers generating the terms too: no L-term array exists
@@ -77,6 +79,18 @@ def test_tally_holds_no_second_copy(p, f, N):
     sys_n, peak = traced_peak(lambda: build_cyclotomy(field, N))
     assert sys_n.M == (field.q - 1) // N
     assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("p,f,N", [
+    (2, 16, 65535),  # L = N: the fold's arrays outweigh the walk's buffers
+    (257, 2, 258),   # L = N = 258, p = 257: N p = 66,306 cells
+])
+def test_period_budget_rate_bounds_the_peak(p, f, N):
+    # PERIOD_BUDGET charges 32 B a cell of the (N, p) counts; the rest is
+    # the walk's sub-block buffers
+    field = build_field(p, f)
+    _, peak = traced_peak(lambda: build_cyclotomy(field, N))
+    assert peak <= 32 * N * p + 24 * _BLOCK, peak
 
 
 def test_character_sum_subgroup_f243(f243):

@@ -236,10 +236,12 @@ def test_psi_values_hold_no_second_copy():
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (13, 1), (2, 6), (3, 5), (5, 4),
-                                 (11, 3), (257, 2)])
+                                 (11, 3), (257, 2), (1021, 2)])
 def test_direct_sums_match_gauss_sums_all(p, f):
     # angles reduced mod q - 1 in integers: 5e-13 off the FFT on F_{257^2},
-    # where exp of the unreduced 2 pi k a / (q - 1) was 1.4e-8 off
+    # where exp of the unreduced 2 pi k a / (q - 1) was 1.4e-8 off.  The
+    # p - 1 norm periods fold into W sum_a w^-a A[nu^a], plus (p - 1) A_0
+    # when chi(nu) = 1: every k for p = 2, k = 0 (mod p - 1) otherwise
     field = build_field(p, f)
     G = gauss_sums_all(field)
     ks = range(0, field.q - 1, 1 + field.q // 600)

@@ -453,6 +453,11 @@ def test_check_fusion_malformed(f13):
         check_fusion(P_exact, [[0, 1], [2]])
     with pytest.raises(MalformedPartition):
         check_fusion(P_exact, [[0], [1]])
+    # an empty cell sums to zero in every row: it used to read as a
+    # refutation of the fusable merge around it
+    for cells in ([[0], [], [1, 2]], [[0], [1, 2], []], [[0], [1], [2], []]):
+        with pytest.raises(MalformedPartition):
+            check_fusion(P_exact, cells)
 
 
 def test_brute_force_verify_direct(f13):

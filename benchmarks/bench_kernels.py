@@ -17,7 +17,9 @@ and its fold over the 1020 norm periods; elements/s (q^s - 1) for the
 Davenport-Hasse check on F_{11^6}, which finds the subfield root in
 polynomial arithmetic and sums both Gauss sums over the norm stream.  The
 psi, direct-sum and tally rows walk the stream inside the timed region, as
-a command does; numbers/s ((N + 1)^3 per scheme) for the intersection
+a command does; cells/s (N d (p - 1)) for the signature table of the
+order-N cyclotomic scheme on F_{37^3} and of the partition {0 | 1..241} of
+Z_242 on F_{3^5}, the periods given; numbers/s ((N + 1)^3 per scheme) for the intersection
 numbers of the order-N cyclotomic scheme, past its verdict; entries/s ((N + 1)^2) for its eigenmatrices, the
 P_exact coefficient rows, their embedding at xi_p and the inverse; bytes/s for rendering that scheme's ``verify`` document;
 leaves/s for the plain partition scan (the closure search's test
@@ -28,7 +30,8 @@ closures/s for the two phases of the closure search that
 mapped over the orbits) and the meet phase (every round of meets, the
 final filters and the orbit expansion of the closed schemes), each
 counting the partitions handed to ``search._close``.  The norm block, psi,
-direct-sum, Davenport-Hasse and tally rows also print their traced peak: the
+direct-sum, Davenport-Hasse, tally and signature rows also print their
+traced peak: the
 tracemalloc heap high-water mark of one more, untimed call above its level
 at entry, the output included.
 
@@ -46,9 +49,9 @@ from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
                                        build_field)
 from scheme_forge.gauss_sums import (MultChar, _psi_values,
                                      davenport_hasse_check, gauss_sum_direct)
-from scheme_forge.scheme_core import (IndexPartition, dual_classes,
-                                      eigenmatrices, intersection_numbers,
-                                      verify_scheme)
+from scheme_forge.scheme_core import (IndexPartition, _signature_rows,
+                                      dual_classes, eigenmatrices,
+                                      intersection_numbers, verify_scheme)
 from scheme_forge.search import trace_partition
 
 
@@ -136,6 +139,15 @@ def _cyclotomic_scheme(p, f, N):
     """The order-N cyclotomic scheme: all N classes as singleton parts."""
     sys_n = build_cyclotomy(build_field(p, f), N)
     return sys_n, IndexPartition.from_sets(N, [[i] for i in range(N)])
+
+
+def bench_signature_rows(p, f, N, parts):
+    """(seconds, cells, traced peak MB) of the signature table of ``parts``
+    over Z_N, the order-N periods built outside."""
+    sys_n = build_cyclotomy(build_field(p, f), N)
+    part = IndexPartition.from_sets(N, parts)
+    t_np, rows = _time(lambda: _signature_rows(sys_n, part))
+    return t_np, rows.size, _traced_peak_mb(lambda: _signature_rows(sys_n, part))
 
 
 def bench_intersection(p, f, N):
@@ -248,6 +260,12 @@ def main():
         t_np, peak = bench_tally(p, f, N)
         rows.append((f"cyclotomy tally F_{p}^{f} N={N}", t_np,
                      (p ** f - 1) // (p - 1) / t_np, peak))
+
+    for p, f, N, parts in [(37, 3, 28, [[i] for i in range(28)]),
+                           (3, 5, 242, [[0], list(range(1, 242))])]:
+        t_np, cells, peak = bench_signature_rows(p, f, N, parts)
+        rows.append((f"signature rows F_{p}^{f} N={N} d={len(parts)}", t_np,
+                     cells / t_np, peak))
 
     p, f, N = 37, 3, 28
     t_np = bench_intersection(p, f, N)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetExceeded, PreconditionViolated
+from .errors import PreconditionViolated, check_budget
 
 
 def use_numba() -> bool:
@@ -89,8 +89,6 @@ def antilog_table(p, f, s):
 # an integer of absolute value at most N * 1024 * 4096^(dmax-1) <= 2^52
 # (dmax <= 4, N <= 64).
 
-SCAN_BUDGET = 1 << 30  # bytes of one call's arrays
-
 
 def _completions(prefix, N, dmax):
     """Every restricted-growth completion of ``prefix`` to N labels, in
@@ -130,11 +128,7 @@ def search_chunk(prefix, N, dmin, dmax, half, t0_positions, sden, p,
     # at most dmax^(N-P) rows, each with its labels twice (columns and
     # stacked), float64 weights and codes, and int64 odometer indices
     rows = dmax ** (N - len(prefix))
-    need = rows * (18 * N + 32)
-    if need > SCAN_BUDGET:
-        raise BudgetExceeded(
-            f"{rows} completions need ~{need >> 20} MiB, over the "
-            f"{SCAN_BUDGET >> 20} MiB budget of the scan")
+    check_budget(rows * (18 * N + 32), f"the scan's {rows} completions need")
     trace = np.array(sden, dtype=np.float64)
     if trace[list(t0_positions)].any():
         raise PreconditionViolated("sden must be 0 on t0_positions")

@@ -27,15 +27,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _parse(kind, text: str):
+    # argparse would name the function in "invalid _cap value: 'abc'"
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {text!r}") from None
+
+
 def _tolerance(text: str) -> float:
-    value = float(text)
+    value = _parse(float, text)
     if not value >= 0:  # NaN too
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative number")
     return value
 
 
 def _cap(text: str) -> int:
-    value = int(text)
+    value = _parse(int, text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"{text!r} admits no field (q >= 2)")
     return value
@@ -292,6 +301,10 @@ def main(argv=None) -> int:
     except SchemeForgeError as exc:
         print(f"scheme-forge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.cli_code
+    except MemoryError as exc:
+        # the backstop for a working set its estimate missed
+        print(f"scheme-forge: MemoryError: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ValueError, OverflowError) as exc:
         print(f"scheme-forge: {exc}", file=sys.stderr)
         return 2

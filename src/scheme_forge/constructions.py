@@ -22,14 +22,12 @@ import numpy as np
 from .cyclotomy import CyclotomicSystem, build_cyclotomy, embed
 from .errors import (FieldTooLarge, NoOrbitMemberVerifies,
                      OrientationAmbiguous, PreconditionViolated,
-                     TemplatePreconditionViolated)
+                     TemplatePreconditionViolated, check_budget)
 from .finite_field import DEFAULT_CAP, FieldSpec, build_field, is_prime
 from .gauss_sums import (Index2Params, _coset_mod, check_index2_cap,
                          class_number, make_index2_params)
 from .scheme_core import (IndexPartition, SchemeReport, dual_classes,
                           verify_scheme)
-
-EMISSION_BUDGET = 1 << 30  # bytes of the m >= 2 five-class index sets
 
 
 @dataclass
@@ -146,21 +144,21 @@ def five_class_3mod8(p: int, p1: int, m: int = 1,
     if p1 % 8 != 3 or p1 <= 3:
         raise bad_p1
     # the cap before any number theory: the field for m = 1, else the
-    # 2 p1^m indices, never formed once 2^m alone exceeds the cap, and at
-    # ~160 bytes an index at peak (565 MB at N = 2*11^6) within the budget
+    # 2 p1^m indices, never formed once 2^m alone exceeds the cap
     if m == 1:
         check_index2_cap(p, p1, 1, cap)
-    elif (m >= cap.bit_length()
-          or 2 * p1 ** m > min(cap, EMISSION_BUDGET // 160)):
-        raise FieldTooLarge(f"N = 2*{p1}^{m} exceeds cap {cap} or, at 160 "
-                            f"bytes an index, {EMISSION_BUDGET >> 20} MiB")
+    elif m >= cap.bit_length() or 2 * p1 ** m > cap:
+        raise FieldTooLarge(f"N = 2*{p1}^{m} exceeds cap {cap}")
     if not is_prime(p1):
         raise bad_p1
     h = class_number(p1)
     if 1 + p1 != 4 * p ** h:
         raise PreconditionViolated(f"1 + p1 = {1 + p1} != 4 p^h = {4 * p ** h}")
     if m >= 2:
-        # out of field range by design: emit well-formed index sets only
+        # out of field range by design: emit well-formed index sets only,
+        # at ~160 bytes an index at peak (565 MB at N = 2*11^6)
+        check_budget(160 * 2 * p1 ** m,
+                     f"the five-class index sets of N = 2*{p1}^{m} need")
         return BuiltScheme("five_class_3mod8", None, None,
                            five_class_index_sets(p, p1, m), None)
 

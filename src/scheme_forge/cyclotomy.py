@@ -27,10 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceeded, IndexOutOfRange, NotADivisor
+from .errors import IndexOutOfRange, NotADivisor, check_budget
 from .finite_field import _BLOCK, FieldSpec
-
-PERIOD_BUDGET = 1 << 30  # bytes of build_cyclotomy's working set
 
 
 @dataclass
@@ -55,11 +53,7 @@ def build_cyclotomy(field: FieldSpec, N: int) -> CyclotomicSystem:
     L = field.norm_period
     # peak bytes: 32 a cell of the (N, p) counts bounds the measured 24
     # (large p) to 28 (p = 2)
-    need = 32 * N * p
-    if need > PERIOD_BUDGET:
-        raise BudgetExceeded(
-            f"the order-{N} periods of F_{{{p}^{field.f}}} need "
-            f"~{need >> 20} MiB, over the {PERIOD_BUDGET >> 20} MiB budget")
+    check_budget(32 * N * p, f"the order-{N} periods of F_{{{p}^{field.f}}} need")
 
     # tally[r, t]: the e < L with e = r (mod N) and s_e = t
     tally = np.zeros(N * p, dtype=np.int64)

@@ -99,3 +99,14 @@ class TooLargeForOracle(SchemeForgeError):
 
 class BudgetExceeded(SchemeForgeError):
     cli_code = 3
+
+
+BUDGET = 1 << 30  # bytes of any one stage's estimated working set
+
+
+def check_budget(need: int, what: str) -> None:
+    """BudgetExceeded, before the caller allocates, if ``need`` bytes exceed
+    BUDGET; ``what`` is the subject and verb, "the closure search on Z_40 needs"."""
+    if need > BUDGET:
+        raise BudgetExceeded(f"{what} ~{need >> 20} MiB, over the "
+                             f"{BUDGET >> 20} MiB budget")

@@ -36,11 +36,6 @@ class MultChar:
     k: int
 
     @property
-    def order(self) -> int:
-        q1 = self.field.q - 1
-        return q1 // math.gcd(self.k % q1, q1) if self.k % q1 else 1
-
-    @property
     def is_trivial(self) -> bool:
         return self.k % (self.field.q - 1) == 0
 

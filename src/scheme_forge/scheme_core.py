@@ -21,9 +21,14 @@ import numpy as np
 
 from .cyclotomy import CyclotomicSystem, embed
 from .errors import (MalformedPartition, NotAScheme, PartitionInvalid,
-                     SingularP, TooLargeForOracle)
+                     SingularP, TooLargeForOracle, check_budget)
 
 ORACLE_CAP = 20_000
+# dual_classes' traced peak, charged to the signature table before it is
+# allocated: np.unique's copies of the table take ~32 B a cell, and its
+# structured row dtype ~420 B a column (a field per column)
+_CELL_BYTES = 40
+_COLUMN_BYTES = 512
 
 
 def _index(i) -> int:
@@ -100,16 +105,22 @@ class SchemeReport:
 # --- signatures -------------------------------------------------------------
 
 def _signature_rows(sys: CyclotomicSystem, partition: IndexPartition) -> np.ndarray:
-    """Row a = concatenated reduced coefficients of psi(gamma^a R_i), i = 1..d."""
+    """Row a = concatenated reduced coefficients of psi(gamma^a R_i), i = 1..d,
+    the sum of eta_{(a+j) mod N} over j in R_i, added in place j by j."""
     if partition.N != sys.N:
         raise PartitionInvalid(f"partition is over Z_{partition.N}, system over Z_{sys.N}")
-    N = sys.N
-    a = np.arange(N)
-    pieces = []
-    for part in partition.parts:
-        idx = (a[:, None] + np.asarray(part)[None, :]) % N
-        pieces.append(sys.period_matrix[idx].sum(axis=1))
-    return np.concatenate(pieces, axis=1)
+    pm = sys.period_matrix
+    N, d, width = sys.N, partition.d, pm.shape[1]
+    check_budget((_CELL_BYTES * N + _COLUMN_BYTES) * d * width,
+                 f"the signature table of {d} parts over Z_{N} on "
+                 f"F_{{{sys.field.p}^{sys.field.f}}} needs")
+    rows = np.zeros((N, d, width), dtype=np.int64)
+    for i, part in enumerate(partition.parts):
+        out = rows[:, i]
+        for j in part:
+            out[:N - j] += pm[j:]
+            out[N - j:] += pm[:j]
+    return rows.reshape(N, -1)
 
 
 def dual_classes(sys: CyclotomicSystem, partition: IndexPartition):

@@ -25,19 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomy import build_cyclotomy
-from .errors import BudgetExceeded, PreconditionViolated
+from .errors import PreconditionViolated, check_budget
 from .finite_field import DEFAULT_CAP, build_field, check_cap, is_prime
 from .scheme_core import IndexPartition, dual_classes, is_primitive
 
 
 # --- the trace partition of Z_{2(p+1)} ----------------------------------------
-
-def _square_status(t: int, p: int) -> int:
-    """0 for t = 0, 1 for a nonzero square mod p, -1 for a nonsquare."""
-    if t % p == 0:
-        return 0
-    return 1 if pow(t, (p - 1) // 2, p) == 1 else -1
-
 
 def trace_partition(p: int):
     """(T_0, T_s, T_n): class indices of Z_{2(p+1)} with zero / square /
@@ -52,13 +45,12 @@ def trace_partition(p: int):
     field = build_field(p, 2)
     head = field.norm_block
     s = np.concatenate((head, head * field.norm_powers[1] % p))
-    t0, ts, tn = [], [], []
-    for i, t in enumerate(s.tolist()):
-        status = _square_status(t, p)
-        (t0 if status == 0 else ts if status == 1 else tn).append(i)
+    # Euler's criterion: s_i^((p-1)/2) is 0 on T_0, 1 on T_s, p - 1 on T_n
+    euler = np.array([pow(t, (p - 1) // 2, p) for t in s.tolist()])
+    t0, ts, tn = (tuple(np.nonzero(euler == v)[0].tolist()) for v in (0, 1, p - 1))
     if len(t0) != 2 or len(ts) != p or len(tn) != p:
         raise PreconditionViolated("trace partition has unexpected sizes")
-    return tuple(t0), tuple(ts), tuple(tn)
+    return t0, ts, tn
 
 
 def ts_identity_check(p: int) -> bool:
@@ -120,7 +112,6 @@ def _trace_signs(p: int) -> np.ndarray:
 # absolute value.  Partitions are compared by packed keys, 2 bits a class,
 # which the budget below confines to N <= 24.
 
-CLOSURE_BUDGET = 1 << 30  # bytes of the closure search's working set
 # peak bytes per reported scheme (its IndexPartition, JSON lists and text),
 # measured with tracemalloc on the 2,691 of --p 7 --allow-symmetric
 _SURVIVOR_BYTES = 2560
@@ -451,21 +442,15 @@ def exhaustive_nonexistence(p: int, max_classes: int = 4,
     N = 2 * (p + 1)
     # decided from N before a huge p is trial-divided; the estimate grows
     # with N, so past N = 64 its value there refuses without forming 2^(N-1)
-    need = closure_bytes(min(N, 64))
-    if need > CLOSURE_BUDGET:
-        raise BudgetExceeded(
-            f"the closure search on Z_{N} needs "
-            f"{'~' if N <= 64 else 'more than '}{need >> 20} MiB, over the "
-            f"{CLOSURE_BUDGET >> 20} MiB budget")
+    check_budget(closure_bytes(min(N, 64)),
+                 f"the closure search on Z_{N} needs"
+                 + ("" if N <= 64 else " more than"))
     if not is_prime(p):
         raise PreconditionViolated(domain)
     report = _progress_reporter(progress)
     raw = _closed_schemes(p, dmax, not allow_symmetric, report)
-    need = len(raw) * _SURVIVOR_BYTES
-    if need > CLOSURE_BUDGET:
-        raise BudgetExceeded(
-            f"reporting {len(raw)} schemes needs ~{need >> 20} MiB, over the "
-            f"{CLOSURE_BUDGET >> 20} MiB budget")
+    check_budget(len(raw) * _SURVIVOR_BYTES,
+                 f"reporting {len(raw)} schemes needs")
 
     # exact recheck of the survivors
     field = build_field(p, 2)
@@ -515,10 +500,3 @@ def ts_character_values(p: int):
     expect = ((p - 1) // 2,) + (0,) * (p - 2)
     return vals_t0 == {expect} and len(vals_ts) == 1 and len(vals_tn) == 1 \
         and vals_ts != vals_tn
-
-
-__all__ = [
-    "SearchProgress", "SearchResult", "trace_partition",
-    "ts_identity_check", "exhaustive_nonexistence", "enumeration_counts",
-    "ts_character_values",
-]

@@ -48,6 +48,15 @@ def test_davenport_hasse_row_measures(bench):
     assert 0 < peak < 1
 
 
+def test_signature_row_measures(bench):
+    # the (22, 2, 2) table of {0 | 1..21} on F_{3^5}, and nothing larger
+    seconds, cells, peak = bench.bench_signature_rows(
+        3, 5, 22, [[0], list(range(1, 22))])
+    assert seconds > 0
+    assert cells == 22 * 2 * 2
+    assert cells * 8 / (1 << 20) <= peak < 1
+
+
 def test_verify_stage_rows_measure(bench, tmp_path):
     assert bench.bench_intersection(3, 5, 22) > 0
     assert bench.bench_eigenmatrices(3, 5, 22) > 0

@@ -131,11 +131,14 @@ def test_field_cap_exit3():
       "--m", "100000"], "N = 2*11^100000 exceeds cap"),
     # inside the cap, but its sets would need ~6 GB
     (["construct", "--kind", "five_class", "--p", "3", "--p1", "11",
-      "--m", "7"], "N = 2*11^7 exceeds cap 67108864 or, at 160 bytes an "
-     "index, 1024 MiB"),
+      "--m", "7"], "the five-class index sets of N = 2*11^7 need ~5947 MiB"),
     # inside the cap, but its (N, p) period counts would need ~128 GiB
     (["verify", "--p", "65521", "--f", "1", "--n", "65520", "--parts", "0|1"],
      "the order-65520 periods of F_{65521^1} need ~131010 MiB"),
+    # its periods fit, but the (N, d, p - 1) signature table would be 8.5 GB
+    (["verify", "--p", "1021", "--f", "2", "--n", "1022", "--parts",
+      "|".join(str(i) for i in range(1022))],
+     "the signature table of 1022 parts over Z_1022 on F_{1021^2} needs"),
 ])
 def test_oversized_input_exit3_at_once(argv, match, capsys):
     t0 = time.perf_counter()
@@ -329,6 +332,15 @@ def test_negative_or_nan_tolerance_exit2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gauss-verify", "--p", "3", "--p1", "11", "--tolerance", "abc"],
+    ["song-reproduce", "--tolerance", "abc"],
+])
+def test_unparsable_tolerance_names_float_exit2(argv, capsys):
+    # argparse alone would name the type function: "invalid _tolerance value"
+    _one_line_exit2(argv, capsys, "argument --tolerance: invalid float value: 'abc'")
+
+
+@pytest.mark.parametrize("argv", [
     # each used to exit 0 with the document of the option's default
     ["construct", "--kind", "five_class", "--p", "3", "--p1", "11", "--s", "5"],
     ["construct", "--kind", "conference", "--p", "37", "--p1", "7", "--s", "1"],
@@ -363,6 +375,28 @@ def test_cap_below_two_exit2(argv, cap, capsys):
     # such a cap admits no field: a configuration error, not exit 3
     _one_line_exit2(argv + ["--cap", cap], capsys,
                     f"argument --cap: '{cap}' admits no field (q >= 2)")
+
+
+@pytest.mark.parametrize("cap", ["abc", "1.5"])
+def test_unparsable_cap_names_int_exit2(cap, capsys):
+    _one_line_exit2(["verify", "--p", "13", "--f", "1", "--n", "2", "--parts",
+                     "0|1", "--cap", cap], capsys,
+                    f"argument --cap: invalid int value: '{cap}'")
+
+
+def test_allocation_failure_exit3(monkeypatch, capsys):
+    # the backstop for an estimate that misses: one line and the resource
+    # code, not a traceback and 1, the refutation code
+    from scheme_forge import scheme_core
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 7.93 GiB")
+
+    monkeypatch.setattr(scheme_core, "verify_scheme", out_of_memory)
+    assert main(["verify", "--p", "13", "--f", "1", "--n", "2",
+                 "--parts", "0|1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "scheme-forge: MemoryError: Unable to allocate 7.93 GiB\n"
 
 
 def test_fuse_cli(tmp_path):

@@ -86,7 +86,7 @@ def test_tally_holds_no_second_copy(p, f, N):
     (257, 2, 258),   # L = N = 258, p = 257: N p = 66,306 cells
 ])
 def test_period_budget_rate_bounds_the_peak(p, f, N):
-    # PERIOD_BUDGET charges 32 B a cell of the (N, p) counts; the rest is
+    # the budget check charges 32 B a cell of the (N, p) counts; the rest is
     # the walk's sub-block buffers
     field = build_field(p, f)
     _, peak = traced_peak(lambda: build_cyclotomy(field, N))

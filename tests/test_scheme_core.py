@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from scheme_forge.cyclotomy import build_cyclotomy
-from scheme_forge.errors import (MalformedPartition, NotAScheme,
-                                 PartitionInvalid, TooLargeForOracle)
+from scheme_forge.errors import (BudgetExceeded, MalformedPartition,
+                                 NotAScheme, PartitionInvalid,
+                                 TooLargeForOracle)
 from scheme_forge.finite_field import build_field
-from scheme_forge.scheme_core import (ORACLE_CAP, IndexPartition,
-                                      _signature_rows, _trace_sums,
-                                      brute_force_verify, check_fusion,
+from scheme_forge.scheme_core import (_CELL_BYTES, _COLUMN_BYTES, ORACLE_CAP,
+                                      IndexPartition, _signature_rows,
+                                      _trace_sums, brute_force_verify,
+                                      check_fusion, dual_classes,
                                       dual_partition, eigenmatrices,
                                       intersection_numbers, is_primitive,
                                       is_scheme, is_symmetric,
                                       krein_parameters, symmetrize,
                                       verify_scheme)
 
-from conftest import partition_to_relations
+from conftest import partition_to_relations, traced_peak
 
 
 def singletons(N):
@@ -168,6 +170,68 @@ def test_intersection_and_krein_match_element_count(p, f, N, H):
                          element_intersection_numbers(field, sys_n, dual),
                          strict=True):
         assert np.array_equal(got, want)
+
+
+def gathered_signature_rows(sys, partition):
+    """The earlier table: each part's (N, |part|, p - 1) gather of period
+    rows, summed, and the parts' sums side by side."""
+    a = np.arange(sys.N)
+    return np.concatenate(
+        [sys.period_matrix[(a[:, None] + np.asarray(part)) % sys.N].sum(axis=1)
+         for part in partition.parts], axis=1)
+
+
+@pytest.mark.parametrize("p,f,N,H", COSET_CASES)
+def test_signature_rows_match_the_gather(p, f, N, H):
+    sys_n = build_cyclotomy(build_field(p, f), N)
+    part = coset_partition(N, H)
+    assert np.array_equal(_signature_rows(sys_n, part),
+                          gathered_signature_rows(sys_n, part))
+
+
+def test_signature_rows_match_the_gather_with_one_large_part():
+    rng = np.random.default_rng(26)
+    for p, f, N in [(3, 5, 22), (2, 4, 15), (13, 1, 12), (37, 3, 28),
+                    (3, 5, 242)]:
+        sys_n = build_cyclotomy(build_field(p, f), N)
+        for _ in range(4):
+            order = rng.permutation(N).tolist()
+            cut = int(rng.integers(N // 2, N))  # one part of at least N/2
+            rest = order[cut:]
+            small = [rest[k::3] for k in range(3) if rest[k::3]]
+            part = IndexPartition.from_sets(N, [order[:cut]] + small)
+            assert np.array_equal(_signature_rows(sys_n, part),
+                                  gathered_signature_rows(sys_n, part))
+
+
+@pytest.mark.parametrize("p,f,N,parts", [
+    (37, 3, 28, "singletons"),
+    (3, 5, 242, "singletons"),
+    (11, 3, 1330, "two"),
+    (4099, 1, 2, "singletons"),  # 8,196 columns on two rows
+])
+def test_table_charge_bounds_the_dual_classes_peak(p, f, N, parts):
+    # the check charges _CELL_BYTES a cell and _COLUMN_BYTES a column of
+    # the (N, d (p - 1)) table; dual_classes' traced peak stays below it
+    sys_n = build_cyclotomy(build_field(p, f), N)
+    part = (singletons(N) if parts == "singletons"
+            else IndexPartition.from_sets(N, [[0], list(range(1, N))]))
+    columns = part.d * (p - 1)
+    _, peak = traced_peak(lambda: dual_classes(sys_n, part))
+    assert peak <= (_CELL_BYTES * N + _COLUMN_BYTES) * columns, peak
+
+
+def test_oversized_signature_table_raises_before_allocating(monkeypatch):
+    # 10,200 singletons on F_{101^2}: an 8.3 GB table, 1.02e9 cells
+    sys_n = build_cyclotomy(build_field(101, 2), 10200)
+    part = singletons(10200)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(BudgetExceeded, match="table of 10200 parts over Z_10200"):
+        dual_classes(sys_n, part)
 
 
 def full_row_trace_sums(sys, partition):

@@ -7,7 +7,7 @@ import pytest
 
 from scheme_forge import _kernels, search
 from scheme_forge.cyclotomy import build_cyclotomy
-from scheme_forge.errors import (BudgetExceeded, FieldTooLarge,
+from scheme_forge.errors import (BUDGET, BudgetExceeded, FieldTooLarge,
                                  PreconditionViolated)
 from scheme_forge.finite_field import build_field, is_prime
 from scheme_forge.scheme_core import (brute_force_verify, dual_classes,
@@ -37,6 +37,12 @@ def test_trace_partition_structure(p):
     assert (len(t0), len(ts), len(tn)) == (2, p, p)
     assert set(t0) == {(p + 1) // 2, 3 * (p + 1) // 2}
     assert {(i + p + 1) % N for i in ts} == set(tn)
+    # reference: each trace of the whole m-sequence sorted by its residue
+    # character, one index at a time
+    classes = ([], [], [])
+    for i, t in enumerate(build_field(p, 2).trace_sequence[:N].tolist()):
+        classes[0 if t == 0 else 1 if pow(t, (p - 1) // 2, p) == 1 else 2].append(i)
+    assert (t0, ts, tn) == tuple(map(tuple, classes))
 
 
 @pytest.mark.parametrize("p", [3, 7, 11])
@@ -149,8 +155,8 @@ def test_budget_guards(monkeypatch):
         exhaustive_nonexistence(5)
     # p = 11 fits the budget; p = 19 (N = 40, 2^39 two-block partitions)
     # raises before the code matrix or any mask is built
-    assert search.closure_bytes(24) < search.CLOSURE_BUDGET
-    assert search.closure_bytes(40) > search.CLOSURE_BUDGET
+    assert search.closure_bytes(24) < BUDGET
+    assert search.closure_bytes(40) > BUDGET
 
     def no_allocation(*args):
         raise AssertionError("allocated before the budget check")
@@ -175,7 +181,7 @@ def test_budget_is_decided_before_primality(monkeypatch):
 
 def test_survivors_over_budget_raise_before_the_recheck(monkeypatch):
     # 19 schemes at p = 3 with the filters off; the budget holds 10
-    monkeypatch.setattr(search, "_SURVIVOR_BYTES", search.CLOSURE_BUDGET // 10)
+    monkeypatch.setattr(search, "_SURVIVOR_BYTES", BUDGET // 10)
     monkeypatch.setattr(search, "build_cyclotomy", None)
     with pytest.raises(BudgetExceeded, match="reporting 19 schemes"):
         exhaustive_nonexistence(3, allow_symmetric=True)

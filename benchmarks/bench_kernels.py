@@ -19,8 +19,11 @@ polynomial arithmetic and sums both Gauss sums over the norm stream.  The
 psi, direct-sum and tally rows walk the stream inside the timed region, as
 a command does; cells/s (N d (p - 1)) for the signature table of the
 order-N cyclotomic scheme on F_{37^3} and of the partition {0 | 1..241} of
-Z_242 on F_{3^5}, the periods given; numbers/s ((N + 1)^3 per scheme) for the intersection
-numbers of the order-N cyclotomic scheme, past its verdict; entries/s ((N + 1)^2) for its eigenmatrices, the
+Z_242 on F_{3^5}, the periods given; cells/s for the dual classes (that
+table built and grouped by row) of the order-N cyclotomic scheme on
+F_{37^3} and on F_{4099}, two rows of 8,196 cells; numbers/s ((N + 1)^3
+per scheme) for the intersection numbers of the order-N cyclotomic
+scheme, its dual classes given; entries/s ((N + 1)^2) for its eigenmatrices, the
 P_exact coefficient rows, their embedding at xi_p and the inverse; bytes/s for rendering that scheme's ``verify`` document;
 leaves/s for the plain partition scan (the closure search's test
 oracle), one ``search_chunk`` call per label prefix, at most dmax^9
@@ -30,10 +33,9 @@ closures/s for the two phases of the closure search that
 mapped over the orbits) and the meet phase (every round of meets, the
 final filters and the orbit expansion of the closed schemes), each
 counting the partitions handed to ``search._close``.  The norm block, psi,
-direct-sum, Davenport-Hasse, tally and signature rows also print their
-traced peak: the
-tracemalloc heap high-water mark of one more, untimed call above its level
-at entry, the output included.
+direct-sum, Davenport-Hasse, tally, signature rows and dual classes also
+print their traced peak: the tracemalloc heap high-water mark of one more,
+untimed call above its level at entry, the output included.
 
     python3 benchmarks/bench_kernels.py
 """
@@ -150,17 +152,28 @@ def bench_signature_rows(p, f, N, parts):
     return t_np, rows.size, _traced_peak_mb(lambda: _signature_rows(sys_n, part))
 
 
+def bench_dual_classes(p, f, N, parts):
+    """(seconds, traced peak MB) of grouping the signature table of
+    ``parts`` over Z_N by row, the table built inside, the periods outside."""
+    sys_n = build_cyclotomy(build_field(p, f), N)
+    part = IndexPartition.from_sets(N, parts)
+    t_np, _ = _time(lambda: dual_classes(sys_n, part))
+    return t_np, _traced_peak_mb(lambda: dual_classes(sys_n, part))
+
+
 def bench_intersection(p, f, N):
+    """Seconds for the intersection numbers, the dual classes given."""
     sys_n, part = _cyclotomic_scheme(p, f, N)
-    t_np, _ = _time(lambda: intersection_numbers(sys_n, part, _verified=True))
+    classes = dual_classes(sys_n, part)
+    t_np, _ = _time(lambda: intersection_numbers(sys_n, part, classes))
     return t_np
 
 
 def bench_eigenmatrices(p, f, N):
-    """Seconds for P_exact, its embedding and Q, signature rows given."""
+    """Seconds for P_exact, its embedding and Q, the dual classes given."""
     sys_n, part = _cyclotomic_scheme(p, f, N)
-    _, _, uniq = dual_classes(sys_n, part)
-    t_np, _ = _time(lambda: eigenmatrices(sys_n, part, _precomputed=uniq))
+    classes = dual_classes(sys_n, part)
+    t_np, _ = _time(lambda: eigenmatrices(sys_n, part, classes))
     return t_np
 
 
@@ -266,6 +279,10 @@ def main():
         t_np, cells, peak = bench_signature_rows(p, f, N, parts)
         rows.append((f"signature rows F_{p}^{f} N={N} d={len(parts)}", t_np,
                      cells / t_np, peak))
+    for p, f, N in [(37, 3, 28), (4099, 1, 2)]:
+        t_np, peak = bench_dual_classes(p, f, N, [[i] for i in range(N)])
+        rows.append((f"dual classes F_{p}^{f} N={N} d={N}", t_np,
+                     N * N * (p - 1) / t_np, peak))
 
     p, f, N = 37, 3, 28
     t_np = bench_intersection(p, f, N)

@@ -23,10 +23,10 @@ _EXPORTS = {
                    "gauss_sum_index2", "gauss_sum_quadratic", "gauss_sums_all",
                    "index2_comparison", "make_index2_params", "solve_bc"),
     "scheme_core": ("IndexPartition", "SchemeReport", "brute_force_verify",
-                    "check_fusion", "dual_partition", "eigenmatrices",
-                    "intersection_numbers", "is_primitive", "is_scheme",
-                    "is_symmetric", "krein_parameters", "symmetrize",
-                    "verify_scheme"),
+                    "check_fusion", "dual_classes", "dual_partition",
+                    "eigenmatrices", "intersection_numbers", "is_primitive",
+                    "is_scheme", "is_symmetric", "krein_parameters",
+                    "symmetrize", "verify_scheme"),
     "constructions": ("BuiltScheme", "SongReproduction",
                       "conference_7mod8", "five_class_3mod8",
                       "five_class_index_sets", "four_class_7mod8",

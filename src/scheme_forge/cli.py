@@ -80,11 +80,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    from .scheme_core import eigenmatrices
+    from .scheme_core import dual_classes, eigenmatrices
 
     field, sys_ = _field_system(args)
     partition = jsonio.load_partition(args.parts, args.n)
-    P_exact, P, Q = eigenmatrices(sys_, partition)
+    P_exact, P, Q = eigenmatrices(sys_, partition, dual_classes(sys_, partition))
     _emit({"command": "eigen", "field": field.to_json(),
            "partition": partition.to_json(),
            "P_exact": jsonio.cyc_matrix(P_exact),
@@ -95,7 +95,7 @@ def cmd_eigen(args) -> int:
 
 def cmd_fuse(args) -> int:
     from .cyclotomy import embed
-    from .scheme_core import check_fusion, eigenmatrices
+    from .scheme_core import check_fusion, dual_classes, eigenmatrices
 
     field, sys_ = _field_system(args)
     if args.parts:
@@ -105,7 +105,7 @@ def cmd_fuse(args) -> int:
             "|".join(str(i) for i in range(args.n)), args.n)
     lam = [[int(t) for t in chunk.split(",") if t.strip() != ""]
            for chunk in args.merge.split("|")]
-    P_exact, _, _ = eigenmatrices(sys_, partition)
+    P_exact, _, _ = eigenmatrices(sys_, partition, dual_classes(sys_, partition))
     fused = check_fusion(P_exact, lam)
     doc = {"command": "fuse", "field": field.to_json(),
            "partition": partition.to_json(),

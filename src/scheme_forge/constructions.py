@@ -26,7 +26,7 @@ from .errors import (FieldTooLarge, NoOrbitMemberVerifies,
 from .finite_field import DEFAULT_CAP, FieldSpec, build_field, is_prime
 from .gauss_sums import (Index2Params, _coset_mod, check_index2_cap,
                          class_number, make_index2_params)
-from .scheme_core import (IndexPartition, SchemeReport, dual_classes,
+from .scheme_core import (IndexPartition, SchemeReport, is_scheme,
                           verify_scheme)
 
 
@@ -281,8 +281,7 @@ def _affine_maps(N: int):
 def _affine_orbit_search(sys: CyclotomicSystem, base: IndexPartition):
     for u, v in _affine_maps(base.N):
         cand = base.affine_image(u, v)
-        count, _, _ = dual_classes(sys, cand)
-        if count == cand.d:
+        if is_scheme(sys, cand):
             return (u, v), cand
     raise NoOrbitMemberVerifies(
         "no affine image of the published index sets verifies")

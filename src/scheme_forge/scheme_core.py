@@ -24,11 +24,11 @@ from .errors import (MalformedPartition, NotAScheme, PartitionInvalid,
                      SingularP, TooLargeForOracle, check_budget)
 
 ORACLE_CAP = 20_000
-# dual_classes' traced peak, charged to the signature table before it is
-# allocated: np.unique's copies of the table take ~32 B a cell, and its
-# structured row dtype ~420 B a column (a field per column)
+# charged a cell of the signature table before it is allocated: dual_classes'
+# traced peak, ~32 B a cell (the table, its sorted row keys, the distinct
+# rows' keys and values) and ~70 B a row (sort index, labels)
 _CELL_BYTES = 40
-_COLUMN_BYTES = 512
+_SIGN = np.uint64(1 << 63)
 
 
 def _index(i) -> int:
@@ -111,7 +111,7 @@ def _signature_rows(sys: CyclotomicSystem, partition: IndexPartition) -> np.ndar
         raise PartitionInvalid(f"partition is over Z_{partition.N}, system over Z_{sys.N}")
     pm = sys.period_matrix
     N, d, width = sys.N, partition.d, pm.shape[1]
-    check_budget((_CELL_BYTES * N + _COLUMN_BYTES) * d * width,
+    check_budget(_CELL_BYTES * N * d * width,
                  f"the signature table of {d} parts over Z_{N} on "
                  f"F_{{{sys.field.p}^{sys.field.f}}} needs")
     rows = np.zeros((N, d, width), dtype=np.int64)
@@ -123,29 +123,44 @@ def _signature_rows(sys: CyclotomicSystem, partition: IndexPartition) -> np.ndar
     return rows.reshape(N, -1)
 
 
+def _group_rows(rows: np.ndarray):
+    """(uniq, members): a C-contiguous int64 table's distinct rows in signed
+    lexicographic order, and the ascending indices of the rows equal to each.
+    Sorts rows as bytes, written over ``rows`` sign-flipped and big-endian."""
+    keys = rows.view(np.uint64)
+    keys ^= _SIGN
+    if np.little_endian:
+        keys.byteswap(inplace=True)
+    keys = keys.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    # not kind="stable": its first use in a process adds ~0.1 MB of peak RSS
+    order = keys.argsort()
+    keys = keys[order]
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    uniq = keys[np.concatenate(([0], starts))].view(">u8") ^ _SIGN
+    members = [tuple(sorted(m.tolist())) for m in np.split(order, starts)]
+    return uniq.view(np.int64).reshape(len(members), -1), members
+
+
 def dual_classes(sys: CyclotomicSystem, partition: IndexPartition):
     """Group a in Z_N by exact signature; returns (count, parts, unique_rows).
 
     Parts come out sorted by the lexicographic order of their signature rows,
-    the canonical row order of the eigenmatrix.
+    the canonical row order of the eigenmatrix.  The later stages read the
+    table through this result, and never build it again.
     """
-    rows = _signature_rows(sys, partition)
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    parts = [tuple(np.nonzero(inverse == i)[0].tolist()) for i in range(len(uniq))]
+    uniq, parts = _group_rows(_signature_rows(sys, partition))
     return len(uniq), parts, uniq
 
 
 def is_scheme(sys: CyclotomicSystem, partition: IndexPartition) -> bool:
-    count, _, _ = dual_classes(sys, partition)
-    return count == partition.d
+    return dual_classes(sys, partition)[0] == partition.d
 
 
 # --- symmetry ----------------------------------------------------------------
 
 def is_symmetric(sys: CyclotomicSystem, partition: IndexPartition, i: int) -> bool:
-    c = sys.minus_one_class()
-    part = set(partition.parts[i])
-    return {(j + c) % sys.N for j in part} == part
+    """-R_i = R_i; NotAScheme if negation does not permute the parts."""
+    return _negation(sys, partition)[i] == i
 
 
 def _negation(sys: CyclotomicSystem, partition: IndexPartition) -> list[int]:
@@ -176,20 +191,19 @@ def symmetrize(sys: CyclotomicSystem, partition: IndexPartition) -> IndexPartiti
 
 # --- primitivity ---------------------------------------------------------------
 
-def is_primitive(sys: CyclotomicSystem, partition: IndexPartition,
-                 _verified: bool = False) -> bool:
+def is_primitive(sys: CyclotomicSystem, partition: IndexPartition, classes) -> bool:
     """No nontrivial relation of the symmetrization has a character sum equal
     to its valency (exact test over all nonprincipal characters).
 
-    Defined on verified schemes; ``_verified`` skips the scheme check, for
-    callers that have made it.  The sum over R_i u -R_i is the sum of two
-    signature rows, rows_i + rows_neg[i].  It equals its valency iff each
-    of its terms is 1, iff row i alone equals M |R_i|, as -R_i has the
-    conjugate sum; so each relation is tested on its own row.
+    Defined on verified schemes; ``classes`` is ``dual_classes``' result.
+    The sum over R_i u -R_i is the sum of two signature rows, rows_i +
+    rows_neg[i].  It equals its valency iff each of its terms is 1, iff row
+    i alone equals M |R_i|, as -R_i has the conjugate sum; so each relation
+    is tested on its own row, and the d distinct rows hold every value.
     """
-    if not _verified and not is_scheme(sys, partition):
+    if classes[0] != partition.d:
         raise NotAScheme("primitivity is only defined for verified schemes")
-    rows = _signature_rows(sys, partition).reshape(sys.N, partition.d, -1)
+    rows = classes[2].reshape(partition.d, partition.d, -1)
     valency = sys.M * np.array([len(part) for part in partition.parts])
     hit = (rows[:, :, 0] == valency) & (rows[:, :, 1:] == 0).all(axis=2)
     return not hit.any()
@@ -198,7 +212,7 @@ def is_primitive(sys: CyclotomicSystem, partition: IndexPartition,
 # --- full verification ----------------------------------------------------------
 
 def verify_scheme(sys: CyclotomicSystem, partition: IndexPartition) -> SchemeReport:
-    count, parts_by_sig, uniq = dual_classes(sys, partition)
+    count, parts_by_sig, _ = classes = dual_classes(sys, partition)
     d = partition.d
     report = SchemeReport(is_scheme=(count == d), d=d, N=sys.N, q=sys.field.q,
                           distinct_signatures=count)
@@ -209,15 +223,14 @@ def verify_scheme(sys: CyclotomicSystem, partition: IndexPartition) -> SchemeRep
     report.dual_parts = parts_by_sig
 
     report.P_exact, report.P_complex, report.Q_complex = eigenmatrices(
-        sys, partition, _precomputed=uniq)
-    report.intersection_matrices = intersection_numbers(
-        sys, partition, _verified=True)
+        sys, partition, classes)
+    report.intersection_matrices = intersection_numbers(sys, partition, classes)
 
     neg = _negation(sys, partition)
     report.is_symmetric_rel = [k == i for i, k in enumerate(neg)]
     report.nonsymmetric_pair_count = sum(1 for i, k in enumerate(neg) if k > i)
 
-    report.is_primitive = is_primitive(sys, partition, _verified=True)
+    report.is_primitive = is_primitive(sys, partition, classes)
 
     primal = partition.part_sets()
     dual = [frozenset(p) for p in parts_by_sig]
@@ -229,27 +242,22 @@ def verify_scheme(sys: CyclotomicSystem, partition: IndexPartition) -> SchemeRep
 
 # --- eigenmatrices -----------------------------------------------------------
 
-def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition,
-                  _precomputed=None):
+def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition, classes):
     """(P_exact, P_complex, Q_complex) with Q = q P^{-1}.
 
     P_exact[i, j] is the coefficient row of entry (i, j).  Row 0 is the
-    principal character (valencies with a leading one); rows 1..d follow
-    the lexicographic order of their exact signature rows.
-    ``_precomputed`` is those unique rows, for callers that have them.
+    principal character (valencies with a leading one); rows 1..d are the
+    distinct signature rows of ``classes`` (``dual_classes``' result), in
+    their lexicographic order.
     """
-    uniq = _precomputed
-    if uniq is None:
-        count, _, uniq = dual_classes(sys, partition)
-        if count != partition.d:
-            raise NotAScheme("eigenmatrices of a non-scheme")
+    d, p = partition.d, sys.field.p
+    if classes[0] != d:
+        raise NotAScheme("eigenmatrices of a non-scheme")
 
-    d = partition.d
-    p = sys.field.p
     P_exact = np.zeros((d + 1, d + 1, p - 1), dtype=np.int64)
     P_exact[:, 0, 0] = 1
     P_exact[0, 1:, 0] = [sys.M * len(part) for part in partition.parts]
-    P_exact[1:, 1:] = uniq.reshape(d, d, p - 1)
+    P_exact[1:, 1:] = classes[2].reshape(d, d, p - 1)
 
     P_complex = embed(P_exact, p)
     try:
@@ -261,13 +269,12 @@ def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition,
 
 # --- intersection numbers -------------------------------------------------------
 
-def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition,
-                         _verified: bool = False):
+def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition, classes):
     """Intersection matrices B_0..B_d, B_i[k][j] = p_{ij}^k.
 
-    Computed from the signature rows alone, by the translation-scheme
-    identity (Bannai-Ito 1984; Brouwer-Cohen-Neumaier 1989, 2.2): with
-    sigma_a(i) = psi(gamma^a R_i) and sigma_a(0) = 1,
+    Computed from ``classes`` (``dual_classes``' result) alone, by the
+    translation-scheme identity (Bannai-Ito 1984; Brouwer-Cohen-Neumaier
+    1989, 2.2): with sigma_a(i) = psi(gamma^a R_i) and sigma_a(0) = 1,
 
         q k_k p_{ij}^k = k_i k_j k_k + M sum_a sigma_a(i) sigma_a(j) conj sigma_a(k),
 
@@ -286,9 +293,9 @@ def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition,
     when p = 2).  The divisions by p - 1 and by q k_k must both be exact,
     else NotAScheme.
     """
-    if not _verified and not is_scheme(sys, partition):
+    if classes[0] != partition.d:
         raise NotAScheme("intersection numbers of a non-scheme")
-    acc, k = _trace_sums(sys, partition)
+    acc, k = _trace_sums(sys, partition, classes)
     p, q, M = sys.field.p, sys.field.q, sys.M
     if (acc % (p - 1)).any():
         raise NotAScheme("character sum over the relations is not rational")
@@ -300,19 +307,19 @@ def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition,
     return [counts[i].T.astype(np.int64) for i in range(partition.d + 1)]
 
 
-def _trace_sums(sys: CyclotomicSystem, partition: IndexPartition):
+def _trace_sums(sys: CyclotomicSystem, partition: IndexPartition, classes):
     """(acc, k): acc[i, j, k] = (p-1) S for the sum S of intersection_numbers,
-    over the g coset representatives weighted by N/g, and the valencies k
-    (k_0 = 1), both of one integer dtype."""
+    over the g coset representatives weighted by N/g, read off the distinct
+    rows of ``classes``, and the valencies k (k_0 = 1), of one dtype."""
     d, N, M = partition.d, sys.N, sys.M
     p, q = sys.field.p, sys.field.q
     K = d + 1
     g = math.gcd(N, (q - 1) // (p - 1))
-    rows = _signature_rows(sys, partition)[:g].reshape(g, d, p - 1)
+    label = {a: c for c, part in enumerate(classes[1]) for a in part}
     # sigma_a(i) as a length-p vector in Z[x]/(x^p - 1); R_0 = {0} gives 1
     sig = np.zeros((g, K, p), dtype=np.int64)
     sig[:, 0, 0] = 1
-    sig[:, 1:, :p - 1] = rows
+    sig[:, 1:, :p - 1] = classes[2][[label[a] for a in range(g)]].reshape(g, d, p - 1)
     k = [1] + [M * len(part) for part in partition.parts]
     # with B = max |coefficient| of these rows, each row adds at most
     # 2 p^3 B^3 to |acc|, which is N/g times a sum of g rows; the numerator
@@ -336,7 +343,8 @@ def _trace_sums(sys: CyclotomicSystem, partition: IndexPartition):
 
 def krein_parameters(sys: CyclotomicSystem, partition: IndexPartition):
     """Intersection matrices of the dual scheme (translation duality)."""
-    return intersection_numbers(sys, dual_partition(sys, partition))
+    dual = dual_partition(sys, partition)
+    return intersection_numbers(sys, dual, dual_classes(sys, dual))
 
 
 def dual_partition(sys: CyclotomicSystem, partition: IndexPartition) -> IndexPartition:
@@ -355,30 +363,22 @@ def check_fusion(P_exact, column_partition):
     Returns (row_partition, fused_P_exact) on success, None when the merged
     relations do not form a scheme.
     """
-    P_exact = np.asarray(P_exact)
+    P_exact = np.asarray(P_exact, dtype=np.int64)
     m = len(P_exact)
     cells = [tuple(sorted(c)) for c in column_partition]
-    covered = sorted(i for c in cells for i in c)
-    if covered != list(range(m)) or not all(cells):
+    if sorted(i for c in cells for i in c) != list(range(m)) or not all(cells):
         raise MalformedPartition("column partition must partition {0..d}")
     if cells[0] != (0,):
         raise MalformedPartition("first column cell must be {0}")
 
     # sums[r, c] is the row of the sum of row r over cell c
     sums = np.stack([P_exact[:, list(c)].sum(axis=1) for c in cells], axis=1)
-    sigs = [tuple(map(tuple, sig)) for sig in sums.tolist()]
-    groups: dict = {}
-    for r, sig in enumerate(sigs):
-        groups.setdefault(sig, []).append(r)
-    if len(groups) != len(cells):
+    uniq, groups = _group_rows(sums.reshape(m, -1))
+    if len(groups) != len(cells) or (0,) not in groups:
         return None
-
-    row0_sig = sigs[0]
-    if groups[row0_sig] != [0]:
-        return None
-    other = sorted(sig for sig in groups if sig != row0_sig)
-    delta = [tuple(groups[row0_sig])] + [tuple(groups[s]) for s in other]
-    return delta, np.array([row0_sig] + other, dtype=np.int64)
+    # row 0's class first, the others in their lexicographic order
+    order = sorted(range(len(groups)), key=lambda c: groups[c] != (0,))
+    return [groups[c] for c in order], uniq[order].reshape(len(order), len(cells), -1)
 
 
 # --- independent oracle ---------------------------------------------------------

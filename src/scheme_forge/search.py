@@ -459,11 +459,11 @@ def exhaustive_nonexistence(p: int, max_classes: int = 4,
     report("recheck", 0, len(raw))
     for n, row in enumerate(raw, 1):
         part = _canonical(row, N)
-        count, _, _ = dual_classes(sys, part)
-        if count != part.d:
+        classes = dual_classes(sys, part)
+        if classes[0] != part.d:
             raise PreconditionViolated(
                 "closure/exact disagreement on a survivor; closure bug")
-        if allow_symmetric or is_primitive(sys, part, _verified=True):
+        if allow_symmetric or is_primitive(sys, part, classes):
             survivors.append(part)
         if n % 256 == 0 or n == len(raw):
             report("recheck", n, len(raw))

@@ -57,6 +57,14 @@ def test_signature_row_measures(bench):
     assert cells * 8 / (1 << 20) <= peak < 1
 
 
+def test_dual_classes_row_measures(bench):
+    # the (2, 8196) int64 table of the order-2 scheme on F_4099, built and
+    # grouped: the table and its sorted row keys at least, and below 1 MB
+    seconds, peak = bench.bench_dual_classes(4099, 1, 2, [[0], [1]])
+    assert seconds > 0
+    assert 2 * 2 * 8196 * 8 / (1 << 20) <= peak < 1
+
+
 def test_verify_stage_rows_measure(bench, tmp_path):
     assert bench.bench_intersection(3, 5, 22) > 0
     assert bench.bench_eigenmatrices(3, 5, 22) > 0

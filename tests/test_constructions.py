@@ -13,8 +13,8 @@ from scheme_forge.errors import (PreconditionViolated,
                                  TemplatePreconditionViolated)
 from scheme_forge.finite_field import build_field, multiplicative_order
 from scheme_forge.scheme_core import (IndexPartition, brute_force_verify,
-                                      check_fusion, eigenmatrices,
-                                      verify_scheme)
+                                      check_fusion, dual_classes,
+                                      eigenmatrices, verify_scheme)
 
 from conftest import assert_embeds_like_scalar_sum, partition_to_relations
 
@@ -273,12 +273,13 @@ def test_song_fusion_from_index28(sys28):
     # reproduce the coarse eigenmatrix
     rep = song_example()
     fine = IndexPartition.from_sets(28, [[i] for i in range(28)])
-    P_exact, _, _ = eigenmatrices(sys28, fine)
+    P_exact, _, _ = eigenmatrices(sys28, fine, dual_classes(sys28, fine))
     lam = [[0]] + [[i + 1 for i in part] for part in rep.built.partition.parts]
     fused = check_fusion(P_exact, lam)
     assert fused is not None
     _, fused_P = fused
-    own_P, _, _ = eigenmatrices(sys28, rep.built.partition)
+    coarse = rep.built.partition
+    own_P, _, _ = eigenmatrices(sys28, coarse, dual_classes(sys28, coarse))
     assert np.array_equal(fused_P, own_P)
     # merging two parts of the verified fission: the block test and the
     # direct verdict on the merged partition must agree

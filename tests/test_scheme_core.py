@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+from scheme_forge import scheme_core
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (BudgetExceeded, MalformedPartition,
                                  NotAScheme, PartitionInvalid,
                                  TooLargeForOracle)
 from scheme_forge.finite_field import build_field
-from scheme_forge.scheme_core import (_CELL_BYTES, _COLUMN_BYTES, ORACLE_CAP,
-                                      IndexPartition, _signature_rows,
-                                      _trace_sums, brute_force_verify,
-                                      check_fusion, dual_classes,
-                                      dual_partition, eigenmatrices,
-                                      intersection_numbers, is_primitive,
-                                      is_scheme, is_symmetric,
+from scheme_forge.scheme_core import (_CELL_BYTES, ORACLE_CAP,
+                                      IndexPartition, _group_rows,
+                                      _signature_rows, _trace_sums,
+                                      brute_force_verify, check_fusion,
+                                      dual_classes, dual_partition,
+                                      eigenmatrices, intersection_numbers,
+                                      is_primitive, is_scheme, is_symmetric,
                                       krein_parameters, symmetrize,
                                       verify_scheme)
 
@@ -92,7 +93,7 @@ def test_verdict_matches_oracle_on_random_partitions():
 def test_intersection_numbers_identities(f13):
     sys2 = build_cyclotomy(f13, 2)
     part = singletons(2)
-    B = intersection_numbers(sys2, part)
+    B = intersection_numbers(sys2, part, dual_classes(sys2, part))
     assert np.array_equal(B[0], np.eye(3, dtype=np.int64))
     report = verify_scheme(sys2, part)
     for i, Bi in enumerate(B):
@@ -112,11 +113,14 @@ def test_intersection_numbers_identities(f13):
 def test_intersection_numbers_requires_scheme(f9):
     sys8 = build_cyclotomy(f9, 8)
     bad = IndexPartition.from_sets(8, [[0, 1, 2], [3, 4], [5, 6, 7]])
+    classes = dual_classes(sys8, bad)
     with pytest.raises(NotAScheme):
-        intersection_numbers(sys8, bad)
-    # the exact divisibility checks reject it even past the verdict
+        intersection_numbers(sys8, bad, classes)
+    # the exact divisibility checks reject it even past the verdict, on
+    # classes forged to claim d of them
+    _, parts, uniq = classes
     with pytest.raises(NotAScheme):
-        intersection_numbers(sys8, bad, _verified=True)
+        intersection_numbers(sys8, bad, (bad.d, parts, uniq))
 
 
 def element_intersection_numbers(field, sys, partition):
@@ -161,7 +165,8 @@ def test_intersection_and_krein_match_element_count(p, f, N, H):
     field = build_field(p, f)
     sys_n = build_cyclotomy(field, N)
     part = coset_partition(N, H)
-    for got, want in zip(intersection_numbers(sys_n, part),
+    for got, want in zip(intersection_numbers(sys_n, part,
+                                              dual_classes(sys_n, part)),
                          element_intersection_numbers(field, sys_n, part),
                          strict=True):
         assert np.array_equal(got, want)
@@ -209,16 +214,75 @@ def test_signature_rows_match_the_gather_with_one_large_part():
     (3, 5, 242, "singletons"),
     (11, 3, 1330, "two"),
     (4099, 1, 2, "singletons"),  # 8,196 columns on two rows
+    (65537, 1, 2, "singletons"),  # 131,072 columns on two rows
 ])
 def test_table_charge_bounds_the_dual_classes_peak(p, f, N, parts):
-    # the check charges _CELL_BYTES a cell and _COLUMN_BYTES a column of
-    # the (N, d (p - 1)) table; dual_classes' traced peak stays below it
+    # the check charges _CELL_BYTES a cell of the (N, d (p - 1)) table;
+    # dual_classes' traced peak stays below it
     sys_n = build_cyclotomy(build_field(p, f), N)
     part = (singletons(N) if parts == "singletons"
             else IndexPartition.from_sets(N, [[0], list(range(1, N))]))
-    columns = part.d * (p - 1)
+    cells = N * part.d * (p - 1)
     _, peak = traced_peak(lambda: dual_classes(sys_n, part))
-    assert peak <= (_CELL_BYTES * N + _COLUMN_BYTES) * columns, peak
+    assert peak <= _CELL_BYTES * cells, peak
+
+
+def unique_rows(rows):
+    """Oracle for _group_rows: np.unique over axis 0, which orders rows
+    lexicographically through a structured dtype of one field a column."""
+    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    return uniq, [tuple(np.nonzero(inverse == c)[0].tolist())
+                  for c in range(len(uniq))]
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("shape,bounds", [
+    ((60, 3), [(-2, 2), (-2 ** 40, 2 ** 40), (INT64.min, INT64.max)]),
+    ((7, 5), [(-1, 1), (INT64.min, INT64.max)]),
+    ((1, 4), [(INT64.min, INT64.max)]),
+    ((4000, 1), [(-3, 3), (INT64.min, INT64.max)]),  # tall and narrow
+    ((3000, 2), [(-1, 1), (-2 ** 62, 2 ** 62)]),
+    ((2, 131072), [(-1, 1)]),  # wide and short
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v[0], int) else None)
+def test_group_rows_matches_unique_rows(shape, bounds):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for lo, hi in bounds:
+        rows = rng.integers(lo, hi, size=shape, dtype=np.int64, endpoint=True)
+        n = shape[0]
+        rows[rng.permutation(n)[:n // 2]] = rows[rng.integers(0, n, n // 2)]
+        # the last row differs from the first in its last cell only
+        rows[-1] = rows[0]
+        rows[-1, -1] = rows[0, -1] ^ 1
+        want_uniq, want_members = unique_rows(rows)
+        uniq, members = _group_rows(rows.copy())
+        assert uniq.dtype == np.int64
+        assert np.array_equal(uniq, want_uniq)
+        assert members == want_members
+
+
+def test_group_rows_orders_signs_and_extremes():
+    values = [INT64.min, INT64.min + 1, -256, -1, 0, 1, 255, 256, INT64.max]
+    rows = np.array([[a, b] for a in values for b in values][::-1],
+                    dtype=np.int64)
+    uniq, members = _group_rows(rows.copy())
+    assert uniq.tolist() == sorted(rows.tolist())
+    assert members == [(len(rows) - 1 - k,) for k in range(len(rows))]
+
+
+def test_one_signature_table_per_verification(monkeypatch, f243):
+    built = []
+    build = scheme_core._signature_rows
+    monkeypatch.setattr(scheme_core, "_signature_rows",
+                        lambda *args: built.append(args) or build(*args))
+    sys22 = build_cyclotomy(f243, 22)
+    for part in (singletons(22), coset_partition(22, 2),
+                 IndexPartition.from_sets(22, [[0], list(range(1, 22))])):
+        built.clear()
+        report = verify_scheme(sys22, part)
+        assert len(built) == 1, report.is_scheme
 
 
 def test_oversized_signature_table_raises_before_allocating(monkeypatch):
@@ -261,15 +325,19 @@ def full_row_intersection_numbers(sys, partition):
 
 
 def assert_coset_sum_matches_full_rows(sys_n, part):
-    acc, _ = _trace_sums(sys_n, part)
+    # classes forged to claim d of them, so a non-scheme gets past the
+    # verdict to the sums and their divisibility checks
+    _, parts, uniq = dual_classes(sys_n, part)
+    forged = (part.d, parts, uniq)
+    acc, _ = _trace_sums(sys_n, part, forged)
     assert np.array_equal(acc, full_row_trace_sums(sys_n, part))
     try:
         want = full_row_intersection_numbers(sys_n, part)
     except NotAScheme:
         with pytest.raises(NotAScheme):
-            intersection_numbers(sys_n, part, _verified=True)
+            intersection_numbers(sys_n, part, forged)
         return False
-    got = intersection_numbers(sys_n, part, _verified=True)
+    got = intersection_numbers(sys_n, part, forged)
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
     return True
 
@@ -300,7 +368,7 @@ def test_coset_sum_matches_full_row_sum_on_non_schemes():
 def test_eigenmatrices_structure(f243):
     sys11 = build_cyclotomy(f243, 11)
     part = singletons(11)
-    P_exact, P, Q = eigenmatrices(sys11, part)
+    P_exact, P, Q = eigenmatrices(sys11, part, dual_classes(sys11, part))
     report = verify_scheme(sys11, part)
     assert P_exact.shape == (12, 12, 2) and P_exact.dtype == np.int64
     assert P_exact[0, 1:].tolist() == [[v, 0] for v in report.valencies]
@@ -314,7 +382,7 @@ def test_krein_duality(f13):
     sys2 = build_cyclotomy(f13, 2)
     part = singletons(2)
     K = krein_parameters(sys2, part)
-    B = intersection_numbers(sys2, part)
+    B = intersection_numbers(sys2, part, dual_classes(sys2, part))
     rep = verify_scheme(sys2, part)
     assert rep.is_self_dual
     # Paley: the dual partition is the primal one, so Krein = primal B's
@@ -346,8 +414,9 @@ def test_dual_of_dual_random(f243):
     order = [ddual.part_sets().index(s) for s in cosets.part_sets()]
     realigned = IndexPartition.from_sets(
         22, [ddual.parts[i] for i in order])
-    B1 = intersection_numbers(sys22, cosets)
-    B2 = intersection_numbers(sys22, realigned)
+    B1 = intersection_numbers(sys22, cosets, dual_classes(sys22, cosets))
+    B2 = intersection_numbers(sys22, realigned,
+                              dual_classes(sys22, realigned))
     assert all(np.array_equal(a, b) for a, b in zip(B1, B2))
 
 
@@ -430,7 +499,7 @@ def test_negation_permutation_matches_union_find_oracle():
         for part in verified_fusions(rng, sys_n, 30):
             want = union_find_symmetrize(sys_n, part)
             assert symmetrize(sys_n, part).parts == want.parts
-            prim = is_primitive(sys_n, part)
+            prim = is_primitive(sys_n, part, dual_classes(sys_n, part))
             assert prim == symmetrized_is_primitive(sys_n, part)
             report = verify_scheme(sys_n, part)
             assert report.is_primitive == prim
@@ -455,26 +524,44 @@ def test_symmetrize_refuses_a_non_permuting_negation(f9, parts):
     assert union_find_symmetrize(sys8, part).d == 1
     with pytest.raises(NotAScheme):
         symmetrize(sys8, part)
+    with pytest.raises(NotAScheme):
+        is_symmetric(sys8, part, 0)
+
+
+def test_is_symmetric_reads_the_negation_permutation(f9):
+    sys8 = build_cyclotomy(f9, 8)
+    # -1 = gamma^4: {1} and {5} swap, {3} and {7} swap
+    part = IndexPartition.from_sets(8, [[0, 4], [1], [5], [2, 6], [3], [7]])
+    assert [is_symmetric(sys8, part, i) for i in range(6)] == [
+        True, False, False, True, False, False]
+    # a partition over Z_4 read against the order-8 system
+    with pytest.raises(PartitionInvalid, match="over Z_4, system over Z_8"):
+        is_symmetric(sys8, singletons(4), 0)
+
+
+def primitive(sys, partition):
+    return is_primitive(sys, partition, dual_classes(sys, partition))
 
 
 def test_primitivity():
     f9 = build_field(3, 2)
     sys4 = build_cyclotomy(f9, 4)
     # each part {i} union {0} is a line (coset of the prime subfield): imprimitive
-    assert not is_primitive(sys4, singletons(4))
+    assert not primitive(sys4, singletons(4))
     f13 = build_field(13, 1)
     sys1 = build_cyclotomy(f13, 1)
-    assert is_primitive(sys1, IndexPartition.from_sets(1, [[0]]))
+    assert primitive(sys1, IndexPartition.from_sets(1, [[0]]))
     sys2 = build_cyclotomy(f13, 2)
-    assert is_primitive(sys2, singletons(2))
+    assert primitive(sys2, singletons(2))
     sys8 = build_cyclotomy(f9, 8)
     with pytest.raises(NotAScheme):
-        is_primitive(sys8, IndexPartition.from_sets(8, [[0, 1, 2], [3, 4], [5, 6, 7]]))
+        primitive(sys8, IndexPartition.from_sets(8, [[0, 1, 2], [3, 4], [5, 6, 7]]))
 
 
 def test_check_fusion_identity(f243):
     sys11 = build_cyclotomy(f243, 11)
-    P_exact, _, _ = eigenmatrices(sys11, singletons(11))
+    fine = singletons(11)
+    P_exact, _, _ = eigenmatrices(sys11, fine, dual_classes(sys11, fine))
     got = check_fusion(P_exact, [[i] for i in range(12)])
     assert got is not None
     delta, fused = got
@@ -486,7 +573,8 @@ def test_check_fusion_cross_oracle(f243):
     # merging classes of the order-22 cyclotomic scheme: the fusion verdict
     # must agree with direct verification of the merged partition
     sys22 = build_cyclotomy(f243, 22)
-    P_exact, _, _ = eigenmatrices(sys22, singletons(22))
+    fine = singletons(22)
+    P_exact, _, _ = eigenmatrices(sys22, fine, dual_classes(sys22, fine))
     rng = np.random.default_rng(5)
     agree_true = 0
     for _ in range(40):
@@ -503,16 +591,65 @@ def test_check_fusion_cross_oracle(f243):
         if fused is not None:
             agree_true += 1
             _, fused_P = fused
-            own_P, _, _ = eigenmatrices(sys22, merged)
+            own_P, _, _ = eigenmatrices(sys22, merged, dual_classes(sys22, merged))
             assert np.array_equal(fused_P, own_P)
     # subgroup-coset fusions always succeed; add one to guarantee a positive case
     lam = [[0]] + [[1 + i + 2 * j for j in range(11)] for i in range(2)]
     assert check_fusion(P_exact, lam) is not None
 
 
+def dict_check_fusion(P_exact, column_partition):
+    """Oracle for check_fusion's grouping: the earlier dict keyed by each
+    row's block sums as tuples of tuples, the other classes sorted."""
+    P_exact = np.asarray(P_exact)
+    cells = [tuple(sorted(c)) for c in column_partition]
+    sums = np.stack([P_exact[:, list(c)].sum(axis=1) for c in cells], axis=1)
+    sigs = [tuple(map(tuple, sig)) for sig in sums.tolist()]
+    groups: dict = {}
+    for r, sig in enumerate(sigs):
+        groups.setdefault(sig, []).append(r)
+    if len(groups) != len(cells):
+        return None
+    row0_sig = sigs[0]
+    if groups[row0_sig] != [0]:
+        return None
+    other = sorted(sig for sig in groups if sig != row0_sig)
+    delta = [tuple(groups[row0_sig])] + [tuple(groups[s]) for s in other]
+    return delta, np.array([row0_sig] + other, dtype=np.int64)
+
+
+def test_check_fusion_matches_the_dict_grouping(f243):
+    rng = np.random.default_rng(27)
+    sys22 = build_cyclotomy(f243, 22)
+    fine = singletons(22)
+    matrices = [eigenmatrices(sys22, fine, dual_classes(sys22, fine))[0]]
+    # small random matrices, whose rows often tie: fusable and not
+    matrices += [rng.integers(-2, 3, size=(m, m, w))
+                 for m, w in [(4, 1), (5, 2), (6, 1), (6, 3)] for _ in range(15)]
+    outcomes = set()
+    for P_exact in matrices:
+        m = len(P_exact)
+        for _ in range(20):
+            d = int(rng.integers(1, m))
+            labels = rng.integers(0, d, size=m - 1)
+            cells = [np.nonzero(labels == k)[0] + 1 for k in range(d)]
+            if any(len(c) == 0 for c in cells):
+                continue
+            lam = [[0]] + [c.tolist() for c in cells]
+            got, want = check_fusion(P_exact, lam), dict_check_fusion(P_exact, lam)
+            outcomes.add(got is not None)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0]
+                assert got[1].dtype == np.int64
+                assert np.array_equal(got[1], want[1])
+    assert outcomes == {True, False}
+
+
 def test_check_fusion_malformed(f13):
     sys2 = build_cyclotomy(f13, 2)
-    P_exact, _, _ = eigenmatrices(sys2, singletons(2))
+    fine = singletons(2)
+    P_exact, _, _ = eigenmatrices(sys2, fine, dual_classes(sys2, fine))
     with pytest.raises(MalformedPartition):
         check_fusion(P_exact, [[0, 1], [2]])
     with pytest.raises(MalformedPartition):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from scheme_forge import _kernels, search
+from scheme_forge import _kernels, scheme_core, search
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (BUDGET, BudgetExceeded, FieldTooLarge,
                                  PreconditionViolated)
@@ -144,6 +144,21 @@ def test_progress_reports_closure_phases():
     assert seen[-1].total == len(result.schemes_found) == 19
 
 
+@pytest.mark.parametrize("p,dmax,allow_symmetric,survivors", [
+    (3, 4, True, 19),
+    (7, 4, False, 24),  # each one tested for primitivity too
+])
+def test_recheck_builds_one_signature_table_per_survivor(
+        monkeypatch, p, dmax, allow_symmetric, survivors):
+    built, seen = [], []
+    build = scheme_core._signature_rows
+    monkeypatch.setattr(scheme_core, "_signature_rows",
+                        lambda *args: built.append(args) or build(*args))
+    exhaustive_nonexistence(p, dmax, allow_symmetric, progress=seen.append)
+    assert seen[-1].phase == "recheck" and seen[-1].total == survivors
+    assert len(built) == survivors
+
+
 def test_p3_max_classes_3():
     result = exhaustive_nonexistence(3, max_classes=3)
     assert result.candidates_checked == 966
@@ -228,8 +243,9 @@ def _scan_found(p, dmax, allow_symmetric):
     found = set()
     for row in rows:
         part = search._canonical(row, N)
-        assert dual_classes(sys_n, part)[0] == part.d
-        if allow_symmetric or is_primitive(sys_n, part, _verified=True):
+        classes = dual_classes(sys_n, part)
+        assert classes[0] == part.d
+        if allow_symmetric or is_primitive(sys_n, part, classes):
             found.add(part)
     return found, counts
 

@@ -32,10 +32,14 @@ closures/s for the two phases of the closure search that
 ``search-nonexistence`` runs, best of three: the two-block phase (one two-block partition closed per orbit, then
 mapped over the orbits) and the meet phase (every round of meets, the
 final filters and the orbit expansion of the closed schemes), each
-counting the partitions handed to ``search._close``.  The norm block, psi,
-direct-sum, Davenport-Hasse, tally, signature rows and dual classes also
-print their traced peak: the tracemalloc heap high-water mark of one more,
-untimed call above its level at entry, the output included.
+counting the partitions handed to ``search._close``; survivors/s for the
+exact recheck of the search's survivors, the 2,691 closed schemes of
+p = 7, d <= 4 with the filters off (``--allow-symmetric``), their closure
+run outside, best of three of the recheck phase's own clock.  The norm
+block, psi, direct-sum, Davenport-Hasse, tally, signature rows, dual
+classes and recheck also print their traced peak: the tracemalloc heap
+high-water mark of one more, untimed call above its level at entry, the
+output included.
 
     python3 benchmarks/bench_kernels.py
 """
@@ -239,6 +243,30 @@ def bench_closure(p, dmax):
     return best
 
 
+def bench_recheck(p, dmax):
+    """(seconds, survivors, traced peak MB) of the search's recheck of every
+    closed scheme with at most dmax blocks, the filters off: the search run
+    on the closed schemes it would find, computed once outside."""
+    closed = search._closed_schemes
+    rows = closed(p, dmax, False, lambda *args: None)
+    seen = []
+
+    def run():
+        found = search.exhaustive_nonexistence(p, dmax, True, seen.append)
+        assert len(found.schemes_found) == len(rows)
+
+    search._closed_schemes = lambda *args: rows
+    try:
+        for _ in range(3):
+            run()
+        peak = _traced_peak_mb(run)
+    finally:
+        search._closed_schemes = closed
+    seconds = min(s.elapsed_s for s in seen
+                  if s.phase == "recheck" and s.done == s.total)
+    return seconds, len(rows), peak
+
+
 def main():
     rows = []  # (name, seconds, rate, traced peak MB or None)
     for name, bench, fields in [
@@ -306,6 +334,10 @@ def main():
                      t_two, n_two / t_two, None))
         rows.append((f"closure p={p} d<={dmax} meets ({n_meet} closures)",
                      t_meet, n_meet / t_meet, None))
+
+    t_np, survivors, peak = bench_recheck(7, 4)
+    rows.append((f"recheck p=7 d<=4 ({survivors} survivors)", t_np,
+                 survivors / t_np, peak))
 
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'time':>10}  {'rate/s':>10}  {'peak':>10}")

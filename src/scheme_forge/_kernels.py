@@ -5,8 +5,8 @@ the trace m-sequence by one fixed linear map; only the element-level
 operations of ``FieldSpec`` need it (Gauss periods read one norm period of
 the m-sequence).  The exhaustive scan over set partitions of Z_N visits
 every restricted-growth labelling; ``search-nonexistence`` does not run
-it, and it is the closure search's independent oracle in the tests (and
-``enumeration_counts``'s enumerator).  ``bench_kernels.py`` times both.
+it, and it is the closure search's independent oracle in the tests.
+``bench_kernels.py`` times both.
 """
 
 from __future__ import annotations

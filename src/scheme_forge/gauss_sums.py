@@ -180,7 +180,8 @@ def check_index2_cap(p: int, p1: int, s: int, cap: int) -> None:
 
 
 def make_index2_params(p: int, p1: int, m: int = 1) -> Index2Params:
-    if not (is_prime(p) and is_prime(p1)) or p1 % 4 != 3 or p1 <= 3 or p == p1:
+    # p = 2 is no unit mod 2 p1: 2 p1 never divides 2^f - 1
+    if not (is_prime(p) and is_prime(p1)) or p1 % 4 != 3 or p1 <= 3 or p in (2, p1):
         raise PreconditionViolated(f"bad index-2 instance (p, p1) = ({p}, {p1})")
     n = 2 * p1 ** m
     phi = p1 ** (m - 1) * (p1 - 1)

@@ -123,6 +123,32 @@ def _signature_rows(sys: CyclotomicSystem, partition: IndexPartition) -> np.ndar
     return rows.reshape(N, -1)
 
 
+def signature_counts(sys: CyclotomicSystem, labels: np.ndarray, d: int):
+    """(distinct, primitive) for each row of ``labels`` (R, N), a partition
+    of Z_N into labels < d (an empty part adds zero sums everywhere): its
+    count of distinct signature rows, and ``is_primitive``'s row test on
+    every character, from one exact int64 product of the part indicators
+    and the period circulant (each |sum| <= N M = q - 1)."""
+    pm = sys.period_matrix
+    (R, N), width = labels.shape, pm.shape[1]
+    # the circulant and its copy, then 24 B a sum or indicator: the sums,
+    # their sorted keys and the temporaries
+    check_budget(8 * N * (2 * N * width + 3 * R * d * (width + 1)),
+                 f"the signature sums of {R} partitions of Z_{N} on "
+                 f"F_{{{sys.field.p}^{sys.field.f}}} need")
+    j = np.arange(N)
+    # circulant[a w + c, j] is coefficient c of eta_{(j + a) mod N}
+    circulant = pm[(j[:, None] + j) % N].transpose(0, 2, 1).reshape(-1, N)
+    indicator = (labels[..., None] == np.arange(d, dtype=labels.dtype)).astype(np.int64)
+    sums = (circulant @ indicator).reshape(R, N, width * d)
+    keys = np.sort(sums.view(f"V{8 * width * d}")[..., 0], axis=1)
+    keys = keys.view(np.int64).reshape(sums.shape)
+    size = indicator.sum(axis=1)[:, None]
+    hit = _principal(sums.reshape(R, N, width, d).swapaxes(2, 3), sys.M * size)
+    return ((keys[:, 1:] != keys[:, :-1]).any(axis=2).sum(axis=1) + 1,
+            ~(hit & (size > 0)).any(axis=(1, 2)))
+
+
 def _group_rows(rows: np.ndarray):
     """(uniq, members): a C-contiguous int64 table's distinct rows in signed
     lexicographic order, and the ascending indices of the rows equal to each.
@@ -191,6 +217,11 @@ def symmetrize(sys: CyclotomicSystem, partition: IndexPartition) -> IndexPartiti
 
 # --- primitivity ---------------------------------------------------------------
 
+def _principal(sums: np.ndarray, valency) -> np.ndarray:
+    """[..., i]: part i's sum, sums[..., i, :], is (valency[..., i], 0, ...)."""
+    return (sums[..., 0] == valency) & ~sums[..., 1:].any(axis=-1)
+
+
 def is_primitive(sys: CyclotomicSystem, partition: IndexPartition, classes) -> bool:
     """No nontrivial relation of the symmetrization has a character sum equal
     to its valency (exact test over all nonprincipal characters).
@@ -199,14 +230,14 @@ def is_primitive(sys: CyclotomicSystem, partition: IndexPartition, classes) -> b
     The sum over R_i u -R_i is the sum of two signature rows, rows_i +
     rows_neg[i].  It equals its valency iff each of its terms is 1, iff row
     i alone equals M |R_i|, as -R_i has the conjugate sum; so each relation
-    is tested on its own row, and the d distinct rows hold every value.
+    is tested on its own row, and the d distinct rows hold every value:
+    ``_principal``, which ``signature_counts`` runs on every character.
     """
     if classes[0] != partition.d:
         raise NotAScheme("primitivity is only defined for verified schemes")
     rows = classes[2].reshape(partition.d, partition.d, -1)
     valency = sys.M * np.array([len(part) for part in partition.parts])
-    hit = (rows[:, :, 0] == valency) & (rows[:, :, 1:] == 0).all(axis=2)
-    return not hit.any()
+    return not _principal(rows, valency).any()
 
 
 # --- full verification ----------------------------------------------------------

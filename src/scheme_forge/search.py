@@ -9,12 +9,13 @@ without visiting them: it closes partitions under the duality of
 translation schemes (the coherent closure below), first the two-block
 partitions, one per orbit of the maps x -> u x + v (u in <p> mod N), then
 the meets of the kept closures, which reach every scheme.  Every survivor
-is re-verified through the exact signature rows and the primitivity filter
-before being reported.  No prime is gated by name: the working-set
-estimates refuse a run before it allocates (p = 19, N = 40, is refused;
-p = 11 runs in seconds).  The partition scan of ``_kernels`` (every
-restricted-growth labelling, one ``search_chunk`` call per label prefix)
-is kept as the tests' independent oracle.
+and its primitivity are re-verified exactly before it is reported, a
+batch of label rows at a time (``scheme_core.signature_counts``).  No prime
+is gated by name: the working-set estimates refuse a run before it
+allocates (p = 19, N = 40, is refused; p = 11 runs in seconds).  The tests
+keep two independent oracles: the partition scan of ``_kernels`` (every
+restricted-growth labelling, one ``search_chunk`` call per label prefix),
+and ``dual_classes`` with ``is_primitive`` for the recheck.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .cyclotomy import build_cyclotomy
 from .errors import PreconditionViolated, check_budget
 from .finite_field import DEFAULT_CAP, build_field, check_cap, is_prime
-from .scheme_core import IndexPartition, dual_classes, is_primitive
+from .scheme_core import IndexPartition, signature_counts
 
 
 # --- the trace partition of Z_{2(p+1)} ----------------------------------------
@@ -64,15 +65,6 @@ def ts_identity_check(p: int) -> bool:
     rhs = np.full(N, (p - 1) // 2)
     rhs[0], rhs[N // 2] = p, 0
     return np.array_equal(lhs, rhs)
-
-
-def _trace_signs(p: int) -> np.ndarray:
-    """sden[i] = +1 on T_s, -1 on T_n, 0 on T_0."""
-    _, ts, tn = trace_partition(p)
-    sden = np.zeros(2 * (p + 1), dtype=np.int64)
-    sden[list(ts)] = 1
-    sden[list(tn)] = -1
-    return sden
 
 
 # --- coherent closure ------------------------------------------------------------
@@ -116,15 +108,20 @@ def _trace_signs(p: int) -> np.ndarray:
 # measured with tracemalloc on the 2,691 of --p 7 --allow-symmetric
 _SURVIVOR_BYTES = 2560
 _CODE_BASE = 4096
+_RECHECK_BATCH = 256      # survivors rechecked per batch
 _MASK_BATCH = 1 << 18     # two-block masks tested per batch
 _ROW_BATCH = 1 << 14      # partitions closed or mapped per batch
 _PAIR_BATCH = 1 << 16     # pairs whose meets are sized per batch
 
 
 def _code_matrix(p: int) -> np.ndarray:
-    """E[j, a] = sden[(j + a) % N] + 1024 * [(j + a) % N in T_0]."""
-    sden = _trace_signs(p)
-    N = len(sden)
+    """E[j, a] = sden[(j + a) % N] + 1024 * [(j + a) % N in T_0]; sden is
+    +1 on T_s, -1 on T_n, 0 on T_0."""
+    _, ts, tn = trace_partition(p)
+    N = 2 * (p + 1)
+    sden = np.zeros(N, dtype=np.int64)
+    sden[list(ts)] = 1
+    sden[list(tn)] = -1
     j = np.arange(N)
     s = (j[:, None] + j[None, :]) % N
     return sden[s] + 1024 * (sden[s] == 0)
@@ -452,51 +449,21 @@ def exhaustive_nonexistence(p: int, max_classes: int = 4,
     check_budget(len(raw) * _SURVIVOR_BYTES,
                  f"reporting {len(raw)} schemes needs")
 
-    # exact recheck of the survivors
-    field = build_field(p, 2)
-    sys = build_cyclotomy(field, N)
+    # exact recheck of the survivors, a batch of label rows at a time
+    sys = build_cyclotomy(build_field(p, 2), N)
     survivors = []
     report("recheck", 0, len(raw))
-    for n, row in enumerate(raw, 1):
-        part = _canonical(row, N)
-        classes = dual_classes(sys, part)
-        if classes[0] != part.d:
+    for r0 in range(0, len(raw), _RECHECK_BATCH):
+        rows = raw[r0:r0 + _RECHECK_BATCH]
+        distinct, primitive = signature_counts(sys, rows, dmax)
+        if (distinct != rows.max(axis=1) + 1).any():
             raise PreconditionViolated(
                 "closure/exact disagreement on a survivor; closure bug")
-        if allow_symmetric or is_primitive(sys, part, classes):
-            survivors.append(part)
-        if n % 256 == 0 or n == len(raw):
-            report("recheck", n, len(raw))
+        survivors += [_canonical(row, N)
+                      for row in rows[primitive | allow_symmetric]]
+        report("recheck", r0 + len(rows), len(raw))
     survivors.sort(key=lambda pt: pt.parts)
     counts = [0] + [_stirling2(N, k) for k in range(1, dmax + 1)] + [0]
     return SearchResult(candidates_checked=sum(counts[3:]),
                         counts_by_classes=counts,
                         schemes_found=survivors)
-
-
-def enumeration_counts(N: int, max_classes: int) -> list[int]:
-    """Partition counts of Z_N by block count, from the kernel enumerator."""
-    from . import _kernels
-
-    counts = np.zeros(max_classes + 2, dtype=np.int64)
-    for prefix in _kernels.search_prefixes(N, max_classes, min(4, N - 1)):
-        _kernels.search_chunk(prefix, N, N + 1, max_classes, N // 2,
-                              (0, N // 2), np.zeros(N, dtype=np.int64), 3,
-                              False, counts)
-    return [int(c) for c in counts]
-
-
-def ts_character_values(p: int):
-    """The exact values psi(C_i): (p-1)/2 on T_0 and two conjugate values
-    elsewhere; used to confirm the three-valued structure."""
-    field = build_field(p, 2)
-    N = 2 * (p + 1)
-    sys = build_cyclotomy(field, N)
-    t0, ts, tn = trace_partition(p)
-    rows = [tuple(row) for row in sys.period_matrix.tolist()]
-    vals_t0 = {rows[i] for i in t0}
-    vals_ts = {rows[i] for i in ts}
-    vals_tn = {rows[i] for i in tn}
-    expect = ((p - 1) // 2,) + (0,) * (p - 2)
-    return vals_t0 == {expect} and len(vals_ts) == 1 and len(vals_tn) == 1 \
-        and vals_ts != vals_tn

@@ -88,3 +88,11 @@ def test_closure_rows_measure(bench):
     assert t_two > 0 and t_meet > 0
     # 14 two-block partitions, one per orbit; meets in two rounds
     assert n_two == 14 and n_meet > 0
+
+
+def test_recheck_row_measures(bench):
+    # the 19 closed schemes of Z_8 with at most 4 blocks, filters off
+    seconds, survivors, peak = bench.bench_recheck(3, 4)
+    assert seconds > 0
+    assert survivors == 19
+    assert 0 < peak < 1

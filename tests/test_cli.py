@@ -306,6 +306,18 @@ def test_construct_precondition_exit2(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    # p = 2 used to leak multiplicative_order's NotCoprime: gcd(2, 14) != 1
+    ["gauss-verify", "--p", "2", "--p1", "7"],
+    ["construct", "--kind", "three_class", "--p", "2", "--p1", "7"],
+    ["construct", "--kind", "four_class", "--p", "2", "--p1", "7"],
+    ["gauss-verify", "--p", "3", "--p1", "3"],
+])
+def test_bad_index2_instance_exit2(argv, capsys):
+    _one_line_exit2(argv, capsys, "PreconditionViolated: bad index-2 instance "
+                    f"(p, p1) = ({argv[-3]}, {argv[-1]})")
+
+
+@pytest.mark.parametrize("argv", [
     # m < 1 used to print the m = 1 document and exit 0
     ["construct", "--kind", "five_class", "--p", "5", "--p1", "19", "--m", "0"],
     ["construct", "--kind", "five_class", "--p", "5", "--p1", "19", "--m", "-2"],

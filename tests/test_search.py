@@ -10,13 +10,13 @@ from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (BUDGET, BudgetExceeded, FieldTooLarge,
                                  PreconditionViolated)
 from scheme_forge.finite_field import build_field, is_prime
-from scheme_forge.scheme_core import (brute_force_verify, dual_classes,
-                                      is_primitive, is_scheme)
-from scheme_forge.search import (enumeration_counts, exhaustive_nonexistence,
-                                 trace_partition, ts_character_values,
+from scheme_forge.scheme_core import (IndexPartition, brute_force_verify,
+                                      dual_classes, is_primitive, is_scheme,
+                                      signature_counts)
+from scheme_forge.search import (exhaustive_nonexistence, trace_partition,
                                  ts_identity_check)
 
-from conftest import partition_to_relations
+from conftest import partition_to_relations, traced_peak
 
 
 def stirling2(n, k):
@@ -56,7 +56,14 @@ def test_zero_trace_classes_have_full_period(p):
 
 @pytest.mark.parametrize("p", [3, 7, 11, 19])
 def test_three_valued_structure(p):
-    assert ts_character_values(p)
+    # the period of a class is (p - 1)/2 on T_0, and one of two distinct
+    # values on T_s and on T_n
+    rows = build_cyclotomy(build_field(p, 2), 2 * (p + 1)).period_matrix
+    values = [{tuple(rows[i].tolist()) for i in t}
+              for t in trace_partition(p)]
+    assert values[0] == {((p - 1) // 2,) + (0,) * (p - 2)}
+    assert len(values[1]) == len(values[2]) == 1
+    assert values[1] != values[2]
 
 
 @pytest.mark.parametrize("p", [3, 7, 11, 19, 23, 31])
@@ -105,7 +112,13 @@ def test_trace_partition_reads_the_trace_sequence(p):
 
 @pytest.mark.parametrize("N", [4, 5, 6, 7, 8])
 def test_enumeration_matches_stirling(N):
-    counts = enumeration_counts(N, 4)
+    # every leaf of the kernel enumerator, counted by block count; no row
+    # has N + 1 parts, so none survives
+    counts = np.zeros(6, dtype=np.int64)
+    for prefix in _kernels.search_prefixes(N, 4, min(4, N - 1)):
+        _kernels.search_chunk(prefix, N, N + 1, 4, N // 2, (0, N // 2),
+                              np.zeros(N, dtype=np.int64), 3, False, counts)
+    counts = counts.tolist()
     assert counts == [0] + [stirling2(N, k) for k in range(1, 5)] + [0]
     if N == 8:
         assert counts[3:5] == [966, 1701]
@@ -148,15 +161,139 @@ def test_progress_reports_closure_phases():
     (3, 4, True, 19),
     (7, 4, False, 24),  # each one tested for primitivity too
 ])
-def test_recheck_builds_one_signature_table_per_survivor(
+def test_recheck_builds_no_signature_table_per_survivor(
         monkeypatch, p, dmax, allow_symmetric, survivors):
-    built, seen = [], []
-    build = scheme_core._signature_rows
-    monkeypatch.setattr(scheme_core, "_signature_rows",
-                        lambda *args: built.append(args) or build(*args))
+    # the survivors are rechecked as label rows in batches, never one
+    # IndexPartition at a time through the verify path
+    def per_survivor(*args):
+        raise AssertionError("the search called the per-survivor path")
+
+    for name in ("_signature_rows", "dual_classes", "is_primitive"):
+        monkeypatch.setattr(scheme_core, name, per_survivor)
+        assert not hasattr(search, name)
+    seen = []
     exhaustive_nonexistence(p, dmax, allow_symmetric, progress=seen.append)
     assert seen[-1].phase == "recheck" and seen[-1].total == survivors
-    assert len(built) == survivors
+
+
+@pytest.mark.parametrize("p,dmax,allow_symmetric", [
+    (3, 4, True), (7, 3, True), (7, 4, False)])
+def test_recheck_batches_split_orbits(monkeypatch, p, dmax, allow_symmetric):
+    # batches of 7 rows split orbits and mix 3- and 4-part rows; the result
+    # is the one-batch result, reported once a batch
+    whole = exhaustive_nonexistence(p, dmax, allow_symmetric)
+    monkeypatch.setattr(search, "_RECHECK_BATCH", 7)
+    seen = []
+    split = exhaustive_nonexistence(p, dmax, allow_symmetric,
+                                    progress=seen.append)
+    assert split.schemes_found == whole.schemes_found
+    done = [s.done for s in seen if s.phase == "recheck"]
+    total = seen[-1].total
+    assert done == [min(n, total) for n in range(7, total + 7, 7)]
+
+
+def test_recheck_refuses_a_forged_non_scheme(monkeypatch):
+    # {0, 1} | {2, 3} | {4..7} over Z_8 is no scheme: the closure and the
+    # exact recheck disagree, which raises
+    closed = search._closed_schemes
+    forged = np.array([[0, 0, 1, 1, 2, 2, 2, 2]], dtype=np.int8)
+    sys8 = build_cyclotomy(build_field(3, 2), 8)
+    assert not is_scheme(sys8, search._canonical(forged[0], 8))
+    monkeypatch.setattr(search, "_closed_schemes", lambda *args: np.concatenate(
+        (closed(*args)[:5], forged)))
+    with pytest.raises(PreconditionViolated, match="closure bug"):
+        exhaustive_nonexistence(3, allow_symmetric=True)
+
+
+def test_recheck_of_no_survivors(monkeypatch):
+    seen = []
+    monkeypatch.setattr(search, "_closed_schemes",
+                        lambda *args: np.zeros((0, 8), dtype=np.int8))
+    result = exhaustive_nonexistence(3, progress=seen.append)
+    assert result.schemes_found == []
+    assert result.candidates_checked == 966 + 1701
+    assert not [s for s in seen if s.phase == "recheck"]
+
+
+def _oracle(sys_n, row):
+    """(distinct signature rows, primitive) of one label row, through the
+    per-partition verify path."""
+    part = search._canonical(row, sys_n.N)
+    classes = dual_classes(sys_n, part)
+    return classes[0], classes[0] == part.d and is_primitive(sys_n, part,
+                                                             classes)
+
+
+@functools.lru_cache(maxsize=None)
+def _closed(p, dmax, nonsymmetric):
+    return search._closed_schemes(p, dmax, nonsymmetric, _quiet)
+
+
+@pytest.mark.parametrize("p,dmax", [(3, 3), (3, 4), (7, 3), (7, 4)])
+@pytest.mark.parametrize("nonsymmetric", [False, True])
+def test_signature_counts_match_the_verify_path(p, dmax, nonsymmetric):
+    N = 2 * (p + 1)
+    sys_n = build_cyclotomy(build_field(p, 2), N)
+    rows = _closed(p, dmax, nonsymmetric)
+    distinct, primitive = signature_counts(sys_n, rows, dmax)
+    want = [_oracle(sys_n, row) for row in rows]
+    assert distinct.tolist() == [c for c, _ in want]
+    assert primitive.tolist() == [prim for _, prim in want]
+    assert (distinct == rows.max(axis=1) + 1).all()
+
+
+def test_signature_counts_match_the_verify_path_at_p11():
+    # a fixed sample of the 86,550 three-class schemes
+    sys_n = build_cyclotomy(build_field(11, 2), 24)
+    rng = np.random.default_rng(11)
+    rows = _closed(11, 3, False)[rng.choice(86550, 300, replace=False)]
+    distinct, primitive = signature_counts(sys_n, rows, 3)
+    want = [_oracle(sys_n, row) for row in rows]
+    assert distinct.tolist() == [c for c, _ in want]
+    assert primitive.tolist() == [prim for _, prim in want]
+    assert 0 < primitive.sum() < len(rows)
+
+
+def test_signature_counts_of_non_schemes():
+    # random label rows over Z_16, most of them no scheme, some with an
+    # empty part: the counts are dual_classes' counts
+    sys16 = build_cyclotomy(build_field(7, 2), 16)
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 4, size=(200, 16)).astype(np.int8)
+    rows[:50] %= 3
+    distinct, _ = signature_counts(sys16, rows, 4)
+    assert distinct.tolist() == [dual_classes(sys16, IndexPartition.from_sets(
+        16, [np.flatnonzero(row == l) for l in np.unique(row)]))[0]
+        for row in rows]
+    assert (distinct != rows.max(axis=1) + 1).any()
+
+
+@pytest.mark.parametrize("p,dmax", [(7, 4), (11, 3)])
+def test_signature_counts_charge_bounds_the_peak(monkeypatch, p, dmax):
+    # a full batch's traced peak stays below what the budget check charges
+    rows = _closed(p, dmax, False)[:search._RECHECK_BATCH]
+    sys_n = build_cyclotomy(build_field(p, 2), 2 * (p + 1))
+    charged = []
+    monkeypatch.setattr(scheme_core, "check_budget",
+                        lambda need, what: charged.append(need))
+    _, peak = traced_peak(lambda: signature_counts(sys_n, rows, dmax))
+    assert len(rows) == search._RECHECK_BATCH
+    assert peak <= charged[0], (peak, charged)
+
+
+def test_oversized_signature_counts_raise_before_allocating():
+    # 2^32 rows over Z_24, views of one row: ~72 TiB charged, and less
+    # traced than the 46 KB circulant, the first array the call builds
+    sys_n = build_cyclotomy(build_field(11, 2), 24)
+    rows = np.broadcast_to(np.zeros(24, dtype=np.int8), (1 << 32, 24))
+
+    def call():
+        with pytest.raises(BudgetExceeded,
+                           match="signature sums of 4294967296 partitions"):
+            signature_counts(sys_n, rows, 4)
+
+    _, peak = traced_peak(call)
+    assert peak < 24 * 24 * 10 * 8 // 2, peak
 
 
 def test_p3_max_classes_3():
@@ -314,8 +451,7 @@ def test_two_block_closures_match_closing_every_partition(p, dmax, count):
 def test_p11_closed_three_class_schemes():
     # every 3-class fusion scheme at p = 11 with the nonsymmetry filter off:
     # closure results mapped over the whole group, not the shifts alone
-    rows = search._closed_schemes(11, 3, False, _quiet)
-    assert len(rows) == 86550
+    assert len(_closed(11, 3, False)) == 86550
 
 
 def _refines(fine, coarse):

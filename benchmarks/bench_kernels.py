@@ -4,8 +4,8 @@
 Times the field builds, the report stages of ``verify`` and the partition
 scan, all numpy, and prints the best of three runs of each row with its
 rate: elements/s for the field rows (q - 1 per field, L = (q - 1)/(p - 1)
-for the norm block): the antilog table (read off the trace m-sequence,
-which is built once outside the timed region), the norm block (the norm
+for the norm period): the antilog table (read off the trace m-sequence,
+which is built once outside the timed region), the norm period (the norm
 stream, the m-sequence over one norm period, assembled into one array),
 the whole m-sequence gathered from the stream, the psi vector the Gauss
 sums transform, and the uncached primitive-modulus scan; terms/s for the
@@ -36,7 +36,7 @@ counting the partitions handed to ``search._close``; survivors/s for the
 exact recheck of the search's survivors, the 2,691 closed schemes of
 p = 7, d <= 4 with the filters off (``--allow-symmetric``), their closure
 run outside, best of three of the recheck phase's own clock.  The norm
-block, psi, direct-sum, Davenport-Hasse, tally, signature rows, dual
+period, psi, direct-sum, Davenport-Hasse, tally, signature rows, dual
 classes and recheck also print their traced peak: the tracemalloc heap
 high-water mark of one more, untimed call above its level at entry, the
 output included.
@@ -91,17 +91,24 @@ def bench_antilog(p, f):
     return t_np
 
 
+def _norm_period(field):
+    """s_e = tr(gamma^e) for e < L: the norm stream assembled."""
+    s = np.empty(field.norm_period, dtype=np.min_scalar_type(field.p - 1))
+    for start, chunk in field.norm_stream():
+        s[start:start + len(chunk)] = chunk
+    return s
+
+
 def bench_trace_sequence(p, f):
-    """Seconds to assemble the norm block from the stream, and to gather the
-    sequence from the stream, and the block's traced peak in MB."""
+    """Seconds to assemble the norm period from the stream, and to gather
+    the sequence from the stream, and the period's traced peak in MB."""
     field = build_field(p, f)
+    t_period, period = _time(lambda: _norm_period(field))
     # uncached: a fresh build per call
-    t_block, block = _time(lambda: FieldSpec.norm_block.func(field))
     t_seq, seq = _time(lambda: FieldSpec.trace_sequence.func(field))
-    assert np.array_equal(block, field.norm_block)
     assert np.array_equal(seq, field.trace_sequence)
-    assert np.array_equal(seq[:field.norm_period], block)
-    return t_block, t_seq, _traced_peak_mb(lambda: FieldSpec.norm_block.func(field))
+    assert np.array_equal(seq[:field.norm_period], period)
+    return t_period, t_seq, _traced_peak_mb(lambda: _norm_period(field))
 
 
 def bench_psi(p, f):
@@ -213,7 +220,8 @@ def bench_search(p, dmax):
 
 def bench_closure(p, dmax):
     """(seconds, closures) of the two-block phase and of the meet phase."""
-    search._code_matrix(p)  # the field, built once outside the timed region
+    # the periods, built once outside the timed region
+    sys_n = build_cyclotomy(build_field(p, 2), 2 * (p + 1))
     close = search._close
     phase, closed, marks = None, {}, {}  # the run's phase, counts, start times
 
@@ -232,7 +240,7 @@ def bench_closure(p, dmax):
         for _ in range(3):
             phase, closed, marks = "two-block", {"two-block": 0, "meets": 0}, {}
             t0 = time.perf_counter()
-            search._closed_schemes(p, dmax, False, report)
+            search._closed_schemes(sys_n, dmax, False, report)
             t1 = time.perf_counter()
             row = (marks["meets"] - t0, closed["two-block"],
                    t1 - marks["meets"], closed["meets"])
@@ -248,7 +256,8 @@ def bench_recheck(p, dmax):
     closed scheme with at most dmax blocks, the filters off: the search run
     on the closed schemes it would find, computed once outside."""
     closed = search._closed_schemes
-    rows = closed(p, dmax, False, lambda *args: None)
+    sys_n = build_cyclotomy(build_field(p, 2), 2 * (p + 1))
+    rows = closed(sys_n, dmax, False, lambda *args: None)
     seen = []
 
     def run():
@@ -284,10 +293,10 @@ def main():
     # the sparse moduli of F_{2^20} and F_{3^15} beside the benchmark fields,
     # and F_{3^16}, the longest walk (657 sub-blocks)
     for p, f in [(5, 9), (11, 6), (2, 20), (3, 15), (3, 16)]:
-        t_block, t_seq, peak = bench_trace_sequence(p, f)
-        rows.append((f"norm block F_{p}^{f} (L={(p ** f - 1) // (p - 1)})",
-                     t_block, (p ** f - 1) // (p - 1) / t_block, peak))
-        rows.append((f"trace sequence F_{p}^{f} from the block", t_seq,
+        t_period, t_seq, peak = bench_trace_sequence(p, f)
+        rows.append((f"norm period F_{p}^{f} (L={(p ** f - 1) // (p - 1)})",
+                     t_period, (p ** f - 1) // (p - 1) / t_period, peak))
+        rows.append((f"trace sequence F_{p}^{f} from the stream", t_seq,
                      (p ** f - 1) / t_seq, None))
     p, f, s, k = 11, 3, 2, 95
     t_np, peak = bench_davenport_hasse(p, f, s, k)

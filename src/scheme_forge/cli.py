@@ -18,7 +18,7 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import jsonio  # noqa: E402
-from .errors import SchemeForgeError  # noqa: E402
+from .errors import ParseError, SchemeForgeError  # noqa: E402
 from .finite_field import DEFAULT_CAP, build_field  # noqa: E402
 
 
@@ -48,6 +48,13 @@ def _cap(text: str) -> int:
     if value < 2:
         raise argparse.ArgumentTypeError(f"{text!r} admits no field (q >= 2)")
     return value
+
+
+def _ints(tokens, option: str, text: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"bad {option} syntax: {text!r}") from None
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -95,16 +102,13 @@ def cmd_eigen(args) -> int:
 
 def cmd_fuse(args) -> int:
     from .cyclotomy import embed
-    from .scheme_core import check_fusion, dual_classes, eigenmatrices
+    from .scheme_core import IndexPartition, check_fusion, dual_classes, eigenmatrices
 
     field, sys_ = _field_system(args)
-    if args.parts:
-        partition = jsonio.load_partition(args.parts, args.n)
-    else:
-        partition = jsonio.parse_partition(
-            "|".join(str(i) for i in range(args.n)), args.n)
-    lam = [[int(t) for t in chunk.split(",") if t.strip() != ""]
-           for chunk in args.merge.split("|")]
+    partition = (jsonio.load_partition(args.parts, args.n) if args.parts else
+                 IndexPartition.from_sets(args.n, [[i] for i in range(args.n)]))
+    lam = [_ints([t for t in cell.split(",") if t.strip()], "--merge", args.merge)
+           for cell in args.merge.split("|")]
     P_exact, _, _ = eigenmatrices(sys_, partition, dual_classes(sys_, partition))
     fused = check_fusion(P_exact, lam)
     doc = {"command": "fuse", "field": field.to_json(),
@@ -135,7 +139,7 @@ def cmd_construct(args) -> int:
             raise ValueError(f"construct --kind {kind} does not read --{name}")
     value = getattr(args, reads)
     if reads == "i0":
-        value = [int(t) for t in value.split(",")] if value else None
+        value = _ints(value.split(","), "--i0", value) if value else None
     options = {} if value is None else {reads: value}
     built = build(args.p, args.p1, **options, cap=args.cap)
     doc = {"command": "construct", "kind": kind,

@@ -22,14 +22,12 @@ s[0:min(L, _BLOCK) + f - 1]; the periods and the direct Gauss sum tally
 it and fold the p - 1 periods, and the psi gather fills them.  Nothing caches
 the period, so those paths hold their output and O(_BLOCK) more
 (O(N p + _BLOCK) for the periods) however large q is, and building a field
-makes no q-sized table.  norm_block assembles the stream for
-trace_partition, the oracles and the tests.  The whole sequence is
-gathered from the stream for the element tables, which no library path
-reads (the tests and the benchmark's field hook do); each is built on
-first use: by the trace-dual-basis relation, f consecutive terms s_e, ...,
-s_{e+f-1} fix the coordinates of gamma^e, which gives the antilog table;
-the log table inverts it, and the trace table scatters the sequence
-through it.
+makes no q-sized table.  The whole sequence is gathered from the stream
+for the element tables, which no library path reads (the tests and the
+benchmark's field hook do); each is built on first use: by the
+trace-dual-basis relation, f consecutive terms s_e, ..., s_{e+f-1} fix the
+coordinates of gamma^e, which gives the antilog table; the log table
+inverts it, and the trace table scatters the sequence through it.
 """
 
 from __future__ import annotations
@@ -188,7 +186,7 @@ class FieldSpec:
         """Yield (start, s[start:start + b]) over s_e = tr(gamma^e), e < L.
 
         The sub-blocks come in order, each start a multiple of _BLOCK and
-        b <= _BLOCK, in the norm block's dtype.  Each is a read-only view of
+        b <= _BLOCK, uint8 for p < 256.  Each is a read-only view of
         a buffer the walk reuses: read it before drawing the next.  If
         gamma^e = sum_i c_i x^i, then s_{e+k} = sum_i c_i s_{i+k}, summed over
         the c_i != 0 below f (p-1)^2, the bound that sizes its unsigned type.
@@ -233,22 +231,6 @@ class FieldSpec:
             chunk.setflags(write=False)
             yield start, chunk
 
-    @cached_property
-    def norm_block(self) -> np.ndarray:
-        """s_e = tr(gamma^e) for e < L, the norm stream assembled: uint8 for
-        p < 256.
-
-        The rest of the m-sequence follows, as tr is F_p-linear:
-        s_{e + kL} = N(gamma)^k s_e mod p.  For trace_partition (L = p + 1
-        on F_{p^2}), the oracles and the tests: the periods and the Gauss
-        sums read norm_stream, never this array.
-        """
-        s = np.empty(self.norm_period, dtype=np.min_scalar_type(self.p - 1))
-        for start, chunk in self.norm_stream():
-            s[start:start + len(chunk)] = chunk
-        s.setflags(write=False)
-        return s
-
     def gather_trace(self, table: np.ndarray) -> np.ndarray:
         """table[s_e] for e = 0..q-2, a new array of table's dtype.
 
@@ -276,7 +258,7 @@ class FieldSpec:
 
     @cached_property
     def trace_sequence(self) -> np.ndarray:
-        """s_e = tr(gamma^e) for e = 0..q-2, of the norm block's dtype."""
+        """s_e = tr(gamma^e) for e = 0..q-2, of the norm stream's dtype."""
         dtype = np.min_scalar_type(self.p - 1)
         s = self.gather_trace(np.arange(self.p, dtype=dtype))
         s.setflags(write=False)

@@ -9,13 +9,13 @@ without visiting them: it closes partitions under the duality of
 translation schemes (the coherent closure below), first the two-block
 partitions, one per orbit of the maps x -> u x + v (u in <p> mod N), then
 the meets of the kept closures, which reach every scheme.  Every survivor
-and its primitivity are re-verified exactly before it is reported, a
-batch of label rows at a time (``scheme_core.signature_counts``).  No prime
-is gated by name: the working-set estimates refuse a run before it
-allocates (p = 19, N = 40, is refused; p = 11 runs in seconds).  The tests
-keep two independent oracles: the partition scan of ``_kernels`` (every
-restricted-growth labelling, one ``search_chunk`` call per label prefix),
-and ``dual_classes`` with ``is_primitive`` for the recheck.
+and its primitivity are re-verified exactly, a batch of label rows at a
+time (``scheme_core.signature_counts``), on the Gauss periods the closure
+reads.  The working-set estimates alone refuse a run before it allocates
+(p = 19, N = 40, is refused; p = 11 runs in seconds).  The tests keep the
+trace partition, the partition scan of ``_kernels`` (one ``search_chunk``
+call per label prefix) and ``dual_classes`` with ``is_primitive`` as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomy import build_cyclotomy
+from .cyclotomy import CyclotomicSystem, build_cyclotomy
 from .errors import PreconditionViolated, check_budget
 from .finite_field import DEFAULT_CAP, build_field, check_cap, is_prime
 from .scheme_core import IndexPartition, signature_counts
@@ -37,14 +37,14 @@ def trace_partition(p: int):
     """(T_0, T_s, T_n): class indices of Z_{2(p+1)} with zero / square /
     nonsquare trace, sizes (2, p, p); T_n is T_s shifted by p+1.
 
-    The traces s_i = tr(gamma^i), i < N, are the norm block (L = p + 1
-    terms) and s_{i+L} = N(gamma) s_i."""
+    s_i = tr(gamma^i), i < N: the norm period (L = p + 1 < _BLOCK under the
+    cap, the norm stream's first sub-block), then s_{i+L} = N(gamma) s_i."""
     if p % 4 == 3:
         check_cap(p, 2, DEFAULT_CAP)  # before trial division
     if p % 4 != 3 or not is_prime(p):
         raise PreconditionViolated(f"p = {p} must be a prime = 3 (mod 4)")
     field = build_field(p, 2)
-    head = field.norm_block
+    _, head = next(field.norm_stream())
     s = np.concatenate((head, head * field.norm_powers[1] % p))
     # Euler's criterion: s_i^((p-1)/2) is 0 on T_0, 1 on T_s, p - 1 on T_n
     euler = np.array([pow(t, (p - 1) // 2, p) for t in s.tolist()])
@@ -69,13 +69,14 @@ def ts_identity_check(p: int) -> bool:
 
 # --- coherent closure ------------------------------------------------------------
 #
-# Over F_{p^2} with N = 2(p+1) the Gauss periods take three values (M on the
-# two zero-trace classes, (-1 +- sqrt(-p))/2 on the square/nonsquare-trace
-# classes), so the exact character sum of a part I under character a is
-# fixed by (#[(I+a) meets T_0], #[(I+a) meets T_s] - #[(I+a) meets T_n]),
-# which is sum_{j in I} E[j, a] with
+# Over F_{p^2} with N = 2(p+1) the class C_i is gamma^i F_p^{*2}: its
+# traces are all 0 (i in T_0), all squares (T_s) or all nonsquares (T_n).
+# As 1 is a square and -1 is not, the xi_p coefficient sden[i] =
+# count[i][1] - count[i][p-1] of eta_i is 0, +1 or -1 there.  The periods
+# take three values, so the exact character sum of a part I under a is
+# sum_{j in I} E[j, a], a count of T_0 and of T_s minus T_n, with
 #
-#     E[j, a] = sden[(j + a) % N] + 1024 * [(j + a) % N in T_0].
+#     E[j, a] = sden[(j + a) % N] + 1024 * [sden[(j + a) % N] == 0].
 #
 # For a partition Q with labels l_j the code of character a is
 # sum_j W[l_j] E[j, a], W[l] = 4096^l, and Q* is the partition of the
@@ -114,14 +115,12 @@ _ROW_BATCH = 1 << 14      # partitions closed or mapped per batch
 _PAIR_BATCH = 1 << 16     # pairs whose meets are sized per batch
 
 
-def _code_matrix(p: int) -> np.ndarray:
-    """E[j, a] = sden[(j + a) % N] + 1024 * [(j + a) % N in T_0]; sden is
-    +1 on T_s, -1 on T_n, 0 on T_0."""
-    _, ts, tn = trace_partition(p)
-    N = 2 * (p + 1)
-    sden = np.zeros(N, dtype=np.int64)
-    sden[list(ts)] = 1
-    sden[list(tn)] = -1
+def _code_matrix(sys: CyclotomicSystem) -> np.ndarray:
+    """E[j, a] of the comment above; sden is the periods' xi_p column."""
+    p, N = sys.field.p, sys.N
+    sden = sys.period_matrix[:, 1]
+    if [np.count_nonzero(sden == v) for v in (0, 1, -1)] != [2, p, p]:
+        raise PreconditionViolated("trace partition has unexpected sizes")
     j = np.arange(N)
     s = (j[:, None] + j[None, :]) % N
     return sden[s] + 1024 * (sden[s] == 0)
@@ -328,14 +327,14 @@ def _two_block_closures(N, maps, E, dmax, report):
     return _orbits(_distinct(np.concatenate(kept)), maps)
 
 
-def _closed_schemes(p, dmax, nonsymmetric, report):
+def _closed_schemes(sys, dmax, nonsymmetric, report):
     """Label rows of every partition of Z_{2(p+1)} into 3..dmax parts that
-    the closure finds closed with as many dual blocks as blocks, kept only
-    if some part I != I + N/2 when ``nonsymmetric`` (the kernel's label
-    test)."""
-    N = 2 * (p + 1)
-    maps = _orbit_maps(p, N)
-    E = _code_matrix(p)
+    the closure on ``sys`` finds closed with as many dual blocks as blocks,
+    kept only if some part I != -I (I shifted by the class of -1, N/2)
+    when ``nonsymmetric``."""
+    N = sys.N
+    maps = _orbit_maps(sys.field.p, N)
+    E = _code_matrix(sys)
     closures = _two_block_closures(N, maps, E, dmax, report)
 
     # meets of up to dmax - 1 kept closures, one left operand per orbit;
@@ -354,8 +353,8 @@ def _closed_schemes(p, dmax, nonsymmetric, report):
     _, dsize = _levels_of_sums(candidates, E, dmax)
     keep = (size >= 3) & (dsize == size)
     if nonsymmetric:
-        j = np.arange(N)
-        keep &= (candidates != candidates[:, (j + N // 2) % N]).any(axis=1)
+        minus = (np.arange(N) + sys.minus_one_class()) % N
+        keep &= (candidates != candidates[:, minus]).any(axis=1)
     return _orbits(candidates[keep], maps)
 
 
@@ -382,10 +381,9 @@ class SearchResult:
 
 
 def _canonical(labels: np.ndarray, N: int) -> IndexPartition:
-    parts = [sorted(np.nonzero(labels == l)[0].tolist())
-             for l in range(labels.max() + 1)]
-    parts.sort(key=lambda s: (len(s), s))
-    return IndexPartition.from_sets(N, parts)
+    parts = (tuple(np.nonzero(labels == l)[0].tolist())
+             for l in range(labels.max() + 1))  # each one ascending
+    return IndexPartition(N, tuple(sorted(parts, key=lambda s: (len(s), s))))
 
 
 def _thread_budget() -> int:
@@ -444,13 +442,13 @@ def exhaustive_nonexistence(p: int, max_classes: int = 4,
                  + ("" if N <= 64 else " more than"))
     if not is_prime(p):
         raise PreconditionViolated(domain)
+    sys = build_cyclotomy(build_field(p, 2), N)
     report = _progress_reporter(progress)
-    raw = _closed_schemes(p, dmax, not allow_symmetric, report)
+    raw = _closed_schemes(sys, dmax, not allow_symmetric, report)
     check_budget(len(raw) * _SURVIVOR_BYTES,
                  f"reporting {len(raw)} schemes needs")
 
     # exact recheck of the survivors, a batch of label rows at a time
-    sys = build_cyclotomy(build_field(p, 2), N)
     survivors = []
     report("recheck", 0, len(raw))
     for r0 in range(0, len(raw), _RECHECK_BATCH):

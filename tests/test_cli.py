@@ -378,6 +378,27 @@ def test_fuse_empty_cell_exit2(merge, capsys):
                      "--merge", merge], capsys, "MalformedPartition")
 
 
+@pytest.mark.parametrize("argv,option", [
+    # each printed int()'s bare "invalid literal for int() with base 10"
+    (["fuse", "--p", "3", "--f", "2", "--n", "8",
+      "--merge", "0|1,2|3,4|5,6|7,x"], "--merge"),
+    (["construct", "--kind", "conference", "--p", "37", "--p1", "7",
+      "--i0", "0,1,2,3,4,5,6,"], "--i0"),
+])
+def test_list_option_with_a_non_integer_token_exit2(argv, option, capsys):
+    _one_line_exit2(argv, capsys,
+                    f"ParseError: bad {option} syntax: '{argv[-1]}'")
+
+
+def test_fuse_default_partition_is_the_singletons(tmp_path):
+    # the fine partition --parts defaults to
+    out, default = tmp_path / "parts.json", tmp_path / "default.json"
+    argv = ["fuse", "--p", "13", "--f", "1", "--n", "4", "--merge", "0|1,3|2,4"]
+    assert main(argv + ["--parts", "0|1|2|3", "--output", str(out)]) == 0
+    assert main(argv + ["--output", str(default)]) == 0
+    assert default.read_bytes() == out.read_bytes()
+
+
 @pytest.mark.parametrize("cap", ["0", "-5", "1"])
 @pytest.mark.parametrize("argv", [
     ["verify", "--p", "13", "--f", "1", "--n", "2", "--parts", "0|1"],

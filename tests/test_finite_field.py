@@ -236,14 +236,17 @@ def test_trace_sequence_matches_frobenius_sum(p, f):
 # L = 2 _BLOCK - 1, one full sub-block and one summed from the head
 @pytest.mark.parametrize("p,f", [(2, 6), (13, 1), (257, 2), (5, 9), (2, 15),
                                  (2, 16)])
-def test_norm_block_spans_the_trace_sequence(p, f):
+def test_norm_stream_spans_the_trace_sequence(p, f):
     # gamma^L = N(gamma) = (-1)^f c_0 lies in F_p, so s_{e+L} = N(gamma) s_e
     field = build_field(p, f)
     q, L, modulus = field.q, field.norm_period, field.modulus
     gamma = list(field.gamma_poly)
     norm = _pow_mod(gamma, L, modulus, p)
     assert norm == [(-1) ** f * modulus[0] % p] + [0] * (f - 1)
-    block, seq = field.norm_block, field.trace_sequence
+    # the stream's sub-blocks start at the multiples of _BLOCK, in order,
+    # and concatenate to the period
+    pieces = [(start, chunk.copy()) for start, chunk in field.norm_stream()]
+    block, seq = np.concatenate([c for _, c in pieces]), field.trace_sequence
     assert block.dtype == seq.dtype == np.min_scalar_type(p - 1)
     assert len(block) == L and len(seq) == q - 1
     assert np.array_equal(seq[:L], block)
@@ -251,12 +254,8 @@ def test_norm_block_spans_the_trace_sequence(p, f):
     assert np.array_equal(s[L:], s[:-L] * norm[0] % p)
     assert field.norm_powers.tolist() == [pow(norm[0], k, p)
                                           for k in range(p - 1)]
-    # the stream's sub-blocks start at the multiples of _BLOCK, in order,
-    # and concatenate to the period
-    pieces = [(start, chunk.copy()) for start, chunk in field.norm_stream()]
     assert [start for start, _ in pieces] == list(range(0, L, _BLOCK))
     assert all(c.dtype == block.dtype and len(c) <= _BLOCK for _, c in pieces)
-    assert np.array_equal(np.concatenate([c for _, c in pieces]), seq[:L])
     # the Frobenius sum at the first terms, both sides of every norm
     # period boundary, of every step of the head's doubling and of its end,
     # and around every sub-block start (F_{5^9}: 15 in a period), each
@@ -276,27 +275,30 @@ def test_norm_block_spans_the_trace_sequence(p, f):
         assert seq[e] == _frobenius_trace(y, modulus, p), e
 
 
-def test_norm_block_holds_no_second_copy():
-    # L = 4,194,303 uint8 terms; the doubling's sums run through two
-    # sub-block buffers, not through take-length temporaries
+def test_norm_stream_walk_holds_sub_blocks_only():
+    # L = 4,194,303 uint8 terms in 128 sub-blocks: the walk holds the head,
+    # the output buffer and the two buffers the sums run through (4.4
+    # _BLOCK traced), no take-length temporary and no copy of the period
     field = build_field(2, 22)
-    block, peak = traced_peak(lambda: FieldSpec.norm_block.func(field))
-    assert np.array_equal(block, field.norm_block)
-    assert block.nbytes >= 4_000_000
-    assert peak < block.nbytes + (1 << 20), peak - block.nbytes
+
+    def walk():
+        return [(start, len(chunk)) for start, chunk in field.norm_stream()]
+
+    pieces, peak = traced_peak(walk)
+    assert sum(b for _, b in pieces) == field.norm_period >= 4_000_000
+    assert peak < 6 * _BLOCK, peak
 
 
 def test_period_paths_build_no_element_tables(f243):
     # from_json rebuilds the field, bypassing build_field's cache; periods,
     # verdict and Gauss sums walk the norm stream: they build neither the
-    # q-length sequence nor the norm block
+    # q-length sequence nor any element table
     field = FieldSpec.from_json(f243.to_json())
     sys11 = build_cyclotomy(field, 11)
     report = verify_scheme(sys11, IndexPartition.from_sets(
         11, [[i] for i in range(11)]))
     assert report.is_scheme
     gauss_sums_all(field)
-    assert "norm_block" not in vars(field)
     for name in ("trace_sequence", "antilog_table", "log_table",
                  "trace_table"):
         assert name not in vars(field)

@@ -218,7 +218,7 @@ def test_psi_values_bitwise_equal_elementwise_exp(p, f):
     got = _psi_values(field)
     assert got.dtype == oracle.dtype and got.shape == oracle.shape
     assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
-    # read through the norm block, the root table gives the same bytes as
+    # read through the norm stream, the root table gives the same bytes as
     # a gather through the whole trace sequence
     roots = np.exp(2j * np.pi * np.arange(p, dtype=np.float64) / p)
     assert got.tobytes() == roots[field.trace_sequence].tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import time
@@ -106,6 +107,78 @@ def test_trace_partition_reads_the_trace_sequence(p):
             for t in s]
     assert trace_partition(p) == tuple(
         tuple(i for i, k in enumerate(kind) if k == want) for want in range(3))
+
+
+@functools.lru_cache(maxsize=None)
+def _system(p):
+    """The order-2(p+1) periods of F_{p^2}, built once per p."""
+    return build_cyclotomy(build_field(p, 2), 2 * (p + 1))
+
+
+def _trace_code_matrix(p):
+    """The search's code matrix E from the trace partition: sden is +1 on
+    T_s, -1 on T_n and 0 on T_0 by Euler's criterion on the traces."""
+    _, ts, tn = trace_partition(p)
+    N = 2 * (p + 1)
+    sden = np.zeros(N, dtype=np.int64)
+    sden[list(ts)] = 1
+    sden[list(tn)] = -1
+    j = np.arange(N)
+    s = (j[:, None] + j[None, :]) % N
+    return sden[s] + 1024 * (sden[s] == 0)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 264, 4) if is_prime(p)])
+def test_code_matrix_reads_the_trace_partition_off_the_periods(p):
+    # the xi_p coefficient of eta_i is +1 / -1 / 0 on T_s / T_n / T_0
+    sys_n = build_cyclotomy(build_field(p, 2), 2 * (p + 1))
+    E = search._code_matrix(sys_n)
+    assert E.dtype == np.int64
+    assert np.array_equal(E, _trace_code_matrix(p))
+    # the transpose shift the nonsymmetry filter reads is N/2 here
+    assert sys_n.minus_one_class() == p + 1
+
+
+@pytest.mark.parametrize("forge", ["one entry off", "zero column"])
+def test_code_matrix_refuses_periods_off_the_three_values(forge):
+    # the xi_p column must be 0 twice, +1 p times and -1 p times
+    sys_n = _system(7)
+    pm = sys_n.period_matrix.copy()
+    if forge == "one entry off":
+        pm[0, 1] += 1
+    else:
+        pm[:, 1] = 0
+    with pytest.raises(PreconditionViolated, match="unexpected sizes"):
+        search._code_matrix(dataclasses.replace(sys_n, period_matrix=pm))
+
+
+def test_search_reads_one_system_and_no_trace_partition(monkeypatch):
+    # the closure's code matrix and the recheck read the same periods; the
+    # trace partition is the tests' oracle only
+    built, read = [], []
+
+    def counting_build(field, N):
+        built.append(build_cyclotomy(field, N))
+        return built[-1]
+
+    def no_trace_partition(p):
+        raise AssertionError("the search called trace_partition")
+
+    def reading(name, fn):
+        def wrapper(sys_n, *args):
+            read.append((name, sys_n))
+            return fn(sys_n, *args)
+        monkeypatch.setattr(search, name, wrapper)
+
+    monkeypatch.setattr(search, "build_cyclotomy", counting_build)
+    monkeypatch.setattr(search, "trace_partition", no_trace_partition)
+    reading("_code_matrix", search._code_matrix)
+    reading("signature_counts", search.signature_counts)
+    result = exhaustive_nonexistence(7, allow_symmetric=True)
+    assert len(result.schemes_found) == 2691
+    assert len(built) == 1 and (built[0].field.q, built[0].N) == (49, 16)
+    assert {name for name, _ in read} == {"_code_matrix", "signature_counts"}
+    assert all(sys_n is built[0] for _, sys_n in read)
 
 
 # --- the exhaustive scan ------------------------------------------------------------
@@ -226,7 +299,7 @@ def _oracle(sys_n, row):
 
 @functools.lru_cache(maxsize=None)
 def _closed(p, dmax, nonsymmetric):
-    return search._closed_schemes(p, dmax, nonsymmetric, _quiet)
+    return search._closed_schemes(_system(p), dmax, nonsymmetric, _quiet)
 
 
 @pytest.mark.parametrize("p,dmax", [(3, 3), (3, 4), (7, 3), (7, 4)])
@@ -306,13 +379,14 @@ def test_budget_guards(monkeypatch):
     with pytest.raises(PreconditionViolated):
         exhaustive_nonexistence(5)
     # p = 11 fits the budget; p = 19 (N = 40, 2^39 two-block partitions)
-    # raises before the code matrix or any mask is built
+    # raises before the periods, the code matrix or any mask is built
     assert search.closure_bytes(24) < BUDGET
     assert search.closure_bytes(40) > BUDGET
 
     def no_allocation(*args):
         raise AssertionError("allocated before the budget check")
 
+    monkeypatch.setattr(search, "build_cyclotomy", no_allocation)
     monkeypatch.setattr(search, "_code_matrix", no_allocation)
     monkeypatch.setattr(search, "_bit_tables", no_allocation)
     with pytest.raises(BudgetExceeded, match="Z_40 needs"):
@@ -334,7 +408,7 @@ def test_budget_is_decided_before_primality(monkeypatch):
 def test_survivors_over_budget_raise_before_the_recheck(monkeypatch):
     # 19 schemes at p = 3 with the filters off; the budget holds 10
     monkeypatch.setattr(search, "_SURVIVOR_BYTES", BUDGET // 10)
-    monkeypatch.setattr(search, "build_cyclotomy", None)
+    monkeypatch.setattr(search, "signature_counts", None)
     with pytest.raises(BudgetExceeded, match="reporting 19 schemes"):
         exhaustive_nonexistence(3, allow_symmetric=True)
 
@@ -437,7 +511,7 @@ def test_two_block_closures_match_closing_every_partition(p, dmax, count):
     # closing one two-block partition per orbit and mapping the closures
     # over the orbits gives what closing all 2^(N-1) - 1 of them gives
     N = 2 * (p + 1)
-    E = search._code_matrix(p)
+    E = search._code_matrix(_system(p))
     masks = np.arange(2 ** (N - 1) - 1) * 2 + 1
     labels = ((masks[:, None] >> np.arange(N)) & 1).astype(np.int8)
     every = search._distinct(search._close(labels, E, dmax))
@@ -472,7 +546,7 @@ def test_closure_is_the_coarsest_scheme_below(dmax):
             part = search._canonical(np.array(labels), N)
             if is_scheme(sys8, part):
                 schemes.append(part)
-    E = search._code_matrix(p)
+    E = search._code_matrix(sys8)
     for mask in range((1 << (N - 1)) - 1):
         labels = np.array([[(2 * mask + 1) >> j & 1 for j in range(N)]],
                           dtype=np.int8)

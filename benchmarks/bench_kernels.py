@@ -17,9 +17,11 @@ and its fold over the 1020 norm periods; elements/s (q^s - 1) for the
 Davenport-Hasse check on F_{11^6}, which finds the subfield root in
 polynomial arithmetic and sums both Gauss sums over the norm stream.  The
 psi, direct-sum and tally rows walk the stream inside the timed region, as
-a command does; cells/s (N d (p - 1)) for the signature table of the
-order-N cyclotomic scheme on F_{37^3} and of the partition {0 | 1..241} of
-Z_242 on F_{3^5}, the periods given; cells/s for the dual classes (that
+a command does; cells/s (R N d (p - 1)) for the signature sums of R label
+rows: one row (R = 1) for the order-N cyclotomic scheme on F_{37^3} and
+for the partition {0 | 1..241} of Z_242 on F_{3^5}, and the first batch of
+256 closed schemes the search rechecks at p = 11, d <= 3 with the filters
+off, the periods given; cells/s for the dual classes (that
 table built and grouped by row) of the order-N cyclotomic scheme on
 F_{37^3} and on F_{4099}, two rows of 8,196 cells; numbers/s ((N + 1)^3
 per scheme) for the intersection numbers of the order-N cyclotomic
@@ -36,7 +38,7 @@ counting the partitions handed to ``search._close``; survivors/s for the
 exact recheck of the search's survivors, the 2,691 closed schemes of
 p = 7, d <= 4 with the filters off (``--allow-symmetric``), their closure
 run outside, best of three of the recheck phase's own clock.  The norm
-period, psi, direct-sum, Davenport-Hasse, tally, signature rows, dual
+period, psi, direct-sum, Davenport-Hasse, tally, signature sums, dual
 classes and recheck also print their traced peak: the tracemalloc heap
 high-water mark of one more, untimed call above its level at entry, the
 output included.
@@ -50,14 +52,14 @@ import tracemalloc
 import numpy as np
 
 from scheme_forge import _kernels, jsonio, search
-from scheme_forge.cyclotomy import build_cyclotomy
+from scheme_forge.cyclotomy import _signature_sums, build_cyclotomy
 from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
                                        build_field)
 from scheme_forge.gauss_sums import (MultChar, _psi_values,
                                      davenport_hasse_check, gauss_sum_direct)
-from scheme_forge.scheme_core import (IndexPartition, _signature_rows,
-                                      dual_classes, eigenmatrices,
-                                      intersection_numbers, verify_scheme)
+from scheme_forge.scheme_core import (IndexPartition, dual_classes,
+                                      eigenmatrices, intersection_numbers,
+                                      verify_scheme)
 from scheme_forge.search import trace_partition
 
 
@@ -154,13 +156,32 @@ def _cyclotomic_scheme(p, f, N):
     return sys_n, IndexPartition.from_sets(N, [[i] for i in range(N)])
 
 
-def bench_signature_rows(p, f, N, parts):
-    """(seconds, cells, traced peak MB) of the signature table of ``parts``
-    over Z_N, the order-N periods built outside."""
+def label_row(N, parts):
+    """The (1, N) label row of ``parts``, a partition of Z_N."""
+    labels = np.empty((1, N), dtype=np.int64)
+    for i, part in enumerate(parts):
+        labels[0, part] = i
+    return labels
+
+
+def recheck_batch(p, dmax):
+    """The first batch of label rows the search rechecks at p, d <= dmax,
+    the filters off."""
+    sys_n = build_cyclotomy(build_field(p, 2), 2 * (p + 1))
+    rows = search._closed_schemes(sys_n, dmax, False, lambda *args: None)
+    return rows[:search._RECHECK_BATCH]
+
+
+def bench_signature_sums(p, f, N, labels, d):
+    """(seconds, cells, traced peak MB) of the signature sums of the label
+    rows ``labels`` (R, N) into d parts, the order-N periods built outside."""
     sys_n = build_cyclotomy(build_field(p, f), N)
-    part = IndexPartition.from_sets(N, parts)
-    t_np, rows = _time(lambda: _signature_rows(sys_n, part))
-    return t_np, rows.size, _traced_peak_mb(lambda: _signature_rows(sys_n, part))
+
+    def run():
+        return _signature_sums(sys_n, labels, d, "the benchmark needs")
+
+    t_np, sums = _time(run)
+    return t_np, sums.size, _traced_peak_mb(run)
 
 
 def bench_dual_classes(p, f, N, parts):
@@ -313,9 +334,15 @@ def main():
 
     for p, f, N, parts in [(37, 3, 28, [[i] for i in range(28)]),
                            (3, 5, 242, [[0], list(range(1, 242))])]:
-        t_np, cells, peak = bench_signature_rows(p, f, N, parts)
-        rows.append((f"signature rows F_{p}^{f} N={N} d={len(parts)}", t_np,
-                     cells / t_np, peak))
+        t_np, cells, peak = bench_signature_sums(p, f, N, label_row(N, parts),
+                                                 len(parts))
+        rows.append((f"signature sums F_{p}^{f} N={N} d={len(parts)} R=1",
+                     t_np, cells / t_np, peak))
+    p, dmax = 11, 3
+    batch = recheck_batch(p, dmax)
+    t_np, cells, peak = bench_signature_sums(p, 2, 2 * (p + 1), batch, dmax)
+    rows.append((f"signature sums F_{p}^2 N={2 * (p + 1)} d<={dmax} "
+                 f"R={len(batch)}", t_np, cells / t_np, peak))
     for p, f, N in [(37, 3, 28), (4099, 1, 2)]:
         t_np, peak = bench_dual_classes(p, f, N, [[i] for i in range(N)])
         rows.append((f"dual classes F_{p}^{f} N={N} d={N}", t_np,

@@ -50,13 +50,6 @@ def _cap(text: str) -> int:
     return value
 
 
-def _ints(tokens, option: str, text: str) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise ParseError(f"bad {option} syntax: {text!r}") from None
-
-
 def _emit(doc: dict, out_path: str | None) -> None:
     # rendered in full before the first write: a render error writes nothing
     pieces = jsonio.chunks(doc)
@@ -105,10 +98,9 @@ def cmd_fuse(args) -> int:
     from .scheme_core import IndexPartition, check_fusion, dual_classes, eigenmatrices
 
     field, sys_ = _field_system(args)
-    partition = (jsonio.load_partition(args.parts, args.n) if args.parts else
-                 IndexPartition.from_sets(args.n, [[i] for i in range(args.n)]))
-    lam = [_ints([t for t in cell.split(",") if t.strip()], "--merge", args.merge)
-           for cell in args.merge.split("|")]
+    partition = (jsonio.load_partition(args.parts, args.n) if args.parts is not None
+                 else IndexPartition.from_sets(args.n, [[i] for i in range(args.n)]))
+    lam = jsonio.parse_cells(args.merge, "--merge")
     P_exact, _, _ = eigenmatrices(sys_, partition, dual_classes(sys_, partition))
     fused = check_fusion(P_exact, lam)
     doc = {"command": "fuse", "field": field.to_json(),
@@ -138,8 +130,10 @@ def cmd_construct(args) -> int:
         if name != reads and getattr(args, name) is not None:
             raise ValueError(f"construct --kind {kind} does not read --{name}")
     value = getattr(args, reads)
-    if reads == "i0":
-        value = _ints(value.split(","), "--i0", value) if value else None
+    if reads == "i0" and value is not None:
+        value, *more = jsonio.parse_cells(args.i0, "--i0")  # one cell
+        if more:
+            raise ParseError(f"bad --i0 syntax: {args.i0!r}")
     options = {} if value is None else {reads: value}
     built = build(args.p, args.p1, **options, cap=args.cap)
     doc = {"command": "construct", "kind": kind,

@@ -16,7 +16,9 @@ nu^m iff i - mL = e - aL (mod N).  So one pass tallies the stream by
 values of e - aL and reads every nonzero trace's count back from those
 sums; the class size M leaves the zero traces' count.  That is O(L + N p)
 time and O(N p + _BLOCK) memory, never the period itself.  All character
-sums over unions of classes are sums of period rows.
+sums over unions of classes are sums of period rows: ``_signature_sums``
+forms those of every part of a batch of partitions under every character,
+the signatures scheme_core reads.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotADivisor, check_budget
+from .errors import IndexOutOfRange, NotADivisor, PartitionInvalid, check_budget
 from .finite_field import _BLOCK, FieldSpec
 
 
@@ -130,3 +132,36 @@ def character_sum(sys: CyclotomicSystem, index_set, shift: int = 0) -> np.ndarra
             raise IndexOutOfRange(f"class index {i} outside Z_{sys.N}")
     classes = (np.array(idx, dtype=np.int64) + shift) % sys.N
     return sys.period_matrix[classes].sum(axis=0)
+
+
+# charged a cell of the signature sums before they are allocated: ~32 B a
+# cell of dual_classes' table, its sorted row keys and distinct rows, ~70 B
+# a row (sort index, labels); ~19 B a cell of signature_counts' batch
+_CELL_BYTES = 40
+
+
+def _signature_sums(sys: CyclotomicSystem, labels: np.ndarray, d: int,
+                    what: str) -> np.ndarray:
+    """(R, N, d, p - 1) sums: [r, a, i] sums eta_{(j + a) mod N} over the j with
+    labels[r, j] = i (zero if none), the period rows shifted by j added a j.
+    ``what`` names the caller's table in the budget refusal."""
+    (R, N), pm, width = labels.shape, sys.period_matrix, sys.field.p - 1
+    if N != sys.N:
+        raise PartitionInvalid(f"partition is over Z_{N}, system over Z_{sys.N}")
+    check_budget(_CELL_BYTES * R * N * d * width, what)
+    if not (0 <= labels.min() and labels.max() < d):
+        raise PartitionInvalid(f"a label outside [0, {d})")
+    if R == 1:
+        # ints add into views of the table itself: no buffer, no doubled periods
+        sums = np.zeros((1, N, d, width), dtype=np.int64)
+        for j, i in enumerate(labels[0].tolist()):
+            sums[0, :N - j, i] += pm[j:]
+            sums[0, N - j:, i] += pm[:j]
+        return sums
+    # index arrays gather and scatter contiguous blocks of a buffer, one window
+    # of the doubled periods into rows r d + labels[r, j], copied into order
+    pm2 = np.tile(pm, (2, 1))
+    sums = np.zeros((R * d, N, width), dtype=np.int64)
+    for j, rows in enumerate(labels.T + d * np.arange(R)):
+        sums[rows] += pm2[j:j + N]
+    return np.ascontiguousarray(sums.reshape(R, d, N, width).swapaxes(1, 2))

@@ -75,16 +75,22 @@ def report_to_json(report: SchemeReport) -> dict:
     return doc
 
 
+def parse_cells(text: str, what: str) -> list[list[int]]:
+    """Cells separated by '|', integers by ','; a blank cell is [] for the
+    caller to refuse, a blank or non-integer token is bad ``what`` syntax."""
+    try:
+        return [[int(tok) for tok in cell.split(",")] if cell.strip() else []
+                for cell in text.split("|")]
+    except ValueError:
+        raise ParseError(f"bad {what} syntax: {text!r}") from None
+
+
 def parse_partition(text: str, N: int) -> IndexPartition:
     """Parts separated by '|', indices by ','."""
     from .scheme_core import IndexPartition
 
-    try:
-        parts = [[int(tok) for tok in chunk.split(",") if tok.strip() != ""]
-                 for chunk in text.split("|")]
-    except ValueError as exc:
-        raise ParseError(f"bad partition syntax: {text!r}") from exc
-    if not parts or any(len(p) == 0 for p in parts):
+    parts = parse_cells(text, "partition")
+    if not all(parts):
         raise ParseError("empty part in partition text")
     return IndexPartition.from_sets(N, parts)
 

@@ -5,11 +5,12 @@ induced relations are unions of cyclotomic classes (plus the implicit {0}).
 The partition is an association scheme iff the additive characters, grouped
 by their exact value vector on the relations, fall into exactly d classes
 besides the principal one; values live in Z[xi_p], so signatures are
-integer coefficient rows and the verdict is exact.  Intersection numbers,
-and Krein parameters as those of the dual partition, follow from the same
-rows by the translation-scheme identity, with exact divisibility checks.
-Every transpose is read from one permutation, -R_i = R_neg[i] (part i
-shifted by the class of -1).
+integer coefficient rows, summed from the periods by one kernel
+(cyclotomy._signature_sums), and the verdict is exact.  Intersection
+numbers, and Krein parameters as those of the dual partition, follow from
+the same rows by the translation-scheme identity, with exact divisibility
+checks.  Every transpose is read from one permutation, -R_i = R_neg[i]
+(part i shifted by the class of -1).
 """
 
 from __future__ import annotations
@@ -19,15 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomy import CyclotomicSystem, embed
+from .cyclotomy import CyclotomicSystem, _signature_sums, embed
 from .errors import (MalformedPartition, NotAScheme, PartitionInvalid,
-                     SingularP, TooLargeForOracle, check_budget)
+                     SingularP, TooLargeForOracle)
 
 ORACLE_CAP = 20_000
-# charged a cell of the signature table before it is allocated: dual_classes'
-# traced peak, ~32 B a cell (the table, its sorted row keys, the distinct
-# rows' keys and values) and ~70 B a row (sort index, labels)
-_CELL_BYTES = 40
 _SIGN = np.uint64(1 << 63)
 
 
@@ -104,48 +101,19 @@ class SchemeReport:
 
 # --- signatures -------------------------------------------------------------
 
-def _signature_rows(sys: CyclotomicSystem, partition: IndexPartition) -> np.ndarray:
-    """Row a = concatenated reduced coefficients of psi(gamma^a R_i), i = 1..d,
-    the sum of eta_{(a+j) mod N} over j in R_i, added in place j by j."""
-    if partition.N != sys.N:
-        raise PartitionInvalid(f"partition is over Z_{partition.N}, system over Z_{sys.N}")
-    pm = sys.period_matrix
-    N, d, width = sys.N, partition.d, pm.shape[1]
-    check_budget(_CELL_BYTES * N * d * width,
-                 f"the signature table of {d} parts over Z_{N} on "
-                 f"F_{{{sys.field.p}^{sys.field.f}}} needs")
-    rows = np.zeros((N, d, width), dtype=np.int64)
-    for i, part in enumerate(partition.parts):
-        out = rows[:, i]
-        for j in part:
-            out[:N - j] += pm[j:]
-            out[N - j:] += pm[:j]
-    return rows.reshape(N, -1)
-
-
 def signature_counts(sys: CyclotomicSystem, labels: np.ndarray, d: int):
     """(distinct, primitive) for each row of ``labels`` (R, N), a partition
     of Z_N into labels < d (an empty part adds zero sums everywhere): its
     count of distinct signature rows, and ``is_primitive``'s row test on
-    every character, from one exact int64 product of the part indicators
-    and the period circulant (each |sum| <= N M = q - 1)."""
-    pm = sys.period_matrix
-    (R, N), width = labels.shape, pm.shape[1]
-    # the circulant and its copy, then 24 B a sum or indicator: the sums,
-    # their sorted keys and the temporaries
-    check_budget(8 * N * (2 * N * width + 3 * R * d * (width + 1)),
-                 f"the signature sums of {R} partitions of Z_{N} on "
-                 f"F_{{{sys.field.p}^{sys.field.f}}} need")
-    j = np.arange(N)
-    # circulant[a w + c, j] is coefficient c of eta_{(j + a) mod N}
-    circulant = pm[(j[:, None] + j) % N].transpose(0, 2, 1).reshape(-1, N)
-    indicator = (labels[..., None] == np.arange(d, dtype=labels.dtype)).astype(np.int64)
-    sums = (circulant @ indicator).reshape(R, N, width * d)
-    keys = np.sort(sums.view(f"V{8 * width * d}")[..., 0], axis=1)
-    keys = keys.view(np.int64).reshape(sums.shape)
-    size = indicator.sum(axis=1)[:, None]
-    hit = _principal(sums.reshape(R, N, width, d).swapaxes(2, 3), sys.M * size)
-    return ((keys[:, 1:] != keys[:, :-1]).any(axis=2).sum(axis=1) + 1,
+    every character, read off ``_signature_sums`` (each |sum| <= N M = q - 1)."""
+    (R, N), field = labels.shape, sys.field
+    sums = _signature_sums(sys, labels, d, f"the signature sums of {R} partitions of "
+                           f"Z_{N} on F_{{{field.p}^{field.f}}} need").reshape(R, N, -1)
+    # each row's characters sorted in place: the principal test reads them all
+    sums.view(f"V{sums.itemsize * sums.shape[2]}")[..., 0].sort(axis=1)
+    size = (labels[..., None] == np.arange(d)).sum(axis=1)[:, None]
+    hit = _principal(sums.reshape(R, N, d, -1), sys.M * size)
+    return ((sums[:, 1:] != sums[:, :-1]).any(axis=2).sum(axis=1) + 1,
             ~(hit & (size > 0)).any(axis=(1, 2)))
 
 
@@ -170,11 +138,17 @@ def _group_rows(rows: np.ndarray):
 def dual_classes(sys: CyclotomicSystem, partition: IndexPartition):
     """Group a in Z_N by exact signature; returns (count, parts, unique_rows).
 
-    Parts come out sorted by the lexicographic order of their signature rows,
-    the canonical row order of the eigenmatrix.  The later stages read the
-    table through this result, and never build it again.
+    Parts come out in the lexicographic order of their signature rows (the
+    kernel's sums on the partition's label row), the eigenmatrix's row order;
+    later stages read the table through this result and never rebuild it.
     """
-    uniq, parts = _group_rows(_signature_rows(sys, partition))
+    N, d, field = partition.N, partition.d, sys.field
+    labels = np.empty((1, N), dtype=np.int64)
+    for i, part in enumerate(partition.parts):
+        labels[0, part] = i
+    uniq, parts = _group_rows(_signature_sums(sys, labels, d, (
+        f"the signature table of {d} parts over Z_{N} on "
+        f"F_{{{field.p}^{field.f}}} needs"))[0].reshape(N, -1))
     return len(uniq), parts, uniq
 
 
@@ -231,7 +205,7 @@ def is_primitive(sys: CyclotomicSystem, partition: IndexPartition, classes) -> b
     rows_neg[i].  It equals its valency iff each of its terms is 1, iff row
     i alone equals M |R_i|, as -R_i has the conjugate sum; so each relation
     is tested on its own row, and the d distinct rows hold every value:
-    ``_principal``, which ``signature_counts`` runs on every character.
+    ``_principal``, which ``signature_counts`` runs on every kernel sum.
     """
     if classes[0] != partition.d:
         raise NotAScheme("primitivity is only defined for verified schemes")

@@ -50,11 +50,17 @@ def test_davenport_hasse_row_measures(bench):
 
 
 def test_signature_row_measures(bench):
-    # the (22, 2, 2) table of {0 | 1..21} on F_{3^5}, and nothing larger
-    seconds, cells, peak = bench.bench_signature_rows(
-        3, 5, 22, [[0], list(range(1, 22))])
+    # the (22, 2, 2) sums of {0 | 1..21} on F_{3^5}, and nothing larger
+    labels = bench.label_row(22, [[0], list(range(1, 22))])
+    seconds, cells, peak = bench.bench_signature_sums(3, 5, 22, labels, 2)
     assert seconds > 0
     assert cells == 22 * 2 * 2
+    assert cells * 8 / (1 << 20) <= peak < 1
+    # the search's first recheck batch at p = 3, d <= 4: its 19 rows
+    batch = bench.recheck_batch(3, 4)
+    seconds, cells, peak = bench.bench_signature_sums(3, 2, 8, batch, 4)
+    assert seconds > 0
+    assert cells == 19 * 8 * 4 * 2
     assert cells * 8 / (1 << 20) <= peak < 1
 
 

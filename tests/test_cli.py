@@ -390,6 +390,44 @@ def test_list_option_with_a_non_integer_token_exit2(argv, option, capsys):
                     f"ParseError: bad {option} syntax: '{argv[-1]}'")
 
 
+@pytest.mark.parametrize("argv,option", [
+    # each exited 0: the blank token was skipped
+    (["verify", "--p", "13", "--f", "1", "--n", "4", "--parts", "0,1,|2,3"],
+     "partition"),
+    (["fuse", "--p", "13", "--f", "1", "--n", "4",
+      "--merge", "0|1,,2|3,4"], "--merge"),
+    (["construct", "--kind", "conference", "--p", "37", "--p1", "7",
+      "--i0", "0,1,,2,3,4,5,6"], "--i0"),
+    # one index set: a second cell is bad syntax
+    (["construct", "--kind", "conference", "--p", "37", "--p1", "7",
+      "--i0", "0,1,2|3,4,5,6"], "--i0"),
+])
+def test_list_option_with_a_blank_token_exit2(argv, option, capsys):
+    _one_line_exit2(argv, capsys,
+                    f"ParseError: bad {option} syntax: '{argv[-1]}'")
+
+
+@pytest.mark.parametrize("argv,match", [
+    # each exited 0, on the singletons and on the default I0
+    (["fuse", "--p", "13", "--f", "1", "--n", "4", "--merge", "0|1,3|2,4",
+      "--parts", ""], "ParseError: empty part"),
+    (["construct", "--kind", "conference", "--p", "37", "--p1", "7",
+      "--i0", ""], "PreconditionViolated: index set I0 must cover"),
+])
+def test_explicit_empty_list_option_exit2(argv, match, capsys):
+    _one_line_exit2(argv, capsys, match)
+
+
+def test_parse_cells_grammar():
+    from scheme_forge.errors import ParseError
+
+    assert jsonio.parse_cells("0| 1 ,2||3", "x") == [[0], [1, 2], [], [3]]
+    assert jsonio.parse_cells("", "x") == [[]]
+    for text in ("0,|1", ",0", "0,,1", "0|1,x"):
+        with pytest.raises(ParseError, match="bad x syntax"):
+            jsonio.parse_cells(text, "x")
+
+
 def test_fuse_default_partition_is_the_singletons(tmp_path):
     # the fine partition --parts defaults to
     out, default = tmp_path / "parts.json", tmp_path / "default.json"

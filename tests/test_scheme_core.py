@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from scheme_forge import scheme_core
-from scheme_forge.cyclotomy import build_cyclotomy
+from scheme_forge.cyclotomy import _CELL_BYTES, _signature_sums, build_cyclotomy
 from scheme_forge.errors import (BudgetExceeded, MalformedPartition,
                                  NotAScheme, PartitionInvalid,
                                  TooLargeForOracle)
 from scheme_forge.finite_field import build_field
-from scheme_forge.scheme_core import (_CELL_BYTES, ORACLE_CAP,
-                                      IndexPartition, _group_rows,
-                                      _signature_rows, _trace_sums,
+from scheme_forge.scheme_core import (ORACLE_CAP, IndexPartition,
+                                      _group_rows, _trace_sums,
                                       brute_force_verify, check_fusion,
                                       dual_classes, dual_partition,
                                       eigenmatrices, intersection_numbers,
@@ -186,11 +185,21 @@ def gathered_signature_rows(sys, partition):
          for part in partition.parts], axis=1)
 
 
+def signature_rows(sys, partition):
+    """The kernel's sums over the partition's label row, as the (N, d (p - 1))
+    table dual_classes groups."""
+    labels = np.empty((1, partition.N), dtype=np.int64)
+    for i, part in enumerate(partition.parts):
+        labels[0, list(part)] = i
+    return _signature_sums(sys, labels, partition.d,
+                           "the test's table needs")[0].reshape(sys.N, -1)
+
+
 @pytest.mark.parametrize("p,f,N,H", COSET_CASES)
 def test_signature_rows_match_the_gather(p, f, N, H):
     sys_n = build_cyclotomy(build_field(p, f), N)
     part = coset_partition(N, H)
-    assert np.array_equal(_signature_rows(sys_n, part),
+    assert np.array_equal(signature_rows(sys_n, part),
                           gathered_signature_rows(sys_n, part))
 
 
@@ -205,8 +214,50 @@ def test_signature_rows_match_the_gather_with_one_large_part():
             rest = order[cut:]
             small = [rest[k::3] for k in range(3) if rest[k::3]]
             part = IndexPartition.from_sets(N, [order[:cut]] + small)
-            assert np.array_equal(_signature_rows(sys_n, part),
+            assert np.array_equal(signature_rows(sys_n, part),
                                   gathered_signature_rows(sys_n, part))
+
+
+@pytest.mark.parametrize("p,f,N,d", [(3, 5, 22, 4), (7, 2, 16, 5),
+                                     (11, 2, 24, 3)])
+def test_signature_sums_match_the_gather_on_label_batches(p, f, N, d):
+    # random label rows, every other one with no label d - 1: an empty part
+    sys_n = build_cyclotomy(build_field(p, f), N)
+    rng = np.random.default_rng(N * d)
+    a = np.arange(N)
+    for R in (1, 7, 256):
+        labels = rng.integers(0, d, size=(R, N)).astype(np.int8)
+        labels[::2] %= d - 1
+        sums = _signature_sums(sys_n, labels, d, "")
+        assert sums.shape == (R, N, d, p - 1)
+        for r, row in enumerate(labels):
+            want = np.stack([sys_n.period_matrix[
+                (a[:, None] + np.flatnonzero(row == i)) % N].sum(axis=1)
+                for i in range(d)], axis=1)
+            assert np.array_equal(sums[r], want)
+            # the row alone takes the one-row index form
+            assert np.array_equal(
+                _signature_sums(sys_n, labels[r:r + 1], d, "")[0], sums[r])
+
+
+@pytest.mark.parametrize("R", [1, 7])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_signature_sums_refuse_a_label_outside_the_parts(R, bad):
+    sys_n = build_cyclotomy(build_field(7, 2), 16)
+    labels = np.zeros((R, 16), dtype=np.int8)
+    labels[-1, 5] = bad
+    with pytest.raises(PartitionInvalid, match=r"label outside \[0, 3\)"):
+        _signature_sums(sys_n, labels, 3, "")
+
+
+@pytest.mark.parametrize("R", [1, 7])
+def test_signature_sums_refuse_rows_over_another_N(R):
+    # label rows over Z_8 read against the order-16 periods
+    sys_n = build_cyclotomy(build_field(7, 2), 16)
+    with pytest.raises(PartitionInvalid, match="over Z_8, system over Z_16"):
+        _signature_sums(sys_n, np.zeros((R, 8), dtype=np.int8), 2, "")
+    with pytest.raises(PartitionInvalid, match="over Z_8, system over Z_16"):
+        dual_classes(sys_n, singletons(8))
 
 
 @pytest.mark.parametrize("p,f,N,parts", [
@@ -274,8 +325,8 @@ def test_group_rows_orders_signs_and_extremes():
 
 def test_one_signature_table_per_verification(monkeypatch, f243):
     built = []
-    build = scheme_core._signature_rows
-    monkeypatch.setattr(scheme_core, "_signature_rows",
+    build = scheme_core._signature_sums
+    monkeypatch.setattr(scheme_core, "_signature_sums",
                         lambda *args: built.append(args) or build(*args))
     sys22 = build_cyclotomy(f243, 22)
     for part in (singletons(22), coset_partition(22, 2),
@@ -304,7 +355,7 @@ def full_row_trace_sums(sys, partition):
     N, p, K = sys.N, sys.field.p, partition.d + 1
     sig = np.zeros((N, K, p), dtype=np.int64)
     sig[:, 0, 0] = 1
-    sig[:, 1:, :p - 1] = _signature_rows(sys, partition).reshape(N, K - 1, p - 1)
+    sig[:, 1:, :p - 1] = signature_rows(sys, partition).reshape(N, K - 1, p - 1)
     shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
     conv = np.einsum("ail,ajlm->aijm", sig, sig[:, :, shift])  # (u_i u_j)_m
     s = sig.sum(axis=2)
@@ -461,7 +512,7 @@ def symmetrized_is_primitive(sys, partition):
     """The earlier is_primitive: signature rows of the symmetrized partition,
     each of its relations against its own valency."""
     sym = union_find_symmetrize(sys, partition)
-    rows = _signature_rows(sys, sym)
+    rows = signature_rows(sys, sym)
     n = sys.field.p - 1
     for j, part in enumerate(sym.parts):
         block = rows[:, j * n:(j + 1) * n]

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from scheme_forge import _kernels, scheme_core, search
+from scheme_forge import _kernels, cyclotomy, scheme_core, search
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (BUDGET, BudgetExceeded, FieldTooLarge,
                                  PreconditionViolated)
@@ -233,6 +233,7 @@ def test_progress_reports_closure_phases():
 @pytest.mark.parametrize("p,dmax,allow_symmetric,survivors", [
     (3, 4, True, 19),
     (7, 4, False, 24),  # each one tested for primitivity too
+    (7, 4, True, 2691),  # 11 batches
 ])
 def test_recheck_builds_no_signature_table_per_survivor(
         monkeypatch, p, dmax, allow_symmetric, survivors):
@@ -241,12 +242,20 @@ def test_recheck_builds_no_signature_table_per_survivor(
     def per_survivor(*args):
         raise AssertionError("the search called the per-survivor path")
 
-    for name in ("_signature_rows", "dual_classes", "is_primitive"):
+    for name in ("dual_classes", "is_primitive"):
         monkeypatch.setattr(scheme_core, name, per_survivor)
         assert not hasattr(search, name)
+    batches = []
+    sums = scheme_core._signature_sums
+    monkeypatch.setattr(scheme_core, "_signature_sums", lambda sys, labels, *rest:
+                        batches.append(len(labels)) or sums(sys, labels, *rest))
     seen = []
     exhaustive_nonexistence(p, dmax, allow_symmetric, progress=seen.append)
     assert seen[-1].phase == "recheck" and seen[-1].total == survivors
+    # one kernel call a batch
+    batch = search._RECHECK_BATCH
+    assert batches == [min(batch, survivors - r0)
+                       for r0 in range(0, survivors, batch)]
 
 
 @pytest.mark.parametrize("p,dmax,allow_symmetric", [
@@ -347,7 +356,7 @@ def test_signature_counts_charge_bounds_the_peak(monkeypatch, p, dmax):
     rows = _closed(p, dmax, False)[:search._RECHECK_BATCH]
     sys_n = build_cyclotomy(build_field(p, 2), 2 * (p + 1))
     charged = []
-    monkeypatch.setattr(scheme_core, "check_budget",
+    monkeypatch.setattr(cyclotomy, "check_budget",
                         lambda need, what: charged.append(need))
     _, peak = traced_peak(lambda: signature_counts(sys_n, rows, dmax))
     assert len(rows) == search._RECHECK_BATCH
@@ -355,8 +364,8 @@ def test_signature_counts_charge_bounds_the_peak(monkeypatch, p, dmax):
 
 
 def test_oversized_signature_counts_raise_before_allocating():
-    # 2^32 rows over Z_24, views of one row: ~72 TiB charged, and less
-    # traced than the 46 KB circulant, the first array the call builds
+    # 2^32 rows over Z_24, views of one row: ~150 TiB charged, and less
+    # traced than half a (24, 24, 10) int64 array
     sys_n = build_cyclotomy(build_field(11, 2), 24)
     rows = np.broadcast_to(np.zeros(24, dtype=np.int8), (1 << 32, 24))
 

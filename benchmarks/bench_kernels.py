@@ -15,7 +15,9 @@ sub-block must cost its own terms, not the N p cells of the tally); elements/s
 (q - 1) for one direct Gauss sum on F_{1021^2}, a tally of the stream
 and its fold over the 1020 norm periods; elements/s (q^s - 1) for the
 Davenport-Hasse check on F_{11^6}, which finds the subfield root in
-polynomial arithmetic and sums both Gauss sums over the norm stream.  The
+polynomial arithmetic and sums both Gauss sums over the norm stream (both
+oracles, and the trace partition the scan row reads, come from
+tests/oracles.py).  The
 psi, direct-sum and tally rows walk the stream inside the timed region, as
 a command does; cells/s (R N d (p - 1)) for the signature sums of R label
 rows: one row (R = 1) for the order-N cyclotomic scheme on F_{37^3} and
@@ -46,8 +48,10 @@ output included.
     python3 benchmarks/bench_kernels.py
 """
 
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -55,12 +59,16 @@ from scheme_forge import _kernels, jsonio, search
 from scheme_forge.cyclotomy import _signature_sums, build_cyclotomy
 from scheme_forge.finite_field import (FieldSpec, _build_field_cached,
                                        build_field)
-from scheme_forge.gauss_sums import (MultChar, _psi_values,
-                                     davenport_hasse_check, gauss_sum_direct)
+from scheme_forge.gauss_sums import _psi_values
 from scheme_forge.scheme_core import (IndexPartition, dual_classes,
                                       eigenmatrices, intersection_numbers,
                                       verify_scheme)
-from scheme_forge.search import trace_partition
+
+# the direct sums, the Davenport-Hasse check and the trace partition are
+# the tests' oracles, in tests/oracles.py
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import (MultChar, davenport_hasse_check,  # noqa: E402
+                     gauss_sum_direct, trace_partition)
 
 
 def _time(fn, repeat=3):

@@ -18,22 +18,20 @@ _EXPORTS = {
                   "embed"),
     "finite_field": ("DEFAULT_CAP", "FieldSpec", "build_field", "is_prime",
                      "multiplicative_order"),
-    "gauss_sums": ("Index2Params", "MultChar", "class_number",
-                   "davenport_hasse_check", "gauss_sum_direct",
-                   "gauss_sum_index2", "gauss_sum_quadratic", "gauss_sums_all",
+    "gauss_sums": ("Index2Params", "class_number", "gauss_sum_index2",
+                   "gauss_sum_quadratic", "gauss_sums_all",
                    "index2_comparison", "make_index2_params", "solve_bc"),
-    "scheme_core": ("IndexPartition", "SchemeReport", "brute_force_verify",
-                    "check_fusion", "dual_classes", "dual_partition",
-                    "eigenmatrices", "intersection_numbers", "is_primitive",
-                    "is_scheme", "is_symmetric", "krein_parameters",
-                    "symmetrize", "verify_scheme"),
+    "scheme_core": ("IndexPartition", "SchemeReport", "check_fusion",
+                    "dual_classes", "dual_partition", "eigenmatrices",
+                    "intersection_numbers", "is_primitive", "is_scheme",
+                    "is_symmetric", "krein_parameters", "symmetrize",
+                    "verify_scheme"),
     "constructions": ("BuiltScheme", "SongReproduction",
                       "conference_7mod8", "five_class_3mod8",
                       "five_class_index_sets", "four_class_7mod8",
                       "ma_wang_template", "match_template", "song_example",
                       "three_class_base"),
-    "search": ("SearchResult", "exhaustive_nonexistence", "trace_partition",
-               "ts_identity_check"),
+    "search": ("SearchResult", "exhaustive_nonexistence"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -93,10 +93,6 @@ class FieldTooLarge(SchemeForgeError):
     cli_code = 3
 
 
-class TooLargeForOracle(SchemeForgeError):
-    cli_code = 3
-
-
 class BudgetExceeded(SchemeForgeError):
     cli_code = 3
 

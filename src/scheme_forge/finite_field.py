@@ -18,13 +18,14 @@ Fields, 2.3).  The periods and the Gauss sums read that norm period
 s_0, ..., s_{L-1} as a stream: norm_stream yields it in sub-blocks of at
 most _BLOCK terms, each summed by the same linearity (gamma^e = sum_i c_i
 x^i gives s_{e+k} = sum_i c_i s_{i+k}) from one fixed head
-s[0:min(L, _BLOCK) + f - 1]; the periods and the direct Gauss sum tally
-it and fold the p - 1 periods, and the psi gather fills them.  Nothing caches
-the period, so those paths hold their output and O(_BLOCK) more
-(O(N p + _BLOCK) for the periods) however large q is, and building a field
-makes no q-sized table.  The whole sequence is gathered from the stream
-for the element tables, which no library path reads (the tests and the
-benchmark's field hook do); each is built on first use: by the
+s[0:min(L, _BLOCK) + f - 1]; the periods tally it and fold the p - 1
+periods, and the psi gather fills them.  Nothing caches the period, so
+those paths hold their output and O(_BLOCK) more (O(N p + _BLOCK) for the
+periods) however large q is, and building a field makes no q-sized table.
+The whole sequence is gathered from the stream for the element tables.
+No command reads them, nor sub_vec: the tests and their oracles
+(tests/oracles.py) do, and so do the benchmarks' field hooks, which keep
+them in the package.  Each table is built on first use: by the
 trace-dual-basis relation, f consecutive terms s_e, ..., s_{e+f-1} fix the
 coordinates of gamma^e, which gives the antilog table; the log table
 inverts it, and the trace table scatters the sequence through it.

@@ -1,15 +1,16 @@
-"""Gauss sums: direct evaluation plus the closed forms this package needs.
+"""Gauss sums: the transform gauss-verify reads, and the closed forms.
 
-Direct sums are double precision (exactness is reserved for Gauss periods,
-which is where scheme verdicts live): one in-place FFT of psi(gamma^a), the
-p-th roots of unity gathered from each sub-block of the norm stream into
-every norm period, or, for a single sum, a tally of the stream folded
-over them in closed form.  Closed forms: the quadratic case, the index-2
-case over Z_{2 p1} with its class-number data (h, b, c), and the
-Davenport-Hasse lift.  The sign of c (equivalently of
-sqrt(-p1)) is not pinned by the defining equations; evaluation takes an
-explicit c_sign and the comparison harness accepts whichever sign matches
-direct computation coherently across all exponents of one field.
+Transformed sums are double precision (exactness is reserved for Gauss
+periods, which is where scheme verdicts live): one in-place FFT of
+psi(gamma^a), the p-th roots of unity gathered from each sub-block of the
+norm stream into every norm period.  Closed forms: the quadratic case,
+and the index-2 case over Z_{2 p1} with its class-number data (h, b, c),
+lifted by degree s.  The sign of c (equivalently of sqrt(-p1)) is not
+pinned by the defining equations; evaluation takes an explicit c_sign and
+the comparison harness accepts whichever sign matches the transform
+coherently across all exponents of one field.  The direct sums and the
+Davenport-Hasse check that cross-check the transform live with the tests
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -19,25 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadDiscriminant, EvenCharacteristic, FieldTooLarge,
-                     NoSolution, PreconditionViolated)
-from .finite_field import (_BLOCK, DEFAULT_CAP, FieldSpec, _poly_mul_mod,
-                           _poly_pow_mod, build_field, check_cap, is_prime,
-                           multiplicative_order)
-
-_PIECE = _BLOCK // 4  # terms per piece of gauss_sum_direct's tally
-
-
-@dataclass(frozen=True)
-class MultChar:
-    """chi(gamma^j) = exp(2 pi i k j / (q-1))."""
-
-    field: FieldSpec
-    k: int
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.k % (self.field.q - 1) == 0
+from .errors import (BadDiscriminant, EvenCharacteristic, NoSolution,
+                     PreconditionViolated)
+from .finite_field import (DEFAULT_CAP, FieldSpec, build_field, check_cap,
+                           is_prime, multiplicative_order)
 
 
 def _psi_values(field: FieldSpec) -> np.ndarray:
@@ -51,46 +37,12 @@ def _psi_values(field: FieldSpec) -> np.ndarray:
     return field.gather_trace(roots)
 
 
-def gauss_sum_direct(chi: MultChar) -> complex:
-    """G(chi) = sum_a psi(gamma^a) chi(gamma^a) over a < q - 1, summed over
-    the norm stream with no q-length vector.
-
-    Write a = jL + e (e < L), z = chi(gamma), nu = N(gamma) and w = z^L =
-    exp(2 pi i k / (p - 1)): then G = sum_t A_t sum_j w^j root[nu^j t],
-    A_t summing z^e over the e < L with s_e = t, tallied a piece of a
-    sub-block at a time with its angles reduced mod q - 1 in integers.  The
-    sum over j is w^-a W for t = nu^a, W = sum_m w^m root[nu^m], and p - 1
-    or 0 for t = 0 as w is 1 or not: G = W sum_a w^-a A[nu^a], plus
-    (p - 1) A_0 when w = 1.
-    """
-    field = chi.field
-    p, q1 = field.p, field.q - 1
-    k = chi.k % q1
-    re, im = np.zeros(p), np.zeros(p)
-    for start, s in field.norm_stream():
-        for i in range(0, len(s), _PIECE):
-            t = s[i:i + _PIECE].astype(np.intp)
-            e = np.arange(start + i, start + i + len(t), dtype=np.int64)
-            e *= k
-            e %= q1
-            angle = e * (2 * np.pi / q1)
-            re += np.bincount(t, np.cos(angle), minlength=p)
-            im += np.bincount(t, np.sin(angle, out=angle), minlength=p)
-    A = re + 1j * im
-    nu = field.norm_powers
-    w = np.exp(2j * np.pi / (p - 1) * (k * np.arange(p - 1) % (p - 1)))
-    total = (w @ np.exp(2j * np.pi / p * nu)) * (w.conj() @ A[nu])
-    if k % (p - 1) == 0:
-        total += (p - 1) * A[0]
-    return complex(total)
-
-
 def gauss_sums_all(field: FieldSpec) -> np.ndarray:
-    """G(chi_k) for every k in [0, q-1), via one FFT of the psi table."""
+    """The FFT F of the psi table, in place: G(chi_k) = F[-k mod (q-1)]
+    for every k in [0, q-1), as G(chi_k) = sum_a psi(gamma^a)
+    e^{+2 pi i k a/(q-1)}."""
     psi = _psi_values(field)
-    F = np.fft.fft(psi, out=psi)
-    # G(chi_k) = sum_a psi(g^a) e^{+2 pi i k a/(q-1)} = F[-k]
-    return np.concatenate((F[:1], F[:0:-1]))
+    return np.fft.fft(psi, out=psi)
 
 
 def gauss_sum_quadratic(p: int, f: int) -> complex:
@@ -277,7 +229,7 @@ def index2_comparison(p: int, p1: int, s: int = 1,
     n = 2 * p1
     field = build_field(p, params.f * s, cap=cap)
     G, step = gauss_sums_all(field), (field.q - 1) // n
-    direct = {e: complex(G[e * step]) for e in range(n)}
+    direct = {e: complex(G[-e * step]) for e in range(n)}
 
     best = None
     for c_sign in (1, -1):
@@ -297,49 +249,3 @@ def index2_comparison(p: int, p1: int, s: int = 1,
              "abs_err": abs(direct[e] - formula[e])}
             for e in range(n)],
     }
-
-
-# --- Davenport-Hasse ----------------------------------------------------------
-
-def lifted_exponent(field: FieldSpec, big: FieldSpec, k: int) -> int:
-    """Exponent of chi_k composed with the norm map, in the big field's labels.
-
-    The subfield of order q inside F_{q^s} is identified by locating a root
-    beta of the small modulus among the elements of order dividing q-1; then
-    Norm(gamma'^a) = beta^{a/c} with beta = gamma'^{cL}, L = (q^s-1)/(q-1).
-    The candidates beta_j = gamma'^{jL} are stepped, and the small modulus
-    evaluated at each by Horner, in F_p[x]/(m') for the big modulus m': no
-    element table is read.
-    """
-    q1 = field.q - 1
-    L = (big.q - 1) // q1
-    p, f, mlow = big.p, big.f, big.modulus[:-1]
-    step = _poly_pow_mod(big.gamma_poly, L, mlow, f, p)
-    beta = [1] + [0] * (f - 1)
-    for j in range(1, q1 + 1):
-        beta = _poly_mul_mod(beta, step, mlow, f, p)
-        if math.gcd(j, q1) != 1:
-            continue
-        acc = [0] * f
-        for coeff in reversed(field.modulus):
-            acc = _poly_mul_mod(acc, beta, mlow, f, p)
-            acc[0] = (acc[0] + coeff) % p
-        if not any(acc):
-            return (k * pow(j, -1, q1) % q1) * L
-    raise PreconditionViolated("no root of the subfield modulus found")
-
-
-def davenport_hasse_check(chi: MultChar, s: int,
-                          cap: int = DEFAULT_CAP) -> tuple[complex, complex]:
-    """(direct G of the lifted character, (-1)^{s-1} G(chi)^s)."""
-    field = chi.field
-    if s >= cap.bit_length() or field.q ** s > cap:  # q >= 2
-        raise FieldTooLarge(f"q^s = {field.q}^{s} exceeds cap {cap}")
-    big = build_field(field.p, field.f * s, cap=cap)
-    if chi.is_trivial:
-        direct = complex(-1.0)
-    else:
-        kp = lifted_exponent(field, big, chi.k % (field.q - 1))
-        direct = gauss_sum_direct(MultChar(big, kp))
-    formula = (-1) ** (s - 1) * gauss_sum_direct(chi) ** s
-    return direct, formula

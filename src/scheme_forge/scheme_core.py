@@ -10,7 +10,8 @@ integer coefficient rows, summed from the periods by one kernel
 numbers, and Krein parameters as those of the dual partition, follow from
 the same rows by the translation-scheme identity, with exact divisibility
 checks.  Every transpose is read from one permutation, -R_i = R_neg[i]
-(part i shifted by the class of -1).
+(part i shifted by the class of -1).  The tests hold these verdicts against
+an element-level check of the scheme axioms (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomy import CyclotomicSystem, _signature_sums, embed
-from .errors import (MalformedPartition, NotAScheme, PartitionInvalid,
-                     SingularP, TooLargeForOracle)
+from .errors import MalformedPartition, NotAScheme, PartitionInvalid, SingularP
 
-ORACLE_CAP = 20_000
 _SIGN = np.uint64(1 << 63)
 
 
@@ -120,7 +119,8 @@ def signature_counts(sys: CyclotomicSystem, labels: np.ndarray, d: int):
 def _group_rows(rows: np.ndarray):
     """(uniq, members): a C-contiguous int64 table's distinct rows in signed
     lexicographic order, and the ascending indices of the rows equal to each.
-    Sorts rows as bytes, written over ``rows`` sign-flipped and big-endian."""
+    Sorts rows as bytes, written over ``rows`` sign-flipped and big-endian;
+    the distinct keys are gathered once and turned back in place."""
     keys = rows.view(np.uint64)
     keys ^= _SIGN
     if np.little_endian:
@@ -130,7 +130,10 @@ def _group_rows(rows: np.ndarray):
     order = keys.argsort()
     keys = keys[order]
     starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    uniq = keys[np.concatenate(([0], starts))].view(">u8") ^ _SIGN
+    uniq = keys[np.concatenate(([0], starts))].view(np.uint64)
+    if np.little_endian:
+        uniq.byteswap(inplace=True)
+    uniq ^= _SIGN
     members = [tuple(sorted(m.tolist())) for m in np.split(order, starts)]
     return uniq.view(np.int64).reshape(len(members), -1), members
 
@@ -314,34 +317,40 @@ def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition, class
 
 def _trace_sums(sys: CyclotomicSystem, partition: IndexPartition, classes):
     """(acc, k): acc[i, j, k] = (p-1) S for the sum S of intersection_numbers,
-    over the g coset representatives weighted by N/g, read off the distinct
-    rows of ``classes``, and the valencies k (k_0 = 1), of one dtype."""
+    over the g coset representatives weighted by N/g, and the valencies k
+    (k_0 = 1), of one dtype.  A representative's term depends on it only
+    through its row of ``classes``, its dual class: each distinct row is
+    summed once, weighted by how many representatives share it."""
     d, N, M = partition.d, sys.N, sys.M
     p, q = sys.field.p, sys.field.q
     K = d + 1
     g = math.gcd(N, (q - 1) // (p - 1))
     label = {a: c for c, part in enumerate(classes[1]) for a in part}
+    rows, counts = np.unique([label[a] for a in range(g)], return_counts=True)
     # sigma_a(i) as a length-p vector in Z[x]/(x^p - 1); R_0 = {0} gives 1
-    sig = np.zeros((g, K, p), dtype=np.int64)
+    sig = np.zeros((len(rows), K, p), dtype=np.int64)
     sig[:, 0, 0] = 1
-    sig[:, 1:, :p - 1] = classes[2][[label[a] for a in range(g)]].reshape(g, d, p - 1)
+    sig[:, 1:, :p - 1] = classes[2][rows].reshape(len(rows), d, p - 1)
     k = [1] + [M * len(part) for part in partition.parts]
-    # with B = max |coefficient| of these rows, each row adds at most
-    # 2 p^3 B^3 to |acc|, which is N/g times a sum of g rows; the numerator
-    # adds k_i k_j k_k to M acc / (p - 1)
+    # with B = max |coefficient| of these rows, each representative adds at
+    # most 2 p^3 B^3 to |acc|, which is N/g times a sum over g of them; the
+    # numerator adds k_i k_j k_k to M acc / (p - 1)
     acc_bound = 2 * N * p ** 3 * int(np.abs(sig).max()) ** 3
     int64_ok = max(acc_bound, max(k) ** 3 + M * acc_bound // (p - 1)) < 2 ** 63
     dtype = np.int64 if int64_ok else object
     sig = sig.astype(dtype)
+    acc = sum(c * _trace_term(u, p) for u, c in zip(sig, counts.tolist()))
+    return acc * (N // g), np.array(k, dtype=dtype)
+
+
+def _trace_term(u: np.ndarray, p: int) -> np.ndarray:
+    """[i, j, k]: p (u_i u_j conj u_k)_0 - u_i(1) u_j(1) u_k(1), the trace
+    sum's term for one row u (K, p) of vectors in Z[x]/(x^p - 1)."""
     shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    acc = np.zeros((K, K, K), dtype=dtype)
-    for u in sig:
-        # conv[i, j, m] = (u_i u_j)_m; (u_i u_j conj u_k)_0 = sum_m conv[i, j, m] u_k[m]
-        conv = np.tensordot(u, u[:, shift], axes=([1], [1]))
-        s = u.sum(axis=1)
-        acc += p * (conv @ u.T) - s[:, None, None] * s[None, :, None] * s
-    acc *= N // g
-    return acc, np.array(k, dtype=dtype)
+    # conv[i, j, m] = (u_i u_j)_m; (u_i u_j conj u_k)_0 = sum_m conv[i, j, m] u_k[m]
+    conv = np.tensordot(u, u[:, shift], axes=([1], [1]))
+    s = u.sum(axis=1)
+    return p * (conv @ u.T) - s[:, None, None] * s[None, :, None] * s
 
 
 # --- Krein parameters --------------------------------------------------------
@@ -384,50 +393,3 @@ def check_fusion(P_exact, column_partition):
     # row 0's class first, the others in their lexicographic order
     order = sorted(range(len(groups)), key=lambda c: groups[c] != (0,))
     return [groups[c] for c in order], uniq[order].reshape(len(order), len(cells), -1)
-
-
-# --- independent oracle ---------------------------------------------------------
-
-def brute_force_verify(field, relations) -> bool:
-    """Direct check of the scheme axioms on an explicit partition of F_q.
-
-    Verifies that {0} is a class, that negation permutes the classes, and
-    that #{x in R_i : z - x in R_j} is constant over z in R_k for all
-    (i, j, k).  Deliberately independent of the signature criterion.
-    """
-    q = field.q
-    if q > ORACLE_CAP:
-        raise TooLargeForOracle(f"q = {q} exceeds oracle cap {ORACLE_CAP}")
-    rels = [np.asarray(sorted(int(x) for x in r), dtype=np.int64) for r in relations]
-    flat = np.concatenate(rels)
-    if len(flat) != q or not np.array_equal(np.sort(flat), np.arange(q)):
-        raise PartitionInvalid("relations must partition F_q")
-
-    K = len(rels)
-    rel = np.empty(q, dtype=np.int64)
-    for i, r in enumerate(rels):
-        rel[r] = i
-    if len(rels[int(rel[0])]) != 1:
-        return False
-
-    # negation closure
-    neg = np.zeros(q, dtype=np.int64)
-    nz = np.arange(1, q, dtype=np.int64)
-    neg[1:] = field.sub_vec(0, nz)
-    for r in rels:
-        labels = rel[neg[r]]
-        if not (labels == labels[0]).all():
-            return False
-
-    codes = np.arange(q, dtype=np.int64)
-    rel_x = rel
-    reference = [None] * K
-    for z in range(q):
-        rel_zx = rel[field.sub_vec(z, codes)]
-        cnt = np.bincount(rel_x * K + rel_zx, minlength=K * K)
-        k = int(rel[z])
-        if reference[k] is None:
-            reference[k] = cnt
-        elif not np.array_equal(reference[k], cnt):
-            return False
-    return True

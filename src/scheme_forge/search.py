@@ -1,5 +1,4 @@
-"""The trace partition of Z_N, its group-ring identity, and the exhaustive
-nonexistence search.
+"""The exhaustive nonexistence search: the coherent closure on Z_{2(p+1)}.
 
 For a prime p = 3 (mod 4) the candidate translation schemes on F_{p^2} with
 few classes are unions of cyclotomic classes of order N = 2(p+1) (the
@@ -13,9 +12,9 @@ and its primitivity are re-verified exactly, a batch of label rows at a
 time (``scheme_core.signature_counts``), on the Gauss periods the closure
 reads.  The working-set estimates alone refuse a run before it allocates
 (p = 19, N = 40, is refused; p = 11 runs in seconds).  The tests keep the
-trace partition, the partition scan of ``_kernels`` (one ``search_chunk``
-call per label prefix) and ``dual_classes`` with ``is_primitive`` as
-independent oracles.
+trace partition (tests/oracles.py), the partition scan of ``_kernels`` (one
+``search_chunk`` call per label prefix) and ``dual_classes`` with
+``is_primitive`` as independent oracles.
 """
 
 from __future__ import annotations
@@ -27,44 +26,8 @@ import numpy as np
 
 from .cyclotomy import CyclotomicSystem, build_cyclotomy
 from .errors import PreconditionViolated, check_budget
-from .finite_field import DEFAULT_CAP, build_field, check_cap, is_prime
+from .finite_field import build_field, is_prime
 from .scheme_core import IndexPartition, signature_counts
-
-
-# --- the trace partition of Z_{2(p+1)} ----------------------------------------
-
-def trace_partition(p: int):
-    """(T_0, T_s, T_n): class indices of Z_{2(p+1)} with zero / square /
-    nonsquare trace, sizes (2, p, p); T_n is T_s shifted by p+1.
-
-    s_i = tr(gamma^i), i < N: the norm period (L = p + 1 < _BLOCK under the
-    cap, the norm stream's first sub-block), then s_{i+L} = N(gamma) s_i."""
-    if p % 4 == 3:
-        check_cap(p, 2, DEFAULT_CAP)  # before trial division
-    if p % 4 != 3 or not is_prime(p):
-        raise PreconditionViolated(f"p = {p} must be a prime = 3 (mod 4)")
-    field = build_field(p, 2)
-    _, head = next(field.norm_stream())
-    s = np.concatenate((head, head * field.norm_powers[1] % p))
-    # Euler's criterion: s_i^((p-1)/2) is 0 on T_0, 1 on T_s, p - 1 on T_n
-    euler = np.array([pow(t, (p - 1) // 2, p) for t in s.tolist()])
-    t0, ts, tn = (tuple(np.nonzero(euler == v)[0].tolist()) for v in (0, 1, p - 1))
-    if len(t0) != 2 or len(ts) != p or len(tn) != p:
-        raise PreconditionViolated("trace partition has unexpected sizes")
-    return t0, ts, tn
-
-
-def ts_identity_check(p: int) -> bool:
-    """Exact relative-difference-set identity for the square-trace indices:
-    T_s T_s^(-1) = p[0] + (p-1)/2 (Z_N - {[0], [N/2]}).  The coefficient
-    of [k] on the left counts the pairs i, j in T_s with i - j = k."""
-    _, ts, _ = trace_partition(p)
-    N = 2 * (p + 1)
-    t = np.asarray(ts)
-    lhs = np.bincount((t[:, None] - t[None, :]).ravel() % N, minlength=N)
-    rhs = np.full(N, (p - 1) // 2)
-    rhs[0], rhs[N // 2] = p, 0
-    return np.array_equal(lhs, rhs)
 
 
 # --- coherent closure ------------------------------------------------------------

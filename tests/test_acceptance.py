@@ -15,14 +15,14 @@ from scheme_forge.constructions import (five_class_3mod8, four_class_7mod8,
                                         song_example)
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.finite_field import build_field
-from scheme_forge.gauss_sums import (MultChar, class_number,
-                                     davenport_hasse_check, gauss_sum_direct,
-                                     gauss_sum_quadratic, index2_comparison)
-from scheme_forge.scheme_core import (IndexPartition, brute_force_verify,
-                                      dual_partition, is_scheme)
-from scheme_forge.search import exhaustive_nonexistence, ts_identity_check
+from scheme_forge.gauss_sums import (class_number, gauss_sum_quadratic,
+                                     index2_comparison)
+from scheme_forge.scheme_core import IndexPartition, dual_partition, is_scheme
+from scheme_forge.search import exhaustive_nonexistence
 
 from conftest import partition_to_relations
+from oracles import (MultChar, brute_force_verify, davenport_hasse_check,
+                     gauss_sum_direct, ts_identity_check)
 from test_gauss_sums import DH_SAMPLES, prime_powers
 
 

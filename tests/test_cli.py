@@ -240,6 +240,11 @@ PINNED_STDOUT = [
     # F_{3^16}: the longest norm period a command walks, L = 21,523,360
     ("verify --p 3 --f 16 --n 8 --parts 0|1|2|3|4|5|6|7",
      "58eb25e97c78ac95a72150798f6bb0ba51d58a41899b8ca6d8b0f11549c7a022"),
+    # a two-class scheme on F_{257^2} whose 258 coset representatives fall
+    # in 2 dual classes: the trace sums take one term per class
+    ("verify --p 257 --f 2 --n 258 --parts 0|"
+     + ",".join(str(i) for i in range(1, 258)),
+     "4a42e79efe9e318fe6b8aef8082f36afb52f7e5d1e847684c805de47c48f045e"),
     ("construct --kind three_class --p 3 --p1 11",
      "2552ed175ad04b39c061c97fcadfb8bf587d5ac58170516c35c4b4c1f485a625"),
     ("construct --kind four_class --p 11 --p1 7",

@@ -12,11 +12,12 @@ from scheme_forge.cyclotomy import build_cyclotomy, character_sum
 from scheme_forge.errors import (PreconditionViolated,
                                  TemplatePreconditionViolated)
 from scheme_forge.finite_field import build_field, multiplicative_order
-from scheme_forge.scheme_core import (IndexPartition, brute_force_verify,
-                                      check_fusion, dual_classes,
-                                      eigenmatrices, verify_scheme)
+from scheme_forge.scheme_core import (IndexPartition, check_fusion,
+                                      dual_classes, eigenmatrices,
+                                      verify_scheme)
 
 from conftest import assert_embeds_like_scalar_sum, partition_to_relations
+from oracles import brute_force_verify
 
 
 def test_three_class_3_11():

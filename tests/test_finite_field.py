@@ -9,10 +9,11 @@ from scheme_forge.errors import (DegreeZero, FieldTooLarge, InvalidElement,
 from scheme_forge.finite_field import (_BLOCK, FieldSpec, _poly_pow_mod,
                                        build_field, is_prime,
                                        multiplicative_order, prime_factors)
-from scheme_forge.gauss_sums import MultChar, gauss_sums_all
+from scheme_forge.gauss_sums import gauss_sums_all
 from scheme_forge.scheme_core import IndexPartition, verify_scheme
 
 from conftest import traced_peak
+from oracles import MultChar
 
 
 @pytest.mark.parametrize("p,f,q", [(37, 3, 50653), (3, 5, 243), (11, 3, 1331)])

@@ -4,18 +4,18 @@ import time
 import numpy as np
 import pytest
 
-from scheme_forge import gauss_sums
 from scheme_forge.errors import (BadDiscriminant, EvenCharacteristic,
                                  FieldTooLarge, NoSolution,
                                  PreconditionViolated)
 from scheme_forge.finite_field import FieldSpec, build_field, is_prime
-from scheme_forge.gauss_sums import (MultChar, _psi_values, class_number,
-                                     davenport_hasse_check, gauss_sum_direct,
+from scheme_forge.gauss_sums import (_psi_values, class_number,
                                      gauss_sum_index2, gauss_sum_quadratic,
                                      gauss_sums_all, index2_comparison,
                                      make_index2_params, solve_bc)
 
+import oracles
 from conftest import traced_peak
+from oracles import MultChar, davenport_hasse_check, gauss_sum_direct
 
 
 def prime_powers(limit, p_min=2):
@@ -40,21 +40,21 @@ def test_properties_all_characters_small_fields():
     # modulus, Frobenius stability, inverse relation: all chi, all q <= 2000
     for (p, f, q) in prime_powers(2000, p_min=2):
         field = build_field(p, f)
-        G = gauss_sums_all(field)
+        G = gauss_sums_all(field)  # G(chi_k) = G[-k]
         q1 = q - 1
         tol = 1e-6 * math.sqrt(q)
         assert abs(G[0] - (-1)) < tol
         if q1 >= 2:
             mods = np.abs(G[1:]) ** 2
             assert np.abs(mods - q).max() < tol * math.sqrt(q)  # (i)
-        idxerr = max(abs(G[(k * p) % q1] - G[k]) for k in range(q1))
+        idxerr = max(abs(G[-(k * p) % q1] - G[-k]) for k in range(q1))
         assert idxerr < tol  # (ii)
         if q1 >= 3:
             ks = np.arange(1, q1)
             chi_minus1 = np.where((ks * ((q - 1) // 2)) % q1 == 0, 1.0, -1.0) \
                 if q % 2 == 1 else np.ones(q1 - 1)
-            inv = np.array([G[(-k) % q1] for k in ks])
-            assert np.abs(inv - chi_minus1 * np.conj(G[ks])).max() < tol  # (iii)
+            inv = np.array([G[k] for k in ks])
+            assert np.abs(inv - chi_minus1 * np.conj(G[-ks])).max() < tol  # (iii)
 
 
 def test_quadratic_examples():
@@ -181,7 +181,7 @@ def test_davenport_hasse_reads_no_element_table(monkeypatch):
     # tables of F_{11^6} were 22 MB; from_json rebuilds the big field, so no
     # table an earlier test built is cached on it
     big = FieldSpec.from_json(build_field(11, 6).to_json())
-    monkeypatch.setattr(gauss_sums, "build_field", lambda p, f, cap: big)
+    monkeypatch.setattr(oracles, "build_field", lambda p, f, cap: big)
     chi = MultChar(build_field(11, 3), 95)
     (d, fm), peak = traced_peak(lambda: davenport_hasse_check(chi, 2))
     assert peak < 2 << 20, peak
@@ -245,7 +245,7 @@ def test_direct_sums_match_gauss_sums_all(p, f):
     G = gauss_sums_all(field)
     ks = range(0, field.q - 1, 1 + field.q // 600)
     for k in ks:
-        assert abs(gauss_sum_direct(MultChar(field, k)) - G[k]) < 1e-8, k
+        assert abs(gauss_sum_direct(MultChar(field, k)) - G[-k]) < 1e-8, k
 
 
 def test_direct_sum_holds_no_q_length_vector():
@@ -253,7 +253,16 @@ def test_direct_sum_holds_no_q_length_vector():
     field = build_field(11, 6)
     got, peak = traced_peak(lambda: gauss_sum_direct(MultChar(field, 12345)))
     assert peak < 1 << 20, peak
-    assert abs(got - gauss_sums_all(field)[12345]) < 1e-8
+    assert abs(got - gauss_sums_all(field)[-12345]) < 1e-8
+
+
+def test_gauss_sums_all_returns_the_transform_itself():
+    # G(chi_k) = F[-k] is read off the FFT, which runs in place on psi; a
+    # reordered copy of all q - 1 bins doubled the traced peak
+    field = build_field(11, 6)
+    G, peak = traced_peak(lambda: gauss_sums_all(field))
+    assert G.shape == (field.q - 1,)
+    assert peak < 1.25 * G.nbytes, peak / G.nbytes
 
 
 def test_index2_direct_values_are_gauss_sums_all_bins():
@@ -261,4 +270,4 @@ def test_index2_direct_values_are_gauss_sums_all_bins():
     G = gauss_sums_all(build_field(3, 5))
     step = (3 ** 5 - 1) // 22
     for entry in rep["per_exponent"]:
-        assert entry["direct"] == complex(G[entry["exponent"] * step])
+        assert entry["direct"] == complex(G[-entry["exponent"] * step])

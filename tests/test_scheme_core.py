@@ -1,22 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
 from scheme_forge import scheme_core
+from scheme_forge.constructions import five_class_3mod8
 from scheme_forge.cyclotomy import _CELL_BYTES, _signature_sums, build_cyclotomy
 from scheme_forge.errors import (BudgetExceeded, MalformedPartition,
-                                 NotAScheme, PartitionInvalid,
-                                 TooLargeForOracle)
+                                 NotAScheme, PartitionInvalid)
 from scheme_forge.finite_field import build_field
-from scheme_forge.scheme_core import (ORACLE_CAP, IndexPartition,
-                                      _group_rows, _trace_sums,
-                                      brute_force_verify, check_fusion,
-                                      dual_classes, dual_partition,
+from scheme_forge.scheme_core import (IndexPartition, _group_rows, _trace_sums,
+                                      check_fusion, dual_classes,
+                                      dual_partition,
                                       eigenmatrices, intersection_numbers,
                                       is_primitive, is_scheme, is_symmetric,
                                       krein_parameters, symmetrize,
                                       verify_scheme)
 
 from conftest import partition_to_relations, traced_peak
+from oracles import ORACLE_CAP, TooLargeForOracle, brute_force_verify
 
 
 def singletons(N):
@@ -414,6 +416,96 @@ def test_coset_sum_matches_full_row_sum_on_non_schemes():
         if not is_scheme(sys_n, part):
             outcomes.append(assert_coset_sum_matches_full_rows(sys_n, part))
     assert not all(outcomes)
+
+
+def trace_term(u, p):
+    """Oracle for one row's term of the trace sum, by einsum:
+    p (u_i u_j conj u_k)_0 - u_i(1) u_j(1) u_k(1)."""
+    shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
+    conv = np.einsum("il,jlm->ijm", u, u[:, shift])  # (u_i u_j)_m
+    s = u.sum(axis=1)
+    return (p * np.einsum("ijm,km->ijk", conv, u)
+            - np.einsum("i,j,k->ijk", s, s, s))
+
+
+def stand_in_term(u, p):
+    """A cheap term that tells rows apart: the cube of a hash of each row."""
+    v = u @ np.random.default_rng(p).integers(0, 1009, p) % 1009
+    return np.einsum("i,j,k->ijk", v, v, v)
+
+
+def per_representative_trace_sums(sys_n, part, classes, term):
+    """(N/g) times the sum of term(sigma_a) over the g coset
+    representatives a < g, one term each."""
+    N, p, d = sys_n.N, sys_n.field.p, part.d
+    g = math.gcd(N, (sys_n.field.q - 1) // (p - 1))
+    label = {a: c for c, members in enumerate(classes[1]) for a in members}
+    acc = 0
+    for a in range(g):
+        u = np.zeros((d + 1, p), dtype=np.int64)
+        u[0, 0] = 1
+        u[1:, :p - 1] = classes[2][label[a]].reshape(d, p - 1)
+        acc = acc + term(u, p)
+    return acc * (N // g)
+
+
+def _singletons_on(p, f, N):
+    return build_cyclotomy(build_field(p, f), N), singletons(N)
+
+
+def _two_parts_on(p, f, N):
+    return (build_cyclotomy(build_field(p, f), N),
+            IndexPartition.from_sets(N, [[0], list(range(1, N))]))
+
+
+def _five_class(p, p1):
+    built = five_class_3mod8(p, p1)
+    return built.system, built.partition
+
+
+@pytest.mark.parametrize("build,args,g_below_d,real", [
+    (_singletons_on, (37, 3, 28), True, True),    # cyclo-n28: g = 7 of 28
+    (_singletons_on, (257, 2, 32), True, True),   # g = 2
+    (_singletons_on, (257, 2, 96), True, False),  # g = 6; the real term ~21 s
+    (_two_parts_on, (257, 2, 258), False, True),  # {0 | 1..257}: g = 258
+    (_five_class, (3, 11), False, True),          # g = 11, d = 5: 4 rows
+    (_five_class, (5, 19), False, True),          # g = 19, d = 5: 4 rows
+], ids=["cyclo-n28", "257^2-by-32", "257^2-by-96", "257^2-by-258-two-parts",
+        "five-class-3-11", "five-class-5-19"])
+def test_trace_sums_weight_each_dual_class_row(build, args, g_below_d, real,
+                                               monkeypatch):
+    # a representative's term depends only on its dual class: each distinct
+    # row is summed once, weighted by its representatives.  The stand-in
+    # term checks the weighting where the real one is too slow to repeat
+    sys_n, part = build(*args)
+    classes = dual_classes(sys_n, part)
+    p, d = sys_n.field.p, part.d
+    g = math.gcd(sys_n.N, (sys_n.field.q - 1) // (p - 1))
+    assert (g < d) == g_below_d
+    label = {a: c for c, members in enumerate(classes[1]) for a in members}
+    rows = len({label[a] for a in range(g)})
+    assert rows <= min(g, d)
+    if real:
+        acc, _ = _trace_sums(sys_n, part, classes)
+        assert np.array_equal(acc, per_representative_trace_sums(
+            sys_n, part, classes, trace_term))
+    calls = []
+    monkeypatch.setattr(scheme_core, "_trace_term",
+                        lambda u, p: calls.append(u) or stand_in_term(u, p))
+    acc, _ = _trace_sums(sys_n, part, classes)
+    assert len(calls) == rows
+    assert np.array_equal(acc, per_representative_trace_sums(
+        sys_n, part, classes, stand_in_term))
+
+
+def test_dual_classes_holds_the_distinct_rows_once():
+    # 96 singletons on F_{257^2}: every signature row is distinct.  The
+    # table, its sorted keys and the distinct rows are 24 B a cell; the
+    # distinct rows turned back into a second array made it 32
+    N, p = 96, 257
+    sys_n = build_cyclotomy(build_field(p, 2), N)
+    _, peak = traced_peak(lambda: dual_classes(sys_n, singletons(N)))
+    assert peak <= 28 * N * N * (p - 1), peak
 
 
 def test_eigenmatrices_structure(f243):

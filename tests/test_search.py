@@ -11,13 +11,14 @@ from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (BUDGET, BudgetExceeded, FieldTooLarge,
                                  PreconditionViolated)
 from scheme_forge.finite_field import build_field, is_prime
-from scheme_forge.scheme_core import (IndexPartition, brute_force_verify,
-                                      dual_classes, is_primitive, is_scheme,
+from scheme_forge.scheme_core import (IndexPartition, dual_classes,
+                                      is_primitive, is_scheme,
                                       signature_counts)
-from scheme_forge.search import (exhaustive_nonexistence, trace_partition,
-                                 ts_identity_check)
+from scheme_forge.search import exhaustive_nonexistence
 
+import oracles
 from conftest import partition_to_relations, traced_peak
+from oracles import brute_force_verify, trace_partition, ts_identity_check
 
 
 def stirling2(n, k):
@@ -80,7 +81,7 @@ def test_ts_identity_fails_after_any_swap(p, monkeypatch):
     for i in range(p):
         for j in range(p):
             swapped = ts[:i] + (tn[j],) + ts[i + 1:]
-            monkeypatch.setattr(search, "trace_partition",
+            monkeypatch.setattr(oracles, "trace_partition",
                                 lambda _, s=swapped: (t0, s, tn))
             assert not ts_identity_check(p), (i, j)
 
@@ -171,7 +172,7 @@ def test_search_reads_one_system_and_no_trace_partition(monkeypatch):
         monkeypatch.setattr(search, name, wrapper)
 
     monkeypatch.setattr(search, "build_cyclotomy", counting_build)
-    monkeypatch.setattr(search, "trace_partition", no_trace_partition)
+    monkeypatch.setattr(oracles, "trace_partition", no_trace_partition)
     reading("_code_matrix", search._code_matrix)
     reading("signature_counts", search.signature_counts)
     result = exhaustive_nonexistence(7, allow_symmetric=True)

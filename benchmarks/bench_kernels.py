@@ -202,10 +202,12 @@ def bench_dual_classes(p, f, N, parts):
 
 
 def bench_intersection(p, f, N):
-    """Seconds for the intersection numbers, the dual classes given."""
+    """Seconds for the intersection numbers, P_exact and the dual classes
+    given."""
     sys_n, part = _cyclotomic_scheme(p, f, N)
     classes = dual_classes(sys_n, part)
-    t_np, _ = _time(lambda: intersection_numbers(sys_n, part, classes))
+    P_exact = eigenmatrices(sys_n, part, classes)[0]
+    t_np, _ = _time(lambda: intersection_numbers(sys_n, P_exact, classes[1]))
     return t_np
 
 

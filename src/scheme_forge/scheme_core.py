@@ -6,12 +6,13 @@ The partition is an association scheme iff the additive characters, grouped
 by their exact value vector on the relations, fall into exactly d classes
 besides the principal one; values live in Z[xi_p], so signatures are
 integer coefficient rows, summed from the periods by one kernel
-(cyclotomy._signature_sums), and the verdict is exact.  Intersection
-numbers, and Krein parameters as those of the dual partition, follow from
-the same rows by the translation-scheme identity, with exact divisibility
-checks.  Every transpose is read from one permutation, -R_i = R_neg[i]
-(part i shifted by the class of -1).  The tests hold these verdicts against
-an element-level check of the scheme axioms (tests/oracles.py).
+(cyclotomy._signature_sums), and the verdict is exact.  With the valencies
+the distinct rows form the first eigenmatrix P_exact, which alone feeds
+primitivity and, by the translation-scheme identity with exact divisibility
+checks, the intersection numbers (Krein parameters: the dual's).  Every
+transpose is read from one permutation, -R_i = R_neg[i] (part i shifted by
+the class of -1).  The tests hold these verdicts against an element-level
+check of the scheme axioms (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomy import CyclotomicSystem, _signature_sums, embed
-from .errors import MalformedPartition, NotAScheme, PartitionInvalid, SingularP
+from .errors import (MalformedPartition, NotAScheme, PartitionInvalid, SingularP,
+                     check_budget)
 
 _SIGN = np.uint64(1 << 63)
 
@@ -199,22 +201,18 @@ def _principal(sums: np.ndarray, valency) -> np.ndarray:
     return (sums[..., 0] == valency) & ~sums[..., 1:].any(axis=-1)
 
 
-def is_primitive(sys: CyclotomicSystem, partition: IndexPartition, classes) -> bool:
+def is_primitive(P_exact: np.ndarray) -> bool:
     """No nontrivial relation of the symmetrization has a character sum equal
     to its valency (exact test over all nonprincipal characters).
 
-    Defined on verified schemes; ``classes`` is ``dual_classes``' result.
-    The sum over R_i u -R_i is the sum of two signature rows, rows_i +
-    rows_neg[i].  It equals its valency iff each of its terms is 1, iff row
-    i alone equals M |R_i|, as -R_i has the conjugate sum; so each relation
-    is tested on its own row, and the d distinct rows hold every value:
+    ``P_exact`` is ``eigenmatrices``' first result.  The sum over R_i u -R_i
+    is the sum of two entries, P[l, i] + P[l, neg[i]].  It equals its
+    valency iff each of its terms is 1, iff P[l, i] alone equals k_i =
+    P[0, i], as -R_i has the conjugate sum; so each relation is tested on
+    its own column, and rows 1..d hold every nonprincipal value:
     ``_principal``, which ``signature_counts`` runs on every kernel sum.
     """
-    if classes[0] != partition.d:
-        raise NotAScheme("primitivity is only defined for verified schemes")
-    rows = classes[2].reshape(partition.d, partition.d, -1)
-    valency = sys.M * np.array([len(part) for part in partition.parts])
-    return not _principal(rows, valency).any()
+    return not _principal(P_exact[1:, 1:], P_exact[0, 1:, 0]).any()
 
 
 # --- full verification ----------------------------------------------------------
@@ -227,18 +225,16 @@ def verify_scheme(sys: CyclotomicSystem, partition: IndexPartition) -> SchemeRep
     if not report.is_scheme:
         return report
 
-    report.valencies = [sys.M * len(p) for p in partition.parts]
     report.dual_parts = parts_by_sig
-
-    report.P_exact, report.P_complex, report.Q_complex = eigenmatrices(
-        sys, partition, classes)
-    report.intersection_matrices = intersection_numbers(sys, partition, classes)
+    P_exact, report.P_complex, report.Q_complex = eigenmatrices(sys, partition, classes)
+    report.P_exact, report.valencies = P_exact, P_exact[0, 1:, 0].tolist()
+    report.intersection_matrices = intersection_numbers(sys, P_exact, parts_by_sig)
 
     neg = _negation(sys, partition)
     report.is_symmetric_rel = [k == i for i, k in enumerate(neg)]
     report.nonsymmetric_pair_count = sum(1 for i, k in enumerate(neg) if k > i)
 
-    report.is_primitive = is_primitive(sys, partition, classes)
+    report.is_primitive = is_primitive(P_exact)
 
     primal = partition.part_sets()
     dual = [frozenset(p) for p in parts_by_sig]
@@ -256,7 +252,8 @@ def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition, classes):
     P_exact[i, j] is the coefficient row of entry (i, j).  Row 0 is the
     principal character (valencies with a leading one); rows 1..d are the
     distinct signature rows of ``classes`` (``dual_classes``' result), in
-    their lexicographic order.
+    their lexicographic order: row 1 + l is dual class l's.  The later
+    stages read P_exact alone: the valencies and non-scheme guard live here.
     """
     d, p = partition.d, sys.field.p
     if classes[0] != d:
@@ -277,11 +274,11 @@ def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition, classes):
 
 # --- intersection numbers -------------------------------------------------------
 
-def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition, classes):
+def intersection_numbers(sys: CyclotomicSystem, P_exact: np.ndarray, dual_parts):
     """Intersection matrices B_0..B_d, B_i[k][j] = p_{ij}^k.
 
-    Computed from ``classes`` (``dual_classes``' result) alone, by the
-    translation-scheme identity (Bannai-Ito 1984; Brouwer-Cohen-Neumaier
+    Computed from ``eigenmatrices``' P_exact and ``dual_classes``' parts, by
+    the translation-scheme identity (Bannai-Ito 1984; Brouwer-Cohen-Neumaier
     1989, 2.2): with sigma_a(i) = psi(gamma^a R_i) and sigma_a(0) = 1,
 
         q k_k p_{ij}^k = k_i k_j k_k + M sum_a sigma_a(i) sigma_a(j) conj sigma_a(k),
@@ -301,9 +298,7 @@ def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition, class
     when p = 2).  The divisions by p - 1 and by q k_k must both be exact,
     else NotAScheme.
     """
-    if classes[0] != partition.d:
-        raise NotAScheme("intersection numbers of a non-scheme")
-    acc, k = _trace_sums(sys, partition, classes)
+    acc, k = _trace_sums(sys, P_exact, dual_parts)
     p, q, M = sys.field.p, sys.field.q, sys.M
     if (acc % (p - 1)).any():
         raise NotAScheme("character sum over the relations is not rational")
@@ -312,35 +307,37 @@ def intersection_numbers(sys: CyclotomicSystem, partition: IndexPartition, class
         raise NotAScheme("intersection numbers are not integers")
     counts = numer // (q * k)
     # counts[i, j, k] = p_{ij}^k
-    return [counts[i].T.astype(np.int64) for i in range(partition.d + 1)]
+    return [b.T.astype(np.int64) for b in counts]
 
 
-def _trace_sums(sys: CyclotomicSystem, partition: IndexPartition, classes):
+def _trace_sums(sys: CyclotomicSystem, P_exact: np.ndarray, dual_parts):
     """(acc, k): acc[i, j, k] = (p-1) S for the sum S of intersection_numbers,
     over the g coset representatives weighted by N/g, and the valencies k
     (k_0 = 1), of one dtype.  A representative's term depends on it only
-    through its row of ``classes``, its dual class: each distinct row is
+    through its dual class l, row P_exact[1 + l]: each distinct row is
     summed once, weighted by how many representatives share it."""
-    d, N, M = partition.d, sys.N, sys.M
-    p, q = sys.field.p, sys.field.q
-    K = d + 1
+    N, M, field, K = sys.N, sys.M, sys.field, P_exact.shape[1]
+    p, q = field.p, field.q
+    # traced: ~17 B a cell of a row's (K, p, p) gather and tensordot's copy,
+    # and ~32 B a cell of the int64 (K, K, K) sums and numerators
+    check_budget(17 * K * p * p + 32 * K ** 3, f"the trace sums of {K - 1} "
+                 f"relations on F_{{{p}^{field.f}}} need")
     g = math.gcd(N, (q - 1) // (p - 1))
-    label = {a: c for c, part in enumerate(classes[1]) for a in part}
+    label = {a: c for c, part in enumerate(dual_parts) for a in part}
     rows, counts = np.unique([label[a] for a in range(g)], return_counts=True)
     # sigma_a(i) as a length-p vector in Z[x]/(x^p - 1); R_0 = {0} gives 1
     sig = np.zeros((len(rows), K, p), dtype=np.int64)
-    sig[:, 0, 0] = 1
-    sig[:, 1:, :p - 1] = classes[2][rows].reshape(len(rows), d, p - 1)
-    k = [1] + [M * len(part) for part in partition.parts]
+    sig[..., :p - 1] = P_exact[1 + rows]
+    k = P_exact[0, :, 0]
     # with B = max |coefficient| of these rows, each representative adds at
     # most 2 p^3 B^3 to |acc|, which is N/g times a sum over g of them; the
     # numerator adds k_i k_j k_k to M acc / (p - 1)
     acc_bound = 2 * N * p ** 3 * int(np.abs(sig).max()) ** 3
-    int64_ok = max(acc_bound, max(k) ** 3 + M * acc_bound // (p - 1)) < 2 ** 63
+    int64_ok = max(acc_bound, int(k.max()) ** 3 + M * acc_bound // (p - 1)) < 2 ** 63
     dtype = np.int64 if int64_ok else object
     sig = sig.astype(dtype)
     acc = sum(c * _trace_term(u, p) for u, c in zip(sig, counts.tolist()))
-    return acc * (N // g), np.array(k, dtype=dtype)
+    return acc * (N // g), k.astype(dtype)
 
 
 def _trace_term(u: np.ndarray, p: int) -> np.ndarray:
@@ -358,7 +355,8 @@ def _trace_term(u: np.ndarray, p: int) -> np.ndarray:
 def krein_parameters(sys: CyclotomicSystem, partition: IndexPartition):
     """Intersection matrices of the dual scheme (translation duality)."""
     dual = dual_partition(sys, partition)
-    return intersection_numbers(sys, dual, dual_classes(sys, dual))
+    classes = dual_classes(sys, dual)
+    return intersection_numbers(sys, eigenmatrices(sys, dual, classes)[0], classes[1])
 
 
 def dual_partition(sys: CyclotomicSystem, partition: IndexPartition) -> IndexPartition:

@@ -139,6 +139,14 @@ def test_field_cap_exit3():
     (["verify", "--p", "1021", "--f", "2", "--n", "1022", "--parts",
       "|".join(str(i) for i in range(1022))],
      "the signature table of 1022 parts over Z_1022 on F_{1021^2} needs"),
+    # the stages before it fit, but one trace-sum row's (K, p, p) gather
+    # would be ~7.4 GiB
+    (["verify", "--p", "8191", "--f", "2", "--n", "6", "--parts", "0|1|2|3|4|5"],
+     "the trace sums of 6 relations on F_{8191^2} need ~7614 MiB"),
+    # 1,023 singletons on F_{2^10}: the int64 (K, K, K) sums would be ~32 GiB
+    (["verify", "--p", "2", "--f", "10", "--n", "1023", "--parts",
+      "|".join(str(i) for i in range(1023))],
+     "the trace sums of 1023 relations on F_{2^10} need ~32768 MiB"),
 ])
 def test_oversized_input_exit3_at_once(argv, match, capsys):
     t0 = time.perf_counter()
@@ -240,6 +248,11 @@ PINNED_STDOUT = [
     # F_{3^16}: the longest norm period a command walks, L = 21,523,360
     ("verify --p 3 --f 16 --n 8 --parts 0|1|2|3|4|5|6|7",
      "58eb25e97c78ac95a72150798f6bb0ba51d58a41899b8ca6d8b0f11549c7a022"),
+    # 32 singletons on F_{257^2}: 33 x 33 entries of 256 coefficients, whose
+    # g = 2 coset representatives fall in distinct dual classes
+    ("verify --p 257 --f 2 --n 32 --parts "
+     + "|".join(str(i) for i in range(32)),
+     "fe48c73728c7613eb8fd9323fdeea32d63a20d57495c6755e014d4070a6cdf62"),
     # a two-class scheme on F_{257^2} whose 258 coset representatives fall
     # in 2 dual classes: the trace sums take one term per class
     ("verify --p 257 --f 2 --n 258 --parts 0|"

@@ -10,7 +10,7 @@ from scheme_forge.errors import (BudgetExceeded, MalformedPartition,
                                  NotAScheme, PartitionInvalid)
 from scheme_forge.finite_field import build_field
 from scheme_forge.scheme_core import (IndexPartition, _group_rows, _trace_sums,
-                                      check_fusion, dual_classes,
+                                      _trace_term, check_fusion, dual_classes,
                                       dual_partition,
                                       eigenmatrices, intersection_numbers,
                                       is_primitive, is_scheme, is_symmetric,
@@ -23,6 +23,13 @@ from oracles import ORACLE_CAP, TooLargeForOracle, brute_force_verify
 
 def singletons(N):
     return IndexPartition.from_sets(N, [[i] for i in range(N)])
+
+
+def intersections(sys, partition):
+    """intersection_numbers of a verified partition, read off its P_exact."""
+    classes = dual_classes(sys, partition)
+    return intersection_numbers(sys, eigenmatrices(sys, partition, classes)[0],
+                                classes[1])
 
 
 def random_partition(rng, N, d):
@@ -94,7 +101,7 @@ def test_verdict_matches_oracle_on_random_partitions():
 def test_intersection_numbers_identities(f13):
     sys2 = build_cyclotomy(f13, 2)
     part = singletons(2)
-    B = intersection_numbers(sys2, part, dual_classes(sys2, part))
+    B = intersections(sys2, part)
     assert np.array_equal(B[0], np.eye(3, dtype=np.int64))
     report = verify_scheme(sys2, part)
     for i, Bi in enumerate(B):
@@ -111,17 +118,31 @@ def test_intersection_numbers_identities(f13):
     assert B[1][1, 1] == 2 and B[1][2, 1] == 3
 
 
+def forged_P_exact(sys, partition):
+    """(P_exact, dual parts) of any partition, its rows assembled as
+    eigenmatrices assembles a scheme's: row 0 the valencies, then the
+    distinct signature rows, however many.  A non-scheme's gets past the
+    verdict to the trace sums and their divisibility checks."""
+    count, parts, uniq = dual_classes(sys, partition)
+    P_exact = np.zeros((count + 1, partition.d + 1, sys.field.p - 1), dtype=np.int64)
+    P_exact[:, 0, 0] = 1
+    P_exact[0, 1:, 0] = [sys.M * len(part) for part in partition.parts]
+    P_exact[1:, 1:] = uniq.reshape(count, partition.d, -1)
+    if count == partition.d:
+        own = eigenmatrices(sys, partition, (count, parts, uniq))[0]
+        assert np.array_equal(P_exact, own)
+    return P_exact, parts
+
+
 def test_intersection_numbers_requires_scheme(f9):
     sys8 = build_cyclotomy(f9, 8)
     bad = IndexPartition.from_sets(8, [[0, 1, 2], [3, 4], [5, 6, 7]])
-    classes = dual_classes(sys8, bad)
     with pytest.raises(NotAScheme):
-        intersection_numbers(sys8, bad, classes)
-    # the exact divisibility checks reject it even past the verdict, on
-    # classes forged to claim d of them
-    _, parts, uniq = classes
+        intersections(sys8, bad)
+    # the exact divisibility checks reject it even past the verdict, on its
+    # rows forged into a P_exact
     with pytest.raises(NotAScheme):
-        intersection_numbers(sys8, bad, (bad.d, parts, uniq))
+        intersection_numbers(sys8, *forged_P_exact(sys8, bad))
 
 
 def element_intersection_numbers(field, sys, partition):
@@ -166,8 +187,7 @@ def test_intersection_and_krein_match_element_count(p, f, N, H):
     field = build_field(p, f)
     sys_n = build_cyclotomy(field, N)
     part = coset_partition(N, H)
-    for got, want in zip(intersection_numbers(sys_n, part,
-                                              dual_classes(sys_n, part)),
+    for got, want in zip(intersections(sys_n, part),
                          element_intersection_numbers(field, sys_n, part),
                          strict=True):
         assert np.array_equal(got, want)
@@ -378,19 +398,18 @@ def full_row_intersection_numbers(sys, partition):
 
 
 def assert_coset_sum_matches_full_rows(sys_n, part):
-    # classes forged to claim d of them, so a non-scheme gets past the
-    # verdict to the sums and their divisibility checks
-    _, parts, uniq = dual_classes(sys_n, part)
-    forged = (part.d, parts, uniq)
-    acc, _ = _trace_sums(sys_n, part, forged)
+    # rows forged into a P_exact, so a non-scheme gets past the verdict to
+    # the sums and their divisibility checks
+    forged = forged_P_exact(sys_n, part)
+    acc, _ = _trace_sums(sys_n, *forged)
     assert np.array_equal(acc, full_row_trace_sums(sys_n, part))
     try:
         want = full_row_intersection_numbers(sys_n, part)
     except NotAScheme:
         with pytest.raises(NotAScheme):
-            intersection_numbers(sys_n, part, forged)
+            intersection_numbers(sys_n, *forged)
         return False
-    got = intersection_numbers(sys_n, part, forged)
+    got = intersection_numbers(sys_n, *forged)
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
     return True
 
@@ -426,6 +445,23 @@ def trace_term(u, p):
     s = u.sum(axis=1)
     return (p * np.einsum("ijm,km->ijk", conv, u)
             - np.einsum("i,j,k->ijk", s, s, s))
+
+
+@pytest.mark.parametrize("K,p", [(1, 2), (3, 2), (2, 3), (4, 5), (3, 7)])
+@pytest.mark.parametrize("scale", [1, 2 ** 40], ids=["int64", "object"])
+def test_trace_term_matches_the_triple_sum(K, p, scale):
+    # p sum_{a,b} u_i[a] u_j[b] u_k[(a + b) mod p] - u_i(1) u_j(1) u_k(1) in
+    # Python ints; at 2^40 the products pass int64, as object rows
+    rng = np.random.default_rng(K * p)
+    rows = (rng.integers(-9, 10, size=(K, p)) * scale).tolist()
+    s = [sum(r) for r in rows]
+    want = [[[p * sum(rows[i][a] * rows[j][b] * rows[k][(a + b) % p]
+                      for a in range(p) for b in range(p)) - s[i] * s[j] * s[k]
+              for k in range(K)] for j in range(K)] for i in range(K)]
+    u = np.array(rows, dtype=np.int64 if scale == 1 else object)
+    got = _trace_term(u, p)
+    assert got.dtype == u.dtype and got.shape == (K, K, K)
+    assert got.tolist() == want
 
 
 def stand_in_term(u, p):
@@ -479,6 +515,7 @@ def test_trace_sums_weight_each_dual_class_row(build, args, g_below_d, real,
     # term checks the weighting where the real one is too slow to repeat
     sys_n, part = build(*args)
     classes = dual_classes(sys_n, part)
+    P_exact = eigenmatrices(sys_n, part, classes)[0]
     p, d = sys_n.field.p, part.d
     g = math.gcd(sys_n.N, (sys_n.field.q - 1) // (p - 1))
     assert (g < d) == g_below_d
@@ -486,13 +523,13 @@ def test_trace_sums_weight_each_dual_class_row(build, args, g_below_d, real,
     rows = len({label[a] for a in range(g)})
     assert rows <= min(g, d)
     if real:
-        acc, _ = _trace_sums(sys_n, part, classes)
+        acc, _ = _trace_sums(sys_n, P_exact, classes[1])
         assert np.array_equal(acc, per_representative_trace_sums(
             sys_n, part, classes, trace_term))
     calls = []
     monkeypatch.setattr(scheme_core, "_trace_term",
                         lambda u, p: calls.append(u) or stand_in_term(u, p))
-    acc, _ = _trace_sums(sys_n, part, classes)
+    acc, _ = _trace_sums(sys_n, P_exact, classes[1])
     assert len(calls) == rows
     assert np.array_equal(acc, per_representative_trace_sums(
         sys_n, part, classes, stand_in_term))
@@ -525,7 +562,7 @@ def test_krein_duality(f13):
     sys2 = build_cyclotomy(f13, 2)
     part = singletons(2)
     K = krein_parameters(sys2, part)
-    B = intersection_numbers(sys2, part, dual_classes(sys2, part))
+    B = intersections(sys2, part)
     rep = verify_scheme(sys2, part)
     assert rep.is_self_dual
     # Paley: the dual partition is the primal one, so Krein = primal B's
@@ -557,9 +594,8 @@ def test_dual_of_dual_random(f243):
     order = [ddual.part_sets().index(s) for s in cosets.part_sets()]
     realigned = IndexPartition.from_sets(
         22, [ddual.parts[i] for i in order])
-    B1 = intersection_numbers(sys22, cosets, dual_classes(sys22, cosets))
-    B2 = intersection_numbers(sys22, realigned,
-                              dual_classes(sys22, realigned))
+    B1 = intersections(sys22, cosets)
+    B2 = intersections(sys22, realigned)
     assert all(np.array_equal(a, b) for a, b in zip(B1, B2))
 
 
@@ -642,7 +678,7 @@ def test_negation_permutation_matches_union_find_oracle():
         for part in verified_fusions(rng, sys_n, 30):
             want = union_find_symmetrize(sys_n, part)
             assert symmetrize(sys_n, part).parts == want.parts
-            prim = is_primitive(sys_n, part, dual_classes(sys_n, part))
+            prim = primitive(sys_n, part)
             assert prim == symmetrized_is_primitive(sys_n, part)
             report = verify_scheme(sys_n, part)
             assert report.is_primitive == prim
@@ -683,7 +719,7 @@ def test_is_symmetric_reads_the_negation_permutation(f9):
 
 
 def primitive(sys, partition):
-    return is_primitive(sys, partition, dual_classes(sys, partition))
+    return is_primitive(eigenmatrices(sys, partition, dual_classes(sys, partition))[0])
 
 
 def test_primitivity():

@@ -12,7 +12,7 @@ from scheme_forge.errors import (BUDGET, BudgetExceeded, FieldTooLarge,
                                  PreconditionViolated)
 from scheme_forge.finite_field import build_field, is_prime
 from scheme_forge.scheme_core import (IndexPartition, dual_classes,
-                                      is_primitive, is_scheme,
+                                      eigenmatrices, is_primitive, is_scheme,
                                       signature_counts)
 from scheme_forge.search import exhaustive_nonexistence
 
@@ -303,8 +303,8 @@ def _oracle(sys_n, row):
     per-partition verify path."""
     part = search._canonical(row, sys_n.N)
     classes = dual_classes(sys_n, part)
-    return classes[0], classes[0] == part.d and is_primitive(sys_n, part,
-                                                             classes)
+    return classes[0], classes[0] == part.d and is_primitive(
+        eigenmatrices(sys_n, part, classes)[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -466,7 +466,7 @@ def _scan_found(p, dmax, allow_symmetric):
         part = search._canonical(row, N)
         classes = dual_classes(sys_n, part)
         assert classes[0] == part.d
-        if allow_symmetric or is_primitive(sys_n, part, classes):
+        if allow_symmetric or is_primitive(eigenmatrices(sys_n, part, classes)[0]):
             found.add(part)
     return found, counts
 

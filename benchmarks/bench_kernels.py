@@ -27,8 +27,11 @@ off, the periods given; cells/s for the dual classes (that
 table built and grouped by row) of the order-N cyclotomic scheme on
 F_{37^3} and on F_{4099}, two rows of 8,196 cells; numbers/s ((N + 1)^3
 per scheme) for the intersection numbers of the order-N cyclotomic
-scheme, its dual classes given; entries/s ((N + 1)^2) for its eigenmatrices, the
-P_exact coefficient rows, their embedding at xi_p and the inverse; bytes/s for rendering that scheme's ``verify`` document;
+scheme, its dual classes given, on F_{37^3}, F_{257^2} by 32 and F_{1021^2}
+by 6 (whose numerators pass int64); entries/s ((N + 1)^2) for the
+eigenmatrices of the first, the P_exact coefficient rows, their embedding
+at xi_p and the inverse; bytes/s for rendering that scheme's ``verify``
+document;
 leaves/s for the plain partition scan (the closure search's test
 oracle), one ``search_chunk`` call per label prefix, at most dmax^9
 completions a call, at (p, dmax) = (3, 4) and (7, 3), timed once;
@@ -41,9 +44,9 @@ exact recheck of the search's survivors, the 2,691 closed schemes of
 p = 7, d <= 4 with the filters off (``--allow-symmetric``), their closure
 run outside, best of three of the recheck phase's own clock.  The norm
 period, psi, direct-sum, Davenport-Hasse, tally, signature sums, dual
-classes and recheck also print their traced peak: the tracemalloc heap
-high-water mark of one more, untimed call above its level at entry, the
-output included.
+classes, intersection numbers and recheck also print their traced peak:
+the tracemalloc heap high-water mark of one more, untimed call above its
+level at entry, the output included.
 
     python3 benchmarks/bench_kernels.py
 """
@@ -202,13 +205,17 @@ def bench_dual_classes(p, f, N, parts):
 
 
 def bench_intersection(p, f, N):
-    """Seconds for the intersection numbers, P_exact and the dual classes
-    given."""
+    """Seconds and traced peak MB of the intersection numbers, P_exact and
+    the dual classes given."""
     sys_n, part = _cyclotomic_scheme(p, f, N)
     classes = dual_classes(sys_n, part)
     P_exact = eigenmatrices(sys_n, part, classes)[0]
-    t_np, _ = _time(lambda: intersection_numbers(sys_n, P_exact, classes[1]))
-    return t_np
+
+    def run():
+        return intersection_numbers(sys_n, P_exact, classes[1])
+
+    t_np, _ = _time(run)
+    return t_np, _traced_peak_mb(run)
 
 
 def bench_eigenmatrices(p, f, N):
@@ -358,10 +365,11 @@ def main():
         rows.append((f"dual classes F_{p}^{f} N={N} d={N}", t_np,
                      N * N * (p - 1) / t_np, peak))
 
+    for p, f, N in [(37, 3, 28), (257, 2, 32), (1021, 2, 6)]:
+        t_np, peak = bench_intersection(p, f, N)
+        rows.append((f"intersection numbers F_{p}^{f} N={N}", t_np,
+                     (N + 1) ** 3 / t_np, peak))
     p, f, N = 37, 3, 28
-    t_np = bench_intersection(p, f, N)
-    rows.append((f"intersection numbers F_{p}^{f} N={N}", t_np,
-                 (N + 1) ** 3 / t_np, None))
     t_np = bench_eigenmatrices(p, f, N)
     rows.append((f"eigenmatrices F_{p}^{f} N={N}", t_np,
                  (N + 1) ** 2 / t_np, None))

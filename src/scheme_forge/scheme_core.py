@@ -315,13 +315,10 @@ def _trace_sums(sys: CyclotomicSystem, P_exact: np.ndarray, dual_parts):
     over the g coset representatives weighted by N/g, and the valencies k
     (k_0 = 1), of one dtype.  A representative's term depends on it only
     through its dual class l, row P_exact[1 + l]: each distinct row is
-    summed once, weighted by how many representatives share it."""
+    summed once, weighted by how many representatives share it.  Its (p, K, K)
+    correlations and (K, K, K) sums are each int64 while their own bound fits."""
     N, M, field, K = sys.N, sys.M, sys.field, P_exact.shape[1]
     p, q = field.p, field.q
-    # traced: ~17 B a cell of a row's (K, p, p) gather and tensordot's copy,
-    # and ~32 B a cell of the int64 (K, K, K) sums and numerators
-    check_budget(17 * K * p * p + 32 * K ** 3, f"the trace sums of {K - 1} "
-                 f"relations on F_{{{p}^{field.f}}} need")
     g = math.gcd(N, (q - 1) // (p - 1))
     label = {a: c for c, part in enumerate(dual_parts) for a in part}
     rows, counts = np.unique([label[a] for a in range(g)], return_counts=True)
@@ -329,25 +326,34 @@ def _trace_sums(sys: CyclotomicSystem, P_exact: np.ndarray, dual_parts):
     sig = np.zeros((len(rows), K, p), dtype=np.int64)
     sig[..., :p - 1] = P_exact[1 + rows]
     k = P_exact[0, :, 0]
-    # with B = max |coefficient| of these rows, each representative adds at
-    # most 2 p^3 B^3 to |acc|, which is N/g times a sum over g of them; the
-    # numerator adds k_i k_j k_k to M acc / (p - 1)
-    acc_bound = 2 * N * p ** 3 * int(np.abs(sig).max()) ** 3
+    # with B = max |coefficient| of these rows, a correlation is at most p B^2;
+    # each representative adds at most 2 p^3 B^3 to |acc|, which is N/g times
+    # a sum over g of them; the numerator adds k_i k_j k_k to M acc / (p - 1)
+    B = int(np.abs(sig).max())
+    acc_bound = 2 * N * p ** 3 * B ** 3
     int64_ok = max(acc_bound, int(k.max()) ** 3 + M * acc_bound // (p - 1)) < 2 ** 63
     dtype = np.int64 if int64_ok else object
-    sig = sig.astype(dtype)
-    acc = sum(c * _trace_term(u, p) for u, c in zip(sig, counts.tolist()))
+    # traced: ~16 B a cell of a row's (p, K, K) correlations and the rows, ~32 B
+    # a cell of the (K, K, K) sums and numerators; up to 4 times that in Python ints
+    check_budget((1 if int64_ok else 4) * (16 * p * K * K + 32 * K ** 3),
+                 f"the trace sums of {K - 1} relations on F_{{{p}^{field.f}}} need")
+    sig = sig.astype(np.int64 if p * B * B < 2 ** 63 else object, copy=False)
+    acc = sum(c * _trace_term(u, dtype) for u, c in zip(sig, counts.tolist()))
     return acc * (N // g), k.astype(dtype)
 
 
-def _trace_term(u: np.ndarray, p: int) -> np.ndarray:
-    """[i, j, k]: p (u_i u_j conj u_k)_0 - u_i(1) u_j(1) u_k(1), the trace
-    sum's term for one row u (K, p) of vectors in Z[x]/(x^p - 1)."""
-    shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    # conv[i, j, m] = (u_i u_j)_m; (u_i u_j conj u_k)_0 = sum_m conv[i, j, m] u_k[m]
-    conv = np.tensordot(u, u[:, shift], axes=([1], [1]))
-    s = u.sum(axis=1)
-    return p * (conv @ u.T) - s[:, None, None] * s[None, :, None] * s
+def _trace_term(u: np.ndarray, dtype) -> np.ndarray:
+    """[i, j, k]: p (u_i u_j conj u_k)_0 - u_i(1) u_j(1) u_k(1), in ``dtype``,
+    the trace sum's term for one row u (K, p) of vectors in Z[x]/(x^p - 1).
+    (u_i u_j conj u_k)_0 = sum_a u_i[a] cor[a, j, k] with the correlations
+    cor[a, j, k] = sum_b u_j[b] u_k[(a + b) mod p], formed in u's dtype."""
+    K, p = u.shape
+    u2, cor = np.concatenate((u, u), axis=1), np.empty((p, K, K), dtype=u.dtype)
+    for a in range(p):
+        np.matmul(u, u2[:, a:a + p].T, out=cor[a])
+    u, s = u.astype(dtype), u.sum(axis=1).astype(dtype)
+    return (p * np.tensordot(u, cor, axes=([1], [0]))
+            - s[:, None, None] * s[None, :, None] * s)
 
 
 # --- Krein parameters --------------------------------------------------------

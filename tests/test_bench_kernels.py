@@ -73,7 +73,8 @@ def test_dual_classes_row_measures(bench):
 
 
 def test_verify_stage_rows_measure(bench, tmp_path):
-    assert bench.bench_intersection(3, 5, 22) > 0
+    seconds, peak = bench.bench_intersection(3, 5, 22)
+    assert seconds > 0 and 0 < peak < 1
     assert bench.bench_eigenmatrices(3, 5, 22) > 0
     seconds, nbytes = bench.bench_json_render(3, 5, 22)
     assert seconds > 0

@@ -139,14 +139,10 @@ def test_field_cap_exit3():
     (["verify", "--p", "1021", "--f", "2", "--n", "1022", "--parts",
       "|".join(str(i) for i in range(1022))],
      "the signature table of 1022 parts over Z_1022 on F_{1021^2} needs"),
-    # the stages before it fit, but one trace-sum row's (K, p, p) gather
-    # would be ~7.4 GiB
-    (["verify", "--p", "8191", "--f", "2", "--n", "6", "--parts", "0|1|2|3|4|5"],
-     "the trace sums of 6 relations on F_{8191^2} need ~7614 MiB"),
     # 1,023 singletons on F_{2^10}: the int64 (K, K, K) sums would be ~32 GiB
     (["verify", "--p", "2", "--f", "10", "--n", "1023", "--parts",
       "|".join(str(i) for i in range(1023))],
-     "the trace sums of 1023 relations on F_{2^10} need ~32768 MiB"),
+     "the trace sums of 1023 relations on F_{2^10} need ~32800 MiB"),
 ])
 def test_oversized_input_exit3_at_once(argv, match, capsys):
     t0 = time.perf_counter()
@@ -258,6 +254,10 @@ PINNED_STDOUT = [
     ("verify --p 257 --f 2 --n 258 --parts 0|"
      + ",".join(str(i) for i in range(1, 258)),
      "4a42e79efe9e318fe6b8aef8082f36afb52f7e5d1e847684c805de47c48f045e"),
+    # 6 singletons on F_{1021^2}: the trace products fit int64, but the
+    # numerators do not, so only the (K, K, K) contraction runs in Python ints
+    ("verify --p 1021 --f 2 --n 6 --parts 0|1|2|3|4|5",
+     "091862f712f2bb94fba8c8e1d45475312e950dc30b9de1ca0188cefa7d74e89c"),
     ("construct --kind three_class --p 3 --p1 11",
      "2552ed175ad04b39c061c97fcadfb8bf587d5ac58170516c35c4b4c1f485a625"),
     ("construct --kind four_class --p 11 --p1 7",

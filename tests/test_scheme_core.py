@@ -448,19 +448,25 @@ def trace_term(u, p):
 
 
 @pytest.mark.parametrize("K,p", [(1, 2), (3, 2), (2, 3), (4, 5), (3, 7)])
-@pytest.mark.parametrize("scale", [1, 2 ** 40], ids=["int64", "object"])
-def test_trace_term_matches_the_triple_sum(K, p, scale):
+@pytest.mark.parametrize("scale,rows_dtype,dtype", [
+    (1, np.int64, np.int64),
+    # near 2^20 the correlations (at most p B^2) fit int64 but the sums
+    # (2 p^3 B^3) do not: int64 rows, an object term
+    (2 ** 20, np.int64, object),
+    # at 2^40 the correlations pass int64 too, as object rows
+    (2 ** 40, object, object)], ids=["int64", "split", "object"])
+def test_trace_term_matches_the_triple_sum(K, p, scale, rows_dtype, dtype):
     # p sum_{a,b} u_i[a] u_j[b] u_k[(a + b) mod p] - u_i(1) u_j(1) u_k(1) in
-    # Python ints; at 2^40 the products pass int64, as object rows
+    # Python ints
     rng = np.random.default_rng(K * p)
     rows = (rng.integers(-9, 10, size=(K, p)) * scale).tolist()
     s = [sum(r) for r in rows]
     want = [[[p * sum(rows[i][a] * rows[j][b] * rows[k][(a + b) % p]
                       for a in range(p) for b in range(p)) - s[i] * s[j] * s[k]
               for k in range(K)] for j in range(K)] for i in range(K)]
-    u = np.array(rows, dtype=np.int64 if scale == 1 else object)
-    got = _trace_term(u, p)
-    assert got.dtype == u.dtype and got.shape == (K, K, K)
+    u = np.array(rows, dtype=rows_dtype)
+    got = _trace_term(u, dtype)
+    assert got.dtype == dtype and got.shape == (K, K, K)
     assert got.tolist() == want
 
 
@@ -527,12 +533,27 @@ def test_trace_sums_weight_each_dual_class_row(build, args, g_below_d, real,
         assert np.array_equal(acc, per_representative_trace_sums(
             sys_n, part, classes, trace_term))
     calls = []
-    monkeypatch.setattr(scheme_core, "_trace_term",
-                        lambda u, p: calls.append(u) or stand_in_term(u, p))
+    monkeypatch.setattr(scheme_core, "_trace_term", lambda u, dtype: (
+        calls.append(u) or stand_in_term(u, u.shape[1])))
     acc, _ = _trace_sums(sys_n, P_exact, classes[1])
     assert len(calls) == rows
     assert np.array_equal(acc, per_representative_trace_sums(
         sys_n, part, classes, stand_in_term))
+
+
+def test_trace_sums_stay_within_their_budget_charge(monkeypatch):
+    # 32 singletons on F_{257^2}: the (p, K, K) shift correlations of a row
+    # are 2.1 MiB; a (K, p, p) gather of it was ~36 MiB of traced peak
+    sys_n, part = _singletons_on(257, 2, 32)
+    classes = dual_classes(sys_n, part)
+    P_exact = eigenmatrices(sys_n, part, classes)[0]
+    charged = []
+    monkeypatch.setattr(scheme_core, "check_budget",
+                        lambda need, what: charged.append(need))
+    _, peak = traced_peak(lambda: _trace_sums(sys_n, P_exact, classes[1]))
+    assert len(charged) == 1
+    assert peak <= charged[0], (peak, charged)
+    assert peak < 8 << 20, peak
 
 
 def test_dual_classes_holds_the_distinct_rows_once():

@@ -6,7 +6,7 @@ operations of ``FieldSpec`` need it (Gauss periods read one norm period of
 the m-sequence).  The exhaustive scan over set partitions of Z_N visits
 every restricted-growth labelling; ``search-nonexistence`` does not run
 it, and it is the closure search's independent oracle in the tests.
-``bench_kernels.py`` times both.
+perfbench/layers.py traces both; ``bench_kernels.py`` times neither.
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ import argparse
 import os
 import sys
 
-# OpenBLAS sizes its thread pool once, as numpy loads; the CLI's one BLAS call,
-# the eigenmatrix inverse, is at most 29x29, so a per-core pool only costs CPU
+# OpenBLAS sizes its thread pool once, as numpy loads; the CLI's one BLAS call
+# is the (d + 1) x (d + 1) eigenmatrix inverse of d classes, 33x33 in the
+# pinned F_{257^2} by 32 document: too small for a per-core pool to repay
+# its CPU
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import jsonio  # noqa: E402

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadDiscriminant, EvenCharacteristic, NoSolution,
-                     PreconditionViolated)
+                     PreconditionViolated, check_budget)
 from .finite_field import (DEFAULT_CAP, FieldSpec, build_field, check_cap,
                            is_prime, multiplicative_order)
 
@@ -37,10 +37,18 @@ def _psi_values(field: FieldSpec) -> np.ndarray:
     return field.gather_trace(roots)
 
 
+# peak RSS bytes an element of the psi vector and its FFT, above import:
+# 48 on F_{11^6} and F_{5^9}, 145 where q - 1 has a large prime factor
+# (F_{3^13}: 797,161; F_{7^7}: 4,733), pocketfft's scratch ~112 of them
+_FFT_BYTES = 145
+
+
 def gauss_sums_all(field: FieldSpec) -> np.ndarray:
     """The FFT F of the psi table, in place: G(chi_k) = F[-k mod (q-1)]
     for every k in [0, q-1), as G(chi_k) = sum_a psi(gamma^a)
     e^{+2 pi i k a/(q-1)}."""
+    check_budget(_FFT_BYTES * (field.q - 1),
+                 f"the Gauss sums of F_{{{field.p}^{field.f}}} need")
     psi = _psi_values(field)
     return np.fft.fft(psi, out=psi)
 

@@ -95,27 +95,24 @@ def parse_partition(text: str, N: int) -> IndexPartition:
     return IndexPartition.from_sets(N, parts)
 
 
-def load_partition(path_or_inline: str, N: int) -> IndexPartition:
-    """Inline '0,1|2,3' syntax, or @path / an existing path to a file with
-    either that syntax or a JSON {"N":..., "parts":[[...]]} document."""
-    import os
-
+def load_partition(text: str, N: int) -> IndexPartition:
+    """Inline '0,1|2,3' syntax, or @path to a file with either that syntax
+    or a JSON {"N":..., "parts":[[...]]} document."""
     from .scheme_core import IndexPartition
 
-    text = path_or_inline
-    path = text[1:] if text.startswith("@") else text
-    if text.startswith("@") or os.path.exists(path):
-        with open(path) as fh:
-            raw = fh.read().strip()
-        if raw.startswith("{"):
-            doc = json.loads(raw)
-            if "parts" not in doc:
-                raise ParseError(f"{path}: no \"parts\" in the JSON document")
-            if N and doc.get("N") != N:
-                raise PartitionInvalid(f"file N = {doc.get('N')} != {N}")
-            return IndexPartition.from_sets(doc["N"], doc["parts"])
-        text = raw
-    return parse_partition(text, N)
+    if not text.startswith("@"):
+        return parse_partition(text, N)
+    path = text[1:]
+    with open(path) as fh:
+        raw = fh.read().strip()
+    if not raw.startswith("{"):
+        return parse_partition(raw, N)
+    doc = json.loads(raw)
+    if "parts" not in doc:
+        raise ParseError(f"{path}: no \"parts\" in the JSON document")
+    if N and doc.get("N") != N:
+        raise PartitionInvalid(f"file N = {doc.get('N')} != {N}")
+    return IndexPartition.from_sets(doc["N"], doc["parts"])
 
 
 def dumps(doc: dict) -> str:

@@ -1,11 +1,15 @@
 import cmath
+import os
 import tracemalloc
 
-import numpy as np
-import pytest
+# OpenBLAS sizes its thread pool once, as numpy loads: one thread, as the CLI
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from scheme_forge.finite_field import build_field
-from scheme_forge.cyclotomy import build_cyclotomy, embed
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from scheme_forge.finite_field import build_field  # noqa: E402
+from scheme_forge.cyclotomy import build_cyclotomy, embed  # noqa: E402
 
 
 @pytest.fixture(scope="session")

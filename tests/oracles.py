@@ -1,10 +1,10 @@
 """Independent oracles for the package's exact verdicts.
 
-No command runs these; the tests and ``benchmarks/bench_kernels.py`` check
-the periods path against them.  Each reads the field only through
-``FieldSpec`` (``sub_vec``, ``norm_stream``, ``norm_powers``,
-``build_field``) and ``finite_field``'s polynomial helpers, never through
-the Gauss periods, the signature sums or the FFT it is held against:
+No command runs these; the tests check the periods path against them.
+Each reads the field only through ``FieldSpec`` (``sub_vec``,
+``norm_stream``, ``norm_powers``, ``build_field``) and ``finite_field``'s
+polynomial helpers, never through the Gauss periods, the signature sums or
+the FFT it is held against:
 
 * ``brute_force_verify``: the scheme axioms on an explicit partition of
   F_q, element by element (q <= ORACLE_CAP);

@@ -1,4 +1,5 @@
-"""Smoke test of benchmarks/bench_kernels.py: its rows run and measure."""
+"""Smoke test of benchmarks/bench_kernels.py: every stage of its table runs
+on a small case and measures."""
 
 import importlib.util
 from pathlib import Path
@@ -9,6 +10,22 @@ from scheme_forge.cli import main
 
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
 
+# small cases of every stage in the table, in its order
+SMALL = {
+    "modulus_scan": [(3, 5)],
+    "norm_stream": [(3, 5)],
+    "periods": [(3, 10, 8)],
+    "gauss_sums": [(3, 5)],
+    "signature_row": [(3, 5, 22)],
+    "recheck_batch": [(3, 4)],
+    "dual_classes": [(4099, 1, 2)],
+    "eigenmatrices": [(3, 5, 22)],
+    "intersection_numbers": [(3, 5, 22)],
+    "chunks": [(3, 5, 22)],
+    "search_phase": [("two-block", 3, 4), ("meets", 3, 4), ("recheck", 3, 4)],
+}
+MB = 1 << 20
+
 
 @pytest.fixture(scope="module")
 def bench():
@@ -18,89 +35,67 @@ def bench():
     return module
 
 
-def test_field_rows_measure(bench):
-    assert bench.bench_antilog(3, 5) > 0
-    # the norm period assembled from the stream, L = 121 terms
-    t_period, t_seq, peak = bench.bench_trace_sequence(3, 5)
-    assert t_period > 0 and t_seq > 0
-    assert 121 / (1 << 20) <= peak < 1
-    seconds, peak = bench.bench_psi(3, 5)
-    assert seconds > 0
-    assert 242 * 16 / (1 << 20) <= peak < 1  # the complex128 vector, and little more
+@pytest.fixture(scope="module")
+def rows(bench):
+    """{row name: (stage, seconds, traced peak MB)} of every small case."""
+    out = {}
+    for name, cases in SMALL.items():
+        for case in cases:
+            stage = getattr(bench, name)(*case)
+            out[stage.name] = (stage, *bench.measure(stage))
+    return out
 
 
-def test_tally_row_measures(bench):
-    # the rate counts L = 29,524 terms a build: one sub-block tallied by
-    # (e mod N, t), then folded over the two norm periods
-    seconds, peak = bench.bench_tally(3, 10, 8)
-    assert seconds > 0
-    assert 0 < peak < 1
+def test_every_table_stage_measures(bench, rows):
+    assert list(SMALL) == [make.__name__ for make, _ in bench.TABLE]
+    for stage, seconds, peak in rows.values():
+        assert seconds > 0 and stage.work > 0, stage.name
+        assert (peak is None) == stage.clocked, stage.name
+        assert peak is None or peak < 1, stage.name
 
 
-def test_gauss_direct_row_measures(bench):
-    seconds, peak = bench.bench_gauss_direct(3, 5, 11)
-    assert seconds > 0
-    assert 0 < peak < 1
+def test_field_rows_measure(rows):
+    assert rows["norm stream F_3^5"][0].work == 121  # L = (q - 1)/(p - 1)
+    # the complex128 psi vector transformed in place, and little more
+    assert rows["gauss sums F_3^5"][2] >= 242 * 16 / MB
 
 
-def test_davenport_hasse_row_measures(bench):
-    seconds, peak = bench.bench_davenport_hasse(3, 2, 2, 1)
-    assert seconds > 0
-    assert 0 < peak < 1
+def test_tally_row_measures(rows):
+    # L = 29,524 terms: one sub-block tallied, folded over two norm periods
+    assert rows["periods F_3^10 N=8"][0].work == 29524
 
 
-def test_signature_row_measures(bench):
-    # the (22, 2, 2) sums of {0 | 1..21} on F_{3^5}, and nothing larger
-    labels = bench.label_row(22, [[0], list(range(1, 22))])
-    seconds, cells, peak = bench.bench_signature_sums(3, 5, 22, labels, 2)
-    assert seconds > 0
-    assert cells == 22 * 2 * 2
-    assert cells * 8 / (1 << 20) <= peak < 1
+def test_signature_row_measures(rows):
+    # the (22, 22, 2) sums of the order-22 scheme on F_{3^5}
+    stage, _, peak = rows["signature sums F_3^5 N=22 R=1"]
+    assert stage.work == 22 * 22 * 2 and peak >= stage.work * 8 / MB
     # the search's first recheck batch at p = 3, d <= 4: its 19 rows
-    batch = bench.recheck_batch(3, 4)
-    seconds, cells, peak = bench.bench_signature_sums(3, 2, 8, batch, 4)
-    assert seconds > 0
-    assert cells == 19 * 8 * 4 * 2
-    assert cells * 8 / (1 << 20) <= peak < 1
+    stage, _, peak = rows["signature sums F_3^2 N=8 d<=4 R=19"]
+    assert stage.work == 19 * 8 * 4 * 2 and peak >= stage.work * 8 / MB
 
 
-def test_dual_classes_row_measures(bench):
+def test_dual_classes_row_measures(rows):
     # the (2, 8196) int64 table of the order-2 scheme on F_4099, built and
-    # grouped: the table and its sorted row keys at least, and below 1 MB
-    seconds, peak = bench.bench_dual_classes(4099, 1, 2, [[0], [1]])
-    assert seconds > 0
-    assert 2 * 2 * 8196 * 8 / (1 << 20) <= peak < 1
+    # grouped: the table and its sorted row keys at least
+    assert rows["dual classes F_4099^1 N=2"][2] >= 2 * 2 * 8196 * 8 / MB
 
 
-def test_verify_stage_rows_measure(bench, tmp_path):
-    seconds, peak = bench.bench_intersection(3, 5, 22)
-    assert seconds > 0 and 0 < peak < 1
-    assert bench.bench_eigenmatrices(3, 5, 22) > 0
-    seconds, nbytes = bench.bench_json_render(3, 5, 22)
-    assert seconds > 0
-    # the rendered document is the one the verify command writes
+def test_verify_stage_rows_measure(rows, tmp_path):
+    # the pieces laid out are the document the verify command writes
+    (stage,) = [s for s, _, _ in rows.values()
+                if s.name.startswith("jsonio.chunks verify F_3^5 N=22")]
     out = tmp_path / "verify.json"
     assert main(["verify", "--p", "3", "--f", "5", "--n", "22", "--parts",
                  "|".join(str(i) for i in range(22)), "--output", str(out)]) == 0
-    assert nbytes == out.stat().st_size
+    assert stage.work == out.stat().st_size
 
 
-def test_scan_row_visits_every_leaf(bench):
-    seconds, leaves = bench.bench_search(3, 4)
-    assert seconds > 0
-    assert leaves == 1 + 127 + 966 + 1701  # partitions of Z_8, <= 4 blocks
+def test_closure_rows_measure(rows):
+    # all 2^7 masks of two-block partitions of Z_8 are tested
+    assert rows["search two-block p=3 d<=4"][0].work == 128
+    assert rows["search meets p=3 d<=4"][0].work > 0
 
 
-def test_closure_rows_measure(bench):
-    t_two, n_two, t_meet, n_meet = bench.bench_closure(3, 4)
-    assert t_two > 0 and t_meet > 0
-    # 14 two-block partitions, one per orbit; meets in two rounds
-    assert n_two == 14 and n_meet > 0
-
-
-def test_recheck_row_measures(bench):
+def test_recheck_row_measures(rows):
     # the 19 closed schemes of Z_8 with at most 4 blocks, filters off
-    seconds, survivors, peak = bench.bench_recheck(3, 4)
-    assert seconds > 0
-    assert survivors == 19
-    assert 0 < peak < 1
+    assert rows["search recheck p=3 d<=4"][0].work == 19

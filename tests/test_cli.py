@@ -108,6 +108,18 @@ def test_field_cap_exit3():
     assert code == 3
 
 
+def test_oversized_gauss_sums_exit3_before_allocating(monkeypatch, capsys):
+    # q = 401^3 = 6.45e7, inside the field cap: ~8.7 GiB for psi and its FFT
+    from scheme_forge import gauss_sums
+
+    def no_allocation(field):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(gauss_sums, "_psi_values", no_allocation)
+    assert main(["gauss-verify", "--p", "401", "--p1", "7"]) == 3
+    assert "the Gauss sums of F_{401^3} need" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,match", [
     (["verify", "--p", "2305843009213693951", "--f", "1", "--n", "2",
       "--parts", "0|1"], "q = 2305843009213693951^1 exceeds cap"),
@@ -166,7 +178,8 @@ def test_partition_file_with_non_integer_indices_exit2(doc, tmp_path, capsys):
 
 
 def test_partition_file_loads_song_sets(tmp_path, sys28):
-    part = jsonio.load_partition(str(FIXTURES / "f37_3_n28_partition.json"), 28)
+    part = jsonio.load_partition("@" + str(FIXTURES / "f37_3_n28_partition.json"),
+                                 28)
     assert part.N == 28
     assert frozenset({0, 1, 4, 12, 16, 20, 24}) in part.part_sets()
     # the same partition inline
@@ -179,6 +192,16 @@ def test_load_partition_at_syntax(tmp_path):
     f.write_text("0,1|2,3\n")
     part = jsonio.load_partition("@" + str(f), 4)
     assert part.d == 2
+
+
+def test_parts_naming_a_file_parse_inline(tmp_path, monkeypatch):
+    # only @ reads a file: text that names one is still a partition
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "0").write_text("1\n")
+    (tmp_path / "0|1").write_text("1|0\n")
+    assert main(["verify", "--p", "2", "--f", "1", "--n", "1", "--parts", "0",
+                 "--output", str(tmp_path / "r.json")]) == 0
+    assert jsonio.load_partition("0|1", 2).parts == ((0,), (1,))
 
 
 def test_parse_errors():
@@ -572,6 +595,13 @@ assert not loaded, loaded
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tests_run_on_one_blas_thread():
+    # conftest.py asks for one OpenBLAS thread before numpy loads, as the CLI
+    # does, unless OPENBLAS_NUM_THREADS is set for the run
+    threads = int(os.environ["OPENBLAS_NUM_THREADS"])
+    assert len(os.listdir("/proc/self/task")) == threads
 
 
 def test_cli_starts_one_blas_thread():

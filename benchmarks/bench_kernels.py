@@ -165,7 +165,7 @@ TABLE = [
     (dual_classes, [(37, 3, 28), (4099, 1, 2)]),
     (eigenmatrices, [(37, 3, 28)]),
     (intersection_numbers, [(37, 3, 28), (257, 2, 32), (1021, 2, 6)]),
-    (chunks, [(37, 3, 28)]),
+    (chunks, [(37, 3, 28), (257, 2, 32)]),
     (search_phase, [(phase, 7, dmax) for dmax in (3, 4)
                     for phase in _PHASE_UNITS]),
 ]

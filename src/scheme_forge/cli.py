@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 # OpenBLAS sizes its thread pool once, as numpy loads; the CLI's one BLAS call
 # is the (d + 1) x (d + 1) eigenmatrix inverse of d classes, 33x33 in the
@@ -53,13 +54,13 @@ def _cap(text: str) -> int:
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    # rendered in full before the first write: a render error writes nothing
+    # rendered in full before the first write: a render error writes nothing;
+    # written 256 pieces a call, as each write to an unbuffered stdout
+    # (PYTHONUNBUFFERED) is a system call
     pieces = jsonio.chunks(doc)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+        for i in range(0, len(pieces), 256):
+            fh.write("".join(pieces[i:i + 256]))
 
 
 def _field_system(args):

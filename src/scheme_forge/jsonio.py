@@ -5,8 +5,9 @@ are rounded to 12 significant digits so identical runs are byte-identical,
 and complex values render as [re, im] pairs.  ``dumps`` writes exactly the
 bytes of json.dumps(doc, indent=2) plus a newline, NaN and Infinity spelled
 as json spells them and non-ASCII characters escaped; it only gets there
-faster.  ``chunks`` gives the same bytes as a list of pieces, each dict laid
-out key by key, for a writer that need not join them.
+faster.  ``chunks`` gives the same bytes as a list of pieces, one per flat
+list of numbers, scalar, key, separator and bracket, for a writer that need
+not join them.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ def complex_matrix(m) -> list[list[list[float]]]:
     return [[cnum(z) for z in row] for row in np.asarray(m)]
 
 
-def int_matrix(m) -> list[list[int]]:
-    return np.asarray(m).tolist()
-
-
 def cyc_matrix(rows) -> list[list[dict]]:
     """An (m, m, p - 1) matrix of Z[xi_p] coefficient rows, entry by entry."""
     n = rows.shape[-1] + 1
@@ -64,7 +61,7 @@ def report_to_json(report: SchemeReport) -> dict:
         "P_exact": cyc_matrix(report.P_exact),
         "P_complex": complex_matrix(report.P_complex),
         "Q_complex": complex_matrix(report.Q_complex),
-        "intersection_matrices": [int_matrix(b) for b in report.intersection_matrices],
+        "intersection_matrices": [b.tolist() for b in report.intersection_matrices],
         "dual_parts": [list(p) for p in report.dual_parts],
         "is_symmetric": list(report.is_symmetric_rel),
         "nonsymmetric_pair_count": report.nonsymmetric_pair_count,
@@ -123,8 +120,8 @@ def dumps(doc: dict) -> str:
 def chunks(doc: dict) -> list[str]:
     """The pieces of dumps(doc), in order, for writelines.
 
-    Every dict is laid out key by key and every other value is one string,
-    so writing the pieces never holds a second copy of the document.
+    No piece holds more than one list, so no value is joined with its
+    neighbours and writing the pieces never makes a second copy of the text.
     """
     out: list[str] = []
     _lay_out({"schema": SCHEMA, **doc}, "", out)
@@ -132,56 +129,39 @@ def chunks(doc: dict) -> list[str]:
     return out
 
 
-def _is_object(o) -> bool:
-    """A non-empty dict that json lays out key by key."""
-    return isinstance(o, dict) and bool(o) and all(isinstance(k, str) for k in o)
-
-
 def _lay_out(o, indent: str, out: list[str]) -> None:
-    """Append the pieces of json.dumps(o, indent=2), nested ``indent`` deep:
-    an object's one per key, a nested object's own after its key, and any
-    other value as one piece."""
-    if not _is_object(o):
-        out.append(_render(o, indent))
-        return
-    inner = indent + "  "
-    lead = "{\n"
-    for key, v in o.items():
-        head = lead + inner + encode_basestring_ascii(key) + ": "
-        if _is_object(v):
-            out.append(head)
-            _lay_out(v, inner, out)
-        else:
-            out.append(head + _render(v, inner))
-        lead = ",\n"
-    out.append("\n" + indent + "}")
+    """Append the pieces of json.dumps(o, indent=2), nested ``indent`` deep.
 
-
-def _render(o, indent: str) -> str:
-    """json.dumps(o, indent=2), nested ``indent`` deep.
-
-    Lists of plain ints and floats, the bulk of a report, are joined in one
-    call; json's pure-Python indenting encoder visits them item by item.
+    A flat list of plain ints and floats, the bulk of a report, is one piece
+    joined in one call, where json's pure-Python indenting encoder visits it
+    item by item; any other container is its brackets, separators and keys
+    around its items' own pieces.
     """
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
+    if isinstance(o, (list, tuple)) and o:
         if set(map(type, o)) <= _NUMBERS:
             body = sep.join(map(repr, o))
             if "n" in body:  # nan or inf: spelled NaN, Infinity by json
                 body = sep.join(map(json.dumps, o))
-        else:
-            body = sep.join([_render(x, inner) for x in o])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if _is_object(o):
-        pieces: list[str] = []
-        _lay_out(o, indent, pieces)
-        return "".join(pieces)
-    if type(o) is int:
-        return repr(o)
-    if type(o) is str:
-        return encode_basestring_ascii(o)
-    # other scalars, empty dicts, dicts with non-str keys, json's TypeError
-    return json.dumps(o, indent=2).replace("\n", "\n" + indent)
+            out.append("[\n" + inner + body + "\n" + indent + "]")
+            return
+        lead = "[\n" + inner
+        for x in o:
+            out.append(lead)
+            _lay_out(x, inner, out)
+            lead = sep
+        out.append("\n" + indent + "]")
+    elif isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
+        lead = "{\n" + inner
+        for key, v in o.items():
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            _lay_out(v, inner, out)
+            lead = sep
+        out.append("\n" + indent + "}")
+    elif type(o) is int:
+        out.append(repr(o))
+    elif type(o) is str:
+        out.append(encode_basestring_ascii(o))
+    else:  # other scalars, empty containers, non-str keys, json's TypeError
+        out.append(json.dumps(o, indent=2).replace("\n", "\n" + indent))

@@ -68,8 +68,9 @@ from .scheme_core import IndexPartition, signature_counts
 # absolute value.  Partitions are compared by packed keys, 2 bits a class,
 # which the budget below confines to N <= 24.
 
-# peak bytes per reported scheme (its IndexPartition, JSON lists and text),
-# measured with tracemalloc on the 2,691 of --p 7 --allow-symmetric
+# peak bytes per reported scheme (its IndexPartition, JSON lists and text
+# pieces), traced from the recheck through the rendered document: 1,976 on
+# --p 7 --allow-symmetric (2,691 schemes), 2,098 on --p 11 --max-classes 3
 _SURVIVOR_BYTES = 2560
 _CODE_BASE = 4096
 _RECHECK_BATCH = 256      # survivors rechecked per batch

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from scheme_forge import jsonio
+from scheme_forge.cyclotomy import build_cyclotomy
+from scheme_forge.finite_field import build_field
+from scheme_forge.scheme_core import IndexPartition, verify_scheme
 
 
 def reference(doc):
@@ -68,12 +72,29 @@ def test_dumps_rejects_what_json_rejects():
 
 
 def test_chunks_lay_out_each_key_as_its_own_piece():
-    # the command line writes these pieces as they are: no piece holds the
-    # value of more than one key, so the document is never joined
-    doc = {"a": [1, 2], "b": {"c": [3.5], "d": "x"}}
+    # the command line writes these pieces as they are: every key's head is
+    # a piece of its own and no piece holds more than one list, so no value
+    # is joined into one string with its neighbours
+    doc = {"a": [1, 2], "b": {"c": [3.5], "d": "x"},
+           "e": [[1, 2], [3]], "f": [{"g": [4, 5]}, 6, [7.5, None]]}
     pieces = jsonio.chunks(doc)
     assert "".join(pieces) == reference(doc)
-    assert pieces == ['{\n  "schema": "scheme-forge/1"',
-                      ',\n  "a": [\n    1,\n    2\n  ]',
-                      ',\n  "b": ', '{\n    "c": [\n      3.5\n    ]',
-                      ',\n    "d": "x"', '\n  }', '\n}', '\n']
+    heads = [p.lstrip("{,\n ") for p in pieces if p.endswith(": ")]
+    assert heads == [f'"{k}": ' for k in "schema a b c d e f g".split()]
+    assert all(p.count("[") <= 1 for p in pieces)
+
+
+def test_chunks_hold_the_text_about_once():
+    # 32 singletons on F_{257^2}: 4.8 MiB of text, nearly all P_exact rows
+    # and intersection matrices; a writer that joins each top-level value
+    # into one string peaks at 2.6x
+    N = 32
+    sys_n = build_cyclotomy(build_field(257, 2), N)
+    part = IndexPartition.from_sets(N, [[i] for i in range(N)])
+    doc = {"command": "verify", "field": sys_n.field.to_json(),
+           "partition": part.to_json(),
+           "report": jsonio.report_to_json(verify_scheme(sys_n, part))}
+    pieces, peak = traced_peak(lambda: jsonio.chunks(doc))
+    text = sum(map(len, pieces))
+    assert text > 4 << 20
+    assert peak < 1.3 * text

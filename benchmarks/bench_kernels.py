@@ -10,7 +10,8 @@ terms, not the N p cells of the tally), gauss-verify's ``gauss_sums_all``
 one ``verify`` sums) and of the first batch the search rechecks at
 p = 11, d <= 3, the dual classes, eigenmatrices and intersection numbers
 ``verify`` forms (the periods and earlier stages built outside the timed
-run), its document laid out by ``jsonio.chunks``, and the two-block,
+run), documents laid out by ``jsonio.chunks`` (verify's two table-heavy
+ones, and the search's list of many small partitions), and the two-block,
 meets and recheck phases of ``search-nonexistence --allow-symmetric``.
 
 Each row prints the best of three runs, its rate, and its traced peak: the
@@ -117,16 +118,32 @@ def intersection_numbers(p, f, N):
                      sys_n, P_exact, classes[1]))
 
 
-def chunks(p, f, N):
-    """The pieces of the document ``verify`` writes on the scheme."""
+def verify_doc(p, f, N):
+    """(name, document) ``verify`` writes on the scheme of N singletons."""
     sys_n, part = _singletons(p, f, N)
     report = scheme_core.verify_scheme(sys_n, part)
-    doc = {"command": "verify", "field": sys_n.field.to_json(),
-           "partition": part.to_json(),
-           "report": jsonio.report_to_json(report)}
+    return f"verify F_{p}^{f} N={N}", {
+        "command": "verify", "field": sys_n.field.to_json(),
+        "partition": part.to_json(), "report": jsonio.report_to_json(report)}
+
+
+def search_doc(p, dmax):
+    """(name, document) ``search-nonexistence --p p --max-classes dmax
+    --allow-symmetric`` writes."""
+    result = search.exhaustive_nonexistence(p, dmax, True)
+    return f"search p={p} d<={dmax}", {
+        "command": "search-nonexistence", "p": p, "max_classes": dmax,
+        "allow_symmetric": True, "checked": result.candidates_checked,
+        "counts_by_classes": result.counts_by_classes,
+        "found": [part.to_json() for part in result.schemes_found]}
+
+
+def chunks(command, *case):
+    """The pieces of the document ``verify`` or ``search`` writes."""
+    name, doc = (verify_doc if command == "verify" else search_doc)(*case)
     nbytes = sum(map(len, jsonio.chunks(doc)))  # ASCII: one byte a character
-    return Stage(f"jsonio.chunks verify F_{p}^{f} N={N} ({nbytes} bytes)",
-                 nbytes, "bytes", lambda: jsonio.chunks(doc))
+    return Stage(f"jsonio.chunks {name} ({nbytes} bytes)", nbytes, "bytes",
+                 lambda: jsonio.chunks(doc))
 
 
 def _phases(p, dmax):
@@ -165,7 +182,8 @@ TABLE = [
     (dual_classes, [(37, 3, 28), (4099, 1, 2)]),
     (eigenmatrices, [(37, 3, 28)]),
     (intersection_numbers, [(37, 3, 28), (257, 2, 32), (1021, 2, 6)]),
-    (chunks, [(37, 3, 28), (257, 2, 32)]),
+    (chunks, [("verify", 37, 3, 28), ("verify", 257, 2, 32),
+              ("search", 7, 4)]),
     (search_phase, [(phase, 7, dmax) for dmax in (3, 4)
                     for phase in _PHASE_UNITS]),
 ]

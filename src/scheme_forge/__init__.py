@@ -14,8 +14,7 @@ a command imports only the modules it runs.
 import importlib
 
 _EXPORTS = {
-    "cyclotomy": ("CyclotomicSystem", "build_cyclotomy", "character_sum",
-                  "embed"),
+    "cyclotomy": ("CyclotomicSystem", "build_cyclotomy", "embed"),
     "finite_field": ("DEFAULT_CAP", "FieldSpec", "build_field", "is_prime",
                      "multiplicative_order"),
     "gauss_sums": ("Index2Params", "class_number", "gauss_sum_index2",
@@ -24,8 +23,7 @@ _EXPORTS = {
     "scheme_core": ("IndexPartition", "SchemeReport", "check_fusion",
                     "dual_classes", "dual_partition", "eigenmatrices",
                     "intersection_numbers", "is_primitive", "is_scheme",
-                    "is_symmetric", "krein_parameters", "symmetrize",
-                    "verify_scheme"),
+                    "krein_parameters", "symmetrize", "verify_scheme"),
     "constructions": ("BuiltScheme", "SongReproduction",
                       "conference_7mod8", "five_class_3mod8",
                       "five_class_index_sets", "four_class_7mod8",

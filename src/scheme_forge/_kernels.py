@@ -1,12 +1,13 @@
-"""Hot numeric kernels, numpy only.
+"""Numeric kernels, numpy only, that no command runs: the tests and
+perfbench do.
 
 The antilog table of F_{p^f} (the code of gamma^e for every e) is read off
-the trace m-sequence by one fixed linear map; only the element-level
-operations of ``FieldSpec`` need it (Gauss periods read one norm period of
-the m-sequence).  The exhaustive scan over set partitions of Z_N visits
-every restricted-growth labelling; ``search-nonexistence`` does not run
-it, and it is the closure search's independent oracle in the tests.
-perfbench/layers.py traces both; ``bench_kernels.py`` times neither.
+the trace m-sequence by one fixed linear map; only ``FieldSpec``'s element
+tables need it, and the tests and their oracles read those (Gauss periods
+read one norm period of the m-sequence).  The exhaustive scan over set
+partitions of Z_N visits every restricted-growth labelling, the closure
+search's independent oracle in the tests.  perfbench/layers.py traces both;
+``bench_kernels.py`` times neither.
 """
 
 from __future__ import annotations
@@ -103,12 +104,6 @@ def _completions(prefix, N, dmax):
         cols = [c[reps] for c in cols] + [new]
         mx = np.maximum(mx[reps], new)
     return np.stack(cols, axis=1), mx
-
-
-def search_prefixes(N, dmax, depth):
-    """All label prefixes of the given depth (restricted growth, <= dmax
-    labels), in odometer order."""
-    return list(_completions(np.zeros(1, dtype=np.int8), depth, dmax)[0])
 
 
 def search_chunk(prefix, N, dmin, dmax, half, t0_positions, sden, p,

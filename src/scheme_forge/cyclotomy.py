@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotADivisor, PartitionInvalid, check_budget
+from .errors import NotADivisor, PartitionInvalid, check_budget
 from .finite_field import _BLOCK, FieldSpec
 
 
@@ -122,16 +122,6 @@ def embed(rows, p: int) -> np.ndarray:
     out = np.empty(c.shape[:-1], dtype=complex)
     out.real, out.imag = re, im
     return out
-
-
-def character_sum(sys: CyclotomicSystem, index_set, shift: int = 0) -> np.ndarray:
-    """The row of psi(gamma^shift D), D the union of classes C_i, i in index_set."""
-    idx = list(index_set)
-    for i in idx:
-        if not (0 <= i < sys.N):
-            raise IndexOutOfRange(f"class index {i} outside Z_{sys.N}")
-    classes = (np.array(idx, dtype=np.int64) + shift) % sys.N
-    return sys.period_matrix[classes].sum(axis=0)
 
 
 # charged a cell of the signature sums before they are allocated: ~32 B a

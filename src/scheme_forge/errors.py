@@ -32,10 +32,6 @@ class NotADivisor(SchemeForgeError):
     pass
 
 
-class IndexOutOfRange(SchemeForgeError):
-    pass
-
-
 class PartitionInvalid(SchemeForgeError):
     pass
 

@@ -5,8 +5,7 @@ Elements are encoded as integers in [0, q): the base-p digit string of the
 code is the coefficient vector (constant term first) of the residue modulo
 the chosen primitive polynomial.  The generator gamma is always the residue
 of the indeterminate x, so discrete logs are defined relative to the
-lexicographically least primitive modulus (or the one a JSON document
-names, for a field read by ``FieldSpec.from_json``).  Arithmetic on single
+lexicographically least primitive modulus.  Arithmetic on single
 elements is polynomial arithmetic in F_p[x]/(modulus) (_poly_mul_mod,
 _poly_pow_mod).
 
@@ -33,7 +32,6 @@ inverts it, and the trace table scatters the sequence through it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -321,34 +319,6 @@ class FieldSpec:
             "gamma_coeffs": list(self.gamma_poly),
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "FieldSpec":
-        obj = doc if isinstance(doc, dict) else json.loads(doc)
-        p, f, modulus = obj["p"], obj["f"], list(obj["modulus_coeffs"])
-        _check_size(p, f, DEFAULT_CAP)
-        if (len(modulus) != f + 1 or modulus[-1] != 1
-                or not all(0 <= c < p for c in modulus)):
-            raise InvalidElement(
-                f"modulus_coeffs {modulus} is not a monic degree-{f} "
-                f"polynomial over F_{p}")
-        mlow = modulus[:-1]
-        if not _x_is_primitive(mlow, f, p, p ** f, prime_factors(p ** f - 1)):
-            raise InvalidElement("modulus is not primitive")
-        fld = _build_from_modulus(p, f, mlow)
-        if list(fld.gamma_poly) != list(obj["gamma_coeffs"]):
-            raise InvalidElement("gamma_coeffs do not match the rebuilt field")
-        return fld
-
-
-def _check_size(p: int, f: int, cap: int) -> None:
-    if p < 2:
-        raise NotPrime(f"{p} is not prime")
-    if f < 1:
-        raise DegreeZero(f"extension degree must be >= 1, got {f}")
-    check_cap(p, f, cap)  # before trial division
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-
 
 def check_cap(p: int, f: int, cap: int) -> None:
     """FieldTooLarge when q = p^f (p >= 2, f >= 1) exceeds the cap."""
@@ -410,5 +380,11 @@ def build_field(p: int, f: int, cap: int = DEFAULT_CAP) -> FieldSpec:
     generates the multiplicative group.  Results are cached; treat the
     returned tables as read-only.
     """
-    _check_size(p, f, cap)
+    if p < 2:
+        raise NotPrime(f"{p} is not prime")
+    if f < 1:
+        raise DegreeZero(f"extension degree must be >= 1, got {f}")
+    check_cap(p, f, cap)  # before trial division
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     return _build_field_cached(p, f)

@@ -13,6 +13,7 @@ not join them.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -82,34 +83,27 @@ def parse_cells(text: str, what: str) -> list[list[int]]:
         raise ParseError(f"bad {what} syntax: {text!r}") from None
 
 
-def parse_partition(text: str, N: int) -> IndexPartition:
-    """Parts separated by '|', indices by ','."""
+def load_partition(text: str, N: int) -> IndexPartition:
+    """Inline '0,1|2,3' syntax (parts separated by '|', indices by ','), or
+    @path to a file with either that syntax or a JSON {"N":..., "parts":[[...]]}
+    document."""
     from .scheme_core import IndexPartition
 
+    if text.startswith("@"):
+        path = text[1:]
+        with open(path) as fh:
+            text = fh.read().strip()
+        if text.startswith("{"):
+            doc = json.loads(text)
+            if "parts" not in doc:
+                raise ParseError(f"{path}: no \"parts\" in the JSON document")
+            if N and doc.get("N") != N:
+                raise PartitionInvalid(f"file N = {doc.get('N')} != {N}")
+            return IndexPartition.from_sets(doc["N"], doc["parts"])
     parts = parse_cells(text, "partition")
     if not all(parts):
         raise ParseError("empty part in partition text")
     return IndexPartition.from_sets(N, parts)
-
-
-def load_partition(text: str, N: int) -> IndexPartition:
-    """Inline '0,1|2,3' syntax, or @path to a file with either that syntax
-    or a JSON {"N":..., "parts":[[...]]} document."""
-    from .scheme_core import IndexPartition
-
-    if not text.startswith("@"):
-        return parse_partition(text, N)
-    path = text[1:]
-    with open(path) as fh:
-        raw = fh.read().strip()
-    if not raw.startswith("{"):
-        return parse_partition(raw, N)
-    doc = json.loads(raw)
-    if "parts" not in doc:
-        raise ParseError(f"{path}: no \"parts\" in the JSON document")
-    if N and doc.get("N") != N:
-        raise PartitionInvalid(f"file N = {doc.get('N')} != {N}")
-    return IndexPartition.from_sets(doc["N"], doc["parts"])
 
 
 def dumps(doc: dict) -> str:
@@ -129,36 +123,43 @@ def chunks(doc: dict) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _marks(indent: str) -> tuple[str, str, str, str, str, str]:
+    """(inner, separator, "[" and "]", "{" and "}") of a container nested
+    ``indent`` deep: built once a depth and shared by all its containers."""
+    inner = indent + "  "
+    return (inner, ",\n" + inner, "[\n" + inner, "\n" + indent + "]",
+            "{\n" + inner, "\n" + indent + "}")
+
+
 def _lay_out(o, indent: str, out: list[str]) -> None:
     """Append the pieces of json.dumps(o, indent=2), nested ``indent`` deep.
 
     A flat list of plain ints and floats, the bulk of a report, is one piece
     joined in one call, where json's pure-Python indenting encoder visits it
     item by item; any other container is its brackets, separators and keys
-    around its items' own pieces.
+    around its items' own pieces, the depth's shared ``_marks``.
     """
-    inner = indent + "  "
-    sep = ",\n" + inner
     if isinstance(o, (list, tuple)) and o:
+        inner, sep, lead, close = _marks(indent)[:4]
         if set(map(type, o)) <= _NUMBERS:
             body = sep.join(map(repr, o))
             if "n" in body:  # nan or inf: spelled NaN, Infinity by json
                 body = sep.join(map(json.dumps, o))
-            out.append("[\n" + inner + body + "\n" + indent + "]")
+            out.append(lead + body + close)
             return
-        lead = "[\n" + inner
         for x in o:
             out.append(lead)
             _lay_out(x, inner, out)
             lead = sep
-        out.append("\n" + indent + "]")
+        out.append(close)
     elif isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
-        lead = "{\n" + inner
+        inner, sep, _, _, lead, close = _marks(indent)
         for key, v in o.items():
             out.append(lead + encode_basestring_ascii(key) + ": ")
             _lay_out(v, inner, out)
             lead = sep
-        out.append("\n" + indent + "}")
+        out.append(close)
     elif type(o) is int:
         out.append(repr(o))
     elif type(o) is str:

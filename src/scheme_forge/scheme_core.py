@@ -163,11 +163,6 @@ def is_scheme(sys: CyclotomicSystem, partition: IndexPartition) -> bool:
 
 # --- symmetry ----------------------------------------------------------------
 
-def is_symmetric(sys: CyclotomicSystem, partition: IndexPartition, i: int) -> bool:
-    """-R_i = R_i; NotAScheme if negation does not permute the parts."""
-    return _negation(sys, partition)[i] == i
-
-
 def _negation(sys: CyclotomicSystem, partition: IndexPartition) -> list[int]:
     """neg[i] = k with -R_i = R_k; NotAScheme if negation does not permute
     the parts.  -1 lies in C_c, so -R_i is part i shifted by c.  Each shift
@@ -322,14 +317,13 @@ def _trace_sums(sys: CyclotomicSystem, P_exact: np.ndarray, dual_parts):
     g = math.gcd(N, (q - 1) // (p - 1))
     label = {a: c for c, part in enumerate(dual_parts) for a in part}
     rows, counts = np.unique([label[a] for a in range(g)], return_counts=True)
-    # sigma_a(i) as a length-p vector in Z[x]/(x^p - 1); R_0 = {0} gives 1
-    sig = np.zeros((len(rows), K, p), dtype=np.int64)
-    sig[..., :p - 1] = P_exact[1 + rows]
     k = P_exact[0, :, 0]
     # with B = max |coefficient| of these rows, a correlation is at most p B^2;
     # each representative adds at most 2 p^3 B^3 to |acc|, which is N/g times
-    # a sum over g of them; the numerator adds k_i k_j k_k to M acc / (p - 1)
-    B = int(np.abs(sig).max())
+    # a sum over g of them; the numerator adds k_i k_j k_k to M acc / (p - 1).
+    # Read off views of the rows: nothing is allocated before the charge
+    B = max(max(int(P_exact[1 + r].max()), -int(P_exact[1 + r].min()))
+            for r in rows.tolist())
     acc_bound = 2 * N * p ** 3 * B ** 3
     int64_ok = max(acc_bound, int(k.max()) ** 3 + M * acc_bound // (p - 1)) < 2 ** 63
     dtype = np.int64 if int64_ok else object
@@ -337,7 +331,10 @@ def _trace_sums(sys: CyclotomicSystem, P_exact: np.ndarray, dual_parts):
     # a cell of the (K, K, K) sums and numerators; up to 4 times that in Python ints
     check_budget((1 if int64_ok else 4) * (16 * p * K * K + 32 * K ** 3),
                  f"the trace sums of {K - 1} relations on F_{{{p}^{field.f}}} need")
-    sig = sig.astype(np.int64 if p * B * B < 2 ** 63 else object, copy=False)
+    # sigma_a(i) as a length-p vector in Z[x]/(x^p - 1); R_0 = {0} gives 1
+    sig = np.zeros((len(rows), K, p),
+                   dtype=np.int64 if p * B * B < 2 ** 63 else object)
+    sig[..., :p - 1] = P_exact[1 + rows]
     acc = sum(c * _trace_term(u, dtype) for u, c in zip(sig, counts.tolist()))
     return acc * (N // g), k.astype(dtype)
 

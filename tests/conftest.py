@@ -8,6 +8,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from scheme_forge._kernels import _completions  # noqa: E402
 from scheme_forge.finite_field import build_field  # noqa: E402
 from scheme_forge.cyclotomy import build_cyclotomy, embed  # noqa: E402
 
@@ -67,6 +68,12 @@ def partition_to_relations(field, sys, partition):
         mask = np.isin(classes, np.asarray(part))
         rels.append(field.antilog_table[exps[mask]].astype(np.int64))
     return rels
+
+
+def search_prefixes(dmax, depth):
+    """All label prefixes of the given depth (restricted growth, <= dmax
+    labels), in odometer order: the scan's chunks, one search_chunk each."""
+    return list(_completions(np.zeros(1, dtype=np.int8), depth, dmax)[0])
 
 
 def traced_peak(fn):

@@ -21,7 +21,7 @@ SMALL = {
     "dual_classes": [(4099, 1, 2)],
     "eigenmatrices": [(3, 5, 22)],
     "intersection_numbers": [(3, 5, 22)],
-    "chunks": [(3, 5, 22)],
+    "chunks": [("verify", 3, 5, 22), ("search", 3, 4)],
     "search_phase": [("two-block", 3, 4), ("meets", 3, 4), ("recheck", 3, 4)],
 }
 MB = 1 << 20
@@ -87,6 +87,16 @@ def test_verify_stage_rows_measure(rows, tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--p", "3", "--f", "5", "--n", "22", "--parts",
                  "|".join(str(i) for i in range(22)), "--output", str(out)]) == 0
+    assert stage.work == out.stat().st_size
+
+
+def test_search_document_row_measures(rows, tmp_path):
+    # the pieces laid out are the document the search command writes
+    (stage,) = [s for s, _, _ in rows.values()
+                if s.name.startswith("jsonio.chunks search p=3 d<=4")]
+    out = tmp_path / "search.json"
+    assert main(["search-nonexistence", "--p", "3", "--allow-symmetric",
+                 "--output", str(out)]) == 0
     assert stage.work == out.stat().st_size
 
 

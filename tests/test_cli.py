@@ -184,7 +184,7 @@ def test_partition_file_loads_song_sets(tmp_path, sys28):
     assert frozenset({0, 1, 4, 12, 16, 20, 24}) in part.part_sets()
     # the same partition inline
     inline = "|".join(",".join(str(i) for i in p) for p in part.parts)
-    assert jsonio.parse_partition(inline, 28).part_sets() == part.part_sets()
+    assert jsonio.load_partition(inline, 28).part_sets() == part.part_sets()
 
 
 def test_load_partition_at_syntax(tmp_path):
@@ -208,9 +208,9 @@ def test_parse_errors():
     from scheme_forge.errors import ParseError
 
     with pytest.raises(ParseError):
-        jsonio.parse_partition("0,x|1", 4)
+        jsonio.load_partition("0,x|1", 4)
     with pytest.raises(ParseError):
-        jsonio.parse_partition("0,1||2,3", 4)
+        jsonio.load_partition("0,1||2,3", 4)
 
 
 def test_search_cli_json(tmp_path, capsys):
@@ -299,7 +299,7 @@ PINNED_STDOUT = [
     ("search-nonexistence --p 3 --allow-symmetric",
      "0caf197abd49846227c14c075e8a4da5028340a3256b103f92f45a0abd5c4cc0"),
     # the scan-p7-d3 benchmark workload: 16 closure survivors through
-    # is_primitive, none of them primitive
+    # signature_counts' primitivity flags, none of them primitive
     ("search-nonexistence --p 7 --max-classes 3",
      "656f0304977fbe0b5f17f19acb811c4c5271a46282867caf5fecf783c46f9ef9"),
     ("search-nonexistence --p 7 --max-classes 3 --allow-symmetric",

@@ -8,7 +8,7 @@ from scheme_forge.constructions import (conference_7mod8, five_class_3mod8,
                                         four_class_7mod8, load_golden,
                                         ma_wang_template, match_template,
                                         song_example, three_class_base)
-from scheme_forge.cyclotomy import build_cyclotomy, character_sum
+from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (PreconditionViolated,
                                  TemplatePreconditionViolated)
 from scheme_forge.finite_field import build_field, multiplicative_order
@@ -121,8 +121,10 @@ def test_five_class_3_11():
 def test_five_class_spot_values():
     built = five_class_3mod8(3, 11)
     q, p1 = built.field.q, 11
-    s4 = built.partition.parts[3]
-    values = {tuple(character_sum(built.system, s4, a)) for a in range(22)}
+    s4, pm = built.partition.parts[3], built.system.period_matrix
+    # psi(gamma^a S_4): a sum of period rows
+    values = {tuple(pm[[(i + a) % 22 for i in s4]].sum(axis=0))
+              for a in range(22)}
     assert len(values) <= 5
     assert ((q - 1) // (2 * p1), 0) not in values
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from scheme_forge.cyclotomy import build_cyclotomy
-from scheme_forge.errors import (DegreeZero, FieldTooLarge, InvalidElement,
-                                 NotCoprime, NotPrime)
-from scheme_forge.finite_field import (_BLOCK, FieldSpec, _poly_pow_mod,
-                                       build_field, is_prime,
+from scheme_forge.errors import DegreeZero, FieldTooLarge, NotCoprime, NotPrime
+from scheme_forge.finite_field import (_BLOCK, _build_field_cached,
+                                       _build_from_modulus, _poly_pow_mod,
+                                       _x_is_primitive, build_field, is_prime,
                                        multiplicative_order, prime_factors)
 from scheme_forge.gauss_sums import gauss_sums_all
 from scheme_forge.scheme_core import IndexPartition, verify_scheme
@@ -85,9 +85,11 @@ def test_reproducible_build():
 
 
 def _field_mod(p, f, modulus):
-    """F_{p^f} modulo a given primitive polynomial (f > 1)."""
-    return FieldSpec.from_json({"p": p, "f": f, "modulus_coeffs": list(modulus),
-                                "gamma_coeffs": [0, 1] + [0] * (f - 2)})
+    """F_{p^f} modulo a given primitive polynomial (monic, constant first)."""
+    mlow = list(modulus[:-1])
+    assert modulus[-1] == 1 and len(mlow) == f
+    assert _x_is_primitive(mlow, f, p, p ** f, prime_factors(p ** f - 1))
+    return _build_from_modulus(p, f, mlow)
 
 
 def test_seeded_build_differs():
@@ -106,16 +108,18 @@ def test_multiplicative_order():
 
 
 def test_json_roundtrip(f1331):
+    # the modulus a document names rebuilds the field it was written from
     doc = f1331.to_json()
-    back = FieldSpec.from_json(doc)
-    assert back.modulus == f1331.modulus
+    back = _field_mod(doc["p"], doc["f"], doc["modulus_coeffs"])
+    assert back == f1331 and back.to_json() == doc
+    assert list(back.gamma_poly) == doc["gamma_coeffs"]
     assert np.array_equal(back.antilog_table, f1331.antilog_table)
     assert np.array_equal(back.log_table, f1331.log_table)
 
 
 def test_rebuilt_field_compares_and_hashes_equal(f243):
-    # from_json rebuilds the field, bypassing build_field's cache
-    back = FieldSpec.from_json(f243.to_json())
+    # the uncached scan rebuilds the field, bypassing build_field's cache
+    back = _build_field_cached.__wrapped__(3, 5)
     assert back is not f243
     assert back == f243 and hash(back) == hash(f243)
     assert MultChar(back, 2) == MultChar(f243, 2)
@@ -126,26 +130,10 @@ def test_rebuilt_field_compares_and_hashes_equal(f243):
 
 
 @pytest.mark.parametrize("modulus", [[1, 0, 1], [2, 0, 1], [0, 1, 1]])
-def test_from_json_rejects_a_non_primitive_modulus(modulus):
+def test_x_is_primitive_rejects_a_non_primitive_modulus(modulus):
     # x^2 + 1 is irreducible over F_3, but x has order 4 modulo it; the
     # other two are reducible
-    with pytest.raises(InvalidElement, match="not primitive"):
-        FieldSpec.from_json({"p": 3, "f": 2, "modulus_coeffs": modulus,
-                             "gamma_coeffs": [0, 1]})
-
-
-@pytest.mark.parametrize("modulus", [
-    [2, 1, 2],        # not monic (once read as x^2 + x + 2)
-    [2, 0, 1, 1],     # degree 3 for f = 2
-    [2, 1],           # too short
-    [],
-    [5, 1, 1],        # coefficient outside [0, 3)
-    [-1, 1, 1],
-])
-def test_from_json_rejects_a_malformed_modulus(modulus):
-    with pytest.raises(InvalidElement, match="not a monic degree-2"):
-        FieldSpec.from_json({"p": 3, "f": 2, "modulus_coeffs": modulus,
-                             "gamma_coeffs": [0, 1]})
+    assert not _x_is_primitive(modulus[:-1], 2, 3, 9, prime_factors(8))
 
 
 def test_helpers():
@@ -291,10 +279,10 @@ def test_norm_stream_walk_holds_sub_blocks_only():
 
 
 def test_period_paths_build_no_element_tables(f243):
-    # from_json rebuilds the field, bypassing build_field's cache; periods,
-    # verdict and Gauss sums walk the norm stream: they build neither the
-    # q-length sequence nor any element table
-    field = FieldSpec.from_json(f243.to_json())
+    # the uncached scan rebuilds the field, bypassing build_field's cache;
+    # periods, verdict and Gauss sums walk the norm stream: they build neither
+    # the q-length sequence nor any element table
+    field = _build_field_cached.__wrapped__(3, 5)
     sys11 = build_cyclotomy(field, 11)
     report = verify_scheme(sys11, IndexPartition.from_sets(
         11, [[i] for i in range(11)]))

@@ -7,7 +7,7 @@ import pytest
 from scheme_forge.errors import (BadDiscriminant, EvenCharacteristic,
                                  FieldTooLarge, NoSolution,
                                  PreconditionViolated)
-from scheme_forge.finite_field import FieldSpec, build_field, is_prime
+from scheme_forge.finite_field import _build_field_cached, build_field, is_prime
 from scheme_forge.gauss_sums import (_psi_values, class_number,
                                      gauss_sum_index2, gauss_sum_quadratic,
                                      gauss_sums_all, index2_comparison,
@@ -178,9 +178,9 @@ def test_davenport_hasse_order22(f243):
 
 def test_davenport_hasse_reads_no_element_table(monkeypatch):
     # the subfield root is found in F_11[x]/(m'), where the antilog and log
-    # tables of F_{11^6} were 22 MB; from_json rebuilds the big field, so no
-    # table an earlier test built is cached on it
-    big = FieldSpec.from_json(build_field(11, 6).to_json())
+    # tables of F_{11^6} were 22 MB; the uncached scan rebuilds the big field,
+    # so no table an earlier test built is cached on it
+    big = _build_field_cached.__wrapped__(11, 6)
     monkeypatch.setattr(oracles, "build_field", lambda p, f, cap: big)
     chi = MultChar(build_field(11, 3), 95)
     (d, fm), peak = traced_peak(lambda: davenport_hasse_check(chi, 2))

@@ -7,6 +7,7 @@ from scheme_forge import _kernels
 from scheme_forge.errors import BudgetExceeded, PreconditionViolated
 from scheme_forge.search import _stirling2, exhaustive_nonexistence
 
+from conftest import search_prefixes
 from oracles import trace_partition
 
 
@@ -101,7 +102,7 @@ def _compare(prefixes, N, t0, sden, p, require_nonsym, dmax=4):
 def test_numpy_scan_matches_loop_kernel_p3(dmax, require_nonsym):
     p = 3
     N, t0, sden = _search_setup(p)
-    counts, _ = _compare(_kernels.search_prefixes(N, dmax, 4), N, t0, sden,
+    counts, _ = _compare(search_prefixes(dmax, 4), N, t0, sden,
                          p, require_nonsym, dmax)
     # every partition of Z_8 into at most dmax parts, once
     assert counts.tolist() == [0] + [_stirling2(N, k)
@@ -164,7 +165,7 @@ def test_closure_returns_every_loop_kernel_scheme_p3(dmax):
     j2s = [(t0[1] - c) % N for c in range(N)]
     counts = np.zeros(dmax + 2, dtype=np.int64)
     leaves = set()
-    for pre in _kernels.search_prefixes(N, dmax, 1):
+    for pre in search_prefixes(dmax, 1):
         leaves |= set(_loop_kernel(pre, N, 3, dmax, N // 2, j1s, j2s, sden, p,
                                    False, counts))
     result = exhaustive_nonexistence(p, dmax, allow_symmetric=True)
@@ -183,7 +184,7 @@ def _labels(part, N):
 
 def test_prefix_enumeration_is_partition_complete():
     # prefixes of depth 4 with <= 4 labels, extended freely, cover all RGS
-    prefixes = _kernels.search_prefixes(8, 4, 4)
+    prefixes = search_prefixes(4, 4)
     as_tuples = {tuple(p) for p in prefixes}
     assert len(as_tuples) == len(prefixes)
     for pre in as_tuples:

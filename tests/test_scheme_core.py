@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from scheme_forge import scheme_core
+from scheme_forge import errors, scheme_core
 from scheme_forge.constructions import five_class_3mod8
 from scheme_forge.cyclotomy import _CELL_BYTES, _signature_sums, build_cyclotomy
 from scheme_forge.errors import (BudgetExceeded, MalformedPartition,
                                  NotAScheme, PartitionInvalid)
 from scheme_forge.finite_field import build_field
-from scheme_forge.scheme_core import (IndexPartition, _group_rows, _trace_sums,
-                                      _trace_term, check_fusion, dual_classes,
-                                      dual_partition,
+from scheme_forge.scheme_core import (IndexPartition, _group_rows, _negation,
+                                      _trace_sums, _trace_term, check_fusion,
+                                      dual_classes, dual_partition,
                                       eigenmatrices, intersection_numbers,
-                                      is_primitive, is_scheme, is_symmetric,
+                                      is_primitive, is_scheme,
                                       krein_parameters, symmetrize,
                                       verify_scheme)
 
@@ -556,6 +556,23 @@ def test_trace_sums_stay_within_their_budget_charge(monkeypatch):
     assert peak < 8 << 20, peak
 
 
+def test_trace_sums_refuse_before_allocating_their_rows(monkeypatch):
+    # cyclo-n28: the g = 7 representatives fall in 7 dual classes, whose
+    # (7, 29, 37) int64 rows are 60,088 B.  The charge covers the rows, so a
+    # refused call reads their bound off views and allocates none of them
+    sys_n, part = _singletons_on(37, 3, 28)
+    classes = dual_classes(sys_n, part)
+    P_exact = eigenmatrices(sys_n, part, classes)[0]
+    monkeypatch.setattr(errors, "BUDGET", 1000)
+
+    def refused():
+        with pytest.raises(BudgetExceeded, match="trace sums of 28 relations"):
+            _trace_sums(sys_n, P_exact, classes[1])
+
+    _, peak = traced_peak(refused)
+    assert peak < 7 * 29 * 37 * 8, peak
+
+
 def test_dual_classes_holds_the_distinct_rows_once():
     # 96 singletons on F_{257^2}: every signature row is distinct.  The
     # table, its sorted keys and the distinct rows are 24 B a cell; the
@@ -624,7 +641,7 @@ def test_symmetrize_and_is_symmetric(f9):
     sys8 = build_cyclotomy(f9, 8)
     part = singletons(8)
     # -1 = gamma^4, so {i} pairs with {i+4}
-    assert not is_symmetric(sys8, part, 0)
+    assert _negation(sys8, part) == [4, 5, 6, 7, 0, 1, 2, 3]
     sym = symmetrize(sys8, part)
     assert set(sym.part_sets()) == {frozenset({i, i + 4}) for i in range(4)}
     assert symmetrize(sys8, sym).parts == sym.parts
@@ -703,8 +720,11 @@ def test_negation_permutation_matches_union_find_oracle():
             assert prim == symmetrized_is_primitive(sys_n, part)
             report = verify_scheme(sys_n, part)
             assert report.is_primitive == prim
-            assert report.is_symmetric_rel == [is_symmetric(sys_n, part, i)
-                                               for i in range(part.d)]
+            # -R_i is R_i shifted by the class of -1
+            c = sys_n.minus_one_class()
+            assert report.is_symmetric_rel == [
+                {(j + c) % sys_n.N for j in block} == set(block)
+                for block in part.parts]
             # each nonsymmetric pair merges two parts into one
             assert report.nonsymmetric_pair_count == part.d - want.d
             seen.add((prim, report.nonsymmetric_pair_count > 0))
@@ -725,18 +745,17 @@ def test_symmetrize_refuses_a_non_permuting_negation(f9, parts):
     with pytest.raises(NotAScheme):
         symmetrize(sys8, part)
     with pytest.raises(NotAScheme):
-        is_symmetric(sys8, part, 0)
+        _negation(sys8, part)
 
 
 def test_is_symmetric_reads_the_negation_permutation(f9):
     sys8 = build_cyclotomy(f9, 8)
     # -1 = gamma^4: {1} and {5} swap, {3} and {7} swap
     part = IndexPartition.from_sets(8, [[0, 4], [1], [5], [2, 6], [3], [7]])
-    assert [is_symmetric(sys8, part, i) for i in range(6)] == [
-        True, False, False, True, False, False]
+    assert _negation(sys8, part) == [0, 2, 1, 3, 5, 4]
     # a partition over Z_4 read against the order-8 system
     with pytest.raises(PartitionInvalid, match="over Z_4, system over Z_8"):
-        is_symmetric(sys8, singletons(4), 0)
+        _negation(sys8, singletons(4))
 
 
 def primitive(sys, partition):

@@ -17,7 +17,7 @@ from scheme_forge.scheme_core import (IndexPartition, dual_classes,
 from scheme_forge.search import exhaustive_nonexistence
 
 import oracles
-from conftest import partition_to_relations, traced_peak
+from conftest import partition_to_relations, search_prefixes, traced_peak
 from oracles import brute_force_verify, trace_partition, ts_identity_check
 
 
@@ -189,7 +189,7 @@ def test_enumeration_matches_stirling(N):
     # every leaf of the kernel enumerator, counted by block count; no row
     # has N + 1 parts, so none survives
     counts = np.zeros(6, dtype=np.int64)
-    for prefix in _kernels.search_prefixes(N, 4, min(4, N - 1)):
+    for prefix in search_prefixes(4, min(4, N - 1)):
         _kernels.search_chunk(prefix, N, N + 1, 4, N // 2, (0, N // 2),
                               np.zeros(N, dtype=np.int64), 3, False, counts)
     counts = counts.tolist()
@@ -447,7 +447,7 @@ def _scan(p, dmax):
     # at most dmax^9 completions a call
     rows = [_kernels.search_chunk(pre, N, 3, dmax, N // 2, t0, sden, p,
                                   False, counts)
-            for pre in _kernels.search_prefixes(N, dmax, max(1, N - 9))]
+            for pre in search_prefixes(dmax, max(1, N - 9))]
     return np.concatenate(rows), counts.tolist()
 
 

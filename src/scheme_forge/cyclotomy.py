@@ -64,19 +64,10 @@ def build_cyclotomy(field: FieldSpec, N: int) -> CyclotomicSystem:
     offsets = np.arange(min(L, _BLOCK) + N - 1, dtype=np.intp)
     offsets %= N
     offsets *= p
-    # the keys of whole sub-blocks fill max(_BLOCK, N p) before one bincount
-    # of the N p cells adds them, still in cache: O(1) a term, not O(N p) a
-    # sub-block
-    keys = np.empty(min(L, max(_BLOCK, N * p)), dtype=np.intp)
-    fill = 0
     for start, chunk in field.norm_stream():
         r, b = start % N, len(chunk)
-        np.add(offsets[r:r + b], chunk, out=keys[fill:fill + b])
-        fill += b
-        if fill + _BLOCK > len(keys) or start + b == L:
-            tally += np.bincount(keys[:fill], minlength=N * p)
-            fill = 0
-    del offsets, keys
+        np.add.at(tally, offsets[r:r + b] + chunk, 1)
+    del offsets
     tally[::p] = 0  # t = 0: the class size M fixes the zero traces
 
     # a term at e with s_e = nu^a counts in class i with trace nu^m iff

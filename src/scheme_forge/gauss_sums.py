@@ -71,7 +71,7 @@ def class_number(p1: int) -> int:
     Requires p1 prime, p1 = 3 (mod 4), p1 > 3, so the field discriminant is
     -p1 itself and primitivity is automatic.
     """
-    if not is_prime(p1) or p1 % 4 != 3 or p1 <= 3:
+    if p1 % 4 != 3 or p1 <= 3 or not is_prime(p1):
         raise BadDiscriminant(f"need a prime p1 > 3 with p1 = 3 (mod 4), got {p1}")
     h = 0
     b = 1
@@ -140,8 +140,9 @@ def check_index2_cap(p: int, p1: int, s: int, cap: int) -> None:
 
 
 def make_index2_params(p: int, p1: int, m: int = 1) -> Index2Params:
-    # p = 2 is no unit mod 2 p1: 2 p1 never divides 2^f - 1
-    if not (is_prime(p) and is_prime(p1)) or p1 % 4 != 3 or p1 <= 3 or p in (2, p1):
+    # p = 2 is no unit mod 2 p1; the residues are tested before trial division
+    if (p1 % 4 != 3 or p1 <= 3 or p in (2, p1)
+            or not (is_prime(p) and is_prime(p1))):
         raise PreconditionViolated(f"bad index-2 instance (p, p1) = ({p}, {p1})")
     n = 2 * p1 ** m
     phi = p1 ** (m - 1) * (p1 - 1)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclotomy import CyclotomicSystem, _signature_sums, embed
 from .errors import (MalformedPartition, NotAScheme, PartitionInvalid, SingularP,
@@ -343,11 +344,12 @@ def _trace_term(u: np.ndarray, dtype) -> np.ndarray:
     """[i, j, k]: p (u_i u_j conj u_k)_0 - u_i(1) u_j(1) u_k(1), in ``dtype``,
     the trace sum's term for one row u (K, p) of vectors in Z[x]/(x^p - 1).
     (u_i u_j conj u_k)_0 = sum_a u_i[a] cor[a, j, k] with the correlations
-    cor[a, j, k] = sum_b u_j[b] u_k[(a + b) mod p], formed in u's dtype."""
+    cor[a, j, k] = sum_b u_j[b] u_k[(a + b) mod p], formed in u's dtype as
+    one batched product of u with the window view w[k, a, b] = u_k[(a + b)
+    mod p] of each row followed by its first p - 1 entries."""
     K, p = u.shape
-    u2, cor = np.concatenate((u, u), axis=1), np.empty((p, K, K), dtype=u.dtype)
-    for a in range(p):
-        np.matmul(u, u2[:, a:a + p].T, out=cor[a])
+    w = sliding_window_view(np.concatenate((u, u[:, :-1]), axis=1), p, axis=1)
+    cor = u @ w.transpose(1, 2, 0)
     u, s = u.astype(dtype), u.sum(axis=1).astype(dtype)
     return (p * np.tensordot(u, cor, axes=([1], [0]))
             - s[:, None, None] * s[None, :, None] * s)

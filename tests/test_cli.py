@@ -380,10 +380,16 @@ def test_construct_precondition_exit2(tmp_path):
     ["construct", "--kind", "three_class", "--p", "2", "--p1", "7"],
     ["construct", "--kind", "four_class", "--p", "2", "--p1", "7"],
     ["gauss-verify", "--p", "3", "--p1", "3"],
+    # a prime p1 = 1 (mod 4) too large to trial-divide, refused by its residue:
+    # three_class and gauss-verify have no congruence check of their own
+    ["gauss-verify", "--p", "3", "--p1", "100000000000000013"],
+    ["construct", "--kind", "three_class", "--p", "3", "--p1", "100000000000000013"],
 ])
 def test_bad_index2_instance_exit2(argv, capsys):
+    t0 = time.perf_counter()
     _one_line_exit2(argv, capsys, "PreconditionViolated: bad index-2 instance "
                     f"(p, p1) = ({argv[-3]}, {argv[-1]})")
+    assert time.perf_counter() - t0 < 2
 
 
 @pytest.mark.parametrize("argv", [

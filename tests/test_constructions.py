@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from scheme_forge.constructions import (conference_7mod8, five_class_3mod8,
 from scheme_forge.cyclotomy import build_cyclotomy
 from scheme_forge.errors import (PreconditionViolated,
                                  TemplatePreconditionViolated)
-from scheme_forge.finite_field import build_field, multiplicative_order
+from scheme_forge.finite_field import multiplicative_order
 from scheme_forge.scheme_core import (IndexPartition, check_fusion,
                                       dual_classes, eigenmatrices,
                                       verify_scheme)

@@ -99,6 +99,11 @@ def test_class_number_domain():
         class_number(3)
     with pytest.raises(BadDiscriminant):
         class_number(15)
+    # a prime = 1 (mod 4) too large to trial-divide: refused by its residue
+    t0 = time.perf_counter()
+    with pytest.raises(BadDiscriminant):
+        class_number(100000000000000013)
+    assert time.perf_counter() - t0 < 2
 
 
 def test_solve_bc():

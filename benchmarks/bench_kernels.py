@@ -22,13 +22,22 @@ progress reports (the rounds of meets summed), so its run is the whole
 search and it prints no peak.  numpy runs on one BLAS thread unless
 OPENBLAS_NUM_THREADS is set, as under the command line.
 
-    PYTHONPATH=src python3 benchmarks/bench_kernels.py
+``--json PATH`` also writes the rows to PATH as one document: each row's
+best-of-three seconds and traced peak, the host (Python, numpy, its BLAS
+and thread count, nproc, CPU model, load average at start and at end) and
+the line count of src/, so a number is always read beside its host.
+
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--json BENCH.json]
 """
 
+import argparse
+import json
 import os
+import platform
 import time
 import tracemalloc
 from collections import deque
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 # OpenBLAS sizes its thread pool once, as numpy loads
@@ -209,20 +218,57 @@ def measure(stage):
         tracemalloc.stop()
 
 
-def main():
-    rows = []
-    for make, cases in TABLE:
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next(line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.processor()
+
+
+def environment(load_start):
+    """The host a run's numbers belong to, with its load average at the
+    run's start and now."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+            "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+            "nproc": len(os.sched_getaffinity(0)), "cpu": _cpu_model(),
+            "loadavg": {"start": list(load_start), "end": list(os.getloadavg())}}
+
+
+def src_lines():
+    src = Path(__file__).resolve().parents[1] / "src"
+    return sum(len(f.read_text().splitlines()) for f in src.rglob("*.py"))
+
+
+def main(argv=None, table=TABLE):
+    ap = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    ap.add_argument("--json", metavar="PATH",
+                    help="also write the rows and the host to PATH")
+    args = ap.parse_args(argv)
+    load_start = os.getloadavg()
+    results = []
+    for make, cases in table:
         for case in cases:
             stage = make(*case)
-            seconds, peak = measure(stage)
-            rows.append((stage.name, f"{seconds * 1e3:.2f}ms",
-                         f"{stage.work / seconds:.3g} {stage.unit}/s",
-                         "" if peak is None else f"{peak:.2f}MB"))
-    rows.insert(0, ("stage", "time", "rate", "peak"))
+            results.append((stage, *measure(stage)))
+    rows = [("stage", "time", "rate", "peak")]
+    rows += [(stage.name, f"{seconds * 1e3:.2f}ms",
+              f"{stage.work / seconds:.3g} {stage.unit}/s",
+              "" if peak is None else f"{peak:.2f}MB")
+             for stage, seconds, peak in results]
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     for row in rows:
         print("  ".join(f"{c:<{w}}" if i == 0 else f"{c:>{w}}"
                         for i, (c, w) in enumerate(zip(row, widths))))
+    if args.json:
+        doc = {"environment": environment(load_start), "src_lines": src_lines(),
+               "stages": [{"stage": stage.name, "seconds": seconds,
+                           "peak_mb": peak, "work": stage.work,
+                           "unit": stage.unit}
+                          for stage, seconds, peak in results]}
+        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 if __name__ == "__main__":

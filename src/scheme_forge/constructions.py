@@ -1,7 +1,9 @@
 """Builders for the named scheme families, with their advertised properties.
 
 Every builder returns a :class:`BuiltScheme` whose report comes from the
-exact verifier; builders raise instead of returning unverified claims.
+exact verifier; builders raise instead of returning unverified claims, but
+for the five-class family at m >= 2, out of field range by design: it emits
+index sets alone, once make_index2_params confirms index 2 mod 2 p1^m.
 Index sets are only canonical relative to this package's deterministic
 generator, so externally published sets (the F_{37^3} reproduction) are
 matched over the affine orbit i -> u i + v of Z_N, the exact freedom a
@@ -20,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomy import CyclotomicSystem, build_cyclotomy, embed
-from .errors import (FieldTooLarge, NoOrbitMemberVerifies,
-                     OrientationAmbiguous, PreconditionViolated,
-                     TemplatePreconditionViolated, check_budget)
-from .finite_field import DEFAULT_CAP, FieldSpec, build_field, is_prime
-from .gauss_sums import (Index2Params, _coset_mod, check_index2_cap,
-                         class_number, make_index2_params)
+from .errors import (NoOrbitMemberVerifies, OrientationAmbiguous,
+                     PreconditionViolated, TemplatePreconditionViolated,
+                     check_budget)
+from .finite_field import DEFAULT_CAP, FieldSpec, build_field
+from .gauss_sums import Index2Params, _coset_mod, make_index2_params
 from .scheme_core import (IndexPartition, SchemeReport, is_scheme,
                           verify_scheme)
 
@@ -43,8 +44,7 @@ class BuiltScheme:
 def _index2_system(p: int, p1: int, s: int, N: int, cap: int):
     """(params, field, system): the index-2 instance (p, p1), its field
     F_{p^{f s}} and the order-N cyclotomy over it."""
-    check_index2_cap(p, p1, s, cap)
-    params = make_index2_params(p, p1)
+    params = make_index2_params(p, p1, s=s, cap=cap)
     field = build_field(p, params.f * s, cap=cap)
     return params, field, build_cyclotomy(field, N)
 
@@ -54,8 +54,6 @@ def _index2_system(p: int, p1: int, s: int, N: int, cap: int):
 def three_class_base(p: int, p1: int, s: int = 1,
                      cap: int = DEFAULT_CAP) -> BuiltScheme:
     """{<p> mod p1, -<p> mod p1, {0}} over the index-p1 classes of F_{q^s}."""
-    if s < 1:
-        raise PreconditionViolated(f"s = {s} must be >= 1")
     params, field, sys = _index2_system(p, p1, s, p1, cap)
     pos, neg = _coset_mod(p, p1)
     partition = IndexPartition.from_sets(p1, [sorted(pos), sorted(neg), [0]])
@@ -72,8 +70,6 @@ def three_class_base(p: int, p1: int, s: int = 1,
 def four_class_7mod8(p: int, p1: int, s: int = 1,
                      cap: int = DEFAULT_CAP) -> BuiltScheme:
     """Split the base class C_0^{(p1)} into C_0 and C_{p1} of order 2 p1."""
-    if s < 1:
-        raise PreconditionViolated(f"s = {s} must be >= 1")
     if p1 % 8 != 7:
         raise PreconditionViolated(f"p1 = {p1} must be 7 mod 8")
     N = 2 * p1
@@ -138,31 +134,22 @@ def five_class_3mod8(p: int, p1: int, m: int = 1,
     prime ideal; relative to our generator either that split or its mirror
     is the scheme, so both are tried and exactly one must verify.
     """
-    if m < 1:
-        raise PreconditionViolated(f"m = {m} must be >= 1")
-    bad_p1 = PreconditionViolated(f"p1 = {p1} must be a prime > 3, 3 mod 8")
-    if p1 % 8 != 3 or p1 <= 3:
-        raise bad_p1
-    # the cap before any number theory: the field for m = 1, else the
-    # 2 p1^m indices, never formed once 2^m alone exceeds the cap
-    if m == 1:
-        check_index2_cap(p, p1, 1, cap)
-    elif m >= cap.bit_length() or 2 * p1 ** m > cap:
-        raise FieldTooLarge(f"N = 2*{p1}^{m} exceeds cap {cap}")
-    if not is_prime(p1):
-        raise bad_p1
-    h = class_number(p1)
-    if 1 + p1 != 4 * p ** h:
-        raise PreconditionViolated(f"1 + p1 = {1 + p1} != 4 p^h = {4 * p ** h}")
+    if p1 % 8 != 3:
+        raise PreconditionViolated(f"p1 = {p1} must be a prime > 3, 3 mod 8")
+    params = make_index2_params(p, p1, m, cap=cap)
+    if 1 + p1 != 4 * p ** params.h:
+        raise PreconditionViolated(
+            f"1 + p1 = {1 + p1} != 4 p^h = {4 * p ** params.h}")
     if m >= 2:
         # out of field range by design: emit well-formed index sets only,
-        # at ~160 bytes an index at peak (565 MB at N = 2*11^6)
+        # at ~160 bytes an index at peak (565 MB for the sets of N = 2*11^6)
         check_budget(160 * 2 * p1 ** m,
                      f"the five-class index sets of N = 2*{p1}^{m} need")
         return BuiltScheme("five_class_3mod8", None, None,
-                           five_class_index_sets(p, p1, m), None)
+                           five_class_index_sets(p, p1, m), None, params)
 
-    params, field, sys = _index2_system(p, p1, 1, 2 * p1, cap)
+    field = build_field(p, params.f, cap=cap)
+    sys = build_cyclotomy(field, 2 * p1)
     candidates = [five_class_index_sets(p, p1, 1, split_negative=orient)
                   for orient in (True, False)]
     reports = [verify_scheme(sys, c) for c in candidates]

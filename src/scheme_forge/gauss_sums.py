@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadDiscriminant, EvenCharacteristic, NoSolution,
-                     PreconditionViolated, check_budget)
+from .errors import (BadDiscriminant, EvenCharacteristic, FieldTooLarge,
+                     NoSolution, PreconditionViolated, check_budget)
 from .finite_field import (DEFAULT_CAP, FieldSpec, build_field, check_cap,
                            is_prime, multiplicative_order)
 
@@ -90,8 +90,9 @@ def class_number(p1: int) -> int:
 
 
 def solve_bc(p: int, p1: int, h: int, f: int) -> tuple[int, int]:
-    """The unique (b, c >= 0) with 4 p^h = b^2 + p1 c^2 and
-    b p^{(f-h)/2} = -2 (mod p1)."""
+    """The unique (b, c >= 0) with 4 p^h = b^2 + p1 c^2, p not dividing b
+    (where a prime over p is principal, p | b solves it too: 4*17^3 =
+    51^2 + 59*17^2), and b p^{(f-h)/2} = -2 (mod p1)."""
     if (f - h) % 2 != 0:
         raise NoSolution(f"(f - h)/2 not integral for f={f}, h={h}")
     target = p ** h * 4
@@ -103,7 +104,7 @@ def solve_bc(p: int, p1: int, h: int, f: int) -> tuple[int, int]:
         if rem % p1 == 0:
             c2 = rem // p1
             c = math.isqrt(c2)
-            if c * c == c2 and (b * mul) % p1 == (-2) % p1:
+            if c * c == c2 and b % p and (b * mul) % p1 == (-2) % p1:
                 hits.append((b, c))
         b += 1
     if len(hits) != 1:
@@ -130,27 +131,35 @@ class Index2Params:
         return self.p ** self.f
 
 
-def check_index2_cap(p: int, p1: int, s: int, cap: int) -> None:
-    """FieldTooLarge when the index-2 field F_{p^(f s)}, f = (p1 - 1)/2,
-    exceeds the cap; decided before p or p1 is trial-divided, since a huge
-    p1 means a huge f.  Other malformed (p, p1) are left to
-    make_index2_params."""
-    if p >= 2 and p1 > 3 and p1 % 4 == 3:
+def make_index2_params(p: int, p1: int, m: int = 1, s: int = 1,
+                       cap: int = DEFAULT_CAP) -> Index2Params:
+    """The one index-2 gate: the parameters of (p, p1, m), or a refusal.
+
+    Cheapest first: m, s >= 1; residues; the cap before trial division (the
+    field F_{p^((p1-1)s/2)} for m = 1; for m >= 2, emission-only, 2 p1^m and
+    p); primality; index 2; h, and (b, c) searched over 4 p^h, p^h <= cap."""
+    for name, value in (("m", m), ("s", s)):
+        if value < 1:
+            raise PreconditionViolated(f"{name} = {value} must be >= 1")
+    bad = PreconditionViolated(f"bad index-2 instance (p, p1) = ({p}, {p1})")
+    if p1 % 4 != 3 or p1 <= 3 or p < 3 or p == p1:  # 2 is no unit mod 2 p1
+        raise bad
+    if m == 1:
         check_cap(p, (p1 - 1) // 2 * s, cap)
-
-
-def make_index2_params(p: int, p1: int, m: int = 1) -> Index2Params:
-    # p = 2 is no unit mod 2 p1; the residues are tested before trial division
-    if (p1 % 4 != 3 or p1 <= 3 or p in (2, p1)
-            or not (is_prime(p) and is_prime(p1))):
-        raise PreconditionViolated(f"bad index-2 instance (p, p1) = ({p}, {p1})")
-    n = 2 * p1 ** m
-    phi = p1 ** (m - 1) * (p1 - 1)
-    if multiplicative_order(p, n) != phi // 2:
+    elif m >= cap.bit_length() or 2 * p1 ** m > cap:
+        raise FieldTooLarge(f"N = 2*{p1}^{m} exceeds cap {cap}")
+    check_cap(p, 1, cap)  # bounds p's trial division where m >= 2
+    if not (is_prime(p) and is_prime(p1)):
+        raise bad
+    # ord_{2 p1^m}(p) = phi/2 iff ord_{2 p1}(p) = (p1-1)/2 and, for m >= 2,
+    # p^((p1-1)/2) = 1 + p1 t with p1 not dividing t
+    if (multiplicative_order(p, 2 * p1) != (p1 - 1) // 2
+            or m >= 2 and pow(p, (p1 - 1) // 2, p1 * p1) == 1):
         raise PreconditionViolated(
-            f"[Z_{n}^*:<{p}>] != 2 (order of {p} is not phi/2)")
-    f = phi // 2
+            f"[Z_{2 * p1 ** m}^*:<{p}>] != 2 (order of {p} is not phi/2)")
+    f = p1 ** (m - 1) * (p1 - 1) // 2
     h = class_number(p1)
+    check_cap(p, h, cap)
     b, c = solve_bc(p, p1, h, f)
     return Index2Params(p=p, p1=p1, m=m, h=h, b=b, c=c, f=f)
 
@@ -231,10 +240,7 @@ def index2_comparison(p: int, p1: int, s: int = 1,
     the direct value, the formula value under the chosen sign, and the
     absolute error.
     """
-    if s < 1:
-        raise PreconditionViolated(f"s = {s} must be >= 1")
-    check_index2_cap(p, p1, s, cap)
-    params = make_index2_params(p, p1)
+    params = make_index2_params(p, p1, s=s, cap=cap)
     n = 2 * p1
     field = build_field(p, params.f * s, cap=cap)
     G, step = gauss_sums_all(field), (field.q - 1) // n

@@ -251,21 +251,26 @@ def eigenmatrices(sys: CyclotomicSystem, partition: IndexPartition, classes):
     their lexicographic order: row 1 + l is dual class l's.  The later
     stages read P_exact alone: the valencies and non-scheme guard live here.
     """
-    d, p = partition.d, sys.field.p
-    if classes[0] != d:
-        raise NotAScheme("eigenmatrices of a non-scheme")
-
-    P_exact = np.zeros((d + 1, d + 1, p - 1), dtype=np.int64)
-    P_exact[:, 0, 0] = 1
-    P_exact[0, 1:, 0] = [sys.M * len(part) for part in partition.parts]
-    P_exact[1:, 1:] = classes[2].reshape(d, d, p - 1)
-
-    P_complex = embed(P_exact, p)
+    P_exact = _p_exact(sys, partition, classes)
+    P_complex = embed(P_exact, sys.field.p)
     try:
         Q_complex = sys.field.q * np.linalg.inv(P_complex)
     except np.linalg.LinAlgError as exc:
         raise SingularP("first eigenmatrix is singular") from exc
     return P_exact, P_complex, Q_complex
+
+
+def _p_exact(sys: CyclotomicSystem, partition: IndexPartition,
+             classes) -> np.ndarray:
+    """``eigenmatrices``' P_exact alone, with no embedding or inverse."""
+    d, p = partition.d, sys.field.p
+    if classes[0] != d:
+        raise NotAScheme("eigenmatrices of a non-scheme")
+    P_exact = np.zeros((d + 1, d + 1, p - 1), dtype=np.int64)
+    P_exact[:, 0, 0] = 1
+    P_exact[0, 1:, 0] = [sys.M * len(part) for part in partition.parts]
+    P_exact[1:, 1:] = classes[2].reshape(d, d, p - 1)
+    return P_exact
 
 
 # --- intersection numbers -------------------------------------------------------
@@ -361,7 +366,7 @@ def krein_parameters(sys: CyclotomicSystem, partition: IndexPartition):
     """Intersection matrices of the dual scheme (translation duality)."""
     dual = dual_partition(sys, partition)
     classes = dual_classes(sys, dual)
-    return intersection_numbers(sys, eigenmatrices(sys, dual, classes)[0], classes[1])
+    return intersection_numbers(sys, _p_exact(sys, dual, classes), classes[1])
 
 
 def dual_partition(sys: CyclotomicSystem, partition: IndexPartition) -> IndexPartition:

@@ -14,7 +14,10 @@ the FFT it is held against:
   polynomial arithmetic (``lifted_exponent``);
 * ``trace_partition``: the classes of Z_{2(p+1)} by zero / square /
   nonsquare trace over F_{p^2} (Euler's criterion), and
-  ``ts_identity_check``, its relative-difference-set identity.
+  ``ts_identity_check``, its relative-difference-set identity;
+* ``check_scheme_document``: a printed report's intersection numbers
+  against the regular representation they must form, from the document's
+  integers alone.
 """
 
 from __future__ import annotations
@@ -211,3 +214,32 @@ def ts_identity_check(p: int) -> bool:
     rhs = np.full(N, (p - 1) // 2)
     rhs[0], rhs[N // 2] = p, 0
     return np.array_equal(lhs, rhs)
+
+
+# --- a scheme document against its own intersection numbers ------------------------
+
+def check_scheme_document(doc) -> bool:
+    """A document's printed intersection matrices form the regular
+    representation of a commutative scheme (Brouwer-Cohen-Neumaier 1989,
+    2.1-2.2): with (B_a)[k][j] = p_{aj}^k, B_a B_b = sum_c p_{ab}^c B_c for
+    all a, b, and row k of B_a sums to the valency k_a (k_0 = 1).
+
+    Reads ``doc["report"]`` only.  A product sums K terms of at most
+    max|p|^2, so it runs in int64 while that bound fits, in Python ints past
+    it.
+    """
+    report = doc["report"]
+    k = np.array([1] + report["valencies"], dtype=object)
+    B = np.array(report["intersection_matrices"], dtype=object)
+    K = len(k)
+    if B.shape != (K, K, K):
+        return False
+    top = int(np.abs(B).max())
+    if K * top * top < 2 ** 63:
+        B, k = B.astype(np.int64), k.astype(np.int64)
+    # lhs[a, b] = B_a B_b; rhs[a, b] = sum_c B_a[c][b] B_c
+    lhs = B[:, None] @ B[None, :]
+    rhs = (B.transpose(0, 2, 1).reshape(K * K, K)
+           @ B.reshape(K, K * K)).reshape(K, K, K, K)
+    return bool((B.sum(axis=2) == k[:, None]).all()
+                and (lhs == rhs).all())

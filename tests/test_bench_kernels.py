@@ -2,13 +2,15 @@
 on a small case and measures."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from scheme_forge.cli import main
 
-SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "benchmarks" / "bench_kernels.py"
 
 # small cases of every stage in the table, in its order
 SMALL = {
@@ -109,3 +111,40 @@ def test_closure_rows_measure(rows):
 def test_recheck_row_measures(rows):
     # the 19 closed schemes of Z_8 with at most 4 blocks, filters off
     assert rows["search recheck p=3 d<=4"][0].work == 19
+
+
+ENVIRONMENT = {"python", "numpy", "blas", "blas_threads", "nproc", "cpu",
+               "loadavg"}
+STAGE = {"stage", "seconds", "peak_mb", "work", "unit"}
+
+
+def check_bench_document(doc):
+    assert set(doc) == {"environment", "src_lines", "stages"}
+    env = doc["environment"]
+    assert set(env) == ENVIRONMENT and set(env["loadavg"]) == {"start", "end"}
+    assert env["nproc"] >= 1 and env["blas_threads"] >= 1
+    assert doc["src_lines"] > 0 and doc["stages"]
+    for row in doc["stages"]:
+        assert set(row) == STAGE and row["seconds"] > 0 and row["work"] > 0
+
+
+def test_json_document(bench, tmp_path, capsys):
+    # one traced row and one the search clocks, which has no peak
+    out = tmp_path / "bench.json"
+    bench.main(["--json", str(out)],
+               table=[(bench.norm_stream, [(3, 5)]),
+                      (bench.search_phase, [("recheck", 3, 4)])])
+    doc = json.loads(out.read_text())
+    check_bench_document(doc)
+    names = ["norm stream F_3^5", "search recheck p=3 d<=4"]
+    assert [row["stage"] for row in doc["stages"]] == names
+    assert [row["peak_mb"] is None for row in doc["stages"]] == [False, True]
+    printed = capsys.readouterr().out
+    assert all(name in printed for name in names)
+
+
+def test_committed_json_documents():
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        check_bench_document(json.loads(path.read_text()))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -11,6 +12,8 @@ import pytest
 
 from scheme_forge import jsonio
 from scheme_forge.cli import main
+
+from oracles import check_scheme_document
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -141,9 +144,10 @@ def test_oversized_gauss_sums_exit3_before_allocating(monkeypatch, capsys):
     # the emission-only m >= 2 family would list 2 * 11^m indices
     (["construct", "--kind", "five_class", "--p", "3", "--p1", "11",
       "--m", "100000"], "N = 2*11^100000 exceeds cap"),
-    # inside the cap, but its sets would need ~6 GB
-    (["construct", "--kind", "five_class", "--p", "3", "--p1", "11",
-      "--m", "7"], "the five-class index sets of N = 2*11^7 need ~5947 MiB"),
+    # inside the cap, but its sets would need ~15 GB
+    (["construct", "--kind", "five_class", "--p", "5", "--p1", "19",
+      "--m", "6", "--cap", "100000000"],
+     "the five-class index sets of N = 2*19^6 need ~14357 MiB"),
     # inside the cap, but its (N, p) period counts would need ~128 GiB
     (["verify", "--p", "65521", "--f", "1", "--n", "65520", "--parts", "0|1"],
      "the order-65520 periods of F_{65521^1} need ~131010 MiB"),
@@ -155,6 +159,12 @@ def test_oversized_gauss_sums_exit3_before_allocating(monkeypatch, capsys):
     (["verify", "--p", "2", "--f", "10", "--n", "1023", "--parts",
       "|".join(str(i) for i in range(1023))],
      "the trace sums of 1023 relations on F_{2^10} need ~32800 MiB"),
+    # no field bounds p for m >= 2: the cap does, before trial division,
+    # and it bounds the (b, c) search over 4 p^h (index 2 mod 118, h = 3)
+    (["construct", "--kind", "five_class", "--p", "2305843009213693951",
+      "--p1", "11", "--m", "2"], "q = 2305843009213693951^1 exceeds cap"),
+    (["construct", "--kind", "five_class", "--p", "1000003", "--p1", "59",
+      "--m", "2"], "q = 1000003^3 exceeds cap"),
 ])
 def test_oversized_input_exit3_at_once(argv, match, capsys):
     t0 = time.perf_counter()
@@ -290,8 +300,9 @@ PINNED_STDOUT = [
     # the five-class-q5e9 benchmark workload
     ("construct --kind five_class --p 5 --p1 19",
      "b999dffe9dc719f42a6d38b308e74be1a8c13e1de2bb23f28afb6fdad55435dc"),
-    ("construct --kind five_class --p 3 --p1 11 --m 2",
-     "2b8385f994da383e2597447c63c71ca18a4291092a1c0fbdf35ab1ff179f3219"),
+    # emission only: ord_722(5) = 171 = phi(722)/2
+    ("construct --kind five_class --p 5 --p1 19 --m 2",
+     "b469febc2d5225633b5b4c7118e859216303df178c6abd4e2495e99a493131fb"),
     ("construct --kind conference --p 37 --p1 7",
      "c56e9d3d09f56c625d02f31076a0112e7ee210657ae9095ff38c439d0841060e"),
     ("song-reproduce",
@@ -319,6 +330,38 @@ def test_stdout_bytes_are_pinned(argv, digest, capsys):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest
+    # and every scheme document among them checks itself
+    doc = json.loads(out)
+    assert "report" not in doc or check_scheme_document(doc)
+
+
+@pytest.mark.parametrize("argv", ["construct --kind three_class --p 3 --p1 11",
+                                  "construct --kind four_class --p 11 --p1 7"])
+def test_scheme_document_check_rejects_every_unit_moved_in_a_row(argv, capsys):
+    assert main(argv.split()) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert check_scheme_document(doc)
+    B = doc["report"]["intersection_matrices"]
+    K, moves = len(B), 0
+    for a, k, j1, j2 in itertools.product(range(K), repeat=4):
+        if j1 != j2 and B[a][k][j1] > 0:
+            B[a][k][j1] -= 1
+            B[a][k][j2] += 1  # every row sum kept
+            assert not check_scheme_document(doc), (a, k, j1, j2)
+            B[a][k][j1] += 1
+            B[a][k][j2] -= 1
+            moves += 1
+    assert moves > K ** 2
+
+
+def test_scheme_document_check_past_int64():
+    # the one-class scheme on 2^62 points: products of its valency overflow int64
+    q = 2 ** 62
+    doc = {"report": {"valencies": [q - 1], "intersection_matrices": [
+        [[1, 0], [0, 1]], [[0, q - 1], [1, q - 2]]]}}
+    assert check_scheme_document(doc)
+    doc["report"]["intersection_matrices"][1][1] = [2, q - 3]
+    assert not check_scheme_document(doc)
 
 
 class _Unbuffered:
@@ -361,12 +404,21 @@ def test_construct_cli(tmp_path):
 
 def test_construct_five_class_emission(tmp_path):
     out = tmp_path / "c.json"
-    code = main(["construct", "--kind", "five_class", "--p", "3", "--p1", "11",
+    code = main(["construct", "--kind", "five_class", "--p", "5", "--p1", "19",
                  "--m", "2", "--output", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["partition"]["N"] == 242
+    assert doc["partition"]["N"] == 722
     assert "report" not in doc
+
+
+@pytest.mark.parametrize("m,n", [(2, 242), (3, 2662)])
+def test_five_class_emission_needs_index2_exit2(m, n, capsys):
+    # 11 is a base-3 Wieferich prime, 3^5 = 1 (mod 121): ord_242(3) = 5,
+    # not phi(242)/2 = 55, so (3, 11) has index 2 mod 22 only
+    _one_line_exit2(["construct", "--kind", "five_class", "--p", "3",
+                     "--p1", "11", "--m", str(m)], capsys,
+                    f"PreconditionViolated: [Z_{n}^*:<3>] != 2")
 
 
 def test_construct_precondition_exit2(tmp_path):

@@ -128,13 +128,13 @@ def test_five_class_spot_values():
 
 
 def test_five_class_emission_m2():
-    part = five_class_3mod8(3, 11, m=2).partition
-    assert part.N == 242
-    assert [len(s) for s in part.parts] == [110, 55, 55, 11, 11]
+    part = five_class_3mod8(5, 19, m=2).partition
+    assert part.N == 722
+    assert [len(s) for s in part.parts] == [342, 171, 171, 19, 19]
     # also via the direct generator, both orientations
     for orient in (True, False):
-        p2 = five_class_index_sets(3, 11, 2, split_negative=orient)
-        assert sorted(i for s in p2.parts for i in s) == list(range(242))
+        p2 = five_class_index_sets(5, 19, 2, split_negative=orient)
+        assert sorted(i for s in p2.parts for i in s) == list(range(722))
 
 
 def test_five_class_precondition():

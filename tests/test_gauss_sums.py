@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -7,7 +8,8 @@ import pytest
 from scheme_forge.errors import (BadDiscriminant, EvenCharacteristic,
                                  FieldTooLarge, NoSolution,
                                  PreconditionViolated)
-from scheme_forge.finite_field import _build_field_cached, build_field, is_prime
+from scheme_forge.finite_field import (_build_field_cached, build_field, is_prime,
+                                       multiplicative_order)
 from scheme_forge.gauss_sums import (_psi_values, class_number,
                                      gauss_sum_index2, gauss_sum_quadratic,
                                      gauss_sums_all, index2_comparison,
@@ -114,6 +116,9 @@ def test_solve_bc():
     assert (b * pow(23, 1, 7)) % 7 == 5
     with pytest.raises(NoSolution):
         solve_bc(3, 11, 1, 4)  # (f-h)/2 not integral
+    # 17 = (3^2 + 59)/4 is a norm, so 17 (3 + sqrt(-59))/2, b = 51 and c = 17,
+    # has norm 17^3 as well: the solution p divides is not the generator
+    assert solve_bc(17, 59, 3, 29) == (-126, 8)
 
 
 def test_index2_params_and_preconditions():
@@ -123,6 +128,29 @@ def test_index2_params_and_preconditions():
         make_index2_params(5, 7)  # ord_14(5) = 6 = phi(14): index 1
     with pytest.raises(PreconditionViolated):
         make_index2_params(3, 11, m=2)  # order condition fails at 242
+
+
+def test_index2_gate_accepts_exactly_the_index2_instances():
+    # against the O(phi) order loop, for every odd prime p < 60, prime
+    # p1 = 3 (mod 4) with 3 < p1 < 60 and p1 != p, and m <= 3 with
+    # 2 p1^m <= 10^5; the cap admits every such field, so the index decides
+    verdicts = set()
+    for p, p1 in itertools.product(range(3, 60, 2), range(7, 60, 4)):
+        if p == p1 or not (is_prime(p) and is_prime(p1)):
+            continue
+        for m in range(1, 4):
+            n = 2 * p1 ** m
+            if n > 10 ** 5:
+                break
+            try:
+                make_index2_params(p, p1, m, cap=60 ** 29)
+                accepted = True
+            except PreconditionViolated:
+                accepted = False
+            index2 = multiplicative_order(p, n) == n // p1 * (p1 - 1) // 4
+            assert accepted == index2, (p, p1, m)
+            verdicts.add((m, accepted))
+    assert len(verdicts) == 6  # each m has instances and non-instances
 
 
 def test_index2_p1m_branch_value():

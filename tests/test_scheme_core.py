@@ -621,6 +621,22 @@ def test_krein_one_class(f13):
     assert np.array_equal(K[1], np.array([[0, 12], [1, 11]]))
 
 
+def test_krein_parameters_form_no_complex_eigenmatrix(f243, monkeypatch):
+    # the Krein numbers read the dual's P_exact alone: no embedding, no inverse
+    sys22 = build_cyclotomy(f243, 22)
+    part = singletons(22)
+    want = intersections(sys22, dual_partition(sys22, part))
+
+    def refuse(*args):
+        raise AssertionError("formed a complex eigenmatrix")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(scheme_core, "embed", refuse)
+    got = krein_parameters(sys22, part)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_dual_of_dual_random(f243):
     sys22 = build_cyclotomy(f243, 22)
     cosets = IndexPartition.from_sets(

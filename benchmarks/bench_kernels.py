@@ -26,14 +26,21 @@ OPENBLAS_NUM_THREADS is set, as under the command line.
 best-of-three seconds and traced peak, the host (Python, numpy, its BLAS
 and thread count, nproc, CPU model, load average at start and at end) and
 the line count of src/, so a number is always read beside its host.
+``--compare OLD NEW`` reads two such documents instead and prints, for each
+stage both hold, NEW's seconds and peak over OLD's, flagging a seconds ratio
+above 1.25 and a peak ratio above 1.10, then the stages only one holds.  It
+refuses (exit 2) hosts that differ in BLAS threads or nproc, and prints each
+file's load average at start without correcting for it.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--json BENCH.json]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py --compare OLD.json NEW.json
 """
 
 import argparse
 import json
 import os
 import platform
+import sys
 import time
 import tracemalloc
 from collections import deque
@@ -242,11 +249,69 @@ def src_lines():
     return sum(len(f.read_text().splitlines()) for f in src.rglob("*.py"))
 
 
+def print_table(rows):
+    """Rows of strings as aligned columns, the first left-aligned."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(f"{c:<{w}}" if i == 0 else f"{c:>{w}}"
+                        for i, (c, w) in enumerate(zip(row, widths))))
+
+
+SECONDS_FLAG, PEAK_FLAG = 1.25, 1.10
+
+
+def _ratio(old, new):
+    return None if old is None or new is None or old == 0 else new / old
+
+
+def _fmt(x, spec):
+    return "" if x is None else format(x, spec)
+
+
+def compare(old_path, new_path):
+    """Print the ratios of NEW's numbers to OLD's; 2 if their hosts differ in
+    BLAS threads or nproc, else 0."""
+    old, new = (json.loads(Path(path).read_text()) for path in (old_path, new_path))
+    for key in ("blas_threads", "nproc"):
+        if old["environment"][key] != new["environment"][key]:
+            print(f"refused: {key} is {old['environment'][key]} in {old_path} "
+                  f"and {new['environment'][key]} in {new_path}", file=sys.stderr)
+            return 2
+    for path, doc in ((old_path, old), (new_path, new)):
+        print(f"{path}: {doc['src_lines']} src lines, load average "
+              f"{doc['environment']['loadavg']['start'][0]:.2f} at start")
+    new_rows = {row["stage"]: row for row in new["stages"]}
+    rows = [("stage", "old s", "new s", "ratio", "old MB", "new MB", "ratio", "flag")]
+    for a in old["stages"]:
+        b = new_rows.get(a["stage"])
+        if b is None:
+            continue
+        seconds = _ratio(a["seconds"], b["seconds"])
+        peak = _ratio(a["peak_mb"], b["peak_mb"])
+        flags = [name for name, r, bound in (("seconds", seconds, SECONDS_FLAG),
+                                             ("peak", peak, PEAK_FLAG))
+                 if r is not None and r > bound]
+        rows.append((a["stage"], _fmt(a["seconds"], ".3g"), _fmt(b["seconds"], ".3g"),
+                     _fmt(seconds, ".2f"), _fmt(a["peak_mb"], ".3g"),
+                     _fmt(b["peak_mb"], ".3g"), _fmt(peak, ".2f"), ",".join(flags)))
+    print_table(rows)
+    old_names = {row["stage"] for row in old["stages"]}
+    for path, doc, other in ((old_path, old, new_rows), (new_path, new, old_names)):
+        for row in doc["stages"]:
+            if row["stage"] not in other:
+                print(f"only in {path}: {row['stage']}")
+    return 0
+
+
 def main(argv=None, table=TABLE):
     ap = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     ap.add_argument("--json", metavar="PATH",
                     help="also write the rows and the host to PATH")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two --json documents instead of running")
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     load_start = os.getloadavg()
     results = []
     for make, cases in table:
@@ -258,10 +323,7 @@ def main(argv=None, table=TABLE):
               f"{stage.work / seconds:.3g} {stage.unit}/s",
               "" if peak is None else f"{peak:.2f}MB")
              for stage, seconds, peak in results]
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    for row in rows:
-        print("  ".join(f"{c:<{w}}" if i == 0 else f"{c:>{w}}"
-                        for i, (c, w) in enumerate(zip(row, widths))))
+    print_table(rows)
     if args.json:
         doc = {"environment": environment(load_start), "src_lines": src_lines(),
                "stages": [{"stage": stage.name, "seconds": seconds,
@@ -269,7 +331,8 @@ def main(argv=None, table=TABLE):
                            "unit": stage.unit}
                           for stage, seconds, peak in results]}
         Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,8 +27,7 @@ _EXPORTS = {
     "constructions": ("BuiltScheme", "SongReproduction",
                       "conference_7mod8", "five_class_3mod8",
                       "five_class_index_sets", "four_class_7mod8",
-                      "ma_wang_template", "match_template", "song_example",
-                      "three_class_base"),
+                      "match_template", "song_example", "three_class_base"),
     "search": ("SearchResult", "exhaustive_nonexistence"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

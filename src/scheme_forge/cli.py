@@ -98,14 +98,13 @@ def cmd_eigen(args) -> int:
 
 def cmd_fuse(args) -> int:
     from .cyclotomy import embed
-    from .scheme_core import IndexPartition, check_fusion, dual_classes, eigenmatrices
+    from .scheme_core import IndexPartition, _p_exact, check_fusion, dual_classes
 
     field, sys_ = _field_system(args)
     partition = (jsonio.load_partition(args.parts, args.n) if args.parts is not None
                  else IndexPartition.from_sets(args.n, [[i] for i in range(args.n)]))
     lam = jsonio.parse_cells(args.merge, "--merge")
-    P_exact, _, _ = eigenmatrices(sys_, partition, dual_classes(sys_, partition))
-    fused = check_fusion(P_exact, lam)
+    fused = check_fusion(_p_exact(sys_, partition, dual_classes(sys_, partition)), lam)
     doc = {"command": "fuse", "field": field.to_json(),
            "partition": partition.to_json(),
            "column_partition": lam,
@@ -196,8 +195,7 @@ def cmd_song(args) -> int:
 
     rep = constructions.song_example(cap=args.cap)
     ok = (rep.matrices_match and rep.dual_affine_map is not None
-          and rep.rho_exact and rep.template_err is not None
-          and rep.rho_embed_err <= args.tolerance)
+          and rep.rho_exact and rep.template_match is not None)
     r = rep.built.report
     _emit({"command": "song-reproduce",
            "q": rep.golden["q"], "N": rep.golden["N"],
@@ -209,19 +207,15 @@ def cmd_song(args) -> int:
            "class_relabeling": list(rep.class_relabeling) if rep.class_relabeling else None,
            "dual_affine_map": list(rep.dual_affine_map) if rep.dual_affine_map else None,
            "rho_exact_identity": rep.rho_exact,
-           "rho_embed_err": jsonio.fnum(rep.rho_embed_err),
            "template_g": rep.golden["g"],
-           "template_max_err": jsonio.fnum(rep.template_err)
-           if rep.template_err is not None else None,
+           "template_match": (dict(zip(("rows", "cols"), rep.template_match))
+                              if rep.template_match else None),
            "report": jsonio.report_to_json(r)}, args.output)
     return 0 if ok else 1
 
 
-def _add_common(sp, field=False, n=False, parts=False, cap=True,
-                tolerance=False):
+def _add_common(sp, field=False, n=False, parts=False, cap=True):
     sp.add_argument("--output", help="write the JSON document here instead of stdout")
-    if tolerance:
-        sp.add_argument("--tolerance", type=_tolerance, default=1e-6)
     if cap:
         sp.add_argument("--cap", type=_cap, default=DEFAULT_CAP,
                         help="field size cap (elements)")
@@ -269,7 +263,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("gauss-verify",
                         help="index-2 Gauss sum closed forms vs direct sums")
-    _add_common(sp, tolerance=True)
+    _add_common(sp)
+    sp.add_argument("--tolerance", type=_tolerance, default=1e-6)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--p1", type=int, required=True)
     sp.add_argument("--s", type=int, default=1)
@@ -286,7 +281,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("song-reproduce",
                         help="reproduce the F_{37^3} four-class fission golden data")
-    _add_common(sp, tolerance=True)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_song)
     return ap
 

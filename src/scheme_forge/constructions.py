@@ -7,12 +7,12 @@ index sets alone, once make_index2_params confirms index 2 mod 2 p1^m.
 Index sets are only canonical relative to this package's deterministic
 generator, so externally published sets (the F_{37^3} reproduction) are
 matched over the affine orbit i -> u i + v of Z_N, the exact freedom a
-different primitive root and character labelling introduce.
+different primitive root and character labelling introduce; its first
+eigenmatrix is matched against the Ma-Wang template exactly, in Z[xi_p].
 """
 
 from __future__ import annotations
 
-import cmath
 import importlib.resources
 import itertools
 import json
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomy import CyclotomicSystem, build_cyclotomy, embed
+from .cyclotomy import CyclotomicSystem, _mul, build_cyclotomy
 from .errors import (NoOrbitMemberVerifies, OrientationAmbiguous,
                      PreconditionViolated, TemplatePreconditionViolated,
                      check_budget)
@@ -187,53 +187,54 @@ def conference_7mod8(p: int, p1: int, i0=None,
     return BuiltScheme("conference_7mod8", field, sys, partition, report, params)
 
 
-# --- eigenmatrix template of four-class skew-symmetric conference fissions ------
+# --- the Ma-Wang template of four-class skew-symmetric conference fissions ------
 
-def ma_wang_template(q: int, g: int) -> np.ndarray:
-    """The circulant 5x5 first-eigenmatrix template in rho and tau.
+def match_template(P_exact: np.ndarray, q: int, g: int):
+    """The first pair (rows, cols) of permutations of 0..4 fixing 0, in
+    itertools.permutations order, with P_exact[rows][:, cols] the Ma-Wang
+    template, or None; decided exactly in Z[xi_p], for q = p^e.
 
-    Needs q = 5 (mod 8) and q = g^2 + 4 h^2 with g = 1 (mod 4); rho and tau
-    are quarter-sums built from sqrt(q) and sqrt(-2q +- 2 g sqrt(q)).
+    Needs q = 5 (mod 8) and q = g^2 + 4 h^2 with g = 1 (mod 4).  The template
+    has row 0 (1, f, f, f, f), f = (q - 1)/4, column 0 all ones and the block
+    [i][j] = v_{(i + j) mod 4}, v = (rho, tau, conj rho, conj tau), where
+    4 rho + 1 = sqrt q + r_+ and 4 tau + 1 = -sqrt q + r_- for the principal
+    radicals r_s = sqrt(-2q - 2 s g sqrt q), so r_+ r_- = -4|h| sqrt q.  Each
+    r_s^2 has the roots +-r_s (v_0 != v_2, v_1 != v_3), and the product pairs
+    rho with tau: the block is the template or its complex conjugate.  With
+    e odd, sqrt q = p^{(e-1)/2} sqrt p, sqrt p the row (t|p) - (p-1|p).
     """
-    if q % 8 != 5:
-        raise TemplatePreconditionViolated(f"q = {q} must be 5 mod 8")
-    if g % 4 != 1:
-        raise TemplatePreconditionViolated(f"g = {g} must be 1 mod 4")
-    rem = q - g * g
-    if rem < 0 or rem % 4 != 0 or math.isqrt(rem // 4) ** 2 != rem // 4:
-        raise TemplatePreconditionViolated(f"q - g^2 = {rem} is not 4 h^2")
-    sq = math.sqrt(q)
-    # the coherent principal-branch pairing: rho (the +sqrt(q) value) carries
-    # the -2g sqrt(q) radical; this is the assignment whose Galois orbit
-    # reproduces the intersection matrices of both reference schemes
-    rho = (-1 + sq + cmath.sqrt(complex(-2 * q - 2 * g * sq))) / 4
-    tau = (-1 - sq + cmath.sqrt(complex(-2 * q + 2 * g * sq))) / 4
-    f = (q - 1) // 4
-    rb, tb = rho.conjugate(), tau.conjugate()
-    return np.array([
-        [1, f, f, f, f],
-        [1, rho, tau, rb, tb],
-        [1, tau, rb, tb, rho],
-        [1, rb, tb, rho, tau],
-        [1, tb, rho, tau, rb],
-    ], dtype=complex)
-
-
-def match_template(P: np.ndarray, T: np.ndarray):
-    """Smallest max-abs deviation of P from T over row/column permutations
-    fixing index 0; returns (err, row_perm, col_perm) or None if above 1e-6."""
-    d = P.shape[0] - 1
-    best = None
-    for rp in itertools.permutations(range(1, d + 1)):
-        rows = (0,) + rp
-        Pr = P[rows, :]
-        for cp in itertools.permutations(range(1, d + 1)):
-            cols = (0,) + cp
-            err = np.abs(Pr[:, cols] - T).max()
-            if best is None or err < best[0]:
-                best = (err, rows, cols)
-    if best is not None and best[0] <= 1e-6:
-        return best
+    p, rem = P_exact.shape[-1] + 1, q - g * g
+    e, h = round(math.log(q, p)), math.isqrt(max(rem, 0) // 4)
+    if q % 8 != 5 or g % 4 != 1 or 4 * h * h != rem or p ** e != q:
+        raise TemplatePreconditionViolated(
+            f"(q, g) = ({q}, {g}): the template needs q = {p}^e = 5 mod 8 "
+            "and q = g^2 + 4 h^2 with g = 1 mod 4")
+    one = np.eye(p - 1, dtype=np.int64)[0]
+    if (P_exact.shape[:2] != (5, 5) or (P_exact[:, 0] != one).any()
+            or (P_exact[0, 1:] != (q - 1) // 4 * one).any()):
+        return None
+    legendre = [(pow(t, (p - 1) // 2, p) + 1) % p - 1 for t in range(p)]  # Euler
+    sqrt_q = [p ** (e // 2) * (s - legendre[-1]) for s in legendre[:-1]]
+    # r[s][x] = 4 v + 1 - s sqrt q of the block's distinct entry v = uniq[x],
+    # and sign[x] = s if it squares to -2q - 2 s g sqrt q
+    uniq, ids = np.unique(P_exact[1:, 1:].reshape(16, p - 1), axis=0,
+                          return_inverse=True)
+    r = {s: [[4 * c + (t == 0) - s * w for t, (c, w) in enumerate(zip(x, sqrt_q))]
+             for x in uniq.tolist()] for s in (1, -1)}
+    square = {s: [-2 * q * (t == 0) - 2 * s * g * w for t, w in enumerate(sqrt_q)]
+              for s in (1, -1)}
+    sign = [next((s for s in (1, -1) if _mul(r[s][x], r[s][x], p) == square[s]), 0)
+            for x in range(len(uniq))]
+    ids = ids.reshape(4, 4).tolist()
+    for rows in itertools.permutations(range(4)):
+        for cols in itertools.permutations(range(4)):
+            v = [ids[rows[0]][c] for c in cols]
+            if ([sign[x] for x in v] == [1, -1, 1, -1]
+                    and v[0] != v[2] and v[1] != v[3]
+                    and all(ids[i][c] == v[(a + b) % 4]
+                            for a, i in enumerate(rows) for b, c in enumerate(cols))
+                    and _mul(r[1][v[0]], r[-1][v[1]], p) == [-4 * h * w for w in sqrt_q]):
+                return (0, *(i + 1 for i in rows)), (0, *(c + 1 for c in cols))
     return None
 
 
@@ -252,8 +253,7 @@ class SongReproduction:
     matrices_match: bool
     dual_affine_map: tuple[int, int] | None
     rho_exact: bool
-    rho_embed_err: float
-    template_err: float | None
+    template_match: tuple[tuple[int, ...], tuple[int, ...]] | None
     golden: dict
 
 
@@ -318,13 +318,8 @@ def song_example(cap: int = DEFAULT_CAP) -> SongReproduction:
     rho[0] += golden["rho_integer_part"]
     rho_exact = bool((report.P_exact == rho).all(axis=-1).any())
 
-    q, g = golden["q"], golden["g"]
-    rho_formula = ma_wang_template(q, g)[1, 1]
-    rho_embed_err = abs(embed(rho, golden["p"]) - rho_formula)
-
-    tm = match_template(np.asarray(report.P_complex), ma_wang_template(q, g))
     return SongReproduction(
         built=built, affine_map=(u, v), class_relabeling=relabel,
         matrices_match=relabel is not None, dual_affine_map=dual_map,
-        rho_exact=rho_exact, rho_embed_err=rho_embed_err,
-        template_err=tm[0] if tm else None, golden=golden)
+        rho_exact=rho_exact, golden=golden,
+        template_match=match_template(report.P_exact, golden["q"], golden["g"]))

@@ -115,6 +115,16 @@ def embed(rows, p: int) -> np.ndarray:
     return out
 
 
+def _mul(a, b, p: int) -> list[int]:
+    """The row of a b for coefficient rows a, b of Z[xi_p], in Python ints:
+    their cyclic convolution in Z[x]/(x^p - 1), with xi_p^{p-1} folded back."""
+    a, b, c = [int(x) for x in a], [int(x) for x in b], [0] * p
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[(i + j) % p] += x * y
+    return [t - c[-1] for t in c[:-1]]
+
+
 # charged a cell of the signature sums before they are allocated: ~32 B a
 # cell of dual_classes' table, its sorted row keys and distinct rows, ~70 B
 # a row (sort index, labels); ~19 B a cell of signature_counts' batch

@@ -220,26 +220,51 @@ def ts_identity_check(p: int) -> bool:
 
 def check_scheme_document(doc) -> bool:
     """A document's printed intersection matrices form the regular
-    representation of a commutative scheme (Brouwer-Cohen-Neumaier 1989,
+    representation of a commutative scheme, and its printed first
+    eigenmatrix holds that algebra's characters (Brouwer-Cohen-Neumaier 1989,
     2.1-2.2): with (B_a)[k][j] = p_{aj}^k, B_a B_b = sum_c p_{ab}^c B_c for
-    all a, b, and row k of B_a sums to the valency k_a (k_0 = 1).
+    all a, b; row k of B_a sums to the valency k_a (k_0 = 1); and
+    P[l, i] P[l, j] = sum_k p_{ij}^k P[l, k] in Z[xi_p] for every row l.
 
-    Reads ``doc["report"]`` only.  A product sums K terms of at most
-    max|p|^2, so it runs in int64 while that bound fits, in Python ints past
-    it.
+    Reads ``doc["report"]`` only.  A product of intersection matrices sums K
+    terms of at most max|p|^2, and runs in int64 while that fits, in Python
+    ints past it.  With B = max|coefficient| of P_exact, a product of two
+    entries folds (p - 1) B^2 twice over, and a sum over k is at most
+    K max|p| B: those run in float64 while both are below 2^53, in int64
+    below 2^63, and in Python ints past that.
     """
     report = doc["report"]
     k = np.array([1] + report["valencies"], dtype=object)
     B = np.array(report["intersection_matrices"], dtype=object)
+    P = np.array([[e["coeffs"] for e in row] for row in report["P_exact"]],
+                 dtype=object)
     K = len(k)
-    if B.shape != (K, K, K):
+    if B.shape != (K, K, K) or P.shape[:2] != (K, K):
         return False
-    top = int(np.abs(B).max())
+    top, coef, p = int(np.abs(B).max()), int(np.abs(P).max()), P.shape[2] + 1
     if K * top * top < 2 ** 63:
         B, k = B.astype(np.int64), k.astype(np.int64)
     # lhs[a, b] = B_a B_b; rhs[a, b] = sum_c B_a[c][b] B_c
     lhs = B[:, None] @ B[None, :]
     rhs = (B.transpose(0, 2, 1).reshape(K * K, K)
            @ B.reshape(K, K * K)).reshape(K, K, K, K)
-    return bool((B.sum(axis=2) == k[:, None]).all()
-                and (lhs == rhs).all())
+    if not ((B.sum(axis=2) == k[:, None]).all() and (lhs == rhs).all()):
+        return False
+    # each row's products in Z[x]/(x^p - 1): w[j, a] @ u[i] sums
+    # u[j][(a - b) mod p] u[i][b], then xi^{p-1} folds back onto the rest.
+    # Below 2^53 every partial sum is an integer float64 holds, so BLAS is
+    # exact; int64 products run in numpy's own loops, 7 times slower
+    bound = max(2 * (p - 1) * coef * coef, K * top * coef)
+    dtype = float if bound < 2 ** 53 else np.int64 if bound < 2 ** 63 else object
+    P, B = P.astype(dtype), B.astype(dtype)
+    shift = np.subtract.outer(np.arange(p), np.arange(p)) % p
+    # sums[l, i K + j] = sum_k p_{ij}^k P[l, k]
+    sums = B.transpose(0, 2, 1).reshape(K * K, K) @ P
+    for row, total in zip(P, sums):
+        u = np.zeros((K, p), dtype=dtype)
+        u[:, :-1] = row
+        conv = (u[:, shift].reshape(K * p, p) @ u.T).reshape(K, p, K)
+        prods = (conv[:, :-1] - conv[:, -1:]).transpose(2, 0, 1)
+        if not (prods.reshape(K * K, p - 1) == total).all():
+            return False
+    return True

@@ -148,3 +148,38 @@ def test_committed_json_documents():
     assert paths
     for path in paths:
         check_bench_document(json.loads(path.read_text()))
+
+
+def _bench_doc(stages, nproc=2):
+    return {"environment": {"python": "3.11.7", "numpy": "2.4.6", "blas": "openblas",
+                            "blas_threads": 1, "nproc": nproc, "cpu": "cpu",
+                            "loadavg": {"start": [0.5, 0.5, 0.5],
+                                        "end": [0.5, 0.5, 0.5]}},
+            "src_lines": 100,
+            "stages": [{"stage": name, "seconds": seconds, "peak_mb": peak,
+                        "work": 1, "unit": "cells"} for name, seconds, peak in stages]}
+
+
+def test_compare_flags_a_slower_row_and_lists_unmatched_stages(bench, tmp_path, capsys):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(_bench_doc([("a", 1.0, 10.0), ("b", 1.0, 10.0),
+                                          ("gone", 1.0, None)])))
+    new.write_text(json.dumps(_bench_doc([("a", 1.2, 10.5), ("b", 1.3, 11.5),
+                                          ("added", 1.0, None)])))
+    assert bench.main(["--compare", str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (a,) = [line for line in lines if line.startswith("a ")]
+    (b,) = [line for line in lines if line.startswith("b ")]
+    # 1.2 and 1.05 are within the bounds; 1.3 and 1.15 are above them
+    assert a.split()[-2:] == ["10.5", "1.05"] and "1.20" in a.split()
+    assert b.split()[-1] == "seconds,peak" and "1.30" in b.split()
+    assert f"only in {old}: gone" in lines and f"only in {new}: added" in lines
+
+
+def test_compare_refuses_another_core_count(bench, tmp_path, capsys):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(_bench_doc([("a", 1.0, 10.0)])))
+    new.write_text(json.dumps(_bench_doc([("a", 1.0, 10.0)], nproc=4)))
+    assert bench.main(["--compare", str(old), str(new)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "refused: nproc is 2" in err

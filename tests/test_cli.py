@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from scheme_forge import jsonio
@@ -73,6 +74,8 @@ def test_overlapping_parts_exit2(argv, capsys):
     ["search-nonexistence", "--p", "3", "--tolerance", "1e-3"],
     ["search-nonexistence", "--p", "3", "--cap", "100"],
     ["search-nonexistence", "--p", "3", "--long-run"],
+    # the template is matched exactly: song-reproduce has no tolerance
+    ["song-reproduce", "--tolerance", "1e-6"],
 ])
 def test_options_no_command_reads_exit2(argv, capsys):
     assert main(argv) == 2
@@ -306,7 +309,7 @@ PINNED_STDOUT = [
     ("construct --kind conference --p 37 --p1 7",
      "c56e9d3d09f56c625d02f31076a0112e7ee210657ae9095ff38c439d0841060e"),
     ("song-reproduce",
-     "6cb1b1f3f56bc629793a1bdb4d39140e23f976479d9ce845aea0d595f0a91e7c"),
+     "2364647ace5afa6467848b37fa1ddf11e6876712de8edc398fead570e2007ca2"),
     ("search-nonexistence --p 3 --allow-symmetric",
      "0caf197abd49846227c14c075e8a4da5028340a3256b103f92f45a0abd5c4cc0"),
     # the scan-p7-d3 benchmark workload: 16 closure survivors through
@@ -355,13 +358,38 @@ def test_scheme_document_check_rejects_every_unit_moved_in_a_row(argv, capsys):
 
 
 def test_scheme_document_check_past_int64():
-    # the one-class scheme on 2^62 points: products of its valency overflow int64
-    q = 2 ** 62
-    doc = {"report": {"valencies": [q - 1], "intersection_matrices": [
-        [[1, 0], [0, 1]], [[0, q - 1], [1, q - 2]]]}}
-    assert check_scheme_document(doc)
-    doc["report"]["intersection_matrices"][1][1] = [2, q - 3]
-    assert not check_scheme_document(doc)
+    # the one-class scheme on q points, P = [[1, q - 1], [1, -1]] over Z[xi_2]:
+    # at 2^30 its products pass float64's 2^53, at 2^62 they overflow int64
+    for q in (2 ** 30, 2 ** 62):
+        doc = {"report": {"valencies": [q - 1], "intersection_matrices": [
+            [[1, 0], [0, 1]], [[0, q - 1], [1, q - 2]]], "P_exact": [
+            [{"n": 2, "coeffs": [1]}, {"n": 2, "coeffs": [q - 1]}],
+            [{"n": 2, "coeffs": [1]}, {"n": 2, "coeffs": [-1]}]]}}
+        assert check_scheme_document(doc)
+        doc["report"]["P_exact"][1][1]["coeffs"] = [1]
+        assert not check_scheme_document(doc)
+        doc["report"]["P_exact"][1][1]["coeffs"] = [-1]
+        doc["report"]["intersection_matrices"][1][1] = [2, q - 3]
+        assert not check_scheme_document(doc)
+
+
+@pytest.mark.parametrize("argv", ["construct --kind three_class --p 3 --p1 11",
+                                  "construct --kind four_class --p 11 --p1 7"])
+def test_scheme_document_check_rejects_every_unit_moved_in_an_eigenvalue(argv, capsys):
+    assert main(argv.split()) == 0
+    doc = json.loads(capsys.readouterr().out)
+    P = doc["report"]["P_exact"]
+    K, moves = len(P), 0
+    for l, i in itertools.product(range(K), repeat=2):
+        coeffs = P[l][i]["coeffs"]
+        for a, b in itertools.permutations(range(len(coeffs)), 2):
+            coeffs[a] -= 1
+            coeffs[b] += 1
+            assert not check_scheme_document(doc), (l, i, a, b)
+            coeffs[a] += 1
+            coeffs[b] -= 1
+            moves += 1
+    assert check_scheme_document(doc) and moves >= 2 * K * K
 
 
 class _Unbuffered:
@@ -462,8 +490,6 @@ def test_count_below_one_exit2(argv, capsys):
     # each used to exit 1, a refutation, as no error is within it
     ["gauss-verify", "--p", "3", "--p1", "11", "--tolerance", "-1"],
     ["gauss-verify", "--p", "3", "--p1", "11", "--tolerance", "nan"],
-    ["song-reproduce", "--tolerance", "-1"],
-    ["song-reproduce", "--tolerance", "nan"],
 ])
 def test_negative_or_nan_tolerance_exit2(argv, capsys):
     _one_line_exit2(argv, capsys,
@@ -472,7 +498,6 @@ def test_negative_or_nan_tolerance_exit2(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["gauss-verify", "--p", "3", "--p1", "11", "--tolerance", "abc"],
-    ["song-reproduce", "--tolerance", "abc"],
 ])
 def test_unparsable_tolerance_names_float_exit2(argv, capsys):
     # argparse alone would name the type function: "invalid _tolerance value"
@@ -607,6 +632,20 @@ def test_fuse_cli(tmp_path):
     assert doc["row_partition"][0] == [0]
 
 
+def test_fuse_inverts_no_matrix(tmp_path, monkeypatch):
+    # the block test reads P_exact alone: the same bytes with no LAPACK inverse
+    argv = ["fuse", "--p", "13", "--f", "1", "--n", "4", "--merge", "0|1,3|2,4"]
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    assert main(argv + ["--output", str(want)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("inverted a matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    assert main(argv + ["--output", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_song_reproduce_cli(tmp_path):
     out = tmp_path / "song.json"
     code = main(["song-reproduce", "--output", str(out)])
@@ -614,7 +653,7 @@ def test_song_reproduce_cli(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["intersection_matrices_match"] is True
     assert doc["rho_exact_identity"] is True
-    assert doc["template_max_err"] < 1e-6
+    assert doc["template_match"] == {"rows": [0, 1, 3, 4, 2], "cols": [0, 1, 4, 3, 2]}
 
 
 def test_byte_determinism(tmp_path):

@@ -1,12 +1,15 @@
+import cmath
+import itertools
+
 import numpy as np
 import pytest
 
 from scheme_forge.constructions import (conference_7mod8, five_class_3mod8,
                                         five_class_index_sets,
                                         four_class_7mod8, load_golden,
-                                        ma_wang_template, match_template,
-                                        song_example, three_class_base)
-from scheme_forge.cyclotomy import build_cyclotomy
+                                        match_template, song_example,
+                                        three_class_base)
+from scheme_forge.cyclotomy import build_cyclotomy, embed
 from scheme_forge.errors import (PreconditionViolated,
                                  TemplatePreconditionViolated)
 from scheme_forge.finite_field import multiplicative_order
@@ -177,9 +180,11 @@ def test_five_class_families_beyond_desk_scale_emit(p, p1):
 
 
 def test_five_class_emission_m2_other_pair():
-    part = five_class_index_sets(5, 19, 2)
-    assert part.N == 2 * 19 ** 2
-    assert sorted(len(s) for s in part.parts) == [19, 19, 171, 171, 342]
+    # 1 + 67 = 4 * 17: the emission of a second index-2 instance, N = 2 * 67^2
+    part = five_class_3mod8(17, 67, m=2).partition
+    assert part.N == 8978
+    assert sorted(len(s) for s in part.parts) == [67, 67, 2211, 2211, 4422]
+    assert sorted(i for s in part.parts for i in s) == list(range(8978))
 
 
 @pytest.mark.slow
@@ -228,19 +233,62 @@ def test_conference_preconditions():
         conference_7mod8(37, 11)  # 11 = 3 mod 8
 
 
-def test_ma_wang_template_basics():
-    q = 50653
-    assert q == 107 ** 2 + 4 * 99 ** 2 == 37 ** 2 + 4 * 111 ** 2
-    T = ma_wang_template(q, 37)
-    f = (q - 1) // 4
-    assert np.allclose(T[0], [1, f, f, f, f])
-    assert np.allclose(T[:, 0], 1)
-    rho, tau = T[1, 1], T[1, 2]
-    assert abs(rho + tau + rho.conjugate() + tau.conjugate() + 1) < 1e-9
-    with pytest.raises(TemplatePreconditionViolated):
-        ma_wang_template(50653, 39)
-    with pytest.raises(TemplatePreconditionViolated):
-        ma_wang_template(50651, 37)
+@pytest.fixture(scope="module")
+def song():
+    return song_example()
+
+
+@pytest.fixture(scope="module")
+def index4_P(f37_cubed):
+    sys4 = build_cyclotomy(f37_cubed, 4)
+    return verify_scheme(sys4, IndexPartition.from_sets(4, [[i] for i in range(4)])).P_exact
+
+
+def test_ma_wang_template_basics(song):
+    # q = 37^3 is g^2 + 4 h^2 for the fission's g = 37 and the index-4 g = -107
+    assert 50653 == 107 ** 2 + 4 * 99 ** 2 == 37 ** 2 + 4 * 111 ** 2
+    for q, g in [(50653, 39),   # g = 3 mod 4
+                 (50651, 37),   # q = 3 mod 8
+                 (50653, 41),   # q - g^2 is not 4 h^2
+                 (50653, 229),  # q - g^2 < 0
+                 (5 ** 7, 29)]:  # 5^7 = 29^2 + 4 * 139^2, not a power of 37
+        with pytest.raises(TemplatePreconditionViolated):
+            match_template(song.built.report.P_exact, q, g)
+
+
+def test_match_template_is_the_template_up_to_conjugation(song, index4_P):
+    # each match embeds to the template's rows and columns in floats: row 0
+    # (1, f, f, f, f), column 0 ones, and the block [i][j] = v_{(i+j) mod 4}
+    # with v = (rho, tau, conj rho, conj tau) or its conjugate
+    q, sq = 50653, 50653 ** 0.5
+    for P_exact, g in [(song.built.report.P_exact, 37), (index4_P, -107)]:
+        rows, cols = match_template(P_exact, q, g)
+        T = embed(P_exact, 37)[np.ix_(rows, cols)]
+        rho = (-1 + sq + cmath.sqrt(-2 * q - 2 * g * sq)) / 4
+        tau = (-1 - sq + cmath.sqrt(-2 * q + 2 * g * sq)) / 4
+        v = np.array([rho, tau, rho.conjugate(), tau.conjugate()])
+        assert np.allclose(T[0], [1] + [(q - 1) // 4] * 4) and np.allclose(T[:, 0], 1)
+        block = v[np.add.outer(range(4), range(4)) % 4]
+        assert min(abs(T[1:, 1:] - block).max(),
+                   abs(T[1:, 1:] - block.conj()).max()) < 1e-9
+
+
+def test_match_template_fails_under_the_other_g(song, index4_P):
+    assert match_template(song.built.report.P_exact, 50653, -107) is None
+    assert match_template(index4_P, 50653, 37) is None
+
+
+def test_match_template_rejects_every_unit_moved_in_an_entry(song):
+    P = song.built.report.P_exact.copy()
+    assert match_template(P, 50653, 37) is not None
+    for i, j in itertools.product(range(5), repeat=2):
+        for a in range(36):
+            b = (a + 1) % 36
+            P[i, j, a] -= 1
+            P[i, j, b] += 1
+            assert match_template(P, 50653, 37) is None, (i, j, a)
+            P[i, j, a] += 1
+            P[i, j, b] -= 1
 
 
 def test_song_reproduction():
@@ -251,9 +299,8 @@ def test_song_reproduction():
     assert rep.class_relabeling is not None
     assert rep.dual_affine_map is not None
     assert rep.rho_exact
-    assert rep.rho_embed_err < 1e-6
     assert_embeds_like_scalar_sum(rep.built.report.P_exact, 37)
-    assert rep.template_err is not None and rep.template_err < 1e-6
+    assert rep.template_match is not None
     golden = rep.golden
     assert rep.built.report.valencies == [golden["valency"]] * 4
 
@@ -291,11 +338,8 @@ def test_song_fusion_from_index28(sys28):
     assert (check_fusion(P_exact, bad_lam) is not None) == _is(sys28, merged)
 
 
-def test_cyclotomic_index4_matches_g_minus107(f37_cubed):
-    sys4 = build_cyclotomy(f37_cubed, 4)
-    rep = verify_scheme(sys4, IndexPartition.from_sets(4, [[i] for i in range(4)]))
-    m = match_template(np.asarray(rep.P_complex), ma_wang_template(50653, -107))
-    assert m is not None and m[0] < 1e-6
+def test_cyclotomic_index4_matches_g_minus107(index4_P):
+    assert match_template(index4_P, 50653, -107) is not None
 
 
 def test_golden_row_sums():

@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 from scheme_forge.constructions import five_class_3mod8, three_class_base
-from scheme_forge.cyclotomy import build_cyclotomy, embed
+from scheme_forge.cyclotomy import _mul, build_cyclotomy, embed
 from scheme_forge.errors import NotADivisor
 from scheme_forge.finite_field import _BLOCK, build_field
 
@@ -13,6 +15,34 @@ from conftest import (assert_embeds_like_scalar_sum, brute_force_char_sum,
 def integer(p, c):
     """The row of the rational integer c in Z[xi_p]."""
     return [c] + [0] * (p - 2)
+
+
+def naive_mul(a, b, p):
+    """a b in Z[xi_p], term by term: xi^k for k = i + j mod p, and
+    xi^{p-1} spread as -1 on each of 1, ..., xi^{p-2}."""
+    out = [0] * (p - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            k = (i + j) % p
+            if k == p - 1:
+                out = [c - x * y for c in out]
+            else:
+                out[k] += x * y
+    return out
+
+
+@pytest.mark.parametrize("p,bits", [(2, 8), (3, 8), (37, 20), (37, 70), (257, 40)])
+def test_mul_matches_a_naive_double_loop(p, bits):
+    rng = random.Random(p * bits)
+    for _ in range(3):
+        a, b = ([rng.randrange(-2 ** bits, 2 ** bits) for _ in range(p - 1)]
+                for _ in range(2))
+        assert _mul(a, b, p) == naive_mul(a, b, p)
+    # past 2^63, and from int64 rows with no wrap
+    big = [2 ** 64 + 3] + [-(2 ** 63)] * (p - 2)
+    assert _mul(big, big, p) == naive_mul(big, big, p)
+    row = np.full(p - 1, 2 ** 62, dtype=np.int64)
+    assert _mul(row, row, p) == naive_mul([2 ** 62] * (p - 1), [2 ** 62] * (p - 1), p)
 
 
 def test_f9_index2_periods(f9):

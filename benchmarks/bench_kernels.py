@@ -11,9 +11,11 @@ whose N p cells the fold dominates), gauss-verify's ``gauss_sums_all``
 one ``verify`` sums) and of the first batch the search rechecks at
 p = 11, d <= 3, the dual classes, eigenmatrices and intersection numbers
 ``verify`` forms (the periods and earlier stages built outside the timed
-run), documents laid out by ``jsonio.chunks`` (verify's two table-heavy
-ones, and the search's list of many small partitions), and the two-block,
-meets and recheck phases of ``search-nonexistence --allow-symmetric``.
+run; F_{8191^2} by 6 forms float64 pair products, contracts them in int64
+and sums in Python ints), documents laid out by ``jsonio.chunks``
+(verify's two table-heavy ones, and the search's list of many small
+partitions), and the two-block, meets and recheck phases of
+``search-nonexistence --allow-symmetric``.
 
 Each row prints the best of three runs, its rate, and its traced peak: the
 tracemalloc heap high-water mark of one more run above its level at entry,
@@ -199,7 +201,8 @@ TABLE = [
     (recheck_batch, [(11, 3)]),
     (dual_classes, [(37, 3, 28), (4099, 1, 2)]),
     (eigenmatrices, [(37, 3, 28)]),
-    (intersection_numbers, [(37, 3, 28), (257, 2, 32), (1021, 2, 6)]),
+    (intersection_numbers, [(37, 3, 28), (257, 2, 32), (257, 2, 96), (1021, 2, 6),
+                            (8191, 2, 6)]),
     (chunks, [("verify", 37, 3, 28), ("verify", 257, 2, 32),
               ("search", 7, 4)]),
     (search_phase, [(phase, 7, dmax) for dmax in (3, 4)

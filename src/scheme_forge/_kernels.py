@@ -24,9 +24,7 @@ def use_numba() -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# discrete-log (antilog) table
-# ---------------------------------------------------------------------------
+# --- discrete-log (antilog) table --------------------------------------------
 #
 # Elements of F_{p^f} are encoded as integers 0..q-1, the coefficient vector
 # of the residue mod the primitive modulus read in base p (constant digit
@@ -69,9 +67,7 @@ def antilog_table(p, f, s):
     return out
 
 
-# ---------------------------------------------------------------------------
-# exhaustive partition search over Z_N
-# ---------------------------------------------------------------------------
+# --- exhaustive partition search over Z_N -------------------------------------
 #
 # Partitions are enumerated as restricted growth strings (labels capped at
 # dmax-1), which canonicalises part order.  A candidate with d parts is a

@@ -14,10 +14,9 @@ import os
 import sys
 from contextlib import nullcontext
 
-# OpenBLAS sizes its thread pool once, as numpy loads; the CLI's one BLAS call
-# is the (d + 1) x (d + 1) eigenmatrix inverse of d classes, 33x33 in the
-# pinned F_{257^2} by 32 document: too small for a per-core pool to repay
-# its CPU
+# OpenBLAS sizes its thread pool once, as numpy loads.  The eigenmatrix inverse
+# and the trace sums' float64 products are small for a per-core pool: 257
+# products (97, 257) @ (257, 97) took 2.69 s on two threads, 0.028 s on one
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import jsonio  # noqa: E402

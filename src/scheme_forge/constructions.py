@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomy import CyclotomicSystem, _mul, build_cyclotomy
+from .cyclotomy import CyclotomicSystem, _cast, _mul, build_cyclotomy
 from .errors import (NoOrbitMemberVerifies, OrientationAmbiguous,
                      PreconditionViolated, TemplatePreconditionViolated,
                      check_budget)
@@ -214,16 +214,18 @@ def match_template(P_exact: np.ndarray, q: int, g: int):
             or (P_exact[0, 1:] != (q - 1) // 4 * one).any()):
         return None
     legendre = [(pow(t, (p - 1) // 2, p) + 1) % p - 1 for t in range(p)]  # Euler
-    sqrt_q = [p ** (e // 2) * (s - legendre[-1]) for s in legendre[:-1]]
+    sqrt_q = p ** (e // 2) * (np.array(legendre[:-1]) - legendre[-1])
+
+    def equal(c, row):  # c of Z[x]/(x^p - 1), xi_p^{p-1} folded back, is row
+        c = _cast(c, object)
+        return np.array_equal(c[:-1] - c[-1], row)
     # r[s][x] = 4 v + 1 - s sqrt q of the block's distinct entry v = uniq[x],
     # and sign[x] = s if it squares to -2q - 2 s g sqrt q
     uniq, ids = np.unique(P_exact[1:, 1:].reshape(16, p - 1), axis=0,
                           return_inverse=True)
-    r = {s: [[4 * c + (t == 0) - s * w for t, (c, w) in enumerate(zip(x, sqrt_q))]
-             for x in uniq.tolist()] for s in (1, -1)}
-    square = {s: [-2 * q * (t == 0) - 2 * s * g * w for t, w in enumerate(sqrt_q)]
-              for s in (1, -1)}
-    sign = [next((s for s in (1, -1) if _mul(r[s][x], r[s][x], p) == square[s]), 0)
+    r = {s: 4 * uniq + one - s * sqrt_q for s in (1, -1)}
+    sign = [next((s for s in (1, -1) if equal(_mul(r[s][x], r[s][x], p),
+                                              -2 * q * one - 2 * s * g * sqrt_q)), 0)
             for x in range(len(uniq))]
     ids = ids.reshape(4, 4).tolist()
     for rows in itertools.permutations(range(4)):
@@ -233,7 +235,7 @@ def match_template(P_exact: np.ndarray, q: int, g: int):
                     and v[0] != v[2] and v[1] != v[3]
                     and all(ids[i][c] == v[(a + b) % 4]
                             for a, i in enumerate(rows) for b, c in enumerate(cols))
-                    and _mul(r[1][v[0]], r[-1][v[1]], p) == [-4 * h * w for w in sqrt_q]):
+                    and equal(_mul(r[1][v[0]], r[-1][v[1]], p), -4 * h * sqrt_q)):
                 return (0, *(i + 1 for i in rows)), (0, *(c + 1 for c in cols))
     return None
 
@@ -266,8 +268,9 @@ def _affine_maps(N: int):
 
 
 def _affine_orbit_search(sys: CyclotomicSystem, base: IndexPartition):
-    for u, v in _affine_maps(base.N):
-        cand = base.affine_image(u, v)
+    N = base.N
+    for u, v in _affine_maps(N):
+        cand = IndexPartition.from_sets(N, [[(u * i + v) % N for i in p] for p in base.parts])
         if is_scheme(sys, cand):
             return (u, v), cand
     raise NoOrbitMemberVerifies(

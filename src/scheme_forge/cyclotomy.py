@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotADivisor, PartitionInvalid, check_budget
 from .finite_field import _BLOCK, FieldSpec
@@ -115,14 +116,33 @@ def embed(rows, p: int) -> np.ndarray:
     return out
 
 
-def _mul(a, b, p: int) -> list[int]:
-    """The row of a b for coefficient rows a, b of Z[xi_p], in Python ints:
-    their cyclic convolution in Z[x]/(x^p - 1), with xi_p^{p-1} folded back."""
-    a, b, c = [int(x) for x in a], [int(x) for x in b], [0] * p
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            c[(i + j) % p] += x * y
-    return [t - c[-1] for t in c[:-1]]
+def _dtype(bound: int):
+    """A product stage's dtype for |partial sums| <= ``bound``: float64 below
+    2^53 (exact on BLAS in any order), int64 below 2^63, else Python ints."""
+    return np.float64 if bound < 2 ** 53 else np.int64 if bound < 2 ** 63 else object
+
+
+def _cast(x: np.ndarray, dtype) -> np.ndarray:
+    """x's integer entries in ``dtype``, float64 through int64: never floats."""
+    x = x.astype(np.int64) if x.dtype == np.float64 and dtype is not np.float64 else x
+    return x.astype(dtype, copy=False)
+
+
+def _height(a: np.ndarray) -> int:  # max |a|, no int64 overflow at -2^63
+    return max(int(a.max()), -int(a.min()))
+
+
+def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a[x] b[y] for coefficient rows of Z[xi_p], (..., ..., p): the cyclic
+    convolution in Z[x]/(x^p - 1), in ``_dtype`` of p B_a B_b (B the largest
+    |coefficient|).  Reversed rows of a times the view w[y, m, l] = b[y, (m +
+    l + 2) mod p] of b doubled; each w[:, m].T is column-major, so BLAS."""
+    dtype = _dtype(p * _height(a) * _height(b))
+    x = _cast(a.reshape(-1, p - 1)[:, ::-1], dtype)
+    y = np.zeros((b.size // (p - 1), 2 * p), dtype=dtype)
+    y[:, :p - 1] = y[:, p:-1] = b.reshape(-1, p - 1)
+    c = x @ sliding_window_view(y[:, 2:], p - 1, axis=1).transpose(1, 2, 0)
+    return np.moveaxis(c.reshape((p,) + a.shape[:-1] + b.shape[:-1]), 0, -1)
 
 
 # charged a cell of the signature sums before they are allocated: ~32 B a

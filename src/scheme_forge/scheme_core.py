@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .cyclotomy import CyclotomicSystem, _signature_sums, embed
+from .cyclotomy import (CyclotomicSystem, _cast, _dtype, _height, _mul,
+                        _signature_sums, embed)
 from .errors import (MalformedPartition, NotAScheme, PartitionInvalid, SingularP,
                      check_budget)
 
@@ -72,10 +72,6 @@ class IndexPartition:
 
     def part_sets(self) -> list[frozenset]:
         return [frozenset(p) for p in self.parts]
-
-    def affine_image(self, u: int, v: int) -> "IndexPartition":
-        return IndexPartition.from_sets(
-            self.N, [[(u * i + v) % self.N for i in p] for p in self.parts])
 
     def to_json(self) -> dict:
         return {"N": self.N, "parts": [list(p) for p in self.parts]}
@@ -288,7 +284,8 @@ def intersection_numbers(sys: CyclotomicSystem, P_exact: np.ndarray, dual_parts)
     on Z[x]/(x^p - 1).  The sum is an integer S, evaluated exactly in
     Z[x]/(x^p - 1) through Tr(alpha) = p alpha_0 - alpha(1), which is the
     same for every representative of alpha(xi_p):
-    (p-1) S = sum_a [p (sigma sigma conj sigma)_0 - sigma(1)^3].
+    (p-1) S = sum_a [p (sigma sigma conj sigma)_0 - sigma(1)^3], each stage
+    in float64 on BLAS, int64 or Python ints by its own bound.
 
     The summand is constant on Galois cosets.  t in F_p^* is gamma^e with
     e a multiple of h = (q-1)/(p-1), and xi -> xi^t maps psi(gamma^a R_i)
@@ -312,52 +309,36 @@ def intersection_numbers(sys: CyclotomicSystem, P_exact: np.ndarray, dual_parts)
 
 
 def _trace_sums(sys: CyclotomicSystem, P_exact: np.ndarray, dual_parts):
-    """(acc, k): acc[i, j, k] = (p-1) S for the sum S of intersection_numbers,
-    over the g coset representatives weighted by N/g, and the valencies k
-    (k_0 = 1), of one dtype.  A representative's term depends on it only
-    through its dual class l, row P_exact[1 + l]: each distinct row is
-    summed once, weighted by how many representatives share it.  Its (p, K, K)
-    correlations and (K, K, K) sums are each int64 while their own bound fits."""
-    N, M, field, K = sys.N, sys.M, sys.field, P_exact.shape[1]
-    p, q = field.p, field.q
-    g = math.gcd(N, (q - 1) // (p - 1))
+    """(acc, k): acc[i, j, k] = (p-1) S of intersection_numbers and the
+    valencies k (k_0 = 1), of one dtype.  A representative's term depends on
+    its dual class's row u alone: p (u_i u_j conj u_k)_0 - u_i(1) u_j(1) u_k(1),
+    _mul's pair products contracted against u_k, once a row.  Stages take
+    ``_dtype`` of p B^2, p^2 B^3 (B the largest |coefficient|), and for the
+    integer sums 2 p^3 B^3 a representative and the numerators."""
+    N, M, K, field, p = sys.N, sys.M, P_exact.shape[1], sys.field, sys.field.p
+    g = math.gcd(N, (field.q - 1) // (p - 1))
     label = {a: c for c, part in enumerate(dual_parts) for a in part}
     rows, counts = np.unique([label[a] for a in range(g)], return_counts=True)
     k = P_exact[0, :, 0]
-    # with B = max |coefficient| of these rows, a correlation is at most p B^2;
-    # each representative adds at most 2 p^3 B^3 to |acc|, which is N/g times
-    # a sum over g of them; the numerator adds k_i k_j k_k to M acc / (p - 1).
-    # Read off views of the rows: nothing is allocated before the charge
-    B = max(max(int(P_exact[1 + r].max()), -int(P_exact[1 + r].min()))
-            for r in rows.tolist())
+    # read off views of the rows: nothing is allocated before the charge
+    B = max(_height(P_exact[1 + r]) for r in rows.tolist())
     acc_bound = 2 * N * p ** 3 * B ** 3
-    int64_ok = max(acc_bound, int(k.max()) ** 3 + M * acc_bound // (p - 1)) < 2 ** 63
-    dtype = np.int64 if int64_ok else object
-    # traced: ~16 B a cell of a row's (p, K, K) correlations and the rows, ~32 B
-    # a cell of the (K, K, K) sums and numerators; up to 4 times that in Python ints
-    check_budget((1 if int64_ok else 4) * (16 * p * K * K + 32 * K ** 3),
+    pair, con, dtype = (_dtype(p * B * B), _dtype(p * p * B ** 3), _dtype(max(
+        2 ** 53, acc_bound, int(k.max()) ** 3 + M * acc_bound // (p - 1))))
+    # traced, 8 B a cell, 56 in Python ints: pairs and rows twice, then K^3 four times
+    b_pair, b_con, b_sum = (56 if t is object else 8 for t in (pair, con, dtype))
+    check_budget(p * K * ((K + 3) * b_pair + (K + 1) * b_con) + K ** 3 * (b_con + 3 * b_sum),
                  f"the trace sums of {K - 1} relations on F_{{{p}^{field.f}}} need")
-    # sigma_a(i) as a length-p vector in Z[x]/(x^p - 1); R_0 = {0} gives 1
-    sig = np.zeros((len(rows), K, p),
-                   dtype=np.int64 if p * B * B < 2 ** 63 else object)
-    sig[..., :p - 1] = P_exact[1 + rows]
-    acc = sum(c * _trace_term(u, dtype) for u, c in zip(sig, counts.tolist()))
-    return acc * (N // g), k.astype(dtype)
-
-
-def _trace_term(u: np.ndarray, dtype) -> np.ndarray:
-    """[i, j, k]: p (u_i u_j conj u_k)_0 - u_i(1) u_j(1) u_k(1), in ``dtype``,
-    the trace sum's term for one row u (K, p) of vectors in Z[x]/(x^p - 1).
-    (u_i u_j conj u_k)_0 = sum_a u_i[a] cor[a, j, k] with the correlations
-    cor[a, j, k] = sum_b u_j[b] u_k[(a + b) mod p], formed in u's dtype as
-    one batched product of u with the window view w[k, a, b] = u_k[(a + b)
-    mod p] of each row followed by its first p - 1 entries."""
-    K, p = u.shape
-    w = sliding_window_view(np.concatenate((u, u[:, :-1]), axis=1), p, axis=1)
-    cor = u @ w.transpose(1, 2, 0)
-    u, s = u.astype(dtype), u.sum(axis=1).astype(dtype)
-    return (p * np.tensordot(u, cor, axes=([1], [0]))
-            - s[:, None, None] * s[None, :, None] * s)
+    acc = np.zeros((K, K, K), dtype=dtype)  # [k, i, j]
+    for r, c in zip(rows.tolist(), (counts * (N // g)).tolist()):
+        u = P_exact[1 + r]
+        # (u_i u_j conj u_k)_0 at [k, i, j]; the pair products die before the cast
+        term = p * _cast(np.tensordot(_cast(u, con), _cast(_mul(u, u, p)[..., :p - 1], con),
+                                      axes=([1], [2])), dtype)
+        s = _cast(u.sum(axis=1), dtype)
+        term -= s * s[:, None] * s[:, None, None]
+        acc += c * term
+    return acc.transpose(1, 2, 0), k.astype(dtype)
 
 
 # --- Krein parameters --------------------------------------------------------

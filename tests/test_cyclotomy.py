@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scheme_forge.constructions import five_class_3mod8, three_class_base
-from scheme_forge.cyclotomy import _mul, build_cyclotomy, embed
+from scheme_forge.cyclotomy import _cast, _mul, build_cyclotomy, embed
 from scheme_forge.errors import NotADivisor
 from scheme_forge.finite_field import _BLOCK, build_field
 
@@ -31,18 +31,45 @@ def naive_mul(a, b, p):
     return out
 
 
+def fold(c):
+    """Representatives in Z[x]/(x^p - 1) as rows of Z[xi_p], in Python ints."""
+    c = _cast(c, object)
+    return c[..., :-1] - c[..., -1:]
+
+
 @pytest.mark.parametrize("p,bits", [(2, 8), (3, 8), (37, 20), (37, 70), (257, 40)])
 def test_mul_matches_a_naive_double_loop(p, bits):
     rng = random.Random(p * bits)
-    for _ in range(3):
-        a, b = ([rng.randrange(-2 ** bits, 2 ** bits) for _ in range(p - 1)]
-                for _ in range(2))
-        assert _mul(a, b, p) == naive_mul(a, b, p)
+    rows = [[rng.randrange(-2 ** bits, 2 ** bits) for _ in range(p - 1)]
+            for _ in range(6)]
+    # every pair of a batch of 2 by a batch of 2 x 2, and single rows
+    a, b = np.array(rows[:2], dtype=object), np.array(rows[2:], dtype=object)
+    got = fold(_mul(a, b.reshape(2, 2, p - 1), p))
+    assert got.shape == (2, 2, 2, p - 1)
+    assert got.reshape(2, 4, p - 1).tolist() == [
+        [naive_mul(x, y, p) for y in rows[2:]] for x in rows[:2]]
+    assert fold(_mul(a[0], b[0], p)).tolist() == naive_mul(rows[0], rows[2], p)
     # past 2^63, and from int64 rows with no wrap
-    big = [2 ** 64 + 3] + [-(2 ** 63)] * (p - 2)
-    assert _mul(big, big, p) == naive_mul(big, big, p)
+    big = np.array([2 ** 64 + 3] + [-(2 ** 63)] * (p - 2), dtype=object)
+    assert fold(_mul(big, big, p)).tolist() == naive_mul(big, big, p)
     row = np.full(p - 1, 2 ** 62, dtype=np.int64)
-    assert _mul(row, row, p) == naive_mul([2 ** 62] * (p - 1), [2 ** 62] * (p - 1), p)
+    assert fold(_mul(row, row, p)).tolist() == naive_mul(row.tolist(), row.tolist(), p)
+
+
+@pytest.mark.parametrize("bits,below,above", [(53, np.float64, np.int64),
+                                              (63, np.int64, object)])
+def test_mul_takes_each_route_up_to_its_edge(bits, below, above):
+    # the bound p B_a B_b just below and just above 2^bits: every entry of
+    # the rows is +-B, so the true sums reach (p - 1)/p of the bound
+    p, rng = 5, random.Random(bits)
+    height = 2 ** (bits // 2)
+    for b_height, dtype in [((2 ** bits - 1) // (p * height), below),
+                            ((2 ** bits - 1) // (p * height) + 1, above)]:
+        a, b = ([[rng.choice((-1, 1)) * h for _ in range(p - 1)] for _ in range(3)]
+                for h in (height, b_height))
+        got = _mul(np.array(a, dtype=object), np.array(b, dtype=object), p)
+        assert got.dtype == dtype
+        assert fold(got).tolist() == [[naive_mul(x, y, p) for y in b] for x in a]
 
 
 def test_f9_index2_periods(f9):

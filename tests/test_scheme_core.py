@@ -1,16 +1,18 @@
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from scheme_forge import errors, scheme_core
+from scheme_forge import cyclotomy, errors, jsonio, scheme_core
 from scheme_forge.constructions import five_class_3mod8
 from scheme_forge.cyclotomy import _CELL_BYTES, _signature_sums, build_cyclotomy
 from scheme_forge.errors import (BudgetExceeded, MalformedPartition,
                                  NotAScheme, PartitionInvalid)
 from scheme_forge.finite_field import build_field
 from scheme_forge.scheme_core import (IndexPartition, _group_rows, _negation,
-                                      _trace_sums, _trace_term, check_fusion,
+                                      _trace_sums, check_fusion,
                                       dual_classes, dual_partition,
                                       eigenmatrices, intersection_numbers,
                                       is_primitive, is_scheme,
@@ -18,7 +20,8 @@ from scheme_forge.scheme_core import (IndexPartition, _group_rows, _negation,
                                       verify_scheme)
 
 from conftest import partition_to_relations, traced_peak
-from oracles import ORACLE_CAP, TooLargeForOracle, brute_force_verify
+from oracles import (ORACLE_CAP, TooLargeForOracle, brute_force_verify,
+                     check_scheme_document)
 
 
 def singletons(N):
@@ -438,42 +441,107 @@ def test_coset_sum_matches_full_row_sum_on_non_schemes():
 
 
 def trace_term(u, p):
-    """Oracle for one row's term of the trace sum, by einsum:
-    p (u_i u_j conj u_k)_0 - u_i(1) u_j(1) u_k(1)."""
+    """Oracle for one row's term of the trace sum, by a gather of every
+    shift and two contractions: p (u_i u_j conj u_k)_0 - u_i(1) u_j(1) u_k(1).
+    In float64 on BLAS: every partial sum is at most 2 p^3 B^3 for B the
+    largest |coefficient|, asserted below 2^53, so each is exact."""
+    assert 2 * p ** 3 * int(np.abs(u).max()) ** 3 < 2 ** 53
     shift = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    conv = np.einsum("il,jlm->ijm", u, u[:, shift])  # (u_i u_j)_m
-    s = u.sum(axis=1)
-    return (p * np.einsum("ijm,km->ijk", conv, u)
-            - np.einsum("i,j,k->ijk", s, s, s))
+    v = u.astype(np.float64)
+    conv = np.tensordot(v, v[:, shift], axes=([1], [1]))  # (u_i u_j)_m
+    s = v.sum(axis=1)
+    return (p * np.tensordot(conv, v, axes=([2], [1]))
+            - np.einsum("i,j,k->ijk", s, s, s)).astype(np.int64)
+
+
+def triple_sum(rows, p):
+    """p sum_{a,b} u_i[a] u_j[b] u_k[(a + b) mod p] - u_i(1) u_j(1) u_k(1)
+    in Python ints, for rows u of length p."""
+    K, s = len(rows), [sum(r) for r in rows]
+    return [[[p * sum(rows[i][a] * rows[j][b] * rows[k][(a + b) % p]
+                      for a in range(p) for b in range(p)) - s[i] * s[j] * s[k]
+              for k in range(K)] for j in range(K)] for i in range(K)]
+
+
+def one_row_trace_sums(rows, p):
+    """_trace_sums on a system with N = 1, one coset representative of
+    weight one, whose dual class row is ``rows`` (K, p - 1): its term."""
+    P_exact = np.zeros((2, len(rows), p - 1), dtype=np.int64)
+    P_exact[0, :, 0] = 1
+    P_exact[1] = rows
+    sys_n = SimpleNamespace(N=1, M=1, field=SimpleNamespace(p=p, q=p, f=1))
+    return _trace_sums(sys_n, P_exact, [(0,)])
 
 
 @pytest.mark.parametrize("K,p", [(1, 2), (3, 2), (2, 3), (4, 5), (3, 7)])
-@pytest.mark.parametrize("scale,rows_dtype,dtype", [
-    (1, np.int64, np.int64),
-    # near 2^20 the correlations (at most p B^2) fit int64 but the sums
-    # (2 p^3 B^3) do not: int64 rows, an object term
-    (2 ** 20, np.int64, object),
-    # at 2^40 the correlations pass int64 too, as object rows
-    (2 ** 40, object, object)], ids=["int64", "split", "object"])
-def test_trace_term_matches_the_triple_sum(K, p, scale, rows_dtype, dtype):
-    # p sum_{a,b} u_i[a] u_j[b] u_k[(a + b) mod p] - u_i(1) u_j(1) u_k(1) in
-    # Python ints
+@pytest.mark.parametrize("scale", [1, 2 ** 20, 2 ** 40],
+                         ids=["int64", "split", "object"])
+def test_trace_term_matches_the_triple_sum(K, p, scale):
+    # one row's term through the shared product.  The ids name the routes
+    # of the int64 correlations this replaced; now scale 1 runs in float64,
+    # 2^20 forms float64 pair products and the rest in Python ints, and
+    # 2^40 takes Python ints throughout
     rng = np.random.default_rng(K * p)
-    rows = (rng.integers(-9, 10, size=(K, p)) * scale).tolist()
-    s = [sum(r) for r in rows]
-    want = [[[p * sum(rows[i][a] * rows[j][b] * rows[k][(a + b) % p]
-                      for a in range(p) for b in range(p)) - s[i] * s[j] * s[k]
-              for k in range(K)] for j in range(K)] for i in range(K)]
-    u = np.array(rows, dtype=rows_dtype)
-    got = _trace_term(u, dtype)
-    assert got.dtype == dtype and got.shape == (K, K, K)
-    assert got.tolist() == want
+    rows = (rng.integers(-9, 10, size=(K, p - 1)) * scale).tolist()
+    acc, _ = one_row_trace_sums(rows, p)
+    assert acc.shape == (K, K, K)
+    assert acc.tolist() == triple_sum([r + [0] for r in rows], p)
 
 
-def stand_in_term(u, p):
-    """A cheap term that tells rows apart: the cube of a hash of each row."""
-    v = u @ np.random.default_rng(p).integers(0, 1009, p) % 1009
-    return np.einsum("i,j,k->ijk", v, v, v)
+def largest_below(bound, bits):
+    """The largest B >= 1 with bound(B) < 2^bits."""
+    lo, hi = 1, 2 ** bits
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(mid) < 2 ** bits else (lo, mid)
+    return lo
+
+
+# each stage's bound at B, the largest |coefficient|, for p = 5 and one
+# representative of weight N = 1: the (K, K, p) pair products, their
+# (K, K, K) contraction and the sums
+_STAGE_BOUNDS = {"pair": lambda B: 5 * B * B, "con": lambda B: 25 * B ** 3,
+                 "sums": lambda B: 250 * B ** 3}
+
+
+_ROUTE_EDGES = [
+    ("pair", 53, 0, (np.float64, object, object)),
+    ("pair", 53, 1, (np.int64, object, object)),
+    ("pair", 63, 0, (np.int64, object, object)),
+    ("pair", 63, 1, (object, object, object)),
+    ("con", 53, 0, (np.float64, np.float64, np.int64)),
+    ("con", 53, 1, (np.float64, np.int64, np.int64)),
+    # the route F_{8191^2} by 6 takes: float64 pair products, an int64
+    # contraction and sums in Python ints
+    ("con", 63, 0, (np.float64, np.int64, object)),
+    ("con", 63, 1, (np.float64, object, object)),
+    ("sums", 63, 0, (np.float64, np.int64, np.int64)),
+    ("sums", 63, 1, (np.float64, np.int64, object)),
+    # sums far below 2^53 still take int64
+    ("sums", 13, 0, (np.float64, np.float64, np.int64)),
+]
+
+
+@pytest.mark.parametrize("stage,bits,above,routes", _ROUTE_EDGES, ids=[
+    f"{stage}-{'above' if above else 'below'}-2^{bits}"
+    for stage, bits, above, _ in _ROUTE_EDGES])
+def test_trace_sums_match_the_triple_sum_at_every_route_edge(
+        stage, bits, above, routes, monkeypatch):
+    # one row u of K = 4 vectors, u_0 = 1 and every other coefficient +-B,
+    # with B just below or just above the stage's edge, against the
+    # triple sum in Python ints
+    p, K = 5, 4
+    B = largest_below(_STAGE_BOUNDS[stage], bits) + above
+    rng = np.random.default_rng(bits + above)
+    rows = [[1, 0, 0, 0]] + [[int(x) * B for x in rng.choice((-1, 1), size=p - 1)]
+                             for _ in range(K - 1)]
+    chosen = []
+    monkeypatch.setattr(scheme_core, "_dtype", lambda bound: (
+        chosen.append(cyclotomy._dtype(bound)) or chosen[-1]))
+    acc, k = one_row_trace_sums(rows, p)
+    assert tuple(chosen) == routes
+    assert acc.dtype == k.dtype == routes[2]
+    assert acc.tolist() == triple_sum([r + [0] for r in rows], p)
 
 
 def per_representative_trace_sums(sys_n, part, classes, term):
@@ -505,20 +573,20 @@ def _five_class(p, p1):
     return built.system, built.partition
 
 
-@pytest.mark.parametrize("build,args,g_below_d,real", [
-    (_singletons_on, (37, 3, 28), True, True),    # cyclo-n28: g = 7 of 28
-    (_singletons_on, (257, 2, 32), True, True),   # g = 2
-    (_singletons_on, (257, 2, 96), True, False),  # g = 6; the real term ~21 s
-    (_two_parts_on, (257, 2, 258), False, True),  # {0 | 1..257}: g = 258
-    (_five_class, (3, 11), False, True),          # g = 11, d = 5: 4 rows
-    (_five_class, (5, 19), False, True),          # g = 19, d = 5: 4 rows
+@pytest.mark.parametrize("build,args,g_below_d", [
+    (_singletons_on, (37, 3, 28), True),    # cyclo-n28: g = 7 of 28
+    (_singletons_on, (257, 2, 32), True),   # g = 2
+    (_singletons_on, (257, 2, 96), True),   # g = 6
+    (_two_parts_on, (257, 2, 258), False),  # {0 | 1..257}: g = 258
+    (_five_class, (3, 11), False),          # g = 11, d = 5: 4 rows
+    (_five_class, (5, 19), False),          # g = 19, d = 5: 4 rows
 ], ids=["cyclo-n28", "257^2-by-32", "257^2-by-96", "257^2-by-258-two-parts",
         "five-class-3-11", "five-class-5-19"])
-def test_trace_sums_weight_each_dual_class_row(build, args, g_below_d, real,
+def test_trace_sums_weight_each_dual_class_row(build, args, g_below_d,
                                                monkeypatch):
     # a representative's term depends only on its dual class: each distinct
-    # row is summed once, weighted by its representatives.  The stand-in
-    # term checks the weighting where the real one is too slow to repeat
+    # row's pair products are formed once, and its term weighted by its
+    # representatives
     sys_n, part = build(*args)
     classes = dual_classes(sys_n, part)
     P_exact = eigenmatrices(sys_n, part, classes)[0]
@@ -528,32 +596,32 @@ def test_trace_sums_weight_each_dual_class_row(build, args, g_below_d, real,
     label = {a: c for c, members in enumerate(classes[1]) for a in members}
     rows = len({label[a] for a in range(g)})
     assert rows <= min(g, d)
-    if real:
-        acc, _ = _trace_sums(sys_n, P_exact, classes[1])
-        assert np.array_equal(acc, per_representative_trace_sums(
-            sys_n, part, classes, trace_term))
     calls = []
-    monkeypatch.setattr(scheme_core, "_trace_term", lambda u, dtype: (
-        calls.append(u) or stand_in_term(u, u.shape[1])))
+    monkeypatch.setattr(scheme_core, "_mul", lambda a, b, p: (
+        calls.append(a) or cyclotomy._mul(a, b, p)))
     acc, _ = _trace_sums(sys_n, P_exact, classes[1])
     assert len(calls) == rows
     assert np.array_equal(acc, per_representative_trace_sums(
-        sys_n, part, classes, stand_in_term))
+        sys_n, part, classes, trace_term))
 
 
 def test_trace_sums_stay_within_their_budget_charge(monkeypatch):
-    # 32 singletons on F_{257^2}: the (p, K, K) shift correlations of a row
-    # are 2.1 MiB; a (K, p, p) gather of it was ~36 MiB of traced peak
-    sys_n, part = _singletons_on(257, 2, 32)
-    classes = dual_classes(sys_n, part)
-    P_exact = eigenmatrices(sys_n, part, classes)[0]
+    # 32 singletons on F_{257^2}: the (K, K, p) pair products of a row are
+    # 2.1 MiB; a (K, p, p) gather of it was ~36 MiB of traced peak.  6 on
+    # F_{1021^2}: float64 products and sums in Python ints
     charged = []
     monkeypatch.setattr(scheme_core, "check_budget",
                         lambda need, what: charged.append(need))
-    _, peak = traced_peak(lambda: _trace_sums(sys_n, P_exact, classes[1]))
-    assert len(charged) == 1
-    assert peak <= charged[0], (peak, charged)
-    assert peak < 8 << 20, peak
+    for args, most in [((257, 2, 32), 8 << 20), ((1021, 2, 6), 1 << 20)]:
+        sys_n, part = _singletons_on(*args)
+        classes = dual_classes(sys_n, part)
+        P_exact = eigenmatrices(sys_n, part, classes)[0]
+        charged.clear()
+        (acc, _), peak = traced_peak(lambda: _trace_sums(sys_n, P_exact, classes[1]))
+        assert len(charged) == 1
+        assert peak <= charged[0], (args, peak, charged)
+        assert peak < most, (args, peak)
+    assert acc.dtype == object
 
 
 def test_trace_sums_refuse_before_allocating_their_rows(monkeypatch):
@@ -806,31 +874,39 @@ def test_check_fusion_identity(f243):
 
 def test_check_fusion_cross_oracle(f243):
     # merging classes of the order-22 cyclotomic scheme: the fusion verdict
-    # must agree with direct verification of the merged partition
+    # must agree with direct verification of the merged partition, and each
+    # fusion's printed document checks itself (associativity, row sums and
+    # the eigenvalue identity of its P_exact)
     sys22 = build_cyclotomy(f243, 22)
     fine = singletons(22)
     P_exact, _, _ = eigenmatrices(sys22, fine, dual_classes(sys22, fine))
     rng = np.random.default_rng(5)
-    agree_true = 0
+    merges = []
     for _ in range(40):
         d = int(rng.integers(2, 6))
         labels = rng.integers(0, d, size=22)
-        cells = [np.nonzero(labels == k)[0] for k in range(d)]
+        merges.append([np.nonzero(labels == k)[0].tolist() for k in range(d)])
+    # random merges seldom verify; three fusions always do: the cosets of
+    # <2> and of <11> in Z_22, and the orbits of the Galois map i -> 3i
+    merges += [[list(range(i, 22, 2)) for i in range(2)],
+               [[i, i + 11] for i in range(11)],
+               sorted({tuple(sorted({i * 3 ** t % 22 for t in range(5)}))
+                       for i in range(22)})]
+    fusions = 0
+    for cells in merges:
         if any(len(c) == 0 for c in cells):
             continue
         lam = [[0]] + [[int(i) + 1 for i in c] for c in cells]
-        merged = IndexPartition.from_sets(22, [c.tolist() for c in cells])
+        merged = IndexPartition.from_sets(22, cells)
         fused = check_fusion(P_exact, lam)
-        direct = is_scheme(sys22, merged)
-        assert (fused is not None) == direct
+        assert (fused is not None) == is_scheme(sys22, merged)
         if fused is not None:
-            agree_true += 1
-            _, fused_P = fused
-            own_P, _, _ = eigenmatrices(sys22, merged, dual_classes(sys22, merged))
-            assert np.array_equal(fused_P, own_P)
-    # subgroup-coset fusions always succeed; add one to guarantee a positive case
-    lam = [[0]] + [[1 + i + 2 * j for j in range(11)] for i in range(2)]
-    assert check_fusion(P_exact, lam) is not None
+            fusions += 1
+            report = verify_scheme(sys22, merged)
+            assert np.array_equal(fused[1], report.P_exact)
+            doc = json.loads(jsonio.dumps({"report": jsonio.report_to_json(report)}))
+            assert check_scheme_document(doc)
+    assert fusions >= 3
 
 
 def dict_check_fusion(P_exact, column_partition):

@@ -5,8 +5,9 @@
 primitive-modulus scan of ``build_field`` (uncached), a walk of the norm
 stream, the period tally of ``build_cyclotomy`` (F_{3^16} by 8 is the
 longest walk; F_{2^22} by 1,398,101 makes each sub-block cost its own
-terms, not the N p cells of the tally; F_{101^2} by 10,200 is a short walk
-whose N p cells the fold dominates), gauss-verify's ``gauss_sums_all``
+terms, not the N p cells of the tally; F_{101^2} by 10,200 and F_{4099^2}
+by 4,100 are short walks whose N p cells the fold dominates),
+gauss-verify's ``gauss_sums_all``
 (the psi vector and its FFT), the signature sums of one label row (the
 one ``verify`` sums) and of the first batch the search rechecks at
 p = 11, d <= 3, the dual classes, eigenmatrices and intersection numbers
@@ -195,7 +196,7 @@ TABLE = [
     (modulus_scan, [(5, 9), (11, 6)]),
     (norm_stream, [(5, 9), (11, 6), (2, 20), (3, 15), (3, 16)]),
     (periods, [(5, 9, 38), (3, 16, 8), (401, 3, 400), (2, 22, 1398101),
-               (101, 2, 10200)]),
+               (101, 2, 10200), (4099, 2, 4100)]),
     (gauss_sums, [(5, 9), (11, 6)]),
     (signature_row, [(37, 3, 28)]),
     (recheck_batch, [(11, 3)]),

@@ -33,7 +33,6 @@ from .scheme_core import (IndexPartition, SchemeReport, is_scheme,
 
 @dataclass
 class BuiltScheme:
-    kind: str
     field: FieldSpec | None
     system: CyclotomicSystem | None
     partition: IndexPartition
@@ -62,7 +61,7 @@ def three_class_base(p: int, p1: int, s: int = 1,
         raise NoOrbitMemberVerifies("three-class base partition failed to verify")
     if not report.is_self_dual or any(not b for b in report.is_symmetric_rel):
         raise NoOrbitMemberVerifies("three-class base lacks advertised symmetry")
-    return BuiltScheme("three_class_base", field, sys, partition, report, params)
+    return BuiltScheme(field, sys, partition, report, params)
 
 
 # --- four-class fission (p1 = 7 mod 8) ---------------------------------------
@@ -88,7 +87,7 @@ def four_class_7mod8(p: int, p1: int, s: int = 1,
             "expected exactly one nonsymmetric pair for odd s, p = 3 mod 4")
     if s == 1 and p1 > 2 * params.h + 1 and params.c != 0 and not report.is_primitive:
         raise NoOrbitMemberVerifies("primitivity condition holds but scheme is imprimitive")
-    return BuiltScheme("four_class_7mod8", field, sys, partition, report, params)
+    return BuiltScheme(field, sys, partition, report, params)
 
 
 # --- five-class fission (p1 = 3 mod 8) -----------------------------------------
@@ -145,7 +144,7 @@ def five_class_3mod8(p: int, p1: int, m: int = 1,
         # at ~160 bytes an index at peak (565 MB for the sets of N = 2*11^6)
         check_budget(160 * 2 * p1 ** m,
                      f"the five-class index sets of N = 2*{p1}^{m} need")
-        return BuiltScheme("five_class_3mod8", None, None,
+        return BuiltScheme(None, None,
                            five_class_index_sets(p, p1, m), None, params)
 
     field = build_field(p, params.f, cap=cap)
@@ -160,7 +159,7 @@ def five_class_3mod8(p: int, p1: int, m: int = 1,
     partition, report = candidates[good[0]], reports[good[0]]
     if report.d != 5 or not report.is_self_dual:
         raise NoOrbitMemberVerifies("five-class fission lacks advertised structure")
-    return BuiltScheme("five_class_3mod8", field, sys, partition, report, params)
+    return BuiltScheme(field, sys, partition, report, params)
 
 
 # --- two-class conference scheme (p1 = 7 mod 8, p = 1 mod 4) -------------------
@@ -184,7 +183,7 @@ def conference_7mod8(p: int, p1: int, i0=None,
     report = verify_scheme(sys, partition)
     if not report.is_scheme or report.d != 2:
         raise NoOrbitMemberVerifies("conference partition failed to verify")
-    return BuiltScheme("conference_7mod8", field, sys, partition, report, params)
+    return BuiltScheme(field, sys, partition, report, params)
 
 
 # --- the Ma-Wang template of four-class skew-symmetric conference fissions ------
@@ -298,7 +297,7 @@ def song_example(cap: int = DEFAULT_CAP) -> SongReproduction:
     if report.d != 4 or report.nonsymmetric_pair_count != 2:
         raise NoOrbitMemberVerifies(
             "verifying orbit member lacks the advertised class structure")
-    built = BuiltScheme("song_example", field, sys, aligned, report)
+    built = BuiltScheme(field, sys, aligned, report)
 
     # published intersection matrices, up to one simultaneous relabeling
     B = np.array(report.intersection_matrices)

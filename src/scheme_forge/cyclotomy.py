@@ -12,13 +12,13 @@ primitive root mod p and tr is F_p-linear, so s_{e+kL} = nu^k s_e (mod p).
 As (p - 1) L = q - 1 = 0 (mod N), k -> (e + kL mod N, nu^k t) is an action
 of Z_{p-1}: the term at e with s_e = nu^a counts once in class i with trace
 nu^m iff i - mL = e - aL (mod N).  So one pass tallies the stream by
-(e mod N, t), a sub-block at a time, and one fold sums the tally over the N
-values of e - aL and reads every nonzero trace's count back from those
-sums; the class size M leaves the zero traces' count.  That is O(L + N p)
-time and O(N p + _BLOCK) memory, never the period itself.  All character
-sums over unions of classes are sums of period rows: ``_signature_sums``
-forms those of every part of a batch of partitions under every character,
-the signatures scheme_core reads.
+(e mod N, t), a sub-block at a time, and one scatter adds each nonzero
+trace's cell (r, nu^a) of the tally to H[r - aL mod N]; class i has
+H[i - mL mod N] terms of trace nu^m, and the class size M leaves the zero
+traces' count.  That is O(L + N p) time and O(N p + _BLOCK) memory, never
+the period itself.  All character sums over unions of classes are sums of
+period rows: ``_signature_sums`` forms those of every part of a batch of
+partitions under every character, the signatures scheme_core reads.
 """
 
 from __future__ import annotations
@@ -69,22 +69,19 @@ def build_cyclotomy(field: FieldSpec, N: int) -> CyclotomicSystem:
         r, b = start % N, len(chunk)
         np.add.at(tally, offsets[r:r + b] + chunk, 1)
     del offsets
-    tally[::p] = 0  # t = 0: the class size M fixes the zero traces
 
     # a term at e with s_e = nu^a counts in class i with trace nu^m iff
-    # i - mL = e - aL (mod N): H[c] sums tally[(c + aL) mod N, nu^a] over a,
-    # and class i has H[(i - mL) mod N] terms of trace nu^m.  In int64: a
-    # weighted bincount would cast to float64, whose first use in a process
-    # costs 68 KB of RSS
+    # i - mL = e - aL (mod N): H[c] sums the nonzero traces' tally[r, nu^a]
+    # over r - aL = c, and class i has H[(i - mL) mod N] terms of trace nu^m.
+    # In int64: a weighted bincount would cast to float64, whose first use
+    # in a process costs 68 KB of RSS
     log = np.zeros(p, dtype=np.intp)
     log[field.norm_powers] = np.arange(p - 1)
     shift = log * (L % N) % N
-    index = np.add.outer(shift, np.arange(N))  # by trace: rows step in order
-    index %= N
-    index *= p
-    index += np.arange(p)[:, None]
-    H = tally[index].sum(axis=0)
-    del tally, index
+    H = np.zeros(N, dtype=np.int64)
+    np.add.at(H, (np.arange(N)[:, None] - shift[1:]) % N,
+              tally.reshape(N, p)[:, 1:])
+    del tally
     # i - mL + N lies in [1, 2N): read off H twice over, with no mod
     counts = np.concatenate((H, H))[np.add.outer(np.arange(N), N - shift)]
     counts[:, 0] = M - counts[:, 1:].sum(axis=1)

@@ -170,48 +170,45 @@ def _canonical_rows(labels: np.ndarray) -> np.ndarray:
 
 def _keys(rows: np.ndarray) -> np.ndarray:
     """One uint64 per canonical row of at most 4 labels, 2 bits a class."""
-    shift = 2 * np.arange(rows.shape[1], dtype=np.uint64)
-    return (rows.astype(np.uint64) << shift).sum(axis=1)
+    shift = 2 * np.arange(rows.shape[-1], dtype=np.uint64)
+    return (rows.astype(np.uint64) << shift).sum(axis=-1)
+
+
+def _unique(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of canonical ``rows``, in key order."""
+    return rows[np.unique(_keys(rows), return_index=True)[1]]
 
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
-    rows = _canonical_rows(rows)
-    _, first = np.unique(_keys(rows), return_index=True)
-    return rows[first]
+    return _unique(_canonical_rows(rows))
 
 
 def _images(rows: np.ndarray, maps: np.ndarray):
     """Canonical images of the rows under every map, in batches:
-    yields (image keys (R, G), images (R, G, N))."""
+    yields images (R, G, N)."""
     inverse = np.argsort(maps, axis=1)
     step = max(1, _ROW_BATCH // len(maps))
     for r0 in range(0, len(rows), step):
         block = rows[r0:r0 + step][:, inverse]
         flat = _canonical_rows(block.reshape(-1, rows.shape[1]))
-        yield _keys(flat).reshape(block.shape[:2]), flat.reshape(block.shape)
+        yield flat.reshape(block.shape)
 
+
+# each concatenation below starts from an empty slice of the rows: no
+# batch at all gives no rows
 
 def _orbits(rows: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """Every distinct image of the rows under the maps."""
-    keys, images = [], []
-    for k, img in _images(rows, maps):
-        k, first = np.unique(k.ravel(), return_index=True)
-        keys.append(k)
-        images.append(img.reshape(-1, rows.shape[1])[first])
-    if not keys:
-        return rows
-    _, first = np.unique(np.concatenate(keys), return_index=True)
-    return np.concatenate(images)[first]
+    images = (_unique(img.reshape(-1, rows.shape[1]))
+              for img in _images(rows, maps))
+    return _unique(np.concatenate([rows[:0], *images]))
 
 
 def _orbit_representatives(rows: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """One row per orbit: the image with the least key."""
-    least = []
-    for k, img in _images(rows, maps):
-        least.append(img[np.arange(len(k)), k.argmin(axis=1)])
-    if not least:
-        return rows
-    return _distinct(np.concatenate(least))
+    least = (img[np.arange(len(img)), _keys(img).argmin(axis=1)]
+             for img in _images(rows, maps))
+    return _unique(np.concatenate([rows[:0], *least]))
 
 
 def _bit_tables(maps: np.ndarray, N: int) -> np.ndarray:
@@ -267,9 +264,7 @@ def _meet_closures(left, right, E, dmax, report):
                                    + right[ib])
             found.append(_distinct(_close(_distinct(meets), E, dmax)))
         report("meets", min(a0 + step, len(left)), len(left))
-    if not found:
-        return left[:0]
-    return _distinct(np.concatenate(found))
+    return _unique(np.concatenate([left[:0], *found]))
 
 
 def _two_block_closures(N, maps, E, dmax, report):
@@ -312,7 +307,7 @@ def _closed_schemes(sys, dmax, nonsymmetric, report):
         left = _meet_closures(left, right, E, dmax, report)
         found.append(left)
 
-    candidates = _distinct(np.concatenate(found))
+    candidates = _unique(np.concatenate(found))
     size = candidates.max(axis=1) + 1
     _, dsize = _levels_of_sums(candidates, E, dmax)
     keep = (size >= 3) & (dsize == size)

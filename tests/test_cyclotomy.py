@@ -113,6 +113,8 @@ def test_trace_count_rows_sum_to_class_size(f243):
     (5, 8, 16),                     # a last sub-block of 32,120 terms
     (101, 3, 100), (101, 2, 102),   # g = 1, L = 10,303; g = 102 = N, L = 102
     (2, 22, 1398101),               # 128 sub-blocks, each added in O(_BLOCK)
+    (13, 2, 168), (2, 10, 1023),    # N p > L = 14 and 1023: the fold dominates
+    (101, 2, 10200),                # N p = 1,030,200 cells, L = 102
 ])
 def test_block_tally_matches_full_sequence_bincount(p, f, N):
     field = build_field(p, f)

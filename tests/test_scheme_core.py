@@ -10,16 +10,16 @@ from scheme_forge.constructions import five_class_3mod8
 from scheme_forge.cyclotomy import _CELL_BYTES, _signature_sums, build_cyclotomy
 from scheme_forge.errors import (BudgetExceeded, MalformedPartition,
                                  NotAScheme, PartitionInvalid)
-from scheme_forge.finite_field import build_field
+from scheme_forge.finite_field import build_field, is_prime
 from scheme_forge.scheme_core import (IndexPartition, _group_rows, _negation,
                                       _trace_sums, check_fusion,
                                       dual_classes, dual_partition,
                                       eigenmatrices, intersection_numbers,
                                       is_primitive, is_scheme,
-                                      krein_parameters, symmetrize,
-                                      verify_scheme)
+                                      krein_parameters, signature_counts,
+                                      symmetrize, verify_scheme)
 
-from conftest import partition_to_relations, traced_peak
+from conftest import partition_to_relations, search_prefixes, traced_peak
 from oracles import (ORACLE_CAP, TooLargeForOracle, brute_force_verify,
                      check_scheme_document)
 
@@ -199,6 +199,74 @@ def test_intersection_and_krein_match_element_count(p, f, N, H):
                          element_intersection_numbers(field, sys_n, dual),
                          strict=True):
         assert np.array_equal(got, want)
+
+
+# every F_q with q <= 300 and every order N, 2 <= N <= 6, dividing q - 1
+SMALL_SYSTEMS = [(p, f, N) for p in range(2, 301) if is_prime(p)
+                 for f in range(1, 9) if p ** f <= 300
+                 for N in range(2, 7) if (p ** f - 1) % N == 0]
+
+
+def fused_tensor(B, rel, parts):
+    """T[a, c, b]: the block sums over parts a and b of the counted B[i][k][j]
+    at the first relation k of part c, and whether they are constant over
+    each part.  Row r of ``rel`` (R, K) gives each of the K relations its
+    part, below ``parts``, relation 0 its own part 0."""
+    onehot = (rel[:, :, None] == np.arange(parts)).astype(np.int64)
+    S = np.einsum("ria,ikj,rjb->rakb", onehot, B, onehot)
+    first = onehot.argmax(axis=1)
+    rep = np.take_along_axis(first, rel, axis=1)[:, None, :, None]
+    constant = (S == np.take_along_axis(S, rep, axis=2)).all(axis=(1, 2, 3))
+    return np.take_along_axis(S, first[:, None, :, None], axis=2), constant
+
+
+def counted_primitive(T):
+    """Every nontrivial relation of the symmetrization connects: from {0},
+    the steps by R_a and -R_a reach every relation (T[a, 0, b] > 0 iff
+    -R_a = R_b)."""
+    for a in range(1, len(T)):
+        step = T[a] + T[T[a, 0].argmax()]
+        reach = np.zeros(len(T), dtype=bool)
+        reach[0] = True
+        while not reach.all():
+            more = reach | (step[:, reach] > 0).any(axis=1)
+            if (more == reach).all():
+                return False
+            reach = more
+    return True
+
+
+def test_every_partition_of_small_systems_matches_element_counts():
+    # every set partition of Z_N: a scheme iff the block sums of the
+    # singleton scheme's counted intersection numbers are constant over each
+    # part, and then those sums are its intersection numbers
+    systems = partitions = schemes = 0
+    for p, f, N in SMALL_SYSTEMS:
+        field = build_field(p, f)
+        sys_n = build_cyclotomy(field, N)
+        B = np.array(element_intersection_numbers(field, sys_n, singletons(N)))
+        labels = np.asarray(search_prefixes(N, N))
+        assert len(labels) == [2, 5, 15, 52, 203][N - 2]  # Bell numbers
+        distinct, primitive = signature_counts(sys_n, labels, N)
+        d = labels.max(axis=1) + 1
+        rel = np.concatenate((np.zeros((len(labels), 1), dtype=np.int64),
+                              labels + 1), axis=1)
+        T, constant = fused_tensor(B, rel, N + 1)
+        assert np.array_equal(distinct == d, constant), (p, f, N)
+        for row, k, T_r, prim in zip(labels[constant], d[constant],
+                                     T[constant], primitive[constant]):
+            part = IndexPartition.from_sets(
+                N, [np.nonzero(row == c)[0].tolist() for c in range(k)])
+            report = verify_scheme(sys_n, part)
+            T_r = T_r[:k + 1, :k + 1, :k + 1]
+            assert np.array_equal(report.intersection_matrices, T_r)
+            assert prim == report.is_primitive == counted_primitive(T_r)
+            neg = T_r[:, 0].argmax(axis=1)
+            assert report.nonsymmetric_pair_count == (neg > np.arange(k + 1)).sum()
+        systems += 1
+        partitions += len(labels)
+        schemes += int(constant.sum())
+    assert (systems, partitions, schemes) == (197, 8569, 1313)
 
 
 def gathered_signature_rows(sys, partition):
@@ -892,6 +960,18 @@ def test_check_fusion_cross_oracle(f243):
                [[i, i + 11] for i in range(11)],
                sorted({tuple(sorted({i * 3 ** t % 22 for t in range(5)}))
                        for i in range(22)})]
+    # random unions of the orbits of i -> 3i, or of i -> 3i and i -> i + 11
+    # (the cosets of <11> merged by Galois), shifted by a random v: C_i ->
+    # C_{i+v} is multiplication by gamma^v, so a shifted fusion is one
+    orbits = [sorted({tuple(sorted({(i * 3 ** t + 11 * w) % 22
+                                    for t in range(5) for w in range(k)}))
+                      for i in range(22)}) for k in (1, 2)]
+    for _ in range(40):
+        cells = orbits[int(rng.integers(0, 2))]
+        d, v = int(rng.integers(2, 4)), int(rng.integers(0, 22))
+        labels = rng.integers(0, d, size=len(cells))
+        merges.append([sorted((i + v) % 22 for c, l in zip(cells, labels)
+                              if l == k for i in c) for k in range(d)])
     fusions = 0
     for cells in merges:
         if any(len(c) == 0 for c in cells):
@@ -906,7 +986,8 @@ def test_check_fusion_cross_oracle(f243):
             assert np.array_equal(fused[1], report.P_exact)
             doc = json.loads(jsonio.dumps({"report": jsonio.report_to_json(report)}))
             assert check_scheme_document(doc)
-    assert fusions >= 3
+    # the three above and 9 of the 28 orbit draws with no empty part
+    assert fusions >= 12
 
 
 def dict_check_fusion(P_exact, column_partition):

@@ -532,6 +532,14 @@ def test_two_block_closures_match_closing_every_partition(p, dmax, count):
         set(search._keys(every).tolist())
 
 
+def test_orbit_helpers_take_no_rows():
+    maps = search._orbit_maps(3, 8)
+    none = np.zeros((0, 8), dtype=np.int8)
+    for helper in (search._orbits, search._orbit_representatives):
+        got = helper(none, maps)
+        assert got.shape == (0, 8) and got.dtype == np.int8
+
+
 def test_p11_closed_three_class_schemes():
     # every 3-class fusion scheme at p = 11 with the nonsymmetry filter off:
     # closure results mapped over the whole group, not the shifts alone
